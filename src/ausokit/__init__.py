@@ -7,7 +7,6 @@ desk scale.
 """
 
 from .cube_core import (
-    Coordinate,
     Direction,
     Face,
     OrientationOracle,
@@ -58,7 +57,6 @@ from .frame_store import (
     load_frame,
     validate_all,
     validate_family,
-    validate_frame,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

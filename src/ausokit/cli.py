@@ -10,12 +10,12 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from .constructions import BUNDLE_SIZE, ConstructionError, realize_range, rule_state
+from .constructions import BUNDLE_SIZE, ConstructionError, _cache_path, realize_range
+from .cube_core import CubeError
 from .frame_store import resolve_frames_dir, validate_all, validate_family
-from .pivot_engine import StepLimitExceeded, run_to_sink, write_trace_jsonl
+from .pivot_engine import StepLimitExceeded, write_trace_jsonl
 from .verifier import (
     USO_EXHAUSTIVE_CAP,
     check_acyclic,
@@ -29,21 +29,6 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_LIMIT = 3
-
-
-@dataclass
-class ExperimentManifest:
-    """Everything a build/verify invocation depends on, resolved up front."""
-
-    family: str
-    levels: tuple[int, int]
-    frames_dir: Path
-    cache_dir: Path
-    seed: int = 7
-    samples: int = 10000
-    max_face_dim: int = 8
-    workers: int = 1
-    extra: dict = field(default_factory=dict)
 
 
 def _parse_levels(text: str) -> tuple[int, int]:
@@ -67,21 +52,12 @@ def _gate_frames(frames_dir) -> bool:
 
 
 def cmd_build(args) -> int:
-    manifest = ExperimentManifest(args.family, _parse_levels(args.levels),
-                                  resolve_frames_dir(args.frames_dir),
-                                  Path(args.cache_dir))
-    if not _gate_frames(manifest.frames_dir):
+    lo, hi = _parse_levels(args.levels)
+    frames_dir = resolve_frames_dir(args.frames_dir)
+    if not _gate_frames(frames_dir):
         return EXIT_VIOLATION
-    try:
-        chain = realize_range(manifest.family, manifest.levels[1],
-                              manifest.frames_dir, manifest.cache_dir)
-    except ConstructionError as exc:
-        print(f"construction failed: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except StepLimitExceeded as exc:
-        print(f"step limit exceeded: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
-    for level, _ in chain[manifest.levels[0]:]:
+    chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir))
+    for level, _ in chain[lo:]:
         print(f"level {level.level}: n={level.dimension} path_length={level.path_length}")
     return EXIT_OK
 
@@ -89,16 +65,11 @@ def cmd_build(args) -> int:
 def cmd_run(args) -> int:
     frames_dir = resolve_frames_dir(args.frames_dir)
     cache_dir = Path(args.cache_dir)
-    from .constructions import _cache_path
     if not _cache_path(cache_dir, args.family, args.level).exists():
         print(f"no cache for {args.family} level {args.level}; run build first",
               file=sys.stderr)
         return EXIT_USAGE
-    try:
-        chain = realize_range(args.family, args.level, frames_dir, cache_dir)
-    except StepLimitExceeded as exc:
-        print(f"step limit exceeded: {exc}", file=sys.stderr)
-        return EXIT_LIMIT
+    chain = realize_range(args.family, args.level, frames_dir, cache_dir)
     level, trace = chain[-1]
     out = Path(args.trace) if args.trace else Path(f"{args.family}_level{args.level}.jsonl")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -158,8 +129,6 @@ def _emit_report(report, path) -> None:
 def cmd_report(args) -> int:
     frames_dir = resolve_frames_dir(args.frames_dir)
     lo, hi = _parse_levels(args.levels)
-    if hi < lo:
-        return EXIT_USAGE
     chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir))
     size = BUNDLE_SIZE[args.family]
     rows = []
@@ -262,6 +231,15 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except ConstructionError as exc:
+        print(f"construction failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except StepLimitExceeded as exc:
+        print(f"step limit exceeded: {exc}", file=sys.stderr)
+        return EXIT_LIMIT
+    except CubeError as exc:
+        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -147,27 +147,18 @@ class ReorientedOracle(OrientationOracle):
 
 
 def reorient_face(base: OrientationOracle, face: Face,
-                  replacement: OrientationOracle, check: str = "exhaustive",
-                  cap: int = DEFAULT_FACE_ENUM_CAP,
-                  shared_external: int | None = None) -> ReorientedOracle:
+                  replacement: OrientationOracle,
+                  cap: int = DEFAULT_FACE_ENUM_CAP) -> ReorientedOracle:
     """Install `replacement` on the face, keeping the shared external outmap.
 
-    check="exhaustive" verifies the precondition over the whole face and
-    raises ReorientationError with a witness pair if it fails.  check="none"
-    trusts the caller, who must then supply shared_external (used by the
-    recursive builders, which justify the precondition frame-by-frame
-    instead of enumerating exponentially large faces).
+    The precondition is verified over the whole face; a failure raises
+    ReorientationError with a witness pair.  (The recursive builders build
+    ReorientedOracle directly: they justify the precondition frame by frame
+    instead of enumerating exponentially large faces.)
     """
-    if check == "exhaustive":
-        ok, external, witness = external_outmap_uniform(base, face, cap)
-        if not ok:
-            raise ReorientationError(face, witness)
-    elif check == "none":
-        if shared_external is None:
-            raise CombinatorError("check='none' requires shared_external")
-        external = shared_external
-    else:
-        raise CombinatorError(f"unknown check mode {check!r}")
+    ok, external, witness = external_outmap_uniform(base, face, cap)
+    if not ok:
+        raise ReorientationError(face, witness)
     return ReorientedOracle(base, face, replacement, external)
 
 

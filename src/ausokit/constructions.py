@@ -32,6 +32,7 @@ from .combinators import (
     ReorientedOracle,
 )
 from .frame_store import (
+    FAMILY_FRAMES,
     frame_file_sha256,
     johnson_tie_order,
     load_family,
@@ -142,24 +143,24 @@ class ConstructionLevel:
     def bundle_size(self) -> int:
         return BUNDLE_SIZE[self.family]
 
+    def rule_state(self):
+        """A fresh state of the family's pivot rule at this level."""
+        return rule_state(self.family, self.level)
 
-class _InnerView(OrientationOracle):
-    """Inner orientation seen through a product vertex, for saturation tests."""
 
-    def __init__(self, inner: OrientationOracle, total_dim: int):
-        self.inner = inner
-        self.mask = (1 << inner.dimension) - 1
-        self.dimension = total_dim
-
-    def evaluate(self, v: int) -> int:
-        return self.inner.evaluate(v & self.mask)
+def _bundle_bits(inner_dim: int, coords) -> int:
+    """Absolute bits of the given local coordinates of the bundle above inner_dim."""
+    return sum(1 << (inner_dim + k) for k in coords)
 
 
 class _AdaptiveFrames:
     """Frame lookup that only serves memoized assignments; the run hooks fill
     it in, so an unexpected demand is an error, not a silent default."""
 
-    def __init__(self, frames: dict[str, OrientationOracle]):
+    def __init__(self, inner_dimension: int, outer_dimension: int,
+                 frames: dict[str, OrientationOracle]):
+        self.inner_dimension = inner_dimension
+        self.outer_dimension = outer_dimension
         self.frames = frames
         self.assignments: dict[int, str] = {}
 
@@ -179,53 +180,19 @@ class _AdaptiveFrames:
         return self.frames[name]
 
 
-class _AdaptiveOracle(OrientationOracle):
-    """Product-plus-gadget oracle whose frames resolve adversarially."""
-
-    def __init__(self, inner: OrientationOracle, adaptive: _AdaptiveFrames,
-                 outer_dim: int, gadget_position: int, replacement: OrientationOracle,
-                 shared_external: int):
-        self.inner = inner
-        self.adaptive = adaptive
-        self.inner_mask = (1 << inner.dimension) - 1
-        self.dimension = inner.dimension + outer_dim
-        self.gadget_position = gadget_position
-        self.replacement = replacement
-        self.shared_external = shared_external
-
-    def evaluate(self, v: int) -> int:
-        vi = v & self.inner_mask
-        pos = v >> self.inner.dimension
-        if pos == self.gadget_position:
-            return self.replacement.evaluate(vi) | self.shared_external
-        return self.inner.evaluate(vi) | (
-            self.adaptive.frame_for(vi).evaluate(pos) << self.inner.dimension)
-
-
-def _gadget_replacement(family: str, level: int, prev: ConstructionLevel,
-                        frames_dir=None, r1=None) -> OrientationOracle:
-    if family == "johnson":
-        return build_reset(level, frames_dir, _r1=r1).oracle
-    return UniformOracle(prev.dimension, prev.start)
-
-
-def _frozen_oracle(family: str, prev: ConstructionLevel, assignments: dict[int, str],
-                   frame_oracles: dict[str, OrientationOracle],
-                   replacement: OrientationOracle) -> OrientationOracle:
+def _level_oracle(family: str, prev: ConstructionLevel, frames,
+                  replacement: OrientationOracle) -> MemoOracle:
+    """The previous level times one frame per inner vertex (a frame map),
+    with the gadget face reoriented to `replacement`."""
     inner_dim = prev.dimension
-    fmap = FrameAssignmentMap(
-        inner_dim, frame_oracles[DEFAULT_FRAME[family]],
-        overrides={v: frame_oracles[n] for v, n in assignments.items()})
-    base = ProductOracle(prev.oracle, fmap)
-    anchor = sum(1 << (inner_dim + k) for k in GADGET_ANCHOR[family])
-    external = sum(1 << (inner_dim + k) for k in GADGET_EXTERNAL[family])
-    overlay = ReorientedOracle(base, Face(anchor, (1 << inner_dim) - 1),
-                               replacement, external)
-    return MemoOracle(overlay)
+    face = Face(_bundle_bits(inner_dim, GADGET_ANCHOR[family]), (1 << inner_dim) - 1)
+    return MemoOracle(ReorientedOracle(
+        ProductOracle(prev.oracle, frames), face, replacement,
+        _bundle_bits(inner_dim, GADGET_EXTERNAL[family])))
 
 
-def _realize_base(family: str, frames) -> tuple[ConstructionLevel, Trace]:
-    oracle = MemoOracle(frames[BASE_FRAME[family]][1])
+def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]:
+    oracle = MemoOracle(frame_oracles[BASE_FRAME[family]])
     start = starting_vertex(family, 0)
     trace = run_to_sink(oracle, start, family, rule_state(family, 0),
                         bundle_size=BUNDLE_SIZE[family])
@@ -234,32 +201,29 @@ def _realize_base(family: str, frames) -> tuple[ConstructionLevel, Trace]:
     return level, trace
 
 
-def _realize_step(family: str, level: int, prev: ConstructionLevel, frames,
-                  frames_dir=None) -> tuple[ConstructionLevel, Trace]:
+def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracles,
+                  replacement: OrientationOracle) -> tuple[dict[int, str], Trace]:
+    """Run the rule while the adversary picks each inner vertex's frame on
+    first demand; returns the assignments and the realizing trace."""
     size = BUNDLE_SIZE[family]
     inner_dim = prev.dimension
-    frame_oracles = {name: oracle for name, (spec, oracle) in frames.items()}
-    r1 = frame_oracles.get("r1")
-    replacement = _gadget_replacement(family, level, prev, frames_dir, r1)
-    adaptive = _AdaptiveFrames(frame_oracles)
-    gadget_pos = sum(1 << k for k in GADGET_ANCHOR[family])
-    external = sum(1 << (inner_dim + k) for k in GADGET_EXTERNAL[family])
-    oracle = _AdaptiveOracle(prev.oracle, adaptive, size, gadget_pos,
-                             replacement, external)
+    inner_mask = (1 << inner_dim) - 1
+    adaptive = _AdaptiveFrames(inner_dim, size, frame_oracles)
+    oracle = _level_oracle(family, prev, adaptive, replacement)
+    gadget_pos = _bundle_bits(0, GADGET_ANCHOR[family])
     start = starting_vertex(family, level)
     state = rule_state(family, level)
     in_dirs = [Direction(c, s) for c in range(inner_dim) for s in (True, False)]
-    inner_view = _InnerView(prev.oracle, oracle.dimension)
 
     if family == "zadeh":
-        def zadeh_frame(vi: int, v_total: int) -> str:
+        def zadeh_frame(vi: int) -> str:
             if vi == prev.expected_sink:
                 return SINK_FRAME[family]
-            if is_saturated(inner_view, v_total, state, in_dirs):
+            if is_saturated(prev.oracle, vi, state, in_dirs):
                 return "f2"
             return "f1"
 
-        adaptive.assign(start & oracle.inner_mask, zadeh_frame(start, start))
+        adaptive.assign(start & inner_mask, zadeh_frame(start & inner_mask))
 
         def hook(t, v_before, d, v_after):
             if d.coord >= inner_dim:
@@ -267,8 +231,8 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frames,
             pos = v_after >> inner_dim
             if pos == gadget_pos:
                 return
-            vi = v_after & oracle.inner_mask
-            adaptive.assign(vi, zadeh_frame(vi, v_after))
+            vi = v_after & inner_mask
+            adaptive.assign(vi, zadeh_frame(vi))
     else:
         box1 = BOX1_POSITION[family]
         box5 = BOX5_POSITION[family]
@@ -281,7 +245,7 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frames,
             pos = v_after >> inner_dim
             if pos in (gadget_pos, hyper):
                 return
-            vi = v_after & oracle.inner_mask
+            vi = v_after & inner_mask
             if vi == prev.expected_sink:
                 adaptive.assign(vi, SINK_FRAME[family])
             elif pos == box1:
@@ -292,21 +256,50 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frames,
                 raise ConstructionError(
                     f"inner move at unexpected position {pos:b} (step {t})")
 
-    trace = run_to_sink(oracle, start, family, state,
-                        bundle_size=size, record_history=oracle.dimension <= 16,
-                        after_step=hook)
+    trace = run_to_sink(oracle, start, family, state, bundle_size=size,
+                        record_history=False, after_step=hook)
+    return adaptive.assignments, trace
 
-    frozen = _frozen_oracle(family, prev, adaptive.assignments, frame_oracles,
-                            replacement)
-    replay = run_to_sink(frozen, start, family, rule_state(family, level),
-                         bundle_size=size, record_history=False)
-    if replay.directions() != trace.directions() or replay.end != trace.end:
+
+def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
+                  cached: dict | None = None) -> tuple[ConstructionLevel, Trace]:
+    """Level `level` on top of `prev`, with the trace of a run on it.
+
+    The frame assignments come from the cache record `cached` when given,
+    else from the adversarial run.  Either way the level is the frozen
+    product of those assignments, and a fresh run on it must reproduce the
+    recorded length and sink, and the realizing run's full direction list.
+    """
+    if family == "johnson":
+        replacement = build_reset(level, _r1=frame_oracles["r1"]).oracle
+    else:
+        replacement = UniformOracle(prev.dimension, prev.start)
+    realizing = None
+    if cached is None:
+        assignments, realizing = _adaptive_run(family, level, prev, frame_oracles,
+                                               replacement)
+        start, sink, length = realizing.start, realizing.end, len(realizing)
+    else:
+        if cached["family"] != family or cached["level"] != level:
+            raise ConstructionError("cache file does not match the requested level")
+        assignments = {parse_vertex(bits): name
+                       for bits, name in cached["assignments"].items()}
+        start, sink = parse_vertex(cached["start"]), parse_vertex(cached["sink"])
+        length = cached["path_length"]
+    frames = FrameAssignmentMap(
+        prev.dimension, frame_oracles[DEFAULT_FRAME[family]],
+        overrides={v: frame_oracles[n] for v, n in assignments.items()})
+    oracle = _level_oracle(family, prev, frames, replacement)
+    built = ConstructionLevel(family, level, oracle.dimension, oracle, start, sink,
+                              length, assignments, DEFAULT_FRAME[family],
+                              _bundle_bits(prev.dimension, GADGET_ANCHOR[family]))
+    trace = run_to_sink(oracle, start, family, built.rule_state(),
+                        bundle_size=built.bundle_size)
+    if len(trace) != length or trace.end != sink or (
+            realizing is not None and trace.directions() != realizing.directions()):
         raise ConstructionError(
-            f"frozen level {family} {level} does not replay the realizing run")
-    anchor = sum(1 << (inner_dim + k) for k in GADGET_ANCHOR[family])
-    built = ConstructionLevel(family, level, frozen.dimension, frozen, start,
-                              trace.end, len(trace), dict(adaptive.assignments),
-                              DEFAULT_FRAME[family], anchor)
+            f"{'cached' if realizing is None else 'frozen'} level {family} {level} "
+            "does not replay its recorded run")
     return built, trace
 
 
@@ -316,7 +309,6 @@ def _cache_path(cache_dir: Path, family: str, level: int) -> Path:
 
 def _level_to_cache(level: ConstructionLevel, frames_dir) -> dict:
     frames_dir = resolve_frames_dir(frames_dir)
-    from .frame_store import FAMILY_FRAMES
     hashes = {stem: frame_file_sha256(frames_dir / f"{level.family}_{stem}.frame")
               for stem in FAMILY_FRAMES[level.family]}
     return {
@@ -338,41 +330,29 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
     """Levels 0..max_level with their traces, built strictly bottom-up.
 
     With a cache directory, assignment maps are persisted as JSON and
-    reloaded instead of re-running the adversary; the trace is then
-    recomputed by replay, which the original build asserted identical.
+    reloaded instead of re-running the adversary; a reloaded level goes
+    through the same frozen-level path and replay as a fresh build.
     Existing cache files are left untouched, so a rerun is a no-op.
     """
     if family not in BUNDLE_SIZE:
         raise ConstructionError(f"unknown family {family!r}")
-    frames = load_family(family, frames_dir)
+    frame_oracles = {name: oracle
+                     for name, (spec, oracle) in load_family(family, frames_dir).items()}
     chain: list[tuple[ConstructionLevel, Trace]] = []
     for i in range(max_level + 1):
-        cached = None
-        if cache_dir is not None:
-            path = _cache_path(Path(cache_dir), family, i)
-            if path.exists():
-                cached = json.loads(path.read_text(encoding="utf-8"))
-        trace: Trace | None = None
+        path = None if cache_dir is None else _cache_path(Path(cache_dir), family, i)
         if i == 0:
-            built, trace = _realize_base(family, frames)
-        elif cached is not None:
-            built = _level_from_cache(family, cached, chain[-1][0], frames, frames_dir)
+            built, trace = _realize_base(family, frame_oracles)
         else:
-            built, trace = _realize_step(family, i, chain[-1][0], frames, frames_dir)
-        if trace is None:
-            trace = run_to_sink(built.oracle, built.start, family,
-                                rule_state(family, i), bundle_size=built.bundle_size,
-                                record_history=built.dimension <= 16)
-            if len(trace) != built.path_length or trace.end != built.expected_sink:
-                raise ConstructionError(
-                    f"cached level {family} {i} does not replay its recorded run")
-        if cache_dir is not None:
-            path = _cache_path(Path(cache_dir), family, i)
-            if not path.exists():
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps(_level_to_cache(built, frames_dir),
-                                           indent=2, sort_keys=True) + "\n",
-                                encoding="utf-8")
+            cached = None
+            if path is not None and path.exists():
+                cached = json.loads(path.read_text(encoding="utf-8"))
+            built, trace = _realize_step(family, i, chain[-1][0], frame_oracles, cached)
+        if path is not None and not path.exists():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(_level_to_cache(built, frames_dir),
+                                       indent=2, sort_keys=True) + "\n",
+                            encoding="utf-8")
         chain.append((built, trace))
     return chain
 
@@ -381,22 +361,6 @@ def realize_level(family: str, level: int, frames_dir=None,
                   cache_dir=None) -> tuple[ConstructionLevel, Trace]:
     """Build (or reload) the family's AUSO A_level and the realizing trace."""
     return _build_chain(family, level, frames_dir, cache_dir)[-1]
-
-
-def _level_from_cache(family: str, data: dict, prev: ConstructionLevel, frames,
-                      frames_dir) -> ConstructionLevel:
-    if data["family"] != family or data["level"] != prev.level + 1:
-        raise ConstructionError("cache file does not match the requested level")
-    frame_oracles = {name: oracle for name, (spec, oracle) in frames.items()}
-    assignments = {parse_vertex(bits): name
-                   for bits, name in data["assignments"].items()}
-    replacement = _gadget_replacement(family, data["level"], prev, frames_dir,
-                                      frame_oracles.get("r1"))
-    frozen = _frozen_oracle(family, prev, assignments, frame_oracles, replacement)
-    return ConstructionLevel(family, data["level"], data["dimension"], frozen,
-                             parse_vertex(data["start"]), parse_vertex(data["sink"]),
-                             data["path_length"], assignments, data["default_frame"],
-                             parse_vertex(data["gadget_anchor"]))
 
 
 def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None):

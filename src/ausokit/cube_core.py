@@ -35,42 +35,12 @@ class FaceSinkError(CubeError):
         self.witnesses = witnesses
 
 
-@dataclass(frozen=True)
-class Coordinate:
-    """A cube coordinate addressed by the induction step that introduced it.
-
-    global_id = bundle * bundle_size + (index - 1); index is 1-based within
-    the bundle, matching the c_j^k naming.
-    """
-
-    bundle: int
-    index: int
-    bundle_size: int
-
-    def __post_init__(self):
-        if not (1 <= self.index <= self.bundle_size):
-            raise CubeError(f"coordinate index {self.index} outside 1..{self.bundle_size}")
-        if self.bundle < 0:
-            raise CubeError("bundle must be >= 0")
-
-    @property
-    def global_id(self) -> int:
-        return self.bundle * self.bundle_size + (self.index - 1)
-
-    @classmethod
-    def from_global(cls, global_id: int, bundle_size: int) -> "Coordinate":
-        return cls(global_id // bundle_size, global_id % bundle_size + 1, bundle_size)
-
-
 @dataclass(frozen=True, order=True)
 class Direction:
     """A signed coordinate; `coord` is the global id, `positive` the sign."""
 
     coord: int
     positive: bool
-
-    def opposite(self) -> "Direction":
-        return Direction(self.coord, not self.positive)
 
 
 def direction_text(d: Direction, bundle_size: int) -> str:
@@ -87,17 +57,14 @@ def parse_direction(text: str, bundle_size: int) -> Direction:
 
 
 def vertex_text(v: int, n: int) -> str:
-    return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
+    # Binary with the lowest id first: the low n bits, reversed.
+    return format(v & ((1 << n) - 1), f"0{n}b")[::-1] if n > 0 else ""
 
 
 def parse_vertex(text: str) -> int:
-    v = 0
-    for i, ch in enumerate(text):
-        if ch == "1":
-            v |= 1 << i
-        elif ch != "0":
-            raise CubeError(f"bad vertex text {text!r}")
-    return v
+    if text.strip("01"):
+        raise CubeError(f"bad vertex text {text!r}")
+    return int(text[::-1], 2) if text else 0
 
 
 @dataclass(frozen=True)
@@ -212,8 +179,3 @@ def edge_consistent(oracle: OrientationOracle, v: int, coord: int) -> bool:
     """Exactly one endpoint of the edge {v, v^coord} lists it as outgoing."""
     bit = 1 << coord
     return bool(oracle.evaluate(v) & bit) != bool(oracle.evaluate(v ^ bit) & bit)
-
-
-def all_directions(n: int) -> list[Direction]:
-    """The 2n directions, positives first per coordinate order."""
-    return [Direction(c, True) for c in range(n)] + [Direction(c, False) for c in range(n)]

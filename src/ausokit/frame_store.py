@@ -26,7 +26,9 @@ from .cube_core import (
     Direction,
     Face,
     TableOracle,
+    apply_direction,
     face_sink,
+    is_available,
     parse_vertex,
     vertex_text,
 )
@@ -34,6 +36,9 @@ from .pivot_engine import (
     CunninghamState,
     JohnsonState,
     ZadehState,
+    balance_of,
+    is_saturated,
+    replay,
     run_to_sink,
 )
 from .verifier import (
@@ -206,7 +211,6 @@ def _scan_walk(oracle, start: int, order: list[Direction]):
     (positions visited after each move, directions used)."""
     v = start
     positions, used = [], []
-    from .cube_core import apply_direction, is_available
     for d in order:
         if is_available(oracle, v, d):
             v = apply_direction(v, d)
@@ -362,7 +366,6 @@ def validate_zadeh(frames) -> VerificationReport:
     ok = None not in boxes and trace.vertices() == boxes and len(trace) == 20
     report.add("a0_walk_boxes_1_to_21", ok,
                None if ok else {"visited": [vertex_text(v, 6) for v in trace.vertices()]})
-    from .pivot_engine import balance_of
     imbalanced = {d for d in st.tie_list if balance_of(st, d) == 1}
     expected_im = set(_dirs(0, "-3,-4,-5,-6", 6))
     other_zero = all(balance_of(st, d) == 0 for d in st.tie_list if d not in expected_im)
@@ -372,15 +375,8 @@ def validate_zadeh(frames) -> VerificationReport:
     # box12 is saturated mid-run, and the sink lies at least two vertices
     # beyond the last saturated path vertex.
     st2 = ZadehState(tuple(tie0))
-    sat_positions = []
-    v = box1
-    for step_idx in range(len(trace)):
-        from .pivot_engine import is_saturated
-        if is_saturated(a0, v, st2, st2.tie_list):
-            sat_positions.append(step_idx)
-        d = trace.steps[step_idx].direction
-        st2.usage[d] += 1
-        v ^= 1 << d.coord
+    sat_positions = [i for i, (v, step) in enumerate(replay(trace, st2))
+                     if step is not None and is_saturated(a0, v, st2, st2.tie_list)]
     interior = [i for i in sat_positions if i > 0]
     ok = spec0.labels.get("box12") == trace.vertices()[11] and 11 in interior \
         and len(trace) - max(interior) >= 2
@@ -457,25 +453,6 @@ _VALIDATORS = {
     "johnson": validate_johnson,
     "zadeh": validate_zadeh,
 }
-
-
-def validate_frame(spec: FrameSpec, oracle: TableOracle,
-                   family_frames=None) -> VerificationReport:
-    """Constraint suite for one frame.
-
-    Most constraints are mutual across a family's frames (shared gadget-face
-    outmaps, shared walk edges), so when family_frames is given the full
-    family suite runs; alone, the frame is checked structurally.
-    """
-    if family_frames is not None:
-        return _VALIDATORS[spec.family](family_frames)
-    report = VerificationReport(f"validate_{spec.name or 'frame'}")
-    uso = check_uso_exhaustive(oracle)
-    report.add("uso", uso.passed, None if uso.passed else uso.failures()[0].witness)
-    acyc = check_acyclic(oracle)
-    report.add("acyclic", acyc.passed,
-               None if acyc.passed else acyc.failures()[0].witness)
-    return report
 
 
 def validate_family(family: str, frames_dir=None) -> VerificationReport:

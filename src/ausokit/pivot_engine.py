@@ -54,13 +54,20 @@ class CunninghamState:
 
     order: tuple[Direction, ...]
     marker: int = field(default=-1)
+    _rank: dict[Direction, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.marker < 0:
             self.marker = len(self.order)
+        if not self._rank:
+            self._rank = {d: i for i, d in enumerate(self.order)}
 
-    def copy(self) -> "CunninghamState":
-        return CunninghamState(self.order, self.marker)
+    def record(self, v: int, d: Direction) -> None:
+        """Bookkeeping of the move d from v: the marker points at d."""
+        self.marker = self._rank[d] + 1
+
+    def settle(self, v: int) -> None:
+        """Bookkeeping at the sink: none."""
 
 
 @dataclass
@@ -85,16 +92,21 @@ class JohnsonState:
         if not self._tie_rank:
             self._tie_rank = {d: i for i, d in enumerate(self.tie_order)}
 
-    def copy(self) -> "JohnsonState":
-        return JohnsonState(self.tie_order, dict(self.last_step), self.step_counter,
-                            self.arrival_update, self._tie_rank)
-
     def apply_update(self, v: int, t: int) -> None:
         """h(d) := t for every direction whose defining condition holds at v."""
         for d in self.tie_order:
             present = bool(v & (1 << d.coord))
             if present == d.positive:
                 self.last_step[d] = t
+
+    def record(self, v: int, d: Direction) -> None:
+        """Bookkeeping of a move from v: update h at v, then count the step."""
+        self.apply_update(v, self.step_counter)
+        self.step_counter += 1
+
+    def settle(self, v: int) -> None:
+        """Bookkeeping at the sink: the update phase with the same step number."""
+        self.apply_update(v, self.step_counter)
 
 
 @dataclass
@@ -111,8 +123,12 @@ class ZadehState:
         if not self._tie_rank:
             self._tie_rank = {d: i for i, d in enumerate(self.tie_list)}
 
-    def copy(self) -> "ZadehState":
-        return ZadehState(self.tie_list, dict(self.usage), self._tie_rank)
+    def record(self, v: int, d: Direction) -> None:
+        """Bookkeeping of the move d from v: one more use of d."""
+        self.usage[d] += 1
+
+    def settle(self, v: int) -> None:
+        """Bookkeeping at the sink: none."""
 
 
 def cunningham_step(oracle: OrientationOracle, v: int, st: CunninghamState):
@@ -122,16 +138,16 @@ def cunningham_step(oracle: OrientationOracle, v: int, st: CunninghamState):
         idx = (st.marker - 1 + k) % n2
         d = st.order[idx]
         if is_available(oracle, v, d):
-            st.marker = idx + 1
+            st.record(v, d)
             return d, apply_direction(v, d)
     raise SinkReached(f"no available direction at {v:b}")
 
 
 def johnson_step(oracle: OrientationOracle, v: int, st: JohnsonState):
-    """Update-then-choose: stamp h at the current vertex, then move along the
-    available direction with the smallest h (ties by lexicographic order)."""
-    t = st.step_counter
-    st.apply_update(v, t)
+    """Move along the available direction with the smallest h (ties by
+    lexicographic order), then stamp h at the current vertex and count the
+    step.  The stamp touches only directions unavailable at v, so stamping
+    first, as the rule is stated, chooses the same move."""
     best = None
     for d in st.tie_order:
         if is_available(oracle, v, d):
@@ -141,7 +157,7 @@ def johnson_step(oracle: OrientationOracle, v: int, st: JohnsonState):
     if best is None:
         raise SinkReached(f"no available direction at {v:b}")
     d = best[1]
-    st.step_counter += 1
+    st.record(v, d)
     return d, apply_direction(v, d)
 
 
@@ -156,7 +172,7 @@ def zadeh_step(oracle: OrientationOracle, v: int, st: ZadehState):
     if best is None:
         raise SinkReached(f"no available direction at {v:b}")
     d = best[1]
-    st.usage[d] += 1
+    st.record(v, d)
     return d, apply_direction(v, d)
 
 
@@ -250,13 +266,9 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
     t = 1
     while True:
         if oracle.evaluate(v) == 0:
-            if rule == "johnson":
-                # Final update at the sink, same step number; this is the
-                # last displayed row of a Johnson run.
-                state.apply_update(v, state.step_counter)
-                if record_history:
-                    trace.final_history = _snapshot(rule, state, bundle_size)
-            elif record_history:
+            # Johnson's final update at the sink: the last displayed row of a run.
+            state.settle(v)
+            if record_history:
                 trace.final_history = _snapshot(rule, state, bundle_size)
             trace.end = v
             return trace
@@ -281,6 +293,23 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
             after_step(t, v, d, v_next)
         v = v_next
         t += 1
+
+
+def replay(trace: Trace, state):
+    """Re-apply a trace's moves to a rule state with the steppers' own
+    bookkeeping.
+
+    Yields (vertex, step) before each move, with the state holding every
+    earlier move, and (sink, None) last.  Once the generator is exhausted the
+    state is the one the stepper left at the sink.
+    """
+    v = trace.start
+    for step in trace.steps:
+        yield v, step
+        state.record(v, step.direction)
+        v = apply_direction(v, step.direction)
+    yield v, None
+    state.settle(v)
 
 
 def write_trace_jsonl(trace: Trace, path) -> None:

@@ -19,10 +19,12 @@ import numpy as np
 
 from .cube_core import (
     CubeError,
+    Direction,
     Face,
     OrientationOracle,
     vertex_text,
 )
+from .pivot_engine import balance_of, is_saturated, replay
 
 USO_EXHAUSTIVE_CAP = 14
 ACYCLIC_CAP = 20
@@ -308,28 +310,37 @@ def _projection_check(report, level, trace, lower_trace):
                None if ok else {"inner_steps": len(inner), "lower": k})
 
 
-def _zadeh_saturated_indices(level, trace):
-    """Replay the run; index i is saturated when the vertex before step i is
-    D+-saturated (balance against the most used direction overall)."""
-    from .pivot_engine import ZadehState, is_saturated  # local, avoids cycle
-    from .constructions import tie_list
-    st = ZadehState(tuple(tie_list("zadeh", level.level)))
+def _zadeh_replay(level, trace):
+    """One replay of the run.  Returns the saturated indices (index i is
+    saturated when the vertex before step i is D+-saturated, balance against
+    the most used direction overall), whether every saturated vertex whose
+    inner part is still active escapes through the innermost bundle to a
+    vertex that is not inner-saturated and still inner-active, and the final
+    state."""
+    size = level.bundle_size
+    inner_mask = (1 << (level.dimension - size)) - 1
+    in_dirs = [Direction(c, s) for c in range(level.dimension - size)
+               for s in (True, False)]
+    st = level.rule_state()
     sat = []
-    v = trace.start
-    for i, s in enumerate(trace.steps):
-        if is_saturated(level.oracle, v, st, st.tie_list):
+    escapes = True
+    escaping = False  # the previous vertex was saturated and inner-active
+    for i, (v, step) in enumerate(replay(trace, st)):
+        if escaping:
+            escapes = escapes and not is_saturated(level.oracle, v, st, in_dirs)
+            escapes = escapes and bool(level.oracle.evaluate(v) & inner_mask)
+        escaping = False
+        # The sink is trivially saturated.
+        if step is None or is_saturated(level.oracle, v, st, st.tie_list):
             sat.append(i)
-        st.usage[s.direction] += 1
-        v ^= 1 << s.direction.coord
-    sat.append(len(trace.steps))  # the sink is trivially saturated
-    return sat, st
+            escaping = step is not None and bool(level.oracle.evaluate(v) & inner_mask)
+            escapes = escapes and (not escaping or step.direction.coord < size)
+    return sat, escapes, st
 
 
 def _zadeh_trace_checks(report, level, trace, lower_trace):
-    from .cube_core import Direction
-    from .pivot_engine import balance_of
     size = level.bundle_size
-    sat, final_state = _zadeh_saturated_indices(level, trace)
+    sat, escapes, final_state = _zadeh_replay(level, trace)
     # Between consecutive saturated vertices: the newest
     # bundle's directions are each used at most once (inner bundles satisfy
     # this recursively at their own level), fewer than 2n distinct
@@ -367,38 +378,10 @@ def _zadeh_trace_checks(report, level, trace, lower_trace):
         report.add("interior_saturated_vertex", ok, None if ok else {"saturated": sat})
     else:
         _projection_check(report, level, trace, lower_trace)
-        _zadeh_escape_check(report, level, trace, sat)
-
-
-def _zadeh_escape_check(report, level, trace, sat):
-    """At a saturated vertex whose inner part is still active, the next move
-    comes from the innermost bundle and lands on a vertex that is not
-    inner-saturated and still inner-active."""
-    from .cube_core import Direction
-    from .pivot_engine import ZadehState, is_saturated
-    from .constructions import tie_list
-    size = level.bundle_size
-    inner_dim = level.dimension - size
-    inner_mask = (1 << inner_dim) - 1
-    in_dirs = [Direction(c, s) for c in range(inner_dim) for s in (True, False)]
-    st = ZadehState(tuple(tie_list("zadeh", level.level)))
-    sat_set = set(sat)
-    vertices = trace.vertices()
-    ok = True
-    for i, step in enumerate(trace.steps):
-        if i in sat_set and level.oracle.evaluate(vertices[i]) & inner_mask:
-            ok = ok and step.direction.coord < size  # innermost bundle
-            after = ZadehState(st.tie_list, dict(st.usage))
-            after.usage[step.direction] += 1
-            v_next = vertices[i + 1]
-            ok = ok and not is_saturated(level.oracle, v_next, after, in_dirs)
-            ok = ok and bool(level.oracle.evaluate(v_next) & inner_mask)
-        st.usage[step.direction] += 1
-    report.add("saturated_escape_moves", ok)
+        report.add("saturated_escape_moves", escapes)
 
 
 def _johnson_trace_checks(report, level, trace):
-    from .cube_core import Direction
     size = level.bundle_size
     bundles = level.level + 1
     vertices = trace.vertices()
@@ -440,6 +423,8 @@ def _johnson_trace_checks(report, level, trace):
                 if dirs[t].positive and dirs[t].coord < (j + 1) * size \
                         and dirs[t] not in nxt:
                     nxt[dirs[t]] = t
+                    if len(nxt) == len(positives):
+                        break  # every later use is a reuse
             if len(nxt) < len(positives):
                 ok = False
                 break
@@ -475,18 +460,12 @@ def _johnson_sink_pattern(bundles: int, size: int) -> int:
 
 
 def _johnson_resettable_check(level, trace) -> bool:
-    from .pivot_engine import JohnsonState
-    from .frame_store import johnson_tie_order
-    from .cube_core import Direction
     size = level.bundle_size
     bundles = level.level + 1
-    st = JohnsonState(tuple(johnson_tie_order(bundles)), arrival_update=False)
-    v = trace.start
-    for step in trace.steps:
-        st.apply_update(v, st.step_counter)
-        st.step_counter += 1
-        prev = v
-        v ^= 1 << step.direction.coord
+    st = level.rule_state()
+    positions = replay(trace, st)
+    prev, _ = next(positions)
+    for v, _ in positions:
         for j in range(bundles - 1):
             pattern = _johnson_sink_pattern(j + 1, size)
             mask = (1 << ((j + 1) * size)) - 1
@@ -502,6 +481,7 @@ def _johnson_resettable_check(level, trace) -> bool:
                 c = h[Direction((jp + 1) * size + 1, False)]
                 if not a < b < c:
                     return False
+        prev = v
     return True
 
 

@@ -1,5 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import ausokit
 from ausokit.cli import main
 
 
@@ -87,3 +94,18 @@ def test_sampled_verify_level(tmp_path, capsys):
                  "--mode", "sampled", "--samples", "500", "--max-face-dim", "6",
                  "--seed", "7", "--cache-dir", cache]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--family", "johnson", "--levels", "0..1"],
+    ["verify", "--family", "johnson", "--level", "1"],
+    ["report", "--family", "johnson", "--levels", "0..1"],
+])
+def test_missing_frames_dir_is_usage_error(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(ausokit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ausokit.cli", *argv,
+         "--frames-dir", str(tmp_path / "missing"), "--cache-dir", str(tmp_path / "c")],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr

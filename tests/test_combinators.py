@@ -123,12 +123,6 @@ def test_reorient_preserves_uso_randomized(cunningham_frames, johnson_frames):
         assert check_uso_exhaustive(materialize(out), mode="pairwise").passed
 
 
-def test_reorient_check_none_requires_external():
-    base = uniform_oracle(2, 0)
-    with pytest.raises(CombinatorError):
-        reorient_face(base, Face(0b10, 0b01), uniform_oracle(1, 0), check="none")
-
-
 def test_materialize_cap():
     class Wide:
         dimension = 24

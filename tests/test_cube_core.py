@@ -3,7 +3,6 @@ import random
 import pytest
 
 from ausokit.cube_core import (
-    Coordinate,
     CubeError,
     Direction,
     Face,
@@ -148,6 +147,13 @@ def test_vertex_text_roundtrip():
     for _ in range(100):
         v = rng.getrandbits(9)
         assert parse_vertex(vertex_text(v, 9)) == v
+    # Bits at or above n are not part of the text; n = 0 is the empty vertex.
+    assert vertex_text(0b110010, 4) == "0100"
+    assert vertex_text(0b1, 0) == ""
+    assert parse_vertex("") == 0
+    for bad in ("0 1", "0_1", "+01", "012", "01\n"):
+        with pytest.raises(CubeError):
+            parse_vertex(bad)
 
 
 def test_direction_text_roundtrip():
@@ -157,14 +163,3 @@ def test_direction_text_roundtrip():
     assert parse_direction("-0.3", 6) == Direction(2, False)
     with pytest.raises(CubeError):
         parse_direction("0.3", 4)
-
-
-def test_coordinate_global_id_bijection():
-    seen = set()
-    for bundle in range(3):
-        for index in range(1, 5):
-            seen.add(Coordinate(bundle, index, 4).global_id)
-    assert seen == set(range(12))
-    assert Coordinate.from_global(7, 4) == Coordinate(1, 4, 4)
-    with pytest.raises(CubeError):
-        Coordinate(0, 5, 4)

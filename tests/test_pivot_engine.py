@@ -1,6 +1,6 @@
 import pytest
 
-from ausokit.cube_core import Direction, TableOracle, uniform_oracle
+from ausokit.cube_core import Direction, TableOracle, direction_text, uniform_oracle
 from ausokit.frame_store import johnson_tie_order, tie_pattern_zadeh
 from ausokit.pivot_engine import (
     CunninghamState,
@@ -13,11 +13,12 @@ from ausokit.pivot_engine import (
     cunningham_step,
     is_saturated,
     read_trace_jsonl,
+    replay,
     run_to_sink,
     write_trace_jsonl,
     zadeh_step,
 )
-from ausokit.constructions import tie_list
+from ausokit.constructions import realize_range, tie_list
 
 
 def _dirs(pattern, bundle=0, size=4):
@@ -258,3 +259,22 @@ def test_history_snapshots_off_beyond_dim16():
     trace = run_to_sink(level.oracle, level.start, "zadeh",
                         rule_state("zadeh", 2), bundle_size=6)
     assert all(s.history is None for s in trace.steps)
+
+
+@pytest.mark.parametrize("family,top", [("cunningham", 5), ("johnson", 5), ("zadeh", 3)])
+def test_replay_ends_in_the_steppers_final_state(family, top):
+    for level, trace in realize_range(family, top):
+        stepped = level.rule_state()
+        run_to_sink(level.oracle, level.start, family, stepped,
+                    bundle_size=level.bundle_size)
+        replayed = level.rule_state()
+        assert [v for v, _ in replay(trace, replayed)] == trace.vertices()
+        assert replayed == stepped
+        if trace.final_history is None:
+            continue
+        if family == "cunningham":
+            assert trace.final_history == {"mu": replayed.marker}
+        else:
+            counts = replayed.last_step if family == "johnson" else replayed.usage
+            assert trace.final_history == {direction_text(d, level.bundle_size): c
+                                           for d, c in counts.items()}
