@@ -1,7 +1,9 @@
 """Command-line front end: build levels, run rules, verify, report.
 
-Exit codes: 0 success, 1 property violation, 2 usage or configuration
-error, 3 resource limit (step limit exceeded).
+Exit codes: 0 success, 1 property violation (a cached level built from
+other frame files counts as one), 2 usage or configuration error (a missing
+or unparsable frame file or cache file), 3 resource limit (step limit
+exceeded).
 """
 
 from __future__ import annotations
@@ -106,7 +108,7 @@ def cmd_verify(args) -> int:
         report = report.merge(check_acyclic(level.oracle))
     elif args.mode == "sampled":
         report = check_uso_sampled(level.oracle, args.samples, args.max_face_dim,
-                                   args.seed, args.workers)
+                                   args.seed)
     elif args.mode == "acyclic":
         report = check_acyclic(level.oracle)
     else:  # traces
@@ -205,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=10000)
     p.add_argument("--max-face-dim", type=int, default=8)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--cache-dir", default="caches")
     p.add_argument("--report", default=None, help="write the JSON report here")
     p.set_defaults(func=cmd_verify)

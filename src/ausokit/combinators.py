@@ -8,6 +8,10 @@ directly above it, which is how the recursive constructions stack bundles.
 
 from __future__ import annotations
 
+from functools import cached_property
+
+import numpy as np
+
 from .cube_core import (
     CubeError,
     Face,
@@ -48,6 +52,36 @@ class FrameAssignmentMap:
     def frame_for(self, inner_vertex: int) -> OrientationOracle:
         return self.overrides.get(inner_vertex, self.default)
 
+    @cached_property
+    def _lookup(self):
+        """Sorted override keys, each key's slot in the list of distinct
+        frames, and that list (slot 0 is the default)."""
+        keys = np.array(sorted(self.overrides), dtype=np.uint64)
+        frames = [self.default]
+        slot_of = {id(self.default): 0}
+        slots = []
+        for key in keys.tolist():
+            frame = self.overrides[key]
+            if id(frame) not in slot_of:
+                slot_of[id(frame)] = len(frames)
+                frames.append(frame)
+            slots.append(slot_of[id(frame)])
+        return keys, np.array(slots, dtype=np.intp), frames
+
+    def evaluate_many(self, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
+        """frame_for(i).evaluate(o) for each pair of the two uint64 arrays."""
+        keys, key_slots, frames = self._lookup
+        slot = np.zeros(len(inner), dtype=np.intp)
+        if len(keys):
+            pos = np.minimum(np.searchsorted(keys, inner), len(keys) - 1)
+            hit = keys[pos] == inner
+            slot[hit] = key_slots[pos[hit]]
+        out = np.empty_like(outer)
+        for i, frame in enumerate(frames):
+            sel = slot == i
+            out[sel] = frame.evaluate_many(outer[sel])
+        return out
+
 
 class ProductOracle(OrientationOracle):
     """Product composition: inner USO on the low coords, one connecting frame
@@ -72,6 +106,12 @@ class ProductOracle(OrientationOracle):
         vo = v >> self.inner.dimension
         return self.inner.evaluate(vi) | (
             self.frames.frame_for(vi).evaluate(vo) << self.inner.dimension)
+
+    def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
+        vi = vs & np.uint64(self.inner_mask)
+        vo = vs >> np.uint64(self.inner.dimension)
+        return self.inner.evaluate_many(vi) | (
+            self.frames.evaluate_many(vi, vo) << np.uint64(self.inner.dimension))
 
 
 def product(inner: OrientationOracle, frames: FrameAssignmentMap) -> ProductOracle:
@@ -98,23 +138,24 @@ def external_outmap_uniform(oracle: OrientationOracle, face: Face,
 
 
 class _BitCompressor:
-    """Maps between subsets of an arbitrary free mask and dense low bits."""
+    """Maps between subsets of an arbitrary free mask and dense low bits.
+
+    Works on an int or elementwise on a uint64 array alike.
+    """
 
     def __init__(self, free: int):
         self.bits = [i for i in range(free.bit_length()) if (free >> i) & 1]
 
-    def compress(self, v: int) -> int:
+    def compress(self, v):
         out = 0
         for j, i in enumerate(self.bits):
-            if (v >> i) & 1:
-                out |= 1 << j
+            out |= ((v >> i) & 1) << j
         return out
 
-    def expand(self, w: int) -> int:
+    def expand(self, w):
         out = 0
         for j, i in enumerate(self.bits):
-            if (w >> j) & 1:
-                out |= 1 << i
+            out |= ((w >> j) & 1) << i
         return out
 
 
@@ -144,6 +185,22 @@ class ReorientedOracle(OrientationOracle):
         else:
             inner = self._comp.expand(self.replacement.evaluate(self._comp.compress(v)))
         return inner | self.shared_external
+
+    def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
+        face = self.face
+        inside = (vs | np.uint64(face.free)) == np.uint64(face.anchor | face.free)
+        if not inside.any():
+            return self.base.evaluate_many(vs)
+        out = np.empty_like(vs)
+        out[~inside] = self.base.evaluate_many(vs[~inside])
+        w = vs[inside]
+        if self._identity:
+            inner = self.replacement.evaluate_many(w & np.uint64(face.free))
+        else:
+            inner = self._comp.expand(
+                self.replacement.evaluate_many(self._comp.compress(w)))
+        out[inside] = inner | np.uint64(self.shared_external)
+        return out
 
 
 def reorient_face(base: OrientationOracle, face: Face,
@@ -183,3 +240,7 @@ class MemoOracle(OrientationOracle):
         if out is None:
             out = self._cache[v] = self.base.evaluate(v)
         return out
+
+    def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
+        """Straight to the base: batch work neither reads nor fills the memo."""
+        return self.base.evaluate_many(vs)

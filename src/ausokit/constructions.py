@@ -12,6 +12,7 @@ is a fixed, replayable orientation.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -69,6 +70,11 @@ class ConstructionError(CubeError):
 
 class FrameConflictError(ConstructionError):
     """The adversary demanded two different frames for one inner vertex."""
+
+
+class CacheFileError(CubeError):
+    """A level cache file is not a readable cache record (for example, a
+    truncated write).  A configuration error, not a property violation."""
 
 
 def tie_list(family: str, level: int) -> list[Direction]:
@@ -262,13 +268,16 @@ def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracle
 
 
 def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
+                  frame_hashes: dict[str, str],
                   cached: dict | None = None) -> tuple[ConstructionLevel, Trace]:
     """Level `level` on top of `prev`, with the trace of a run on it.
 
     The frame assignments come from the cache record `cached` when given,
-    else from the adversarial run.  Either way the level is the frozen
-    product of those assignments, and a fresh run on it must reproduce the
-    recorded length and sink, and the realizing run's full direction list.
+    else from the adversarial run.  A cache record must have been built
+    from frame files with `frame_hashes` (stem -> sha256).  Either way the
+    level is the frozen product of those assignments, and a fresh run on it
+    must reproduce the recorded length and sink, and the realizing run's
+    full direction list.
     """
     if family == "johnson":
         replacement = build_reset(level, _r1=frame_oracles["r1"]).oracle
@@ -282,6 +291,11 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     else:
         if cached["family"] != family or cached["level"] != level:
             raise ConstructionError("cache file does not match the requested level")
+        for stem, digest in frame_hashes.items():
+            if cached["frame_files"].get(stem) != digest:
+                raise ConstructionError(
+                    f"cached level {family} {level} was built from another "
+                    f"{family}_{stem}.frame (sha256 differs)")
         assignments = {parse_vertex(bits): name
                        for bits, name in cached["assignments"].items()}
         start, sink = parse_vertex(cached["start"]), parse_vertex(cached["sink"])
@@ -303,14 +317,47 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     return built, trace
 
 
+# Keys a cache record must hold to be reloaded.
+CACHE_KEYS = ("family", "level", "start", "sink", "path_length", "assignments",
+              "frame_files")
+
+
 def _cache_path(cache_dir: Path, family: str, level: int) -> Path:
     return cache_dir / f"{family}_level{level}.json"
 
 
-def _level_to_cache(level: ConstructionLevel, frames_dir) -> dict:
+def _frame_hashes(family: str, frames_dir) -> dict[str, str]:
     frames_dir = resolve_frames_dir(frames_dir)
-    hashes = {stem: frame_file_sha256(frames_dir / f"{level.family}_{stem}.frame")
-              for stem in FAMILY_FRAMES[level.family]}
+    return {stem: frame_file_sha256(frames_dir / f"{family}_{stem}.frame")
+            for stem in FAMILY_FRAMES[family]}
+
+
+def _read_cache(path: Path) -> dict:
+    try:
+        record = json.loads(path.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise CacheFileError(f"unreadable cache file {path} ({exc}); "
+                             "delete it to rebuild the level") from exc
+    if not (isinstance(record, dict) and all(key in record for key in CACHE_KEYS)
+            and isinstance(record["assignments"], dict)
+            and isinstance(record["frame_files"], dict)):
+        raise CacheFileError(f"cache file {path} is not a level record; "
+                             "delete it to rebuild the level")
+    return record
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write to a temporary file beside `path`, then rename it into place,
+    so `path` is either absent or complete."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _level_to_cache(level: ConstructionLevel, hashes: dict[str, str]) -> dict:
     return {
         "family": level.family,
         "level": level.level,
@@ -338,6 +385,7 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
         raise ConstructionError(f"unknown family {family!r}")
     frame_oracles = {name: oracle
                      for name, (spec, oracle) in load_family(family, frames_dir).items()}
+    hashes = _frame_hashes(family, frames_dir)
     chain: list[tuple[ConstructionLevel, Trace]] = []
     for i in range(max_level + 1):
         path = None if cache_dir is None else _cache_path(Path(cache_dir), family, i)
@@ -346,13 +394,13 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
         else:
             cached = None
             if path is not None and path.exists():
-                cached = json.loads(path.read_text(encoding="utf-8"))
-            built, trace = _realize_step(family, i, chain[-1][0], frame_oracles, cached)
+                cached = _read_cache(path)
+            built, trace = _realize_step(family, i, chain[-1][0], frame_oracles,
+                                         hashes, cached)
         if path is not None and not path.exists():
             path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(json.dumps(_level_to_cache(built, frames_dir),
-                                       indent=2, sort_keys=True) + "\n",
-                            encoding="utf-8")
+            _write_atomic(path, json.dumps(_level_to_cache(built, hashes),
+                                           indent=2, sort_keys=True) + "\n")
         chain.append((built, trace))
     return chain
 

@@ -3,12 +3,15 @@
 Vertices are plain ints used as bit sets: bit i set means coordinate with
 global id i is present.  Global id 0 is the leftmost character of the text
 form.  Everything downstream (oracles, pivot rules, verifiers) works on
-these ints directly.
+these ints directly; batch evaluation takes the same bit sets as a numpy
+uint64 array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+import numpy as np
 
 MAX_DIMENSION = 63
 
@@ -107,6 +110,15 @@ class OrientationOracle:
     def evaluate(self, v: int) -> int:
         raise NotImplementedError
 
+    def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
+        """Outmaps of a uint64 vertex array, as uint64: evaluate(v) for each v.
+
+        This fallback loops over evaluate; oracles that can do better
+        override it with the same results.
+        """
+        return np.fromiter((self.evaluate(v) for v in vs.tolist()),
+                           dtype=np.uint64, count=len(vs))
+
 
 class UniformOracle(OrientationOracle):
     """Every edge oriented toward a fixed global sink: s(v) = v xor sink."""
@@ -122,6 +134,9 @@ class UniformOracle(OrientationOracle):
     def evaluate(self, v: int) -> int:
         return v ^ self.sink
 
+    def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
+        return vs ^ np.uint64(self.sink)
+
 
 class TableOracle(OrientationOracle):
     """Outmaps stored eagerly, one entry per vertex."""
@@ -131,9 +146,15 @@ class TableOracle(OrientationOracle):
             raise CubeError("table length must be 2^n")
         self.dimension = n
         self.table = list(table)
+        self._array = None  # built on the first batch
 
     def evaluate(self, v: int) -> int:
         return self.table[v]
+
+    def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
+        if self._array is None:
+            self._array = np.array(self.table, dtype=np.uint64)
+        return self._array[vs]
 
 
 def uniform_oracle(n: int, sink: int) -> UniformOracle:

@@ -4,7 +4,10 @@ checkers for traces and growth.
 The definitional face-sink count is the ground truth.  The pairwise outmap
 criterion ((s(u) xor s(v)) & (u xor v) != 0 for all pairs) scales better
 and is cross-validated against the ground truth on small cubes rather than
-trusted on its own.
+trusted on its own.  Likewise the depth-first search is the ground truth
+for acyclicity; above CROSS_VALIDATE_CAP layered Kahn peeling decides, and
+a cycle it finds is still reported by the search.  The structural checks
+evaluate oracles in batches (`evaluate_many`), never one vertex at a time.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 import json
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,9 +78,8 @@ class VerificationReport:
 
 
 def outmap_table(oracle: OrientationOracle) -> np.ndarray:
-    n = oracle.dimension
-    return np.fromiter((oracle.evaluate(v) for v in range(1 << n)),
-                       dtype=np.uint32, count=1 << n)
+    """Outmap of every vertex, indexed by vertex, as uint64."""
+    return oracle.evaluate_many(np.arange(1 << oracle.dimension, dtype=np.uint64))
 
 
 def _face_count_uso(table: np.ndarray, n: int):
@@ -104,10 +105,13 @@ def _face_count_uso(table: np.ndarray, n: int):
     return True, None
 
 
-def _pairwise_uso(table: np.ndarray, n: int, block: int = 1 << 12):
-    """Outmap criterion over all vertex pairs, blockwise."""
+def _pairwise_uso(table: np.ndarray, n: int, block: int = 1 << 10):
+    """Outmap criterion over all vertex pairs, blockwise.  The witness is
+    the first conflicting pair in row-major order, whatever the block size;
+    a block of 2^10 rows keeps the temporaries at n = 12 under 20 MB each."""
     size = 1 << n
     vertices = np.arange(size, dtype=np.uint32)
+    table = table.astype(np.uint32)  # n <= USO_EXHAUSTIVE_CAP fits half width
     for lo in range(0, size, block):
         hi = min(lo + block, size)
         u = vertices[lo:hi, None]
@@ -151,26 +155,62 @@ def check_uso_exhaustive(oracle: OrientationOracle, cap: int = USO_EXHAUSTIVE_CA
 
 
 def check_acyclic(oracle: OrientationOracle, cap: int = ACYCLIC_CAP) -> VerificationReport:
-    """Depth-first search over the directed edge relation; reports a cycle
-    witness (vertex sequence) on failure."""
+    """No directed cycle along the outmaps.  Kahn peeling decides above
+    CROSS_VALIDATE_CAP, the depth-first search at and below it; a cycle is
+    always reported by the search, as a vertex sequence."""
     n = oracle.dimension
     if n > cap:
         raise VerifierError(f"dimension {n} above acyclicity cap {cap}")
     report = VerificationReport("acyclic")
     started = time.perf_counter()
+    table = outmap_table(oracle)
+    acyclic = n > CROSS_VALIDATE_CAP and _kahn_acyclic(table, n)
+    cycle = None if acyclic else _dfs_cycle(table.tolist(), n)
+    passed = acyclic or (n <= CROSS_VALIDATE_CAP and cycle is None)
+    report.add("acyclic", passed, None if passed else {"cycle": cycle})
+    report.elapsed = time.perf_counter() - started
+    return report
+
+
+def _flip(a: np.ndarray, c: int) -> np.ndarray:
+    """a[v ^ (1 << c)] for every v, as a view of a cube-indexed array."""
+    return a.reshape(-1, 2, 1 << c)[:, ::-1, :].reshape(-1)
+
+
+def _kahn_acyclic(table: np.ndarray, n: int) -> bool:
+    """Layered Kahn peeling of the directed edge relation: vertices with no
+    incoming edge are removed layer by layer.  In-degrees are counted from
+    the neighbours' outmaps, so an edge both endpoints claim counts twice
+    (a 2-cycle), just as the depth-first search sees it."""
     size = 1 << n
-    table = [oracle.evaluate(v) for v in range(size)]
+    indeg = np.zeros(size, dtype=np.int8)
+    for c in range(n):
+        indeg += _flip(((table >> np.uint64(c)) & np.uint64(1)).astype(np.int8), c)
+    bits = 1 << np.arange(n, dtype=np.int64)
+    out_bits = bits.astype(np.uint64)
+    layer = np.flatnonzero(indeg == 0)
+    removed = 0
+    while layer.size:
+        removed += layer.size
+        edges = (table[layer, None] & out_bits) != 0
+        heads, hits = np.unique((layer[:, None] ^ bits)[edges], return_counts=True)
+        indeg[heads] -= hits.astype(np.int8)
+        layer = heads[indeg[heads] == 0]
+    return removed == size
+
+
+def _dfs_cycle(table: list[int], n: int) -> list[str] | None:
+    """Depth-first search over the directed edge relation; returns a cycle
+    (vertex sequence, first vertex repeated last) or None."""
+    size = 1 << n
     color = bytearray(size)  # 0 unvisited, 1 on stack, 2 done
     parent = {}
-    cycle = None
     for root in range(size):
-        if cycle is not None:
-            break
         if color[root]:
             continue
         stack = [(root, 0)]
         color[root] = 1
-        while stack and cycle is None:
+        while stack:
             v, progress = stack[-1]
             out = table[v]
             advanced = False
@@ -185,8 +225,8 @@ def check_acyclic(oracle: OrientationOracle, cap: int = ACYCLIC_CAP) -> Verifica
                         while x != w:
                             x = parent[x]
                             path.append(x)
-                        cycle = [vertex_text(x, n) for x in reversed(path)]
-                    elif color[w] == 0:
+                        return [vertex_text(x, n) for x in reversed(path)]
+                    if color[w] == 0:
                         color[w] = 1
                         parent[w] = v
                         stack.append((w, 0))
@@ -196,9 +236,7 @@ def check_acyclic(oracle: OrientationOracle, cap: int = ACYCLIC_CAP) -> Verifica
             if not advanced:
                 color[v] = 2
                 stack.pop()
-    report.add("acyclic", cycle is None, None if cycle is None else {"cycle": cycle})
-    report.elapsed = time.perf_counter() - started
-    return report
+    return None
 
 
 def sample_faces(n: int, samples: int, max_face_dim: int, seed: int) -> list[Face]:
@@ -217,33 +255,40 @@ def sample_faces(n: int, samples: int, max_face_dim: int, seed: int) -> list[Fac
 
 
 def check_uso_sampled(oracle: OrientationOracle, samples: int, max_face_dim: int,
-                      seed: int, workers: int = 1) -> VerificationReport:
-    """Unique-sink check on a seeded random sample of small faces."""
+                      seed: int) -> VerificationReport:
+    """Unique-sink check on a seeded random sample of small faces.
+
+    The faces of each dimension are evaluated in one batch; the witness is
+    the first face in sample order whose sink count is not one.
+    """
     if max_face_dim > SAMPLED_MAX_FACE_DIM:
         raise VerifierError(f"max_face_dim above {SAMPLED_MAX_FACE_DIM}")
     n = oracle.dimension
     report = VerificationReport("uso_sampled")
     started = time.perf_counter()
     faces = sample_faces(n, samples, max_face_dim, seed)
-
-    def run_shard(shard):
-        for face in shard:
-            count = sum(1 for v in face.vertices() if not oracle.evaluate(v) & face.free)
-            if count != 1:
-                return face, count
-        return None
-
-    bad = None
-    if workers > 1:
-        shards = [faces[i::workers] for i in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for result in pool.map(run_shard, shards):
-                if result and not bad:
-                    bad = result
-    else:
-        bad = run_shard(faces)
-    if bad:
-        face, count = bad
+    by_dim: dict[int, list[int]] = {}
+    for i, face in enumerate(faces):
+        by_dim.setdefault(face.dimension, []).append(i)
+    bad = None  # (sample index, sink count) of the first failing face
+    for k, index in by_dim.items():
+        anchors = np.array([faces[i].anchor for i in index], dtype=np.uint64)
+        frees = np.array([faces[i].free for i in index], dtype=np.uint64)
+        # Row r lists the 2^k subsets of frees[r]: each free bit, lowest
+        # first, doubles the subsets found so far.
+        subsets = np.zeros((len(index), 1 << k), dtype=np.uint64)
+        rest = frees.copy()
+        for j in range(k):
+            low = rest & (~rest + np.uint64(1))
+            subsets[:, 1 << j:2 << j] = subsets[:, :1 << j] | low[:, None]
+            rest ^= low
+        out = oracle.evaluate_many((anchors[:, None] | subsets).reshape(-1))
+        counts = ((out.reshape(subsets.shape) & frees[:, None]) == 0).sum(axis=1)
+        wrong = np.flatnonzero(counts != 1)
+        if wrong.size and (bad is None or index[wrong[0]] < bad[0]):
+            bad = index[wrong[0]], int(counts[wrong[0]])
+    if bad is not None:
+        face, count = faces[bad[0]], bad[1]
         report.add("sampled_unique_sink", False,
                    {"anchor": vertex_text(face.anchor, n),
                     "free": vertex_text(face.free, n), "sink_count": count})

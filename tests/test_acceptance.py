@@ -152,7 +152,7 @@ def test_criterion_5_structural_verification(chains):
                 ok = ok and rep.passed
             if n <= 20:
                 ok = ok and check_acyclic(level.oracle).passed
-            rep = check_uso_sampled(level.oracle, 10000, 8, seed=7, workers=8)
+            rep = check_uso_sampled(level.oracle, 10000, 8, seed=7)
             ok = ok and rep.passed
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1800

@@ -109,3 +109,40 @@ def test_missing_frames_dir_is_usage_error(tmp_path, argv):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_cached_level_with_other_frame_hash_fails(tmp_path, capsys):
+    cache = tmp_path / "caches"
+    assert main(["build", "--family", "johnson", "--levels", "0..1",
+                 "--cache-dir", str(cache)]) == 0
+    path = cache / "johnson_level1.json"
+    record = json.loads(path.read_text())
+    record["frame_files"]["f2"] = "0" * 64
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    for argv in (["run", "--trace", str(tmp_path / "j1.jsonl")],
+                 ["verify", "--mode", "traces"]):
+        assert main([*argv, "--family", "johnson", "--level", "1",
+                     "--cache-dir", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert "johnson_f2.frame" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda text: text[:len(text) // 2],  # a truncated write
+    lambda text: "[]\n",
+    lambda text: json.dumps({**json.loads(text), "frame_files": ["f1"]}),
+], ids=["truncated", "not-an-object", "frame-files-not-an-object"])
+def test_unreadable_cache_is_configuration_error(tmp_path, capsys, damage):
+    cache = tmp_path / "caches"
+    assert main(["build", "--family", "zadeh", "--levels", "0..1",
+                 "--cache-dir", str(cache)]) == 0
+    path = cache / "zadeh_level1.json"
+    path.write_text(damage(path.read_text()))
+    capsys.readouterr()
+    for argv in (["run", "--trace", str(tmp_path / "z1.jsonl")],
+                 ["verify", "--mode", "traces"]):
+        assert main([*argv, "--family", "zadeh", "--level", "1",
+                     "--cache-dir", str(cache)]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and "Traceback" not in err

@@ -1,12 +1,17 @@
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ausokit.combinators import (
     CombinatorError,
     FrameAssignmentMap,
     MemoOracle,
+    ProductOracle,
     ReorientationError,
+    ReorientedOracle,
     external_outmap_uniform,
     materialize,
     product,
@@ -145,3 +150,64 @@ def test_external_outmap_enumeration_cap():
     o = uniform_oracle(8, 0)
     with pytest.raises(CombinatorError):
         external_outmap_uniform(o, Face(0, 0xFF), cap=16)
+
+
+@st.composite
+def _leaf_oracles(draw, n):
+    """A uniform orientation or an arbitrary outmap table on the n-cube."""
+    if draw(st.booleans()):
+        return uniform_oracle(n, draw(st.integers(0, (1 << n) - 1)))
+    values = st.integers(0, (1 << n) - 1)
+    return TableOracle(n, draw(st.lists(values, min_size=1 << n, max_size=1 << n)))
+
+
+@st.composite
+def _compositions(draw):
+    """Random stacks of products (sparse frame overrides, sometimes at the
+    smallest and largest inner vertex) and face reorientations (mostly on
+    free sets that are not the low coordinates), some memoized."""
+    oracle = draw(_leaf_oracles(draw(st.integers(0, 3))))
+    for _ in range(draw(st.integers(1, 4))):
+        n = oracle.dimension
+        if n == 0 or draw(st.booleans()):
+            m = draw(st.integers(1, 3))
+            pool = draw(st.lists(_leaf_oracles(m), min_size=1, max_size=3))
+            keys = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+            if draw(st.booleans()):
+                keys |= {0, (1 << n) - 1}
+            frames = FrameAssignmentMap(n, draw(st.sampled_from(pool)),
+                                        {k: draw(st.sampled_from(pool)) for k in keys})
+            oracle = ProductOracle(oracle, frames)
+        else:
+            coords = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
+            free = sum(1 << c for c in coords)
+            anchor = draw(st.integers(0, (1 << n) - 1)) & ~free
+            external = draw(st.integers(0, (1 << n) - 1)) & ~free
+            oracle = ReorientedOracle(oracle, Face(anchor, free),
+                                      draw(_leaf_oracles(len(coords))), external)
+        if draw(st.booleans()):
+            oracle = MemoOracle(oracle)
+    return oracle
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_evaluate_many_matches_evaluate(data):
+    oracle = data.draw(_compositions())
+    top = (1 << oracle.dimension) - 1
+    vs = [0, top] + data.draw(st.lists(st.integers(0, top), max_size=64))
+    got = oracle.evaluate_many(np.array(vs, dtype=np.uint64))
+    assert got.dtype == np.uint64
+    assert got.tolist() == [oracle.evaluate(v) for v in vs]
+
+
+def test_memo_evaluate_many_leaves_the_memo_alone(cunningham_frames):
+    inner = cunningham_frames["f1"][1]
+    frames = FrameAssignmentMap(4, cunningham_frames["f3"][1],
+                                {0: cunningham_frames["f2"][1]})
+    memo = MemoOracle(ProductOracle(inner, frames))
+    warm = [memo.evaluate(v) for v in range(0, 256, 3)]
+    before = len(memo._cache)
+    got = memo.evaluate_many(np.arange(256, dtype=np.uint64))
+    assert len(memo._cache) == before
+    assert got[::3].tolist() == warm

@@ -1,5 +1,7 @@
 import json
+import random
 
+import numpy as np
 import pytest
 
 from ausokit.combinators import materialize
@@ -74,6 +76,28 @@ def test_build_reset_r2_walk_and_structure():
     assert check_acyclic(table).passed
 
 
+def test_build_reset_evaluate_many():
+    for level in range(4):
+        oracle = build_reset(level).oracle
+        size = 1 << oracle.dimension
+        got = oracle.evaluate_many(np.arange(size, dtype=np.uint64))
+        assert got.tolist() == [oracle.evaluate(v) for v in range(size)]
+
+
+@pytest.mark.parametrize("family, top", [("cunningham", 11), ("johnson", 10),
+                                         ("zadeh", 7)])
+def test_top_level_evaluate_many(family, top):
+    """The deepest levels (n = 48, 44, 48): every vertex of the path, which
+    meets the assigned frames, and random vertices, half with the top bit."""
+    level, trace = realize_level(family, top)
+    n = level.dimension
+    rng = random.Random(n)
+    vs = trace.vertices() + [rng.getrandbits(n - 1) | (rng.getrandbits(1) << (n - 1))
+                             for _ in range(20000)]
+    got = level.oracle.evaluate_many(np.array(vs, dtype=np.uint64))
+    assert got.tolist() == [level.oracle.evaluate(v) for v in vs]
+
+
 def test_realize_base_cases(built_levels):
     assert built_levels["cunningham"][0][0].path_length == 5
     assert built_levels["johnson"][0][0].path_length == 6
@@ -127,6 +151,16 @@ def test_level_cache_roundtrip(tmp_path):
     for (a, ta), (b, tb) in zip(first, second):
         assert ta.directions() == tb.directions()
         assert a.assignments == b.assignments
+
+
+def test_cache_write_is_atomic(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr("ausokit.constructions.os.replace", fail)
+    with pytest.raises(OSError):
+        realize_range("zadeh", 1, cache_dir=tmp_path)
+    assert list(tmp_path.iterdir()) == []  # neither a partial file nor a temporary
 
 
 def test_cached_level_serves_same_oracle(tmp_path):

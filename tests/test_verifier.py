@@ -1,10 +1,14 @@
 import random
 
+import numpy as np
 import pytest
 
-from ausokit.cube_core import Face, TableOracle, uniform_oracle
+from ausokit.cube_core import Face, TableOracle, parse_vertex, uniform_oracle
 from ausokit.verifier import (
+    CROSS_VALIDATE_CAP,
     VerifierError,
+    _dfs_cycle,
+    _kahn_acyclic,
     check_acyclic,
     check_growth,
     check_trace_properties,
@@ -35,7 +39,6 @@ def test_corrupted_edge_next_to_sink_fails_with_witness():
     assert not report.passed
     witness = report.failures()[0].witness
     # the witness face re-fails when checked in isolation
-    from ausokit.cube_core import parse_vertex
     face = Face(parse_vertex(witness["anchor"]), parse_vertex(witness["free"]))
     sinks = [v for v in face.vertices() if not broken.evaluate(v) & face.free]
     assert len(sinks) != 1
@@ -79,6 +82,60 @@ def test_sampled_full_coverage_matches_exhaustive():
             assert exhaustive == sampled
 
 
+def _random_orientation(rng, n):
+    """Edge-consistent and acyclic: every edge points to the lower rank."""
+    rank = list(range(1 << n))
+    rng.shuffle(rank)
+    return [sum(1 << c for c in range(n) if rank[v ^ (1 << c)] < rank[v])
+            for v in range(1 << n)]
+
+
+def test_kahn_agrees_with_dfs():
+    rng = random.Random(23)
+    verdicts = []
+    for trial in range(400):
+        n = rng.randint(1, 6)
+        table = _random_orientation(rng, n)
+        for _ in range(trial % 4):
+            v, c = rng.getrandbits(n), rng.randrange(n)
+            if trial % 2:
+                table[v] ^= 1 << c  # one endpoint changes its claim
+            else:  # reverse the edge: may close a cycle
+                table[v] ^= 1 << c
+                table[v ^ (1 << c)] ^= 1 << c
+        if trial % 5 == 0:  # both endpoints claim one edge
+            v, c = rng.getrandbits(n), rng.randrange(n)
+            table[v] |= 1 << c
+            table[v ^ (1 << c)] |= 1 << c
+        kahn = _kahn_acyclic(np.array(table, dtype=np.uint64), n)
+        assert kahn == (_dfs_cycle(table, n) is None), (n, table)
+        verdicts.append(kahn)
+    assert 50 < sum(verdicts) < 350
+
+
+def _assert_directed_cycle(cycle, table):
+    vertices = [parse_vertex(t) for t in cycle]
+    assert len(vertices) >= 3 and vertices[0] == vertices[-1]
+    for u, w in zip(vertices, vertices[1:]):
+        step = u ^ w
+        assert step and not step & (step - 1) and table[u] & step
+
+
+def test_acyclic_planted_cycle_above_cross_validate_cap():
+    n = CROSS_VALIDATE_CAP + 4
+    rng = random.Random(3)
+    anchor = rng.getrandbits(n) & ~0b11
+    for claims in ({0b00: 0b01, 0b01: 0b10, 0b11: 0b01, 0b10: 0b10},  # 4-cycle
+                   {0b00: 0b01, 0b01: 0b01}):  # both ends claim one edge
+        table = _random_orientation(rng, n)
+        assert check_acyclic(TableOracle(n, table)).passed
+        for low, out in claims.items():
+            table[anchor | low] = (table[anchor | low] & ~0b11) | out
+        report = check_acyclic(TableOracle(n, table))
+        assert not report.passed
+        _assert_directed_cycle(report.failures()[0].witness["cycle"], table)
+
+
 def test_acyclic_uniform_and_cyclic_witness():
     assert check_acyclic(uniform_oracle(5, 7)).passed
     cyclic = TableOracle(2, [0b01, 0b10, 0b10, 0b01])  # 00->10->11->01->00
@@ -110,10 +167,25 @@ def test_sampled_deterministic_under_seed():
     faces_b = sample_faces(12, 500, 8, seed=42)
     assert faces_a == faces_b
     assert sample_faces(12, 500, 8, seed=43) != faces_a
-    o = uniform_oracle(12, 5)
-    r1 = check_uso_sampled(o, 500, 8, seed=42, workers=4)
-    r2 = check_uso_sampled(o, 500, 8, seed=42)
-    assert r1.passed == r2.passed
+    # On an oracle with many broken edges, the batched check reports the
+    # first failing face in sample order, as a face-by-face scan does.
+    rng = random.Random(17)
+    table = [uniform_oracle(12, 5).evaluate(v) for v in range(1 << 12)]
+    for _ in range(60):
+        _corrupt_edge(table, rng.getrandbits(12), rng.randrange(12))
+    broken = TableOracle(12, table)
+    failing_dims = set()
+    for seed in range(40, 46):
+        faces = sample_faces(12, 500, 8, seed)
+        counts = [sum(1 for v in f.vertices() if not broken.evaluate(v) & f.free)
+                  for f in faces]
+        first = next(i for i, c in enumerate(counts) if c != 1)
+        failing_dims |= {f.dimension for f, c in zip(faces, counts) if c != 1}
+        witness = check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
+        assert (parse_vertex(witness["anchor"]), parse_vertex(witness["free"]),
+                witness["sink_count"]) == (faces[first].anchor, faces[first].free,
+                                           counts[first])
+    assert len(failing_dims) > 1  # the first failure is chosen across batches
 
 
 def test_caps_raise():
