@@ -15,13 +15,12 @@ from .cube_core import (
     apply_direction,
     face_sink,
     is_available,
-    uniform_oracle,
 )
 from .combinators import (
     FrameAssignmentMap,
+    ProductOracle,
     external_outmap_uniform,
     materialize,
-    product,
     reorient_face,
 )
 from .pivot_engine import (
@@ -30,11 +29,8 @@ from .pivot_engine import (
     Trace,
     ZadehState,
     balance_of,
-    cunningham_step,
     is_saturated,
-    johnson_step,
     run_to_sink,
-    zadeh_step,
 )
 from .constructions import (
     ConstructionLevel,

@@ -114,20 +114,15 @@ class ProductOracle(OrientationOracle):
             self.frames.evaluate_many(vi, vo) << np.uint64(self.inner.dimension))
 
 
-def product(inner: OrientationOracle, frames: FrameAssignmentMap) -> ProductOracle:
-    return ProductOracle(inner, frames)
-
-
-def external_outmap_uniform(oracle: OrientationOracle, face: Face,
-                            cap: int = DEFAULT_FACE_ENUM_CAP):
+def external_outmap_uniform(oracle: OrientationOracle, face: Face):
     """Check the reorientation precondition by enumerating the face.
 
     Returns (True, shared_external, None) or (False, None, (v, w)) with a
     witness pair of face vertices whose external outmaps differ.
     """
-    if 1 << face.dimension > cap:
-        raise CombinatorError(
-            f"face with 2^{face.dimension} vertices exceeds enumeration cap {cap}")
+    if 1 << face.dimension > DEFAULT_FACE_ENUM_CAP:
+        raise CombinatorError(f"face with 2^{face.dimension} vertices exceeds "
+                              f"enumeration cap {DEFAULT_FACE_ENUM_CAP}")
     it = face.vertices()
     first = next(it)
     external = oracle.evaluate(first) & ~face.free
@@ -204,8 +199,7 @@ class ReorientedOracle(OrientationOracle):
 
 
 def reorient_face(base: OrientationOracle, face: Face,
-                  replacement: OrientationOracle,
-                  cap: int = DEFAULT_FACE_ENUM_CAP) -> ReorientedOracle:
+                  replacement: OrientationOracle) -> ReorientedOracle:
     """Install `replacement` on the face, keeping the shared external outmap.
 
     The precondition is verified over the whole face; a failure raises
@@ -213,17 +207,19 @@ def reorient_face(base: OrientationOracle, face: Face,
     ReorientedOracle directly: they justify the precondition frame by frame
     instead of enumerating exponentially large faces.)
     """
-    ok, external, witness = external_outmap_uniform(base, face, cap)
+    ok, external, witness = external_outmap_uniform(base, face)
     if not ok:
         raise ReorientationError(face, witness)
     return ReorientedOracle(base, face, replacement, external)
 
 
-def materialize(oracle: OrientationOracle, max_dim: int = MATERIALIZE_MAX_DIM) -> TableOracle:
-    """Eager table of the oracle; refused above max_dim to protect memory."""
+def materialize(oracle: OrientationOracle) -> TableOracle:
+    """Eager table of the oracle; refused above MATERIALIZE_MAX_DIM to
+    protect memory."""
     n = oracle.dimension
-    if n > max_dim:
-        raise CombinatorError(f"refusing to materialize a {n}-cube (max {max_dim})")
+    if n > MATERIALIZE_MAX_DIM:
+        raise CombinatorError(
+            f"refusing to materialize a {n}-cube (max {MATERIALIZE_MAX_DIM})")
     return TableOracle(n, [oracle.evaluate(v) for v in range(1 << n)])
 
 

@@ -157,19 +157,16 @@ class TableOracle(OrientationOracle):
         return self._array[vs]
 
 
-def uniform_oracle(n: int, sink: int) -> UniformOracle:
-    return UniformOracle(n, sink)
+def is_outgoing(v: int, out: int, d: Direction) -> bool:
+    """True iff d leaves v (+c where v lacks c, -c where v has it) and the
+    outmap `out` of v lists its edge."""
+    bit = 1 << d.coord
+    return bool(out & bit) and bool(v & bit) != d.positive
 
 
 def is_available(oracle: OrientationOracle, v: int, d: Direction) -> bool:
     """True iff d's edge at v is outgoing (forward edge for +c, backward for -c)."""
-    bit = 1 << d.coord
-    if d.positive:
-        if v & bit:
-            return False
-    elif not v & bit:
-        return False
-    return bool(oracle.evaluate(v) & bit)
+    return is_outgoing(v, oracle.evaluate(v), d)
 
 
 def apply_direction(v: int, d: Direction) -> int:
@@ -195,8 +192,3 @@ def face_sink(oracle: OrientationOracle, face: Face) -> int:
         raise FaceSinkError("no sink", face, [])
     raise FaceSinkError("multiple sinks", face, sinks)
 
-
-def edge_consistent(oracle: OrientationOracle, v: int, coord: int) -> bool:
-    """Exactly one endpoint of the edge {v, v^coord} lists it as outgoing."""
-    bit = 1 << coord
-    return bool(oracle.evaluate(v) & bit) != bool(oracle.evaluate(v ^ bit) & bit)

@@ -1,12 +1,14 @@
-"""The three history-based pivot rules as deterministic steppers.
+"""The three history-based pivot rules as deterministic rule states.
 
 Cunningham: ordered list of all 2n directions, round-robin scan from the
 marker.  Johnson: per-direction last-step numbers, smallest wins, ties by a
 fixed lexicographic order.  Zadeh: per-direction usage counts, least used
 wins, ties by a fixed ordered list.
 
-Each stepper mutates its own state value and returns the move; run_to_sink
-drives a stepper until the global sink and records a Trace.
+Each state chooses a move from the current vertex's outmap and keeps its
+own bookkeeping; run_to_sink reads one outmap per visited vertex (one
+query of the vertex-evaluation model per step), drives a state until the
+global sink and records a Trace.
 """
 
 from __future__ import annotations
@@ -20,17 +22,14 @@ from .cube_core import (
     OrientationOracle,
     apply_direction,
     direction_text,
-    is_available,
+    is_outgoing,
     parse_direction,
     parse_vertex,
     vertex_text,
 )
 
 HISTORY_SNAPSHOT_MAX_DIM = 16
-
-
-class SinkReached(CubeError):
-    """Stepper found no available direction: the token sits on the sink."""
+RULES = ("cunningham", "johnson", "zadeh")
 
 
 class StepLimitExceeded(CubeError):
@@ -44,7 +43,8 @@ class StepLimitExceeded(CubeError):
 
 
 class OracleInconsistencyError(CubeError):
-    """A chosen direction failed the availability re-check."""
+    """The outmaps contradict each other on the path: both ends of the edge
+    just crossed claim it, or a nonempty outmap offers the rule nothing."""
 
 
 @dataclass
@@ -61,6 +61,15 @@ class CunninghamState:
             self.marker = len(self.order)
         if not self._rank:
             self._rank = {d: i for i, d in enumerate(self.order)}
+
+    def choose(self, v: int, out: int) -> Direction | None:
+        """Scan L cyclically from the marker; the first outgoing direction."""
+        n2 = len(self.order)
+        for k in range(self.marker, self.marker + n2):
+            d = self.order[k % n2]
+            if is_outgoing(v, out, d):
+                return d
+        return None
 
     def record(self, v: int, d: Direction) -> None:
         """Bookkeeping of the move d from v: the marker points at d."""
@@ -84,13 +93,18 @@ class JohnsonState:
     last_step: dict[Direction, int] = field(default_factory=dict)
     step_counter: int = 1
     arrival_update: bool = True
-    _tie_rank: dict[Direction, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.last_step:
             self.last_step = {d: 0 for d in self.tie_order}
-        if not self._tie_rank:
-            self._tie_rank = {d: i for i, d in enumerate(self.tie_order)}
+
+    def choose(self, v: int, out: int) -> Direction | None:
+        """The outgoing direction with the smallest h; min keeps the first of
+        equal keys, so ties go by the tie order.  record stamps h at v only
+        on directions not outgoing there, so stamping first, as the rule is
+        stated, chooses the same move."""
+        return min((d for d in self.tie_order if is_outgoing(v, out, d)),
+                   key=self.last_step.__getitem__, default=None)
 
     def apply_update(self, v: int, t: int) -> None:
         """h(d) := t for every direction whose defining condition holds at v."""
@@ -115,13 +129,15 @@ class ZadehState:
 
     tie_list: tuple[Direction, ...]
     usage: dict[Direction, int] = field(default_factory=dict)
-    _tie_rank: dict[Direction, int] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if not self.usage:
             self.usage = {d: 0 for d in self.tie_list}
-        if not self._tie_rank:
-            self._tie_rank = {d: i for i, d in enumerate(self.tie_list)}
+
+    def choose(self, v: int, out: int) -> Direction | None:
+        """The least-used outgoing direction; ties go by the tie list."""
+        return min((d for d in self.tie_list if is_outgoing(v, out, d)),
+                   key=self.usage.__getitem__, default=None)
 
     def record(self, v: int, d: Direction) -> None:
         """Bookkeeping of the move d from v: one more use of d."""
@@ -131,73 +147,17 @@ class ZadehState:
         """Bookkeeping at the sink: none."""
 
 
-def cunningham_step(oracle: OrientationOracle, v: int, st: CunninghamState):
-    """Scan L cyclically from the marker and take the first available direction."""
-    n2 = len(st.order)
-    for k in range(1, n2 + 1):
-        idx = (st.marker - 1 + k) % n2
-        d = st.order[idx]
-        if is_available(oracle, v, d):
-            st.record(v, d)
-            return d, apply_direction(v, d)
-    raise SinkReached(f"no available direction at {v:b}")
-
-
-def johnson_step(oracle: OrientationOracle, v: int, st: JohnsonState):
-    """Move along the available direction with the smallest h (ties by
-    lexicographic order), then stamp h at the current vertex and count the
-    step.  The stamp touches only directions unavailable at v, so stamping
-    first, as the rule is stated, chooses the same move."""
-    best = None
-    for d in st.tie_order:
-        if is_available(oracle, v, d):
-            key = (st.last_step[d], st._tie_rank[d])
-            if best is None or key < best[0]:
-                best = (key, d)
-    if best is None:
-        raise SinkReached(f"no available direction at {v:b}")
-    d = best[1]
-    st.record(v, d)
-    return d, apply_direction(v, d)
-
-
-def zadeh_step(oracle: OrientationOracle, v: int, st: ZadehState):
-    """Move along the least-used available direction, ties by the tie list."""
-    best = None
-    for d in st.tie_list:
-        if is_available(oracle, v, d):
-            key = (st.usage[d], st._tie_rank[d])
-            if best is None or key < best[0]:
-                best = (key, d)
-    if best is None:
-        raise SinkReached(f"no available direction at {v:b}")
-    d = best[1]
-    st.record(v, d)
-    return d, apply_direction(v, d)
-
-
-_STEPPERS = {
-    "cunningham": cunningham_step,
-    "johnson": johnson_step,
-    "zadeh": zadeh_step,
-}
-
-
-def balance_of(st: ZadehState, d: Direction, scope=None) -> int:
-    """Usage deficit of d against the most used direction (of `scope` if given)."""
-    pool = scope if scope is not None else st.usage.keys()
-    top = max(st.usage[x] for x in pool)
-    return top - st.usage[d]
+def balance_of(st: ZadehState, d: Direction) -> int:
+    """Usage deficit of d against the most used direction."""
+    return max(st.usage.values()) - st.usage[d]
 
 
 def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, directions) -> bool:
     """No imbalanced direction of the given set is available at v; balance is
     measured against the most used direction overall."""
+    out = oracle.evaluate(v)
     top = max(st.usage.values())
-    for d in directions:
-        if st.usage[d] < top and is_available(oracle, v, d):
-            return False
-    return True
+    return not any(st.usage[d] < top and is_outgoing(v, out, d) for d in directions)
 
 
 @dataclass
@@ -243,16 +203,19 @@ def _snapshot(rule: str, st, bundle_size: int):
 def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
                 step_limit: int | None = None, bundle_size: int = 4,
                 record_history: bool | None = None, after_step=None) -> Trace:
-    """Iterate a rule's stepper from `start` until the global sink.
+    """Drive a rule state from `start` until the global sink.
 
-    Per-step history snapshots are recorded when record_history is true
-    (defaults to dimension <= HISTORY_SNAPSHOT_MAX_DIM).  after_step, when
-    given, is called as after_step(t, v_before, direction, v_after) once per
-    move; the recursive builders use it to drive the adversary.
+    Each visited vertex's outmap is read once; the state chooses the move
+    from it.  Arriving over an edge that the new vertex also lists as
+    outgoing raises OracleInconsistencyError.  Per-step history snapshots
+    are recorded when record_history is true (defaults to dimension <=
+    HISTORY_SNAPSHOT_MAX_DIM).  after_step, when given, is called as
+    after_step(t, v_before, direction, v_after) once per move, before
+    v_after is evaluated; the recursive builders use it to drive the
+    adversary.
     """
-    if rule not in _STEPPERS:
+    if rule not in RULES:
         raise CubeError(f"unknown rule {rule!r}")
-    stepper = _STEPPERS[rule]
     n = oracle.dimension
     if step_limit is None:
         step_limit = 4 << n
@@ -263,9 +226,16 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
 
     trace = Trace(rule, n, bundle_size, start, start)
     v = start
+    crossed = 0  # bit of the edge the last move crossed into v
     t = 1
     while True:
-        if oracle.evaluate(v) == 0:
+        out = oracle.evaluate(v)
+        if out & crossed:
+            d = trace.steps[-1].direction
+            raise OracleInconsistencyError(
+                f"both ends of the {direction_text(d, bundle_size)} edge into "
+                f"{vertex_text(v, n)} claim it as outgoing")
+        if out == 0:
             # Johnson's final update at the sink: the last displayed row of a run.
             state.settle(v)
             if record_history:
@@ -274,15 +244,12 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
             return trace
         if t > step_limit:
             raise StepLimitExceeded(step_limit, trace)
-        try:
-            d, v_next = stepper(oracle, v, state)
-        except SinkReached:
-            # evaluate(v) != 0 but nothing available: broken oracle
+        d = state.choose(v, out)
+        if d is None:
             raise OracleInconsistencyError(
                 f"outmap of {vertex_text(v, n)} nonempty but no direction available")
-        if not oracle.evaluate(v) & (1 << d.coord):
-            raise OracleInconsistencyError(
-                f"direction {direction_text(d, bundle_size)} not outgoing on re-check")
+        state.record(v, d)
+        v_next = apply_direction(v, d)
         history = None
         if record_history:
             if rule == "johnson" and state.arrival_update:
@@ -291,17 +258,17 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
         trace.steps.append(TraceStep(t, v, d, history))
         if after_step is not None:
             after_step(t, v, d, v_next)
+        crossed = 1 << d.coord
         v = v_next
         t += 1
 
 
 def replay(trace: Trace, state):
-    """Re-apply a trace's moves to a rule state with the steppers' own
-    bookkeeping.
+    """Re-apply a trace's moves to a rule state with its own bookkeeping.
 
     Yields (vertex, step) before each move, with the state holding every
     earlier move, and (sink, None) last.  Once the generator is exhausted the
-    state is the one the stepper left at the sink.
+    state is the one run_to_sink left at the sink.
     """
     v = trace.start
     for step in trace.steps:

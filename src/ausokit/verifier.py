@@ -125,8 +125,7 @@ def _pairwise_uso(table: np.ndarray, n: int, block: int = 1 << 10):
     return True, None
 
 
-def check_uso_exhaustive(oracle: OrientationOracle, cap: int = USO_EXHAUSTIVE_CAP,
-                         mode: str = "auto") -> VerificationReport:
+def check_uso_exhaustive(oracle: OrientationOracle, mode: str = "auto") -> VerificationReport:
     """Exhaustive USO check.
 
     mode "ground" runs the face-sink count, "pairwise" the outmap criterion,
@@ -136,9 +135,9 @@ def check_uso_exhaustive(oracle: OrientationOracle, cap: int = USO_EXHAUSTIVE_CA
     n = oracle.dimension
     report = VerificationReport("uso_exhaustive")
     started = time.perf_counter()
-    if n > cap:
-        raise VerifierError(
-            f"dimension {n} above exhaustive cap {cap}; use check_uso_sampled")
+    if n > USO_EXHAUSTIVE_CAP:
+        raise VerifierError(f"dimension {n} above exhaustive cap "
+                            f"{USO_EXHAUSTIVE_CAP}; use check_uso_sampled")
     table = outmap_table(oracle)
     if mode in ("ground", "auto") and (mode == "ground" or n <= CROSS_VALIDATE_CAP):
         ok, witness = _face_count_uso(table, n)
@@ -154,13 +153,13 @@ def check_uso_exhaustive(oracle: OrientationOracle, cap: int = USO_EXHAUSTIVE_CA
     return report
 
 
-def check_acyclic(oracle: OrientationOracle, cap: int = ACYCLIC_CAP) -> VerificationReport:
+def check_acyclic(oracle: OrientationOracle) -> VerificationReport:
     """No directed cycle along the outmaps.  Kahn peeling decides above
     CROSS_VALIDATE_CAP, the depth-first search at and below it; a cycle is
     always reported by the search, as a vertex sequence."""
     n = oracle.dimension
-    if n > cap:
-        raise VerifierError(f"dimension {n} above acyclicity cap {cap}")
+    if n > ACYCLIC_CAP:
+        raise VerifierError(f"dimension {n} above acyclicity cap {ACYCLIC_CAP}")
     report = VerificationReport("acyclic")
     started = time.perf_counter()
     table = outmap_table(oracle)

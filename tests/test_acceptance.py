@@ -8,9 +8,14 @@ import time
 
 import pytest
 
-from ausokit.combinators import FrameAssignmentMap, materialize, product, reorient_face
+from ausokit.combinators import (
+    FrameAssignmentMap,
+    ProductOracle,
+    materialize,
+    reorient_face,
+)
 from ausokit.constructions import BUNDLE_SIZE, realize_range, rule_state
-from ausokit.cube_core import Direction, Face, uniform_oracle, vertex_text
+from ausokit.cube_core import Direction, Face, UniformOracle, vertex_text
 from ausokit.frame_store import johnson_tie_order, load_family, validate_all
 from ausokit.pivot_engine import (
     CunninghamState,
@@ -171,13 +176,13 @@ def test_criterion_6_property_suites(chains):
     for i in range(500):
         inner = rng.choice(frames)
         overrides = {v: rng.choice(four_dim) for v in range(1 << inner.dimension)}
-        combined = product(inner, FrameAssignmentMap(
+        combined = ProductOracle(inner, FrameAssignmentMap(
             inner.dimension, rng.choice(four_dim), overrides))
         ok = ok and check_uso_exhaustive(combined, mode="pairwise").passed
         ok = ok and check_acyclic(combined).passed
     for i in range(500):
         n = rng.choice((8, 10))
-        base = uniform_oracle(n, rng.getrandbits(n))
+        base = UniformOracle(n, rng.getrandbits(n))
         free = 0
         for c in rng.sample(range(n), 4):
             free |= 1 << c

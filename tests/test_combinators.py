@@ -14,24 +14,23 @@ from ausokit.combinators import (
     ReorientedOracle,
     external_outmap_uniform,
     materialize,
-    product,
     reorient_face,
 )
-from ausokit.cube_core import Face, TableOracle, uniform_oracle
+from ausokit.cube_core import Face, TableOracle, UniformOracle
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
 
 
 def test_product_of_uniform_1cubes_is_uniform_2cube():
-    inner = uniform_oracle(1, 0)
-    frames = FrameAssignmentMap(1, uniform_oracle(1, 0))
-    combined = product(inner, frames)
-    reference = uniform_oracle(2, 0)
+    inner = UniformOracle(1, 0)
+    frames = FrameAssignmentMap(1, UniformOracle(1, 0))
+    combined = ProductOracle(inner, frames)
+    reference = UniformOracle(2, 0)
     assert all(combined.evaluate(v) == reference.evaluate(v) for v in range(4))
 
 
 def test_product_dimension_mismatch():
     with pytest.raises(CombinatorError):
-        product(uniform_oracle(2, 0), FrameAssignmentMap(1, uniform_oracle(1, 0)))
+        ProductOracle(UniformOracle(2, 0), FrameAssignmentMap(1, UniformOracle(1, 0)))
 
 
 def test_product_random_frame_pairs(cunningham_frames, johnson_frames):
@@ -43,13 +42,13 @@ def test_product_random_frame_pairs(cunningham_frames, johnson_frames):
     rng = random.Random(99)
     for _ in range(500):
         overrides = {v: rng.choice(pool) for v in range(16)}
-        combined = product(inner, FrameAssignmentMap(4, rng.choice(pool), overrides))
+        combined = ProductOracle(inner, FrameAssignmentMap(4, rng.choice(pool), overrides))
         assert check_uso_exhaustive(combined, mode="pairwise").passed
         assert check_acyclic(combined).passed
 
 
 def test_external_outmap_uniform_zero_dim_face():
-    o = uniform_oracle(3, 0b101)
+    o = UniformOracle(3, 0b101)
     ok, external, witness = external_outmap_uniform(o, Face(0b010, 0))
     assert ok and witness is None
     assert external == o.evaluate(0b010)
@@ -74,9 +73,9 @@ def test_external_outmap_uniform_gadget_faces(built_levels):
 
 
 def test_reorient_flips_single_edge_of_2cube():
-    base = uniform_oracle(2, 0)
+    base = UniformOracle(2, 0)
     # the only other 1-USO on a single coordinate: sink at the far end
-    replacement = uniform_oracle(1, 1)
+    replacement = UniformOracle(1, 1)
     face = Face(0b10, 0b01)
     out = reorient_face(base, face, replacement)
     for v in range(4):
@@ -92,7 +91,7 @@ def test_reorient_precondition_failure_witness():
     # the two face vertices disagree on the external coordinate
     table = TableOracle(2, [0b11, 0b01, 0b10, 0b00])
     with pytest.raises(ReorientationError) as exc:
-        reorient_face(table, Face(0, 0b01), uniform_oracle(1, 0))
+        reorient_face(table, Face(0, 0b01), UniformOracle(1, 0))
     assert len(exc.value.witness) == 2
 
 
@@ -100,12 +99,12 @@ def test_reorient_locality():
     rng = random.Random(17)
     for _ in range(50):
         n = 5
-        base = uniform_oracle(n, rng.getrandbits(n))
+        base = UniformOracle(n, rng.getrandbits(n))
         free = 0
         for c in rng.sample(range(n), 2):
             free |= 1 << c
         face = Face(rng.getrandbits(n) & ~free, free)
-        replacement = uniform_oracle(2, rng.getrandbits(2))
+        replacement = UniformOracle(2, rng.getrandbits(2))
         out = reorient_face(base, face, replacement)
         for v in range(1 << n):
             if v in face:
@@ -119,7 +118,7 @@ def test_reorient_preserves_uso_randomized(cunningham_frames, johnson_frames):
     pool += [johnson_frames[n][1] for n in ("f1", "f2", "r1")]
     rng = random.Random(23)
     for _ in range(100):
-        base = uniform_oracle(8, rng.getrandbits(8))
+        base = UniformOracle(8, rng.getrandbits(8))
         free = 0
         for c in rng.sample(range(8), 4):
             free |= 1 << c
@@ -140,23 +139,25 @@ def test_materialize_cap():
 
 
 def test_memo_oracle_consistency():
-    base = uniform_oracle(4, 0b0110)
+    base = UniformOracle(4, 0b0110)
     memo = MemoOracle(base)
     assert all(memo.evaluate(v) == base.evaluate(v) for v in range(16))
     assert all(memo.evaluate(v) == base.evaluate(v) for v in range(16))
 
 
 def test_external_outmap_enumeration_cap():
-    o = uniform_oracle(8, 0)
+    # 2^21 vertices exceed DEFAULT_FACE_ENUM_CAP = 2^20; the check raises
+    # before enumerating any of them.
+    o = UniformOracle(21, 0)
     with pytest.raises(CombinatorError):
-        external_outmap_uniform(o, Face(0, 0xFF), cap=16)
+        external_outmap_uniform(o, Face(0, (1 << 21) - 1))
 
 
 @st.composite
 def _leaf_oracles(draw, n):
     """A uniform orientation or an arbitrary outmap table on the n-cube."""
     if draw(st.booleans()):
-        return uniform_oracle(n, draw(st.integers(0, (1 << n) - 1)))
+        return UniformOracle(n, draw(st.integers(0, (1 << n) - 1)))
     values = st.integers(0, (1 << n) - 1)
     return TableOracle(n, draw(st.lists(values, min_size=1 << n, max_size=1 << n)))
 

@@ -9,14 +9,13 @@ from ausokit.cube_core import (
     FaceSinkError,
     IllegalMoveError,
     TableOracle,
+    UniformOracle,
     apply_direction,
     direction_text,
-    edge_consistent,
     face_sink,
     is_available,
     parse_direction,
     parse_vertex,
-    uniform_oracle,
     vertex_text,
 )
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
@@ -37,9 +36,9 @@ def test_apply_direction_illegal():
 
 
 def test_uniform_oracle_outmaps():
-    o = uniform_oracle(2, 0)
+    o = UniformOracle(2, 0)
     assert o.evaluate(0b11) == 0b11
-    assert uniform_oracle(2, 0b11).evaluate(0) == 0b11
+    assert UniformOracle(2, 0b11).evaluate(0) == 0b11
     # unique vertex with empty outmap is the sink
     sinks = [v for v in range(4) if o.evaluate(v) == 0]
     assert sinks == [0]
@@ -47,13 +46,13 @@ def test_uniform_oracle_outmaps():
 
 def test_uniform_4cube_with_offset_sink_is_auso():
     # sink {c^1, c^4}
-    o = uniform_oracle(4, 0b1001)
+    o = UniformOracle(4, 0b1001)
     assert check_uso_exhaustive(o).passed
     assert check_acyclic(o).passed
 
 
 def test_is_available_uniform():
-    o = uniform_oracle(2, 0)
+    o = UniformOracle(2, 0)
     assert is_available(o, 0b01, Direction(0, False))
     assert not is_available(o, 0b01, Direction(0, True))
     assert not is_available(o, 0b01, Direction(1, False))
@@ -66,7 +65,7 @@ def test_is_available_johnson_frame_start(johnson_frames):
 
 def test_exactly_one_sign_available():
     rng = random.Random(5)
-    o = uniform_oracle(6, rng.getrandbits(6))
+    o = UniformOracle(6, rng.getrandbits(6))
     for _ in range(200):
         v = rng.getrandbits(6)
         out = o.evaluate(v)
@@ -81,7 +80,7 @@ def test_exactly_one_sign_available():
 
 def test_available_moves_change_one_coordinate():
     rng = random.Random(11)
-    o = uniform_oracle(5, 0b10101)
+    o = UniformOracle(5, 0b10101)
     for _ in range(200):
         v = rng.getrandbits(5)
         for c in range(5):
@@ -92,17 +91,8 @@ def test_available_moves_change_one_coordinate():
                     assert bin(u ^ v).count("1") == 1
 
 
-def test_edge_consistency_sampled():
-    rng = random.Random(7)
-    o = uniform_oracle(8, rng.getrandbits(8))
-    for _ in range(10000):
-        v = rng.getrandbits(8)
-        c = rng.randrange(8)
-        assert edge_consistent(o, v, c)
-
-
 def test_face_sink_uniform_whole_cube():
-    o = uniform_oracle(3, 0)
+    o = UniformOracle(3, 0)
     assert face_sink(o, Face(0, 0b111)) == 0
 
 

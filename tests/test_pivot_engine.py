@@ -1,22 +1,31 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
-from ausokit.cube_core import Direction, TableOracle, direction_text, uniform_oracle
+from ausokit.combinators import FrameAssignmentMap, ProductOracle, materialize, reorient_face
+from ausokit.cube_core import (
+    Direction,
+    Face,
+    OrientationOracle,
+    TableOracle,
+    UniformOracle,
+    apply_direction,
+    direction_text,
+    is_available,
+)
 from ausokit.frame_store import johnson_tie_order, tie_pattern_zadeh
 from ausokit.pivot_engine import (
     CunninghamState,
     JohnsonState,
     OracleInconsistencyError,
-    SinkReached,
     StepLimitExceeded,
     ZadehState,
     balance_of,
-    cunningham_step,
     is_saturated,
     read_trace_jsonl,
     replay,
     run_to_sink,
     write_trace_jsonl,
-    zadeh_step,
 )
 from ausokit.constructions import realize_range, tie_list
 
@@ -26,6 +35,13 @@ def _dirs(pattern, bundle=0, size=4):
     for item in pattern.split(","):
         out.append(Direction(bundle * size + int(item[1:]) - 1, item[0] == "+"))
     return out
+
+
+def _step(oracle, v, state):
+    """One move as run_to_sink makes it: choose from v's outmap, record."""
+    d = state.choose(v, oracle.evaluate(v))
+    state.record(v, d)
+    return d, apply_direction(v, d)
 
 
 def test_cunningham_base_case_run(cunningham_frames):
@@ -40,9 +56,9 @@ def test_cunningham_base_case_run(cunningham_frames):
 def test_cunningham_first_steps_skip_unavailable(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
     st = CunninghamState(tuple(tie_list("cunningham", 0)))
-    d, v = cunningham_step(f3, 0b0010, st)
+    d, v = _step(f3, 0b0010, st)
     assert d == Direction(0, True)
-    d, v = cunningham_step(f3, v, st)
+    d, v = _step(f3, v, st)
     assert d == Direction(2, True)  # -c^2 was not available
 
 
@@ -51,14 +67,15 @@ def test_cunningham_marker_tracks_used_direction(cunningham_frames):
     st = CunninghamState(tuple(tie_list("cunningham", 0)))
     v = 0b0010
     while f3.evaluate(v):
-        d, v = cunningham_step(f3, v, st)
+        d, v = _step(f3, v, st)
         assert st.order[st.marker - 1] == d
 
 
 def test_cunningham_step_at_sink_raises(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
-    with pytest.raises(SinkReached):
-        cunningham_step(f3, 0b1111, CunninghamState(tuple(tie_list("cunningham", 0))))
+    assert f3.evaluate(0b1111) == 0
+    st = CunninghamState(tuple(tie_list("cunningham", 0)))
+    assert st.choose(0b1111, 0) is None
 
 
 JOHNSON_TABLE = [
@@ -120,7 +137,7 @@ def test_zadeh_base_case_walk(zadeh_frames):
 
 def test_zadeh_two_cube_tie_break():
     # both directions unused: the tie list decides; hand-simulated
-    o = uniform_oracle(2, 0)
+    o = UniformOracle(2, 0)
     tie = (Direction(0, True), Direction(0, False), Direction(1, True),
            Direction(1, False))
     st = ZadehState(tie)
@@ -134,7 +151,7 @@ def test_zadeh_usage_conservation(zadeh_frames):
     v = spec.labels["box1"]
     steps = 0
     while a0.evaluate(v):
-        _, v = zadeh_step(a0, v, st)
+        _, v = _step(a0, v, st)
         steps += 1
         assert sum(st.usage.values()) == steps
 
@@ -142,7 +159,7 @@ def test_zadeh_usage_conservation(zadeh_frames):
 def test_all_rules_take_n_steps_from_antisink():
     for n in (3, 5):
         anti = (1 << n) - 1
-        o = uniform_oracle(n, 0)
+        o = UniformOracle(n, 0)
         cunn = CunninghamState(tuple(
             d for c in range(n) for d in (Direction(c, True), Direction(c, False))))
         assert len(run_to_sink(o, anti, "cunningham", cunn, bundle_size=n)) == n
@@ -171,21 +188,49 @@ def test_step_limit_flags_cycle():
     assert len(exc.value.partial.steps) == 50
 
 
+def _states(order):
+    return {"cunningham": CunninghamState(order), "johnson": JohnsonState(order),
+            "zadeh": ZadehState(order)}
+
+
 def test_inconsistent_oracle_detected():
-    class Flaky:
-        dimension = 2
+    # Uniform toward sink {c2}, except that the sink also claims the edge
+    # {0, c2}: both of its ends list it, and every rule arrives over it.
+    table = TableOracle(2, [0b10, 0b11, 0b10, 0b01])
+    order = (Direction(0, True), Direction(1, True), Direction(0, False),
+             Direction(1, False))
+    for rule, state in _states(order).items():
+        with pytest.raises(OracleInconsistencyError, match="both ends"):
+            run_to_sink(table, 0, rule, state, bundle_size=2)
 
-        def __init__(self):
-            self.calls = 0
 
-        def evaluate(self, v):
-            self.calls += 1
-            return 0b01 if self.calls % 2 else 0b10
+def test_outmap_outside_the_order_raises():
+    # The order lacks coordinate 1; at 0b10 the outmap lists only that edge.
+    order = (Direction(0, True), Direction(0, False))
+    for rule, state in _states(order).items():
+        with pytest.raises(OracleInconsistencyError, match="no direction available"):
+            run_to_sink(UniformOracle(2, 0), 0b11, rule, state, bundle_size=2)
 
-    st = CunninghamState((Direction(0, True), Direction(1, True),
-                          Direction(0, False), Direction(1, False)))
-    with pytest.raises(OracleInconsistencyError):
-        run_to_sink(Flaky(), 0, "cunningham", st, bundle_size=2)
+
+class _CountingOracle(OrientationOracle):
+    def __init__(self, base):
+        self.base = base
+        self.dimension = base.dimension
+        self.calls = 0
+
+    def evaluate(self, v):
+        self.calls += 1
+        return self.base.evaluate(v)
+
+
+@pytest.mark.parametrize("family,top", [("cunningham", 3), ("johnson", 2), ("zadeh", 1)])
+def test_one_evaluate_per_visited_vertex(family, top, built_levels):
+    level, _ = built_levels[family][top]
+    counting = _CountingOracle(level.oracle)
+    trace = run_to_sink(counting, level.start, family, level.rule_state(),
+                        bundle_size=level.bundle_size)
+    assert len(trace) == level.path_length > 0
+    assert counting.calls == len(trace) + 1
 
 
 def test_balance_of_fresh_and_scoped():
@@ -195,8 +240,6 @@ def test_balance_of_fresh_and_scoped():
     st.usage[Direction(0, True)] = 3
     st.usage[Direction(1, True)] = 1
     assert balance_of(st, Direction(1, True)) == 2
-    assert balance_of(st, Direction(1, True),
-                      scope=[Direction(1, True), Direction(2, True)]) == 0
 
 
 def test_is_saturated_fresh_state(zadeh_frames):
@@ -210,7 +253,7 @@ def test_is_saturated_at_box12_not_at_box2(zadeh_frames):
     st = ZadehState(tuple(tie_pattern_zadeh(0)))
     v = spec.labels["box1"]
     for i in range(11):
-        _, v = zadeh_step(a0, v, st)
+        _, v = _step(a0, v, st)
         if i == 0:
             # after one step some imbalanced direction is available
             assert not is_saturated(a0, v, st, st.tie_list)
@@ -278,3 +321,81 @@ def test_replay_ends_in_the_steppers_final_state(family, top):
             counts = replayed.last_step if family == "johnson" else replayed.usage
             assert trace.final_history == {direction_text(d, level.bundle_size): c
                                            for d, c in counts.items()}
+
+
+# The rules as the per-direction steppers stated them, one is_available
+# probe per direction: the reference for the single-outmap choose methods.
+def _reference_directions(oracle, start, rule, order, limit):
+    rank = {d: i for i, d in enumerate(order)}
+    h = {d: 0 for d in order}
+    marker, counter = len(order), 1
+    v, dirs = start, []
+    while oracle.evaluate(v) and len(dirs) < limit:
+        if rule == "cunningham":
+            for k in range(1, len(order) + 1):
+                d = order[(marker - 1 + k) % len(order)]
+                if is_available(oracle, v, d):
+                    break
+            marker = rank[d] + 1
+        else:
+            d = min((x for x in order if is_available(oracle, v, x)),
+                    key=lambda x: (h[x], rank[x]))
+            if rule == "johnson":
+                for x in order:
+                    if bool(v & (1 << x.coord)) == x.positive:
+                        h[x] = counter
+                counter += 1
+            else:
+                h[d] += 1
+        dirs.append(d)
+        v = apply_direction(v, d)
+    return dirs
+
+
+@hst.composite
+def _rule_oracles(draw, frames):
+    """A uniform cube with a random sink, a product of frames (a frame or a
+    uniform cube inside, 4-frames outside), or a uniform cube with a face
+    reoriented by a 4-frame; at most 10 dimensions."""
+    four_dim = [f for f in frames if f.dimension == 4]
+    kind = draw(hst.sampled_from(("uniform", "product", "reoriented")))
+    if kind == "uniform":
+        n = draw(hst.integers(0, 10))
+        return UniformOracle(n, draw(hst.integers(0, (1 << n) - 1)))
+    if kind == "product":
+        if draw(hst.booleans()):
+            inner = draw(hst.sampled_from(frames))
+        else:
+            m = draw(hst.integers(1, 6))
+            inner = UniformOracle(m, draw(hst.integers(0, (1 << m) - 1)))
+        keys = draw(hst.sets(hst.integers(0, (1 << inner.dimension) - 1), max_size=12))
+        frame_map = FrameAssignmentMap(inner.dimension, draw(hst.sampled_from(four_dim)),
+                                       {k: draw(hst.sampled_from(four_dim)) for k in keys})
+        return ProductOracle(inner, frame_map)
+    n = draw(hst.integers(4, 10))
+    base = UniformOracle(n, draw(hst.integers(0, (1 << n) - 1)))
+    free = sum(1 << c for c in draw(hst.permutations(range(n)))[:4])
+    face = Face(draw(hst.integers(0, (1 << n) - 1)) & ~free, free)
+    return reorient_face(base, face, draw(hst.sampled_from(four_dim)))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True, database=None)
+@given(hst.data())
+def test_rules_match_per_direction_reference(cunningham_frames, johnson_frames,
+                                             zadeh_frames, data):
+    frames = [oracle for family in (cunningham_frames, johnson_frames, zadeh_frames)
+              for _, oracle in family.values()]
+    oracle = materialize(data.draw(_rule_oracles(frames)))
+    n = oracle.dimension
+    order = tuple(data.draw(hst.permutations(
+        [Direction(c, s) for c in range(n) for s in (True, False)])))
+    limit = 4 << n
+    for start in range(1 << n):
+        for rule, state in _states(order).items():
+            try:
+                got = run_to_sink(oracle, start, rule, state, step_limit=limit,
+                                  bundle_size=max(n, 1), record_history=False)
+            except StepLimitExceeded as exc:
+                got = exc.partial
+            assert got.directions() == _reference_directions(oracle, start, rule,
+                                                             order, limit)

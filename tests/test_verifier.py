@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from ausokit.cube_core import Face, TableOracle, parse_vertex, uniform_oracle
+from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
 from ausokit.verifier import (
     CROSS_VALIDATE_CAP,
     VerifierError,
@@ -19,7 +19,7 @@ from ausokit.verifier import (
 
 
 def test_uniform_4cube_passes_both_modes():
-    o = uniform_oracle(4, 0b0101)
+    o = UniformOracle(4, 0b0101)
     for mode in ("ground", "pairwise", "auto"):
         assert check_uso_exhaustive(o, mode=mode).passed
 
@@ -32,7 +32,7 @@ def _corrupt_edge(table, v, c):
 
 
 def test_corrupted_edge_next_to_sink_fails_with_witness():
-    o = uniform_oracle(4, 0)
+    o = UniformOracle(4, 0)
     table = [o.evaluate(v) for v in range(16)]
     broken = TableOracle(4, _corrupt_edge(table, 0, 2))
     report = check_uso_exhaustive(broken, mode="ground")
@@ -71,7 +71,7 @@ def test_sampled_full_coverage_matches_exhaustive():
     # with samples >= 3^n and max_face_dim = n the sample covers every face
     # with overwhelming probability, so the verdicts must agree
     for sink in (0, 0b101):
-        o = uniform_oracle(3, sink)
+        o = UniformOracle(3, sink)
         table = [o.evaluate(v) for v in range(8)]
         ok = TableOracle(3, list(table))
         bad = TableOracle(3, _corrupt_edge(list(table), 0b010, 0))
@@ -137,7 +137,7 @@ def test_acyclic_planted_cycle_above_cross_validate_cap():
 
 
 def test_acyclic_uniform_and_cyclic_witness():
-    assert check_acyclic(uniform_oracle(5, 7)).passed
+    assert check_acyclic(UniformOracle(5, 7)).passed
     cyclic = TableOracle(2, [0b01, 0b10, 0b10, 0b01])  # 00->10->11->01->00
     report = check_acyclic(cyclic)
     assert not report.passed
@@ -146,12 +146,12 @@ def test_acyclic_uniform_and_cyclic_witness():
 
 
 def test_sampled_uniform_24_cube():
-    o = uniform_oracle(24, 0)
+    o = UniformOracle(24, 0)
     assert check_uso_sampled(o, 10000, 6, seed=3).passed
 
 
 def test_sampled_targeted_corruption():
-    o = uniform_oracle(10, 0)
+    o = UniformOracle(10, 0)
     table = [o.evaluate(v) for v in range(1 << 10)]
     broken = TableOracle(10, _corrupt_edge(table, 0b0000000011, 5))
     # seed chosen so one sampled face covers the broken edge
@@ -170,7 +170,7 @@ def test_sampled_deterministic_under_seed():
     # On an oracle with many broken edges, the batched check reports the
     # first failing face in sample order, as a face-by-face scan does.
     rng = random.Random(17)
-    table = [uniform_oracle(12, 5).evaluate(v) for v in range(1 << 12)]
+    table = [UniformOracle(12, 5).evaluate(v) for v in range(1 << 12)]
     for _ in range(60):
         _corrupt_edge(table, rng.getrandbits(12), rng.randrange(12))
     broken = TableOracle(12, table)
@@ -190,11 +190,11 @@ def test_sampled_deterministic_under_seed():
 
 def test_caps_raise():
     with pytest.raises(VerifierError):
-        check_uso_exhaustive(uniform_oracle(16, 0))
+        check_uso_exhaustive(UniformOracle(16, 0))
     with pytest.raises(VerifierError):
-        check_acyclic(uniform_oracle(22, 0))
+        check_acyclic(UniformOracle(22, 0))
     with pytest.raises(VerifierError):
-        check_uso_sampled(uniform_oracle(12, 0), 10, 11, seed=0)
+        check_uso_sampled(UniformOracle(12, 0), 10, 11, seed=0)
 
 
 def test_check_growth():
@@ -227,8 +227,8 @@ def test_trace_properties_detect_tampering(built_levels):
 
 
 def test_report_merge_and_json():
-    a = check_acyclic(uniform_oracle(3, 0))
-    b = check_acyclic(uniform_oracle(3, 5))
+    a = check_acyclic(UniformOracle(3, 0))
+    b = check_acyclic(UniformOracle(3, 5))
     merged = a.merge(b)
     assert merged.passed and len(merged.checks) == 2
     payload = merged.to_json()
@@ -236,7 +236,7 @@ def test_report_merge_and_json():
 
 
 def test_sampled_full_coverage_n4():
-    table = [uniform_oracle(4, 0b1100).evaluate(v) for v in range(16)]
+    table = [UniformOracle(4, 0b1100).evaluate(v) for v in range(16)]
     good = TableOracle(4, list(table))
     bad = TableOracle(4, _corrupt_edge(list(table), 0b0011, 3))
     for oracle in (good, bad):
