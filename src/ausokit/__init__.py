@@ -50,7 +50,6 @@ from .verifier import (
 )
 from .frame_store import (
     FrameSpec,
-    load_frame,
     validate_all,
     validate_family,
 )

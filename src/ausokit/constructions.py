@@ -107,29 +107,21 @@ def rule_state(family: str, level: int):
     return JohnsonState(tuple(johnson_tie_order(level + 1)))
 
 
-@dataclass
-class ResetLevel:
-    level: int
-    oracle: OrientationOracle
-
-
-def build_reset(level: int, frames_dir=None, _r1=None) -> ResetLevel:
+def build_reset(level: int, r1: OrientationOracle) -> OrientationOracle:
     """Reset orientation R_level of dimension 4*level.
 
     R_0 is a point; R_{i+1} takes 16 copies of R_i, connects the sink of R_i
     by another copy of R_1 and every other vertex by the uniform 4-cube with
     sink {c1, c4}.  The sink stays at the empty vertex throughout, and the
     reset path walks (-c_0^1, -c_0^4, ..., -c^1, -c^4) one outgoing edge at
-    a time.
+    a time.  r1 is the transcribed reset frame R_1.
     """
-    if _r1 is None:
-        _r1 = load_family("johnson", frames_dir)["r1"][1]
     oracle: OrientationOracle = TableOracle(0, [0])
     for j in range(level):
         frames = FrameAssignmentMap(oracle.dimension, UniformOracle(4, 0b1001),
-                                    overrides={0: _r1})
+                                    overrides={0: r1})
         oracle = MemoOracle(ProductOracle(oracle, frames))
-    return ResetLevel(level, oracle)
+    return oracle
 
 
 @dataclass
@@ -280,7 +272,7 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     full direction list.
     """
     if family == "johnson":
-        replacement = build_reset(level, _r1=frame_oracles["r1"]).oracle
+        replacement = build_reset(level, frame_oracles["r1"])
     else:
         replacement = UniformOracle(prev.dimension, prev.start)
     realizing = None

@@ -10,6 +10,7 @@ uint64 array.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -38,9 +39,8 @@ class FaceSinkError(CubeError):
         self.witnesses = witnesses
 
 
-@dataclass(frozen=True, order=True)
-class Direction:
-    """A signed coordinate; `coord` is the global id, `positive` the sign."""
+class Direction(NamedTuple):
+    """A signed coordinate as a tuple: `coord` the global id, `positive` the sign."""
 
     coord: int
     positive: bool

@@ -149,14 +149,6 @@ def oracle_from_spec(spec: FrameSpec) -> TableOracle:
     return TableOracle(n, table)
 
 
-def load_frame(path) -> tuple[FrameSpec, TableOracle]:
-    path = Path(path)
-    name = path.stem
-    family = next((f for f in FAMILIES if name.startswith(f)), "")
-    spec = parse_frame(path.read_text(encoding="utf-8"), name=name, family=family)
-    return spec, oracle_from_spec(spec)
-
-
 def packaged_frames_dir() -> Path:
     return Path(__file__).parent / "frames"
 
@@ -181,10 +173,8 @@ def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, Tabl
         path = frames_dir / f"{family}_{stem}.frame"
         if not path.exists():
             raise CubeError(f"missing frame transcription {path}")
-        spec, oracle = load_frame(path)
-        spec.family = family
-        spec.name = stem
-        out[stem] = (spec, oracle)
+        spec = parse_frame(path.read_text(encoding="utf-8"), name=stem, family=family)
+        out[stem] = (spec, oracle_from_spec(spec))
     return out
 
 

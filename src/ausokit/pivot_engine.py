@@ -47,20 +47,36 @@ class OracleInconsistencyError(CubeError):
     just crossed claim it, or a nonempty outmap offers the rule nothing."""
 
 
+def _least(v: int, out: int, counts: dict, rank: dict,
+           order: tuple[Direction, ...]) -> Direction | None:
+    """The outgoing direction at v of least (count, tie rank), read off the
+    set bits of the outmap `out` alone (+c where v lacks c, -c where v has
+    it).  A plain (coord, positive) tuple finds the order's Direction in
+    `counts` and `rank`; a direction outside the order is skipped."""
+    size, best = len(order), -1
+    while out:
+        bit = out & -out
+        out ^= bit
+        d = (bit.bit_length() - 1, not v & bit)
+        r = rank.get(d)
+        if r is not None:
+            key = counts[d] * size + r
+            if best < 0 or key < best:
+                best = key
+    return order[best % size] if best >= 0 else None
+
+
 @dataclass
 class CunninghamState:
     """List L of all 2n directions and marker mu (1-based index of the last
     direction used; 2n initially so the first check is L[1])."""
 
     order: tuple[Direction, ...]
-    marker: int = field(default=-1)
-    _rank: dict[Direction, int] = field(default_factory=dict, repr=False)
+    marker: int = field(init=False)
 
     def __post_init__(self):
-        if self.marker < 0:
-            self.marker = len(self.order)
-        if not self._rank:
-            self._rank = {d: i for i, d in enumerate(self.order)}
+        self.marker = len(self.order)
+        self._rank = {d: i for i, d in enumerate(self.order)}
 
     def choose(self, v: int, out: int) -> Direction | None:
         """Scan L cyclically from the marker; the first outgoing direction."""
@@ -81,46 +97,57 @@ class CunninghamState:
 
 @dataclass
 class JohnsonState:
-    """Last-step table h, step counter t, and the tie order.
+    """Last-step numbers h, step counter t, and the tie order.
 
+    The update phase at u with step number s sets h(d) := s for every d not
+    outgoing-side at u (+c with c present, -c with c absent); any other d
+    keeps stamp[d], the step whose move took d's opposite (0 before one).
+    The state keeps the stamps and the latest update `updated` = (u, s).
     arrival_update controls only the recorded snapshots: when True (the
-    reporting convention) the update phase is also applied at the arrival
-    vertex with the same step number.  The updated directions are exactly
-    the unavailable ones there, so choices never depend on this flag.
+    reporting convention) a step's snapshot is h as of an update at the
+    arrival vertex with the same step number.  Those are exactly the
+    unavailable directions there, so choices never depend on this flag.
     """
 
     tie_order: tuple[Direction, ...]
-    last_step: dict[Direction, int] = field(default_factory=dict)
+    stamp: dict[Direction, int] = field(init=False)
+    updated: tuple[int, int] = field(init=False, default=(0, 0))
     step_counter: int = 1
     arrival_update: bool = True
 
     def __post_init__(self):
-        if not self.last_step:
-            self.last_step = {d: 0 for d in self.tie_order}
+        self.stamp = {d: 0 for d in self.tie_order}
+        self._rank = {d: i for i, d in enumerate(self.tie_order)}
+
+    def table(self, u: int | None = None) -> dict[Direction, int]:
+        """h after the latest update phase, or as if it had been at u."""
+        v, s = self.updated
+        u = v if u is None else u
+        return {d: s if bool(u >> d.coord & 1) == d.positive else self.stamp[d]
+                for d in self.tie_order}
+
+    @property
+    def last_step(self) -> dict[Direction, int]:
+        return self.table()
 
     def choose(self, v: int, out: int) -> Direction | None:
-        """The outgoing direction with the smallest h; min keeps the first of
-        equal keys, so ties go by the tie order.  record stamps h at v only
-        on directions not outgoing there, so stamping first, as the rule is
-        stated, chooses the same move."""
-        return min((d for d in self.tie_order if is_outgoing(v, out, d)),
-                   key=self.last_step.__getitem__, default=None)
-
-    def apply_update(self, v: int, t: int) -> None:
-        """h(d) := t for every direction whose defining condition holds at v."""
-        for d in self.tie_order:
-            present = bool(v & (1 << d.coord))
-            if present == d.positive:
-                self.last_step[d] = t
+        """The outgoing direction with the smallest h, ties by the tie order.
+        An outgoing direction's h is its stamp, which the update phase at v
+        leaves alone, so stamping first, as the rule is stated, agrees."""
+        return _least(v, out, self.stamp, self._rank, self.tie_order)
 
     def record(self, v: int, d: Direction) -> None:
-        """Bookkeeping of a move from v: update h at v, then count the step."""
-        self.apply_update(v, self.step_counter)
+        """Bookkeeping of the move d from v: update h at v (the stamp of d's
+        opposite is this step), then count the step."""
+        opposite = Direction(d.coord, not d.positive)
+        if opposite in self.stamp:
+            self.stamp[opposite] = self.step_counter
+        self.updated = (v, self.step_counter)
         self.step_counter += 1
 
     def settle(self, v: int) -> None:
         """Bookkeeping at the sink: the update phase with the same step number."""
-        self.apply_update(v, self.step_counter)
+        self.updated = (v, self.step_counter)
 
 
 @dataclass
@@ -128,16 +155,15 @@ class ZadehState:
     """Usage counts h and the tie list T (all 2n directions, fixed order)."""
 
     tie_list: tuple[Direction, ...]
-    usage: dict[Direction, int] = field(default_factory=dict)
+    usage: dict[Direction, int] = field(init=False)
 
     def __post_init__(self):
-        if not self.usage:
-            self.usage = {d: 0 for d in self.tie_list}
+        self.usage = {d: 0 for d in self.tie_list}
+        self._rank = {d: i for i, d in enumerate(self.tie_list)}
 
     def choose(self, v: int, out: int) -> Direction | None:
         """The least-used outgoing direction; ties go by the tie list."""
-        return min((d for d in self.tie_list if is_outgoing(v, out, d)),
-                   key=self.usage.__getitem__, default=None)
+        return _least(v, out, self.usage, self._rank, self.tie_list)
 
     def record(self, v: int, d: Direction) -> None:
         """Bookkeeping of the move d from v: one more use of d."""
@@ -192,12 +218,14 @@ class Trace:
         return out
 
 
-def _snapshot(rule: str, st, bundle_size: int):
+def _snapshot(rule: str, st, bundle_size: int, arrival: int | None = None):
+    """The history record; Johnson's h is read as of an update at `arrival`,
+    the vertex just entered, when arrival_update is on."""
     if rule == "cunningham":
         return {"mu": st.marker}
-    if rule == "johnson":
-        return {direction_text(d, bundle_size): t for d, t in st.last_step.items()}
-    return {direction_text(d, bundle_size): c for d, c in st.usage.items()}
+    counts = st.usage if rule == "zadeh" else st.table(
+        arrival if st.arrival_update else None)
+    return {direction_text(d, bundle_size): c for d, c in counts.items()}
 
 
 def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
@@ -250,11 +278,7 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
                 f"outmap of {vertex_text(v, n)} nonempty but no direction available")
         state.record(v, d)
         v_next = apply_direction(v, d)
-        history = None
-        if record_history:
-            if rule == "johnson" and state.arrival_update:
-                state.apply_update(v_next, t)
-            history = _snapshot(rule, state, bundle_size)
+        history = _snapshot(rule, state, bundle_size, v_next) if record_history else None
         trace.steps.append(TraceStep(t, v, d, history))
         if after_step is not None:
             after_step(t, v, d, v_next)

@@ -357,16 +357,16 @@ def _projection_check(report, level, trace, lower_trace):
 def _zadeh_replay(level, trace):
     """One replay of the run.  Returns the saturated indices (index i is
     saturated when the vertex before step i is D+-saturated, balance against
-    the most used direction overall), whether every saturated vertex whose
-    inner part is still active escapes through the innermost bundle to a
-    vertex that is not inner-saturated and still inner-active, and the final
-    state."""
+    the most used direction overall), the top usage count at each of them,
+    whether every saturated vertex whose inner part is still active escapes
+    through the innermost bundle to a vertex that is not inner-saturated and
+    still inner-active, and the final state."""
     size = level.bundle_size
     inner_mask = (1 << (level.dimension - size)) - 1
     in_dirs = [Direction(c, s) for c in range(level.dimension - size)
                for s in (True, False)]
     st = level.rule_state()
-    sat = []
+    sat, tops = [], []
     escapes = True
     escaping = False  # the previous vertex was saturated and inner-active
     for i, (v, step) in enumerate(replay(trace, st)):
@@ -377,33 +377,28 @@ def _zadeh_replay(level, trace):
         # The sink is trivially saturated.
         if step is None or is_saturated(level.oracle, v, st, st.tie_list):
             sat.append(i)
+            tops.append(max(st.usage.values()))
             escaping = step is not None and bool(level.oracle.evaluate(v) & inner_mask)
             escapes = escapes and (not escaping or step.direction.coord < size)
-    return sat, escapes, st
+    return sat, tops, escapes, st
 
 
 def _zadeh_trace_checks(report, level, trace, lower_trace):
     size = level.bundle_size
-    sat, escapes, final_state = _zadeh_replay(level, trace)
+    sat, tops, escapes, final_state = _zadeh_replay(level, trace)
     # Between consecutive saturated vertices: the newest
     # bundle's directions are each used at most once (inner bundles satisfy
     # this recursively at their own level), fewer than 2n distinct
-    # directions are touched, and the top usage count grows by at most one.
+    # directions are touched, and the top usage count grows by at most one
+    # (the start, where nothing is used yet, is always saturated).
     top = {Direction(level.level * size + k, s)
            for k in range(size) for s in (True, False)}
-    ok = True
-    max_before = 0
-    usage: dict = {}
+    ok = all(after <= before + 1 for before, after in zip(tops, tops[1:]))
     for a, b in zip(sat, sat[1:]):
         segment = [s.direction for s in trace.steps[a:b]]
         new_bundle = [d for d in segment if d in top]
         ok = ok and len(set(new_bundle)) == len(new_bundle)
         ok = ok and len(set(segment)) <= 2 * level.dimension - 1
-        for d in segment:
-            usage[d] = usage.get(d, 0) + 1
-        max_after = max(usage.values())
-        ok = ok and max_after <= max_before + 1
-        max_before = max_after
     report.add("saturated_segment_usage", ok, None if ok else {"saturated": sat})
     # At the sink, exactly the -c^3..-c^6 of every bundle lag one use
     # behind; everything else is balanced.

@@ -56,29 +56,29 @@ def test_starting_vertices():
 
 def test_build_reset_r1_matches_transcription(johnson_frames):
     _, r1 = johnson_frames["r1"]
-    built = build_reset(1)
-    assert materialize(built.oracle).table == r1.table
+    built = build_reset(1, r1)
+    assert materialize(built).table == r1.table
 
 
-def test_build_reset_r2_walk_and_structure():
-    r2 = build_reset(2)
-    assert r2.oracle.dimension == 8
+def test_build_reset_r2_walk_and_structure(johnson_frames):
+    r2 = build_reset(2, johnson_frames["r1"][1])
+    assert r2.dimension == 8
     v = 0b1001 | (0b1001 << 4)  # {c_0^1, c_0^4, c_1^1, c_1^4}
     used = []
     while v:
-        out = r2.oracle.evaluate(v)
+        out = r2.evaluate(v)
         assert bin(out).count("1") == 1
         used.append(out.bit_length() - 1)
         v ^= out
     assert used == [0, 3, 4, 7]  # -c_0^1, -c_0^4, -c_1^1, -c_1^4
-    table = materialize(r2.oracle)
+    table = materialize(r2)
     assert check_uso_exhaustive(table).passed
     assert check_acyclic(table).passed
 
 
-def test_build_reset_evaluate_many():
+def test_build_reset_evaluate_many(johnson_frames):
     for level in range(4):
-        oracle = build_reset(level).oracle
+        oracle = build_reset(level, johnson_frames["r1"][1])
         size = 1 << oracle.dimension
         got = oracle.evaluate_many(np.arange(size, dtype=np.uint64))
         assert got.tolist() == [oracle.evaluate(v) for v in range(size)]

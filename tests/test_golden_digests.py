@@ -1,0 +1,72 @@
+"""Golden sha256 digests of the files the acceptance-fixture chains write.
+
+Criterion 7 compares the code against itself; these digests pin the bytes
+of every level's trace (per-step history snapshots included, since every
+level here has n <= 16), of Johnson's traces in the non-arrival convention
+and of the level cache files, so a rework of the rule states or of the
+builders cannot change them unnoticed.
+"""
+
+import hashlib
+
+import pytest
+
+from ausokit.constructions import realize_range
+from ausokit.frame_store import johnson_tie_order
+from ausokit.pivot_engine import JohnsonState, run_to_sink, write_trace_jsonl
+
+TRACE_DIGESTS = {
+    "cunningham":
+        "6eda6248aeb54b7b85fdb0c7b300f12e67b398db6ef37b9155f11e1bb1d6f928",
+    "johnson":
+        "845a2ea27c6898688eef4774a7a4c75b046530bf3508a5a9d1eb0dd16dd532b1",
+    "zadeh":
+        "ecf645fa8abe150807cb97a417589c403beb718e3725b01f855f11d1ccaac7bd",
+}
+CACHE_DIGESTS = {
+    "cunningham":
+        "f2f97983603fec9cb03d9ea0158727d37207d6883203fe9fb4ae011632713405",
+    "johnson":
+        "7ad608f537385577800424ef86eb7d56d1bad6bcfd6ead8a5e9053ecb6354ab6",
+    "zadeh":
+        "62b90dcdb0254bc1398bd6c8cd8aefe0702be2fb800fcf85e74ef63cba8f220d",
+}
+JOHNSON_NON_ARRIVAL_DIGEST = (
+    "54d15d869fcc2dd50f009568a7a6e28a27c84469c06532d0b649c0a70cccea54")
+
+
+def _digest(paths) -> str:
+    h = hashlib.sha256()
+    for path in paths:
+        h.update(path.name.encode() + b"\n" + path.read_bytes())
+    return h.hexdigest()
+
+
+def _write_traces(traces, directory):
+    paths = []
+    for i, trace in enumerate(traces):
+        path = directory / f"level{i}.jsonl"
+        write_trace_jsonl(trace, path)
+        paths.append(path)
+    return paths
+
+
+@pytest.mark.parametrize("family", sorted(TRACE_DIGESTS))
+def test_trace_digest(family, built_levels, tmp_path):
+    traces = [trace for _, trace in built_levels[family]]
+    assert _digest(_write_traces(traces, tmp_path)) == TRACE_DIGESTS[family]
+
+
+@pytest.mark.parametrize("family", sorted(CACHE_DIGESTS))
+def test_cache_digest(family, built_levels, tmp_path):
+    realize_range(family, len(built_levels[family]) - 1, cache_dir=tmp_path)
+    assert _digest(sorted(tmp_path.glob("*.json"))) == CACHE_DIGESTS[family]
+
+
+def test_johnson_non_arrival_digest(built_levels, tmp_path):
+    traces = [run_to_sink(level.oracle, level.start, "johnson",
+                          JohnsonState(tuple(johnson_tie_order(level.level + 1)),
+                                       arrival_update=False), bundle_size=4)
+              for level, _ in built_levels["johnson"]]
+    assert all(trace.steps[-1].history is not None for trace in traces)
+    assert _digest(_write_traces(traces, tmp_path)) == JOHNSON_NON_ARRIVAL_DIGEST

@@ -324,12 +324,22 @@ def test_replay_ends_in_the_steppers_final_state(family, top):
 
 
 # The rules as the per-direction steppers stated them, one is_available
-# probe per direction: the reference for the single-outmap choose methods.
-def _reference_directions(oracle, start, rule, order, limit):
+# probe per direction and Johnson's h updated eagerly over the whole tie
+# order: the reference for the single-outmap choose methods and for the
+# stamped h tables.
+def _reference_run(oracle, start, rule, order, limit):
+    """The directions of the run and, for Johnson, h after each step in both
+    conventions ((arrival, non-arrival) pairs) and after the final update."""
     rank = {d: i for i, d in enumerate(order)}
     h = {d: 0 for d in order}
     marker, counter = len(order), 1
-    v, dirs = start, []
+    v, dirs, tables = start, [], []
+
+    def updated(u, t):
+        """h after an update phase at u with step number t."""
+        return {x: t if bool(u & (1 << x.coord)) == x.positive else c
+                for x, c in h.items()}
+
     while oracle.evaluate(v) and len(dirs) < limit:
         if rule == "cunningham":
             for k in range(1, len(order) + 1):
@@ -341,15 +351,41 @@ def _reference_directions(oracle, start, rule, order, limit):
             d = min((x for x in order if is_available(oracle, v, x)),
                     key=lambda x: (h[x], rank[x]))
             if rule == "johnson":
-                for x in order:
-                    if bool(v & (1 << x.coord)) == x.positive:
-                        h[x] = counter
+                h = updated(v, counter)
+                tables.append((updated(apply_direction(v, d), counter), h))
                 counter += 1
             else:
                 h[d] += 1
         dirs.append(d)
         v = apply_direction(v, d)
-    return dirs
+    return dirs, tables, updated(v, counter)
+
+
+def _johnson_matches_reference(oracle, start, order, limit, bundle_size):
+    """Snapshots, final history and replayed last_step against the reference,
+    in both arrival conventions."""
+    _, tables, final = _reference_run(oracle, start, "johnson", order, limit)
+
+    def text(table):
+        return {direction_text(d, bundle_size): c for d, c in table.items()}
+
+    for arrival in (True, False):
+        try:
+            got = run_to_sink(oracle, start, "johnson",
+                              JohnsonState(order, arrival_update=arrival),
+                              step_limit=limit, bundle_size=bundle_size,
+                              record_history=True)
+        except StepLimitExceeded as exc:
+            got = exc.partial
+        assert [s.history for s in got.steps] == [text(pair[0 if arrival else 1])
+                                                  for pair in tables]
+        if got.final_history is not None:
+            assert got.final_history == text(final)
+    state = JohnsonState(order)
+    before = [{d: 0 for d in order}] + [non_arrival for _, non_arrival in tables]
+    for _, want in zip(replay(got, state), before, strict=True):
+        assert state.last_step == want
+    assert state.last_step == final
 
 
 @hst.composite
@@ -397,5 +433,19 @@ def test_rules_match_per_direction_reference(cunningham_frames, johnson_frames,
                                   bundle_size=max(n, 1), record_history=False)
             except StepLimitExceeded as exc:
                 got = exc.partial
-            assert got.directions() == _reference_directions(oracle, start, rule,
-                                                             order, limit)
+            assert got.directions() == _reference_run(oracle, start, rule,
+                                                      order, limit)[0]
+        _johnson_matches_reference(oracle, start, order, limit, max(n, 1))
+
+
+def test_johnson_h_keys_stay_the_tie_order():
+    # The tie order lacks -c1; the run takes +c1 first, whose opposite it is.
+    order = (Direction(0, True), Direction(1, True), Direction(1, False))
+    state = JohnsonState(order)
+    trace = run_to_sink(UniformOracle(2, 0b11), 0, "johnson", state, bundle_size=2)
+    assert trace.directions() == [Direction(0, True), Direction(1, True)]
+    assert list(state.last_step) == list(state.stamp) == list(order)
+    keys = [direction_text(d, 2) for d in order]
+    assert all(list(s.history) == keys for s in trace.steps)
+    assert list(trace.final_history) == keys
+    _johnson_matches_reference(UniformOracle(2, 0b11), 0, order, 8, 2)
