@@ -366,7 +366,7 @@ def validate_zadeh(frames) -> VerificationReport:
     # beyond the last saturated path vertex.
     st2 = ZadehState(tuple(tie0))
     sat_positions = [i for i, (v, step) in enumerate(replay(trace, st2))
-                     if step is not None and is_saturated(a0, v, st2, st2.tie_list)]
+                     if step is not None and is_saturated(a0, v, st2, 0b111111)]
     interior = [i for i in sat_positions if i > 0]
     ok = spec0.labels.get("box12") == trace.vertices()[11] and 11 in interior \
         and len(trace) - max(interior) >= 2

@@ -178,12 +178,18 @@ def balance_of(st: ZadehState, d: Direction) -> int:
     return max(st.usage.values()) - st.usage[d]
 
 
-def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, directions) -> bool:
-    """No imbalanced direction of the given set is available at v; balance is
-    measured against the most used direction overall."""
-    out = oracle.evaluate(v)
+def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, mask: int) -> bool:
+    """No imbalanced direction on a coordinate of `mask` is available at v;
+    balance is measured against the most used direction overall.  Walks
+    only the set bits of the outmap within the mask."""
+    out = oracle.evaluate(v) & mask
     top = max(st.usage.values())
-    return not any(st.usage[d] < top and is_outgoing(v, out, d) for d in directions)
+    while out:
+        bit = out & -out
+        out ^= bit
+        if st.usage[(bit.bit_length() - 1, not v & bit)] < top:
+            return False
+    return True
 
 
 @dataclass

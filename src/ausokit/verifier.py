@@ -363,19 +363,18 @@ def _zadeh_replay(level, trace):
     still inner-active, and the final state."""
     size = level.bundle_size
     inner_mask = (1 << (level.dimension - size)) - 1
-    in_dirs = [Direction(c, s) for c in range(level.dimension - size)
-               for s in (True, False)]
+    full_mask = (1 << level.dimension) - 1
     st = level.rule_state()
     sat, tops = [], []
     escapes = True
     escaping = False  # the previous vertex was saturated and inner-active
     for i, (v, step) in enumerate(replay(trace, st)):
         if escaping:
-            escapes = escapes and not is_saturated(level.oracle, v, st, in_dirs)
+            escapes = escapes and not is_saturated(level.oracle, v, st, inner_mask)
             escapes = escapes and bool(level.oracle.evaluate(v) & inner_mask)
         escaping = False
         # The sink is trivially saturated.
-        if step is None or is_saturated(level.oracle, v, st, st.tie_list):
+        if step is None or is_saturated(level.oracle, v, st, full_mask):
             sat.append(i)
             tops.append(max(st.usage.values()))
             escaping = step is not None and bool(level.oracle.evaluate(v) & inner_mask)

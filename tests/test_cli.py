@@ -128,6 +128,23 @@ def test_cached_level_with_other_frame_hash_fails(tmp_path, capsys):
         assert "johnson_f2.frame" in err and "Traceback" not in err
 
 
+def test_cached_level_with_wrong_length_fails(tmp_path, capsys):
+    cache = tmp_path / "caches"
+    assert main(["build", "--family", "johnson", "--levels", "0..2",
+                 "--cache-dir", str(cache)]) == 0
+    path = cache / "johnson_level2.json"
+    record = json.loads(path.read_text())
+    record["path_length"] += 1
+    path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+    capsys.readouterr()
+    for argv in (["run", "--trace", str(tmp_path / "j2.jsonl")],
+                 ["verify", "--mode", "traces"]):
+        assert main([*argv, "--family", "johnson", "--level", "2",
+                     "--cache-dir", str(cache)]) == 1
+        err = capsys.readouterr().err
+        assert "does not replay" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: text[:len(text) // 2],  # a truncated write
     lambda text: "[]\n",

@@ -15,7 +15,8 @@ from ausokit.constructions import (
     tie_list,
 )
 from ausokit.cube_core import Direction
-from ausokit.pivot_engine import run_to_sink
+from ausokit.frame_store import FAMILY_FRAMES
+from ausokit.pivot_engine import run_to_sink, write_trace_jsonl
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
 
 
@@ -136,21 +137,46 @@ def test_replay_fixpoint(built_levels):
             assert again.end == trace.end == level.expected_sink
 
 
-def test_level_cache_roundtrip(tmp_path):
-    first = realize_range("cunningham", 2, cache_dir=tmp_path)
-    files = sorted(p.name for p in tmp_path.glob("*.json"))
-    assert files == [f"cunningham_level{i}.json" for i in range(3)]
-    payload = json.loads((tmp_path / "cunningham_level1.json").read_text())
+FIXTURE_CHAINS = [("cunningham", 3), ("johnson", 3), ("zadeh", 2)]
+
+
+@pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
+def test_level_cache_roundtrip(tmp_path, family, top):
+    cache = tmp_path / "caches"
+    first = realize_range(family, top, cache_dir=cache)
+    files = sorted(p.name for p in cache.glob("*.json"))
+    assert files == [f"{family}_level{i}.json" for i in range(top + 1)]
+    payload = json.loads((cache / f"{family}_level1.json").read_text())
     assert payload["path_length"] == first[1][0].path_length
-    assert set(payload["frame_files"]) == {"f1", "f2", "f3"}
+    assert set(payload["frame_files"]) == set(FAMILY_FRAMES[family])
     assert all(len(h) == 64 for h in payload["frame_files"].values())
-    before = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
-    second = realize_range("cunningham", 2, cache_dir=tmp_path)
-    after = {p.name: p.read_bytes() for p in tmp_path.glob("*.json")}
+    before = {p.name: p.read_bytes() for p in cache.glob("*.json")}
+    second = realize_range(family, top, cache_dir=cache)
+    after = {p.name: p.read_bytes() for p in cache.glob("*.json")}
     assert before == after  # rerun over existing caches is a no-op
+    built, reloaded = tmp_path / "built.jsonl", tmp_path / "reloaded.jsonl"
     for (a, ta), (b, tb) in zip(first, second):
-        assert ta.directions() == tb.directions()
+        write_trace_jsonl(ta, built)
+        write_trace_jsonl(tb, reloaded)
+        assert built.read_bytes() == reloaded.read_bytes()
         assert a.assignments == b.assignments
+
+
+@pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
+def test_one_run_per_level(tmp_path, monkeypatch, family, top):
+    """A built level is run once, by the adversary; a reloaded level is run
+    once, on its frozen oracle."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return run_to_sink(*args, **kwargs)
+
+    monkeypatch.setattr("ausokit.constructions.run_to_sink", counting)
+    for _ in ("build", "reload"):
+        calls.clear()
+        realize_range(family, top, cache_dir=tmp_path)
+        assert len(calls) == top + 1
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):

@@ -245,7 +245,7 @@ def test_balance_of_fresh_and_scoped():
 def test_is_saturated_fresh_state(zadeh_frames):
     _, a0 = zadeh_frames["a0"]
     st = ZadehState(tuple(tie_pattern_zadeh(0)))
-    assert is_saturated(a0, 0b000010, st, st.tie_list)
+    assert is_saturated(a0, 0b000010, st, 0b111111)
 
 
 def test_is_saturated_at_box12_not_at_box2(zadeh_frames):
@@ -255,10 +255,12 @@ def test_is_saturated_at_box12_not_at_box2(zadeh_frames):
     for i in range(11):
         _, v = _step(a0, v, st)
         if i == 0:
-            # after one step some imbalanced direction is available
-            assert not is_saturated(a0, v, st, st.tie_list)
+            # after one step some imbalanced direction is available, but
+            # not on c1, the only coordinate of the narrower mask
+            assert not is_saturated(a0, v, st, 0b111111)
+            assert is_saturated(a0, v, st, 0b000001)
     assert v == spec.labels["box12"]
-    assert is_saturated(a0, v, st, st.tie_list)
+    assert is_saturated(a0, v, st, 0b111111)
 
 
 def test_trace_jsonl_roundtrip(tmp_path, johnson_frames):
