@@ -1,9 +1,11 @@
 """Oracle combinators: product composition and face reorientation.
 
 Both are lazy: the returned oracles evaluate on demand and never
-materialize tables, so deeply nested compositions stay cheap.  The product
-places the inner cube on the low global ids and the frames on the ids
-directly above it, which is how the recursive constructions stack bundles.
+materialize the composed cube, so deeply nested compositions stay cheap.
+The product places the inner cube on the low global ids and the frames on
+the ids directly above it, which is how the recursive constructions stack
+bundles.  For batches a frame map tabulates its few distinct frames once,
+one row of 2^outer outmaps each, and answers a batch with one gather.
 """
 
 from __future__ import annotations
@@ -53,34 +55,38 @@ class FrameAssignmentMap:
         return self.overrides.get(inner_vertex, self.default)
 
     @cached_property
-    def _lookup(self):
-        """Sorted override keys, each key's slot in the list of distinct
-        frames, and that list (slot 0 is the default)."""
-        keys = np.array(sorted(self.overrides), dtype=np.uint64)
+    def _tables(self):
+        """Sorted override keys, each key's row, and one uint64 row per
+        distinct frame (row 0 the default) holding its outmap of every outer
+        vertex.  The keys end in the sentinel 2^64 - 1, above every vertex
+        of a cube of at most 63 coordinates, so every position that
+        searchsorted returns indexes a key; the sentinel's row is 0."""
+        if self.outer_dimension > MATERIALIZE_MAX_DIM:
+            raise CombinatorError(
+                f"refusing to tabulate {self.outer_dimension}-dimensional frames "
+                f"(max {MATERIALIZE_MAX_DIM})")
+        keys = sorted(self.overrides)
         frames = [self.default]
-        slot_of = {id(self.default): 0}
-        slots = []
-        for key in keys.tolist():
+        row_of = {id(self.default): 0}
+        rows = []
+        for key in keys:
             frame = self.overrides[key]
-            if id(frame) not in slot_of:
-                slot_of[id(frame)] = len(frames)
+            if id(frame) not in row_of:
+                row_of[id(frame)] = len(frames)
                 frames.append(frame)
-            slots.append(slot_of[id(frame)])
-        return keys, np.array(slots, dtype=np.intp), frames
+            rows.append(row_of[id(frame)])
+        outer = np.arange(1 << self.outer_dimension, dtype=np.uint64)
+        table = np.stack([frame.evaluate_many(outer) for frame in frames])
+        return (np.array(keys + [(1 << 64) - 1], dtype=np.uint64),
+                np.array(rows + [0], dtype=np.intp), table)
 
     def evaluate_many(self, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-        """frame_for(i).evaluate(o) for each pair of the two uint64 arrays."""
-        keys, key_slots, frames = self._lookup
-        slot = np.zeros(len(inner), dtype=np.intp)
-        if len(keys):
-            pos = np.minimum(np.searchsorted(keys, inner), len(keys) - 1)
-            hit = keys[pos] == inner
-            slot[hit] = key_slots[pos[hit]]
-        out = np.empty_like(outer)
-        for i, frame in enumerate(frames):
-            sel = slot == i
-            out[sel] = frame.evaluate_many(outer[sel])
-        return out
+        """frame_for(i).evaluate(o) for each pair of the two uint64 arrays:
+        one search for the frame's row and one gather from the table."""
+        keys, rows, table = self._tables
+        pos = np.searchsorted(keys, inner)
+        row = np.where(keys[pos] == inner, rows[pos], 0)
+        return table[row, outer]
 
 
 class ProductOracle(OrientationOracle):
@@ -182,19 +188,18 @@ class ReorientedOracle(OrientationOracle):
         return inner | self.shared_external
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
+        """The base on the whole batch, then the face's rows overwritten."""
         face = self.face
+        out = self.base.evaluate_many(vs)
         inside = (vs | np.uint64(face.free)) == np.uint64(face.anchor | face.free)
-        if not inside.any():
-            return self.base.evaluate_many(vs)
-        out = np.empty_like(vs)
-        out[~inside] = self.base.evaluate_many(vs[~inside])
-        w = vs[inside]
-        if self._identity:
-            inner = self.replacement.evaluate_many(w & np.uint64(face.free))
-        else:
-            inner = self._comp.expand(
-                self.replacement.evaluate_many(self._comp.compress(w)))
-        out[inside] = inner | np.uint64(self.shared_external)
+        if inside.any():
+            w = vs[inside]
+            if self._identity:
+                inner = self.replacement.evaluate_many(w & np.uint64(face.free))
+            else:
+                inner = self._comp.expand(
+                    self.replacement.evaluate_many(self._comp.compress(w)))
+            out[inside] = inner | np.uint64(self.shared_external)
         return out
 
 

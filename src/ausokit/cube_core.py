@@ -112,6 +112,7 @@ class OrientationOracle:
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
         """Outmaps of a uint64 vertex array, as uint64: evaluate(v) for each v.
+        The result is a new array, which the caller may overwrite.
 
         This fallback loops over evaluate; oracles that can do better
         override it with the same results.

@@ -7,15 +7,19 @@ and is cross-validated against the ground truth on small cubes rather than
 trusted on its own.  Likewise the depth-first search is the ground truth
 for acyclicity; above CROSS_VALIDATE_CAP layered Kahn peeling decides, and
 a cycle it finds is still reported by the search.  The structural checks
-evaluate oracles in batches (`evaluate_many`), never one vertex at a time.
+evaluate oracles in batches (`evaluate_many`), never one vertex at a time,
+and in blocks of bounded size: 2^8 rows of the pairwise criterion, at most
+SAMPLED_BLOCK vertices of sampled faces.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -32,6 +36,8 @@ USO_EXHAUSTIVE_CAP = 14
 ACYCLIC_CAP = 20
 CROSS_VALIDATE_CAP = 8
 SAMPLED_MAX_FACE_DIM = 10
+SAMPLED_BLOCK = 1 << 16  # vertices per batch of the sampled check
+WORD_BLOCK = 1 << 12  # generator words drawn at once by sample_faces
 
 
 class VerifierError(CubeError):
@@ -105,10 +111,10 @@ def _face_count_uso(table: np.ndarray, n: int):
     return True, None
 
 
-def _pairwise_uso(table: np.ndarray, n: int, block: int = 1 << 10):
+def _pairwise_uso(table: np.ndarray, n: int, block: int = 1 << 8):
     """Outmap criterion over all vertex pairs, blockwise.  The witness is
     the first conflicting pair in row-major order, whatever the block size;
-    a block of 2^10 rows keeps the temporaries at n = 12 under 20 MB each."""
+    a block of 2^8 rows keeps the temporaries at n = 12 under 5 MB each."""
     size = 1 << n
     vertices = np.arange(size, dtype=np.uint32)
     table = table.astype(np.uint32)  # n <= USO_EXHAUSTIVE_CAP fits half width
@@ -238,59 +244,122 @@ def _dfs_cycle(table: list[int], n: int) -> list[str] | None:
     return None
 
 
-def sample_faces(n: int, samples: int, max_face_dim: int, seed: int) -> list[Face]:
+def _word_blocks(rng: random.Random):
+    """The generator's 32-bit outputs in order, WORD_BLOCK at a time:
+    getrandbits(32 * w) packs w consecutive outputs, first one lowest."""
+    while True:
+        block = rng.getrandbits(32 * WORD_BLOCK).to_bytes(4 * WORD_BLOCK, "little")
+        yield np.frombuffer(block, dtype="<u4").tolist()
+
+
+def sample_faces(n: int, samples: int, max_face_dim: int,
+                 seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Deterministic face sample: dimension uniform in [1..max_face_dim],
-    then free coordinates and anchor uniform."""
-    rng = random.Random(seed)
-    faces = []
+    then free coordinates and anchor uniform.  Returns (anchors, frees) as
+    uint64 arrays in sample order.
+
+    The faces are those that random.Random(seed) draws with, per face,
+    randint(1, min(max_face_dim, n)), sample(range(n), k) and
+    getrandbits(n).  The generator's words are read in bulk and CPython's
+    algorithms for those calls are replayed on them: _randbelow's top-bits
+    rejection, sample's pool or set of drawn coordinates (its setsize
+    rule), and getrandbits' word order (first word lowest, the last one
+    shifted).
+    """
+    m = min(max_face_dim, n)
+    if m < 1 or samples < 0:  # randint(1, 0) raises; below(0) would never return
+        raise ValueError(f"no sample of {samples} faces of dimension 1..{m}")
+    word = chain.from_iterable(_word_blocks(random.Random(seed))).__next__
+
+    def below(bound: int) -> int:  # _randbelow
+        shift = 32 - bound.bit_length()
+        r = word() >> shift
+        while r >= bound:
+            r = word() >> shift
+        return r
+
+    # sample() keeps a pool of the undrawn coordinates when that list is
+    # smaller than a set of k drawn ones, else the set.
+    use_pool = [n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
+                for k in range(m + 1)]
+    coords = list(range(n))
+    anchor_words = [(32 * i, max(0, 32 * (i + 1) - n)) for i in range((n + 31) // 32)]
+    anchors, frees = [], []
     for _ in range(samples):
-        k = rng.randint(1, min(max_face_dim, n))
+        k = 1 + below(m)
         free = 0
-        for c in rng.sample(range(n), k):
-            free |= 1 << c
-        anchor = rng.getrandbits(n) & ~free
-        faces.append(Face(anchor, free))
-    return faces
+        if use_pool[k]:
+            pool = coords[:]
+            for i in range(n, n - k, -1):  # the last undrawn one fills the gap
+                j = below(i)
+                free |= 1 << pool[j]
+                pool[j] = pool[i - 1]
+        else:
+            for _ in range(k):
+                j = below(n)
+                while free >> j & 1:  # drawn before: draw again
+                    j = below(n)
+                free |= 1 << j
+        anchor = 0
+        for pos, shift in anchor_words:
+            anchor |= word() >> shift << pos
+        anchors.append(anchor & ~free)
+        frees.append(free)
+    return np.array(anchors, dtype=np.uint64), np.array(frees, dtype=np.uint64)
+
+
+def _sink_counts(oracle: OrientationOracle, anchors: np.ndarray,
+                 frees: np.ndarray, k: int) -> np.ndarray:
+    """Number of sinks of each face with the given anchors and k-bit frees."""
+    # Row r lists the 2^k subsets of frees[r]: each free bit, lowest
+    # first, doubles the subsets found so far.
+    subsets = np.zeros((len(frees), 1 << k), dtype=np.uint64)
+    rest = frees.copy()
+    for j in range(k):
+        low = rest & (~rest + np.uint64(1))
+        subsets[:, 1 << j:2 << j] = subsets[:, :1 << j] | low[:, None]
+        rest ^= low
+    out = oracle.evaluate_many((anchors[:, None] | subsets).reshape(-1))
+    return ((out.reshape(subsets.shape) & frees[:, None]) == 0).sum(axis=1)
 
 
 def check_uso_sampled(oracle: OrientationOracle, samples: int, max_face_dim: int,
                       seed: int) -> VerificationReport:
     """Unique-sink check on a seeded random sample of small faces.
 
-    The faces of each dimension are evaluated in one batch; the witness is
-    the first face in sample order whose sink count is not one.
+    The faces of dimension k go to the oracle max(1, SAMPLED_BLOCK >> k) at
+    a time, so no batch holds more than SAMPLED_BLOCK vertices whatever the
+    sample size.  The witness is the first face in sample order whose sink
+    count is not one.  An empty sample is refused, not passed.
     """
-    if max_face_dim > SAMPLED_MAX_FACE_DIM:
-        raise VerifierError(f"max_face_dim above {SAMPLED_MAX_FACE_DIM}")
+    if samples < 1:
+        raise VerifierError(f"samples must be at least 1, got {samples}")
+    if not 1 <= max_face_dim <= SAMPLED_MAX_FACE_DIM:
+        raise VerifierError(f"max_face_dim must be in 1..{SAMPLED_MAX_FACE_DIM}, "
+                            f"got {max_face_dim}")
     n = oracle.dimension
     report = VerificationReport("uso_sampled")
     started = time.perf_counter()
-    faces = sample_faces(n, samples, max_face_dim, seed)
-    by_dim: dict[int, list[int]] = {}
-    for i, face in enumerate(faces):
-        by_dim.setdefault(face.dimension, []).append(i)
+    anchors, frees = sample_faces(n, samples, max_face_dim, seed)
+    dims = np.unpackbits(frees.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
     bad = None  # (sample index, sink count) of the first failing face
-    for k, index in by_dim.items():
-        anchors = np.array([faces[i].anchor for i in index], dtype=np.uint64)
-        frees = np.array([faces[i].free for i in index], dtype=np.uint64)
-        # Row r lists the 2^k subsets of frees[r]: each free bit, lowest
-        # first, doubles the subsets found so far.
-        subsets = np.zeros((len(index), 1 << k), dtype=np.uint64)
-        rest = frees.copy()
-        for j in range(k):
-            low = rest & (~rest + np.uint64(1))
-            subsets[:, 1 << j:2 << j] = subsets[:, :1 << j] | low[:, None]
-            rest ^= low
-        out = oracle.evaluate_many((anchors[:, None] | subsets).reshape(-1))
-        counts = ((out.reshape(subsets.shape) & frees[:, None]) == 0).sum(axis=1)
-        wrong = np.flatnonzero(counts != 1)
-        if wrong.size and (bad is None or index[wrong[0]] < bad[0]):
-            bad = index[wrong[0]], int(counts[wrong[0]])
+    for k in np.unique(dims).tolist():
+        index = np.flatnonzero(dims == k)
+        step = max(1, SAMPLED_BLOCK >> k)
+        for lo in range(0, len(index), step):
+            rows = index[lo:lo + step]
+            counts = _sink_counts(oracle, anchors[rows], frees[rows], k)
+            wrong = np.flatnonzero(counts != 1)
+            if wrong.size:  # later blocks of this dimension come later
+                first = int(rows[wrong[0]])
+                if bad is None or first < bad[0]:
+                    bad = first, int(counts[wrong[0]])
+                break
     if bad is not None:
-        face, count = faces[bad[0]], bad[1]
+        anchor, free = int(anchors[bad[0]]), int(frees[bad[0]])
         report.add("sampled_unique_sink", False,
-                   {"anchor": vertex_text(face.anchor, n),
-                    "free": vertex_text(face.free, n), "sink_count": count})
+                   {"anchor": vertex_text(anchor, n),
+                    "free": vertex_text(free, n), "sink_count": bad[1]})
     else:
         report.add("sampled_unique_sink", True,
                    details=f"{samples} faces, dim<={max_face_dim}, seed={seed}")

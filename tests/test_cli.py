@@ -96,6 +96,19 @@ def test_sampled_verify_level(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("limits", [
+    ["--samples", "0"],
+    ["--samples", "-3"],
+    ["--max-face-dim", "0"],
+])
+def test_empty_sample_is_usage_error(tmp_path, capsys, limits):
+    code = main(["verify", "--family", "johnson", "--level", "0", "--mode", "sampled",
+                 "--cache-dir", str(tmp_path / "caches"), *limits])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert "pass" not in out and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["build", "--family", "johnson", "--levels", "0..1"],
     ["verify", "--family", "johnson", "--level", "1"],

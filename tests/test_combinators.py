@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ausokit.combinators import (
+    MATERIALIZE_MAX_DIM,
     CombinatorError,
     FrameAssignmentMap,
     MemoOracle,
@@ -212,3 +213,33 @@ def test_memo_evaluate_many_leaves_the_memo_alone(cunningham_frames):
     got = memo.evaluate_many(np.arange(256, dtype=np.uint64))
     assert len(memo._cache) == before
     assert got[::3].tolist() == warm
+
+
+def test_frame_map_empty_batch():
+    frames = FrameAssignmentMap(2, UniformOracle(3, 1), {1: UniformOracle(3, 6)})
+    empty = np.array([], dtype=np.uint64)
+    got = frames.evaluate_many(empty, empty)
+    assert got.dtype == np.uint64 and got.size == 0
+
+
+def test_frame_map_shared_frame_objects(cunningham_frames):
+    default = cunningham_frames["f1"][1]
+    shared = cunningham_frames["f2"][1]
+    overrides = {v: shared for v in range(1, 64, 3)}
+    overrides.update({v: default for v in range(2, 64, 5)})  # the default, again
+    overrides[63] = cunningham_frames["f3"][1]
+    frames = FrameAssignmentMap(6, default, overrides)
+    inner, outer = (a.ravel() for a in np.meshgrid(np.arange(64, dtype=np.uint64),
+                                                    np.arange(16, dtype=np.uint64)))
+    got = frames.evaluate_many(inner, outer)
+    assert got.tolist() == [frames.frame_for(i).evaluate(o)
+                            for i, o in zip(inner.tolist(), outer.tolist())]
+    assert len(frames._tables[2]) == 3  # one row per distinct frame
+
+
+def test_frame_map_table_cap():
+    wide = UniformOracle(MATERIALIZE_MAX_DIM + 1, 0)
+    frames = FrameAssignmentMap(2, wide)
+    assert frames.frame_for(1).evaluate(5) == 5  # single evaluations still work
+    with pytest.raises(CombinatorError):
+        frames.evaluate_many(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64))

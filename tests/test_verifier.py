@@ -1,8 +1,10 @@
+import hashlib
 import random
 
 import numpy as np
 import pytest
 
+from ausokit import verifier
 from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
 from ausokit.verifier import (
     CROSS_VALIDATE_CAP,
@@ -162,21 +164,66 @@ def test_sampled_targeted_corruption():
     assert report.failures()[0].witness["sink_count"] != 1
 
 
-def test_sampled_deterministic_under_seed():
-    faces_a = sample_faces(12, 500, 8, seed=42)
-    faces_b = sample_faces(12, 500, 8, seed=42)
-    assert faces_a == faces_b
-    assert sample_faces(12, 500, 8, seed=43) != faces_a
-    # On an oracle with many broken edges, the batched check reports the
-    # first failing face in sample order, as a face-by-face scan does.
+def test_sample_faces_digest():
+    # Pins the sample itself.  The grid reaches both branches of
+    # random.sample (pool below 22 coordinates or from k = 6 on, a set of
+    # drawn coordinates otherwise), redraws of a duplicate coordinate, and
+    # anchors of one and of two 32-bit words.
+    h = hashlib.sha256()
+    for n in (1, 4, 12, 21, 22, 24, 33, 48, 63):
+        for max_face_dim in (1, 5, 6, 8, 10):
+            for seed in (0, 7, 42):
+                anchors, frees = sample_faces(n, 2000, max_face_dim, seed)
+                h.update(f"{n},{max_face_dim},{seed}:".encode())
+                h.update("".join(f"{a:x},{f:x};" for a, f in
+                                 zip(anchors.tolist(), frees.tolist())).encode())
+    assert h.hexdigest() == \
+        "7620530f75e7b1ac09b2214ab737c17ed29c24a6556f8cfe33b5bf657c07821e"
+
+
+def _reference_faces(n, samples, max_face_dim, seed):
+    """The sample drawn through random.Random's own methods, face by face."""
+    rng = random.Random(seed)
+    faces = []
+    for _ in range(samples):
+        k = rng.randint(1, min(max_face_dim, n))
+        free = sum(1 << c for c in rng.sample(range(n), k))
+        faces.append((rng.getrandbits(n) & ~free, free))
+    return faces
+
+
+def test_sample_faces_replays_random():
+    for n in range(1, 64):
+        for max_face_dim in range(1, 11):
+            for seed in (0, 1, 99):
+                anchors, frees = sample_faces(n, 50, max_face_dim, seed)
+                assert list(zip(anchors.tolist(), frees.tolist())) == \
+                    _reference_faces(n, 50, max_face_dim, seed), (n, max_face_dim, seed)
+
+
+def _broken_12_cube():
+    """A 12-cube with 60 corrupted edges: many sampled faces fail."""
     rng = random.Random(17)
     table = [UniformOracle(12, 5).evaluate(v) for v in range(1 << 12)]
     for _ in range(60):
         _corrupt_edge(table, rng.getrandbits(12), rng.randrange(12))
-    broken = TableOracle(12, table)
+    return TableOracle(12, table)
+
+
+def test_sampled_deterministic_under_seed():
+    anchors_a, frees_a = sample_faces(12, 500, 8, seed=42)
+    anchors_b, frees_b = sample_faces(12, 500, 8, seed=42)
+    assert anchors_a.dtype == frees_a.dtype == np.uint64
+    assert (anchors_a == anchors_b).all() and (frees_a == frees_b).all()
+    anchors_c, frees_c = sample_faces(12, 500, 8, seed=43)
+    assert (anchors_c != anchors_a).any() or (frees_c != frees_a).any()
+    # On an oracle with many broken edges, the batched check reports the
+    # first failing face in sample order, as a face-by-face scan does.
+    broken = _broken_12_cube()
     failing_dims = set()
     for seed in range(40, 46):
-        faces = sample_faces(12, 500, 8, seed)
+        anchors, frees = sample_faces(12, 500, 8, seed)
+        faces = [Face(a, f) for a, f in zip(anchors.tolist(), frees.tolist())]
         counts = [sum(1 for v in f.vertices() if not broken.evaluate(v) & f.free)
                   for f in faces]
         first = next(i for i, c in enumerate(counts) if c != 1)
@@ -188,13 +235,41 @@ def test_sampled_deterministic_under_seed():
     assert len(failing_dims) > 1  # the first failure is chosen across batches
 
 
+def test_sampled_witness_does_not_depend_on_the_block(monkeypatch):
+    broken = _broken_12_cube()
+    witnesses = [check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
+                 for seed in range(40, 46)]
+    monkeypatch.setattr(verifier, "SAMPLED_BLOCK", 1 << 4)
+    assert witnesses == [check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
+                         for seed in range(40, 46)]
+
+
+def test_sampled_batches_stay_within_the_block(built_levels):
+    level, _ = built_levels["johnson"][3]
+    sizes = []
+    inner = level.oracle.evaluate_many
+
+    class Counting:
+        dimension = level.oracle.dimension
+
+        def evaluate_many(self, vs):
+            sizes.append(len(vs))
+            return inner(vs)
+
+    assert check_uso_sampled(Counting(), 3000, 10, seed=1).passed
+    assert max(sizes) <= verifier.SAMPLED_BLOCK
+    assert sum(sizes) > 4 * verifier.SAMPLED_BLOCK  # the sample spans many blocks
+
+
 def test_caps_raise():
     with pytest.raises(VerifierError):
         check_uso_exhaustive(UniformOracle(16, 0))
     with pytest.raises(VerifierError):
         check_acyclic(UniformOracle(22, 0))
-    with pytest.raises(VerifierError):
-        check_uso_sampled(UniformOracle(12, 0), 10, 11, seed=0)
+    # max_face_dim above the cap, and empty samples: refused, not passed
+    for samples, max_face_dim in ((10, 11), (0, 6), (-3, 6), (10, 0)):
+        with pytest.raises(VerifierError):
+            check_uso_sampled(UniformOracle(12, 0), samples, max_face_dim, seed=0)
 
 
 def test_check_growth():
