@@ -39,7 +39,10 @@ class ReorientationError(CombinatorError):
 
 
 class FrameAssignmentMap:
-    """Connecting frame per inner vertex: a default plus sparse overrides."""
+    """Connecting frame per inner vertex: a default plus sparse overrides.
+
+    `overrides` and `default` may be filled in until the first
+    evaluate_many, which tabulates them once."""
 
     def __init__(self, inner_dimension: int, default: OrientationOracle,
                  overrides: dict[int, OrientationOracle] | None = None):

@@ -4,11 +4,11 @@ Each level is a product of the previous level with per-vertex connecting
 frames, followed by one face reorientation that installs the family's
 gadget (a uniform balance orientation, or the reset orientation for the
 least-recently-basic rule).  The frame chosen for each inner vertex is
-decided adversarially while the pivot rule runs; assignments are memoized
-and any revisit demanding a different frame aborts the build, so the result
-is a fixed, replayable orientation.  Each level is run once: the trace of a
-built level is its adversarial run's, and a level reloaded from a cache is
-run once on its frozen orientation.
+decided adversarially while the pivot rule runs, and written into the
+level's own frame map; any revisit demanding a different frame aborts the
+build, so the result is a fixed, replayable orientation.  Each level is run
+once: the trace of a built level is its adversarial run's, and a level
+reloaded from a cache is run once on its frame map as recorded.
 """
 
 from __future__ import annotations
@@ -55,7 +55,6 @@ from .pivot_engine import (
 BUNDLE_SIZE = {"cunningham": 4, "johnson": 4, "zadeh": 6}
 BASE_FRAME = {"cunningham": "f3", "johnson": "f1", "zadeh": "a0"}
 DEFAULT_FRAME = {"cunningham": "f3", "johnson": "f1", "zadeh": "f3"}
-SINK_FRAME = {"cunningham": "f3", "johnson": "f1", "zadeh": "f3"}
 # Local bundle coordinates (0-based) of the gadget face anchor and of its
 # shared external outmap.
 GADGET_ANCHOR = {"cunningham": (1, 2, 3), "johnson": (0, 1, 3), "zadeh": (0, 1, 2)}
@@ -153,34 +152,20 @@ def _bundle_bits(inner_dim: int, coords) -> int:
     return sum(1 << (inner_dim + k) for k in coords)
 
 
-class _AdaptiveFrames:
-    """Frame lookup that only serves memoized assignments; the run hooks fill
-    it in, so an unexpected demand is an error, not a silent default."""
+class _Unassigned(OrientationOracle):
+    """Default of a level's frame map while its adversarial run fills the
+    overrides: a frame the adversary never assigned cannot be read."""
 
-    def __init__(self, inner_dimension: int, outer_dimension: int,
-                 frames: dict[str, OrientationOracle]):
-        self.inner_dimension = inner_dimension
-        self.outer_dimension = outer_dimension
-        self.frames = frames
-        self.assignments: dict[int, str] = {}
+    def __init__(self, dimension: int):
+        self.dimension = dimension
 
-    def assign(self, inner_vertex: int, name: str) -> None:
-        existing = self.assignments.get(inner_vertex)
-        if existing is None:
-            self.assignments[inner_vertex] = name
-        elif existing != name:
-            raise FrameConflictError(
-                f"inner vertex {inner_vertex:b} demanded frame {name} but holds {existing}")
+    def evaluate(self, v):
+        raise ConstructionError("frame demanded for an unassigned inner vertex")
 
-    def frame_for(self, inner_vertex: int) -> OrientationOracle:
-        name = self.assignments.get(inner_vertex)
-        if name is None:
-            raise ConstructionError(
-                f"frame demanded for unassigned inner vertex {inner_vertex:b}")
-        return self.frames[name]
+    evaluate_many = evaluate
 
 
-def _level_oracle(family: str, prev: ConstructionLevel, frames,
+def _level_oracle(family: str, prev: ConstructionLevel, frames: FrameAssignmentMap,
                   replacement: OrientationOracle) -> MemoOracle:
     """The previous level times one frame per inner vertex (a frame map),
     with the gadget face reoriented to `replacement`."""
@@ -192,7 +177,7 @@ def _level_oracle(family: str, prev: ConstructionLevel, frames,
 
 
 def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]:
-    oracle = MemoOracle(frame_oracles[BASE_FRAME[family]])
+    oracle = frame_oracles[BASE_FRAME[family]]
     start = starting_vertex(family, 0)
     trace = run_to_sink(oracle, start, family, rule_state(family, 0),
                         bundle_size=BUNDLE_SIZE[family])
@@ -202,22 +187,23 @@ def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]
 
 
 def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  replacement: OrientationOracle) -> tuple[dict[int, str], Trace]:
-    """Run the rule while the adversary picks each inner vertex's frame on
-    first demand; returns the assignments and the run's trace."""
+                  frames: FrameAssignmentMap,
+                  oracle: OrientationOracle) -> tuple[dict[int, str], Trace]:
+    """Run the rule on `oracle` while the adversary picks each inner vertex's
+    frame on first demand and writes it into `frames`, the map below the
+    oracle; returns the assignments and the run's trace."""
     size = BUNDLE_SIZE[family]
     inner_dim = prev.dimension
     inner_mask = (1 << inner_dim) - 1
-    adaptive = _AdaptiveFrames(inner_dim, size, frame_oracles)
-    oracle = _level_oracle(family, prev, adaptive, replacement)
     skipped = (_bundle_bits(0, GADGET_ANCHOR[family]), HYPERSINK_POSITION[family])
     start = starting_vertex(family, level)
     state = rule_state(family, level)
+    assignments: dict[int, str] = {}
 
     def decide(vi: int, pos: int) -> str:
         """The frame of inner vertex vi, entered at bundle position pos."""
         if vi == prev.expected_sink:
-            return SINK_FRAME[family]
+            return DEFAULT_FRAME[family]
         if family == "zadeh":
             return "f2" if is_saturated(prev.oracle, vi, state, inner_mask) else "f1"
         if pos == BOX1_POSITION[family]:
@@ -227,14 +213,22 @@ def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracle
         raise ConstructionError(
             f"inner vertex {vi:b} entered at unexpected position {pos:b}")
 
-    def hook(t, v_before, d, v_after):
-        pos = v_after >> inner_dim
-        if d.coord < inner_dim and pos not in skipped:
-            adaptive.assign(v_after & inner_mask, decide(v_after & inner_mask, pos))
+    def assign(v: int) -> None:
+        vi = v & inner_mask
+        name = decide(vi, v >> inner_dim)
+        held = assignments.setdefault(vi, name)
+        if held != name:
+            raise FrameConflictError(
+                f"inner vertex {vi:b} demanded frame {name} but holds {held}")
+        frames.overrides[vi] = frame_oracles[name]
 
-    adaptive.assign(start & inner_mask, decide(start & inner_mask, start >> inner_dim))
+    def hook(d, v_after):
+        if d.coord < inner_dim and v_after >> inner_dim not in skipped:
+            assign(v_after)
+
+    assign(start)
     trace = run_to_sink(oracle, start, family, state, bundle_size=size, after_step=hook)
-    return adaptive.assignments, trace
+    return assignments, trace
 
 
 def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
@@ -242,27 +236,20 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
                   cached: dict | None = None) -> tuple[ConstructionLevel, Trace]:
     """Level `level` on top of `prev`, with the trace of one run on it.
 
-    Without a cache record the adversarial run builds the level, and its
-    trace is the level's trace.  With the cache record `cached`, which must
-    have been built from frame files with `frame_hashes` (stem -> sha256),
-    the assignments come from the record, and one run on the frozen level
-    must reproduce the recorded length and sink.  Either way the level's
-    oracle is the frozen product of the assignments.
+    The level has one frame map and one oracle chain.  Without a cache
+    record the adversarial run fills the map, running below the level's
+    memo, and its trace is the level's trace.  With the cache record
+    `cached`, which must have been built from frame files with
+    `frame_hashes` (stem -> sha256), the map is filled from the record, and
+    one run on the level must reproduce the recorded length and sink.
     """
     if family == "johnson":
         replacement = build_reset(level, frame_oracles["r1"])
     else:
         replacement = UniformOracle(prev.dimension, prev.start)
-    if cached is None:
-        # The run is not repeated on the frozen level: its overrides are the
-        # run's assignments, which are never rebound, and an unassigned frame
-        # demand raises during the run, so the frozen level returns the run's
-        # outmap at every vertex the run read.  Criterion 7 re-runs every
-        # acceptance level on its frozen oracle and compares the trace bytes.
-        assignments, trace = _adaptive_run(family, level, prev, frame_oracles,
-                                           replacement)
-        start, sink, length = trace.start, trace.end, len(trace)
-    else:
+    default = frame_oracles[DEFAULT_FRAME[family]]
+    assignments: dict[int, str] = {}
+    if cached is not None:
         if cached["family"] != family or cached["level"] != level:
             raise ConstructionError("cache file does not match the requested level")
         for stem, digest in frame_hashes.items():
@@ -272,21 +259,27 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
                     f"{family}_{stem}.frame (sha256 differs)")
         assignments = {parse_vertex(bits): name
                        for bits, name in cached["assignments"].items()}
-        start, sink = parse_vertex(cached["start"]), parse_vertex(cached["sink"])
-        length = cached["path_length"]
     frames = FrameAssignmentMap(
-        prev.dimension, frame_oracles[DEFAULT_FRAME[family]],
+        prev.dimension, _Unassigned(default.dimension) if cached is None else default,
         overrides={v: frame_oracles[n] for v, n in assignments.items()})
     oracle = _level_oracle(family, prev, frames, replacement)
-    built = ConstructionLevel(family, level, oracle.dimension, oracle, start, sink,
-                              length, assignments, DEFAULT_FRAME[family],
-                              _bundle_bits(prev.dimension, GADGET_ANCHOR[family]))
-    if cached is not None:
-        trace = run_to_sink(oracle, start, family, built.rule_state(),
-                            bundle_size=built.bundle_size)
-        if len(trace) != length or trace.end != sink:
+    if cached is None:
+        # The run goes below the memo, which it could not use (a rule path on
+        # an acyclic orientation never revisits a vertex), so the memo holds
+        # only outmaps of the finished level; criterion 7 re-runs every
+        # acceptance level on its oracle and compares the trace bytes.
+        assignments, trace = _adaptive_run(family, level, prev, frame_oracles,
+                                           frames, oracle.base)
+        frames.default = default
+    else:
+        trace = run_to_sink(oracle, parse_vertex(cached["start"]), family,
+                            rule_state(family, level), bundle_size=BUNDLE_SIZE[family])
+        if len(trace) != cached["path_length"] or trace.end != parse_vertex(cached["sink"]):
             raise ConstructionError(
                 f"cached level {family} {level} does not replay its recorded run")
+    built = ConstructionLevel(family, level, oracle.dimension, oracle, trace.start,
+                              trace.end, len(trace), assignments, DEFAULT_FRAME[family],
+                              _bundle_bits(prev.dimension, GADGET_ANCHOR[family]))
     return built, trace
 
 
@@ -350,10 +343,9 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
     """Levels 0..max_level with their traces, built strictly bottom-up.
 
     Each level is run once.  With a cache directory, assignment maps are
-    persisted as JSON and reloaded instead of running the adversary; a
-    reloaded level is run on its frozen level, which must reproduce the
-    recorded length and sink.  Existing cache files are left untouched, so
-    a rerun is a no-op.
+    persisted as JSON and reloaded instead of running the adversary; one
+    run on a reloaded level must reproduce the recorded length and sink.
+    Existing cache files are left untouched, so a rerun is a no-op.
     """
     if family not in BUNDLE_SIZE:
         raise ConstructionError(f"unknown family {family!r}")

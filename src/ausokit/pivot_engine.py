@@ -112,7 +112,7 @@ class JohnsonState:
     tie_order: tuple[Direction, ...]
     stamp: dict[Direction, int] = field(init=False)
     updated: tuple[int, int] = field(init=False, default=(0, 0))
-    step_counter: int = 1
+    step_counter: int = field(init=False, default=1)
     arrival_update: bool = True
 
     def __post_init__(self):
@@ -244,9 +244,8 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
     outgoing raises OracleInconsistencyError.  Per-step history snapshots
     are recorded when record_history is true (defaults to dimension <=
     HISTORY_SNAPSHOT_MAX_DIM).  after_step, when given, is called as
-    after_step(t, v_before, direction, v_after) once per move, before
-    v_after is evaluated; the recursive builders use it to drive the
-    adversary.
+    after_step(direction, v_after) once per move, before v_after is
+    evaluated; the recursive builders use it to drive the adversary.
     """
     if rule not in RULES:
         raise CubeError(f"unknown rule {rule!r}")
@@ -287,7 +286,7 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
         history = _snapshot(rule, state, bundle_size, v_next) if record_history else None
         trace.steps.append(TraceStep(t, v, d, history))
         if after_step is not None:
-            after_step(t, v, d, v_next)
+            after_step(d, v_next)
         crossed = 1 << d.coord
         v = v_next
         t += 1

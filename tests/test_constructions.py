@@ -1,12 +1,23 @@
+import itertools
 import json
 import random
 
 import numpy as np
 import pytest
 
-from ausokit.combinators import materialize
+from ausokit import constructions
+from ausokit.combinators import FrameAssignmentMap, ProductOracle, materialize
 from ausokit.constructions import (
+    BOX1_POSITION,
+    BOX5_POSITION,
+    BUNDLE_SIZE,
+    DEFAULT_FRAME,
+    GADGET_ANCHOR,
+    GADGET_EXTERNAL,
+    HYPERSINK_POSITION,
     ConstructionError,
+    FrameConflictError,
+    _Unassigned,
     build_reset,
     realize_level,
     realize_range,
@@ -14,8 +25,8 @@ from ausokit.constructions import (
     starting_vertex,
     tie_list,
 )
-from ausokit.cube_core import Direction
-from ausokit.frame_store import FAMILY_FRAMES
+from ausokit.cube_core import Direction, TableOracle
+from ausokit.frame_store import FAMILY_FRAMES, load_family
 from ausokit.pivot_engine import run_to_sink, write_trace_jsonl
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
 
@@ -206,3 +217,47 @@ def test_assignments_use_known_frames(built_levels):
 def test_unknown_family_rejected():
     with pytest.raises(ConstructionError):
         realize_level("dantzig", 0)
+
+
+def test_unassigned_frame_demand_fails_closed(monkeypatch):
+    """With box-1 entries skipped by the adversary, the run demands the frame
+    of an inner vertex that holds none: the build stops, it does not fall
+    back to the default frame."""
+    monkeypatch.setitem(HYPERSINK_POSITION, "cunningham", BOX1_POSITION["cunningham"])
+    with pytest.raises(ConstructionError, match="unassigned"):
+        realize_level("cunningham", 2)
+
+
+def test_unassigned_frame_map_refuses_batches():
+    inner = TableOracle(1, [1, 0])
+    frames = FrameAssignmentMap(1, _Unassigned(4), overrides={0: TableOracle(4, [0] * 16)})
+    with pytest.raises(ConstructionError, match="unassigned"):
+        ProductOracle(inner, frames).evaluate_many(np.arange(32, dtype=np.uint64))
+
+
+def test_conflicting_frame_demand_fails_closed(monkeypatch):
+    """A revisit that demands another frame than the one the inner vertex
+    holds aborts the build and names both frames."""
+    answers = itertools.cycle((True, False))
+    monkeypatch.setattr(constructions, "is_saturated", lambda *args: next(answers))
+    with pytest.raises(FrameConflictError) as info:
+        realize_level("zadeh", 1)
+    assert "f1" in str(info.value) and "f2" in str(info.value)
+
+
+@pytest.mark.parametrize("family", sorted(BUNDLE_SIZE))
+def test_builder_geometry_matches_frame_labels(family):
+    """The positions and the gadget outmap the builder takes on trust agree
+    with the gated frame data."""
+    frames = load_family(family)
+    labels = frames["f1"][0].labels
+    anchor = sum(1 << k for k in GADGET_ANCHOR[family])
+    assert anchor == labels["R" if family == "johnson" else "B"]
+    external = sum(1 << k for k in GADGET_EXTERNAL[family])
+    for name in {"f1", "f2", DEFAULT_FRAME[family]}:
+        assert frames[name][1].evaluate(anchor) == external, name
+    for table, label in ((BOX1_POSITION, "box1"), (BOX5_POSITION, "box5"),
+                         (HYPERSINK_POSITION, "H")):
+        if table[family] is not None:
+            assert table[family] == labels[label]
+    assert starting_vertex(family, 0) == labels["box1"]

@@ -27,7 +27,7 @@ from ausokit.pivot_engine import (
     run_to_sink,
     write_trace_jsonl,
 )
-from ausokit.constructions import realize_range, tie_list
+from ausokit.constructions import realize_level, realize_range, tie_list
 
 
 def _dirs(pattern, bundle=0, size=4):
@@ -230,6 +230,19 @@ def test_one_evaluate_per_visited_vertex(family, top, built_levels):
     trace = run_to_sink(counting, level.start, family, level.rule_state(),
                         bundle_size=level.bundle_size)
     assert len(trace) == level.path_length > 0
+    assert counting.calls == len(trace) + 1
+
+
+def test_built_level_memo_starts_cold():
+    """The adversarial run leaves nothing in the level's memo: a re-run
+    evaluates every vertex of its path below the memo, so criterion 7's
+    re-run recomputes every outmap it reads."""
+    level, trace = realize_level("cunningham", 3)
+    counting = _CountingOracle(level.oracle.base)
+    level.oracle.base = counting
+    again = run_to_sink(level.oracle, level.start, "cunningham", level.rule_state(),
+                        bundle_size=level.bundle_size)
+    assert again.directions() == trace.directions()
     assert counting.calls == len(trace) + 1
 
 
