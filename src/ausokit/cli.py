@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 property violation (a cached level built from
 other frame files counts as one), 2 usage or configuration error (a missing
-or unparsable frame file or cache file), 3 resource limit (step limit
-exceeded).
+or unparsable frame file or cache file, a negative level, or a path that
+cannot be read or written), 3 resource limit (step limit exceeded).
 """
 
 from __future__ import annotations
@@ -42,6 +42,13 @@ def _parse_levels(text: str) -> tuple[int, int]:
     if lo_i < 0 or hi_i < lo_i:
         raise ValueError(f"bad level range {text!r}")
     return lo_i, hi_i
+
+
+def _level(text: str) -> int:
+    level = int(text)
+    if level < 0:
+        raise argparse.ArgumentTypeError(f"negative level {level}")
+    return level
 
 
 def _gate_frames(frames_dir) -> bool:
@@ -191,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", parents=[common],
                        help="run the rule on a built level, write a trace")
     p.add_argument("--family", required=True, choices=sorted(BUNDLE_SIZE))
-    p.add_argument("--level", required=True, type=int)
+    p.add_argument("--level", required=True, type=_level)
     p.add_argument("--cache-dir", default="caches")
     p.add_argument("--trace", default=None, help="output JSONL path")
     p.set_defaults(func=cmd_run)
@@ -201,7 +208,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--all-frames", action="store_true",
                    help="validate every frame transcription")
     p.add_argument("--family", choices=sorted(BUNDLE_SIZE))
-    p.add_argument("--level", type=int)
+    p.add_argument("--level", type=_level)
     p.add_argument("--mode", choices=("exhaustive", "sampled", "acyclic", "traces"),
                    default="exhaustive")
     p.add_argument("--samples", type=int, default=10000)
@@ -241,6 +248,9 @@ def main(argv=None) -> int:
         return EXIT_LIMIT
     except CubeError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except OSError as exc:
+        print(f"file error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

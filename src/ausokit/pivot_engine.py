@@ -17,12 +17,12 @@ import json
 from dataclasses import dataclass, field
 
 from .cube_core import (
+    MAX_DIMENSION,
     CubeError,
     Direction,
     OrientationOracle,
     apply_direction,
     direction_text,
-    is_outgoing,
     parse_direction,
     parse_vertex,
     vertex_text,
@@ -47,23 +47,52 @@ class OracleInconsistencyError(CubeError):
     just crossed claim it, or a nonempty outmap offers the rule nothing."""
 
 
-def _least(v: int, out: int, counts: dict, rank: dict,
-           order: tuple[Direction, ...]) -> Direction | None:
-    """The outgoing direction at v of least (count, tie rank), read off the
-    set bits of the outmap `out` alone (+c where v lacks c, -c where v has
-    it).  A plain (coord, positive) tuple finds the order's Direction in
-    `counts` and `rank`; a direction outside the order is skipped."""
-    size, best = len(order), -1
-    while out:
-        bit = out & -out
-        out ^= bit
-        d = (bit.bit_length() - 1, not v & bit)
-        r = rank.get(d)
-        if r is not None:
-            key = counts[d] * size + r
-            if best < 0 or key < best:
-                best = key
-    return order[best % size] if best >= 0 else None
+# A direction's integer id is 2 * (coord + 1) for +c and one more for -c, so
+# a set bit of an outmap names it as bit_length() << 1 (| 1 where v has the
+# bit).  Johnson and Zadeh keep one key list per state, key[id] = count *
+# len(order) + tie rank.  An id outside the order holds _NEVER, which no key
+# reaches (a count stays below the step limit 4 << MAX_DIMENSION and
+# len(order) below 2^7), so it never wins.
+_NEVER = 1 << 96
+
+
+def _direction_id(d: Direction) -> int:
+    return 2 * d.coord + (2 if d.positive else 3)
+
+
+def _key_list(order: tuple[Direction, ...]) -> list[int]:
+    """Count 0 and the tie rank for each direction of the order, _NEVER for
+    every other id an outmap bit can name."""
+    top = max([MAX_DIMENSION, *(d.coord + 1 for d in order)])
+    key = [_NEVER] * (2 * top + 2)
+    for rank, d in enumerate(order):
+        key[_direction_id(d)] = rank
+    return key
+
+
+def _counts(key: list[int], order: tuple[Direction, ...]) -> dict[Direction, int]:
+    """The counts of a key list as a Direction-keyed dict, in the order."""
+    size = len(order)
+    return {d: key[_direction_id(d)] // size for d in order}
+
+
+def _least(v: int, out: int, key: list[int]) -> int:
+    """The least key of an outgoing direction at v, read off the set bits of
+    the outmap `out` alone: +c where v lacks c, then -c where v has it.
+    _NEVER when every outgoing direction lies outside the order."""
+    best = _NEVER
+    up, down = out & ~v, out & v
+    while up:
+        k = key[(up & -up).bit_length() << 1]
+        if k < best:
+            best = k
+        up &= up - 1
+    while down:
+        k = key[(down & -down).bit_length() << 1 | 1]
+        if k < best:
+            best = k
+        down &= down - 1
+    return best
 
 
 @dataclass
@@ -77,14 +106,18 @@ class CunninghamState:
     def __post_init__(self):
         self.marker = len(self.order)
         self._rank = {d: i for i, d in enumerate(self.order)}
+        # Position i tests bit coord of the packed availability for +c and
+        # bit 64 + coord for -c; the list is doubled so the scan never wraps.
+        self._tests = [1 << d.coord + (0 if d.positive else 64)
+                       for d in self.order] * 2
 
     def choose(self, v: int, out: int) -> Direction | None:
         """Scan L cyclically from the marker; the first outgoing direction."""
-        n2 = len(self.order)
+        available = (out & ~v) | (out & v) << 64
+        tests, n2 = self._tests, len(self.order)
         for k in range(self.marker, self.marker + n2):
-            d = self.order[k % n2]
-            if is_outgoing(v, out, d):
-                return d
+            if available & tests[k]:
+                return self.order[k % n2]
         return None
 
     def record(self, v: int, d: Direction) -> None:
@@ -102,29 +135,33 @@ class JohnsonState:
     The update phase at u with step number s sets h(d) := s for every d not
     outgoing-side at u (+c with c present, -c with c absent); any other d
     keeps stamp[d], the step whose move took d's opposite (0 before one).
-    The state keeps the stamps and the latest update `updated` = (u, s).
-    arrival_update controls only the recorded snapshots: when True (the
-    reporting convention) a step's snapshot is h as of an update at the
-    arrival vertex with the same step number.  Those are exactly the
-    unavailable directions there, so choices never depend on this flag.
+    The state keeps the stamps, as the counts of its key list, and the
+    latest update `updated` = (u, s).  arrival_update controls only the
+    recorded snapshots: when True (the reporting convention) a step's
+    snapshot is h as of an update at the arrival vertex with the same step
+    number.  Those are exactly the unavailable directions there, so choices
+    never depend on this flag.
     """
 
     tie_order: tuple[Direction, ...]
-    stamp: dict[Direction, int] = field(init=False)
+    key: list[int] = field(init=False, repr=False)
     updated: tuple[int, int] = field(init=False, default=(0, 0))
     step_counter: int = field(init=False, default=1)
     arrival_update: bool = True
 
     def __post_init__(self):
-        self.stamp = {d: 0 for d in self.tie_order}
-        self._rank = {d: i for i, d in enumerate(self.tie_order)}
+        self.key = _key_list(self.tie_order)
+
+    @property
+    def stamp(self) -> dict[Direction, int]:
+        return _counts(self.key, self.tie_order)
 
     def table(self, u: int | None = None) -> dict[Direction, int]:
         """h after the latest update phase, or as if it had been at u."""
         v, s = self.updated
         u = v if u is None else u
-        return {d: s if bool(u >> d.coord & 1) == d.positive else self.stamp[d]
-                for d in self.tie_order}
+        return {d: s if bool(u >> d.coord & 1) == d.positive else c
+                for d, c in self.stamp.items()}
 
     @property
     def last_step(self) -> dict[Direction, int]:
@@ -134,14 +171,17 @@ class JohnsonState:
         """The outgoing direction with the smallest h, ties by the tie order.
         An outgoing direction's h is its stamp, which the update phase at v
         leaves alone, so stamping first, as the rule is stated, agrees."""
-        return _least(v, out, self.stamp, self._rank, self.tie_order)
+        k = _least(v, out, self.key)
+        return None if k == _NEVER else self.tie_order[k % len(self.tie_order)]
 
     def record(self, v: int, d: Direction) -> None:
         """Bookkeeping of the move d from v: update h at v (the stamp of d's
         opposite is this step), then count the step."""
-        opposite = Direction(d.coord, not d.positive)
-        if opposite in self.stamp:
-            self.stamp[opposite] = self.step_counter
+        opposite = _direction_id(d) ^ 1
+        k = self.key[opposite]
+        if k != _NEVER:
+            size = len(self.tie_order)
+            self.key[opposite] = self.step_counter * size + k % size
         self.updated = (v, self.step_counter)
         self.step_counter += 1
 
@@ -152,22 +192,35 @@ class JohnsonState:
 
 @dataclass
 class ZadehState:
-    """Usage counts h and the tie list T (all 2n directions, fixed order)."""
+    """Usage counts h, as the counts of the key list, the tie list T (all 2n
+    directions, fixed order) and the top usage count."""
 
     tie_list: tuple[Direction, ...]
-    usage: dict[Direction, int] = field(init=False)
+    key: list[int] = field(init=False, repr=False)
+    top: int = field(init=False, default=0)
 
     def __post_init__(self):
-        self.usage = {d: 0 for d in self.tie_list}
-        self._rank = {d: i for i, d in enumerate(self.tie_list)}
+        self.key = _key_list(self.tie_list)
+
+    @property
+    def usage(self) -> dict[Direction, int]:
+        return _counts(self.key, self.tie_list)
 
     def choose(self, v: int, out: int) -> Direction | None:
         """The least-used outgoing direction; ties go by the tie list."""
-        return _least(v, out, self.usage, self._rank, self.tie_list)
+        k = _least(v, out, self.key)
+        return None if k == _NEVER else self.tie_list[k % len(self.tie_list)]
 
     def record(self, v: int, d: Direction) -> None:
         """Bookkeeping of the move d from v: one more use of d."""
-        self.usage[d] += 1
+        i = _direction_id(d)
+        k = self.key[i]
+        if k == _NEVER:
+            raise CubeError(f"direction {d} is not in the tie list")
+        size = len(self.tie_list)
+        self.key[i] = k + size
+        if k // size == self.top:
+            self.top += 1
 
     def settle(self, v: int) -> None:
         """Bookkeeping at the sink: none."""
@@ -175,24 +228,17 @@ class ZadehState:
 
 def balance_of(st: ZadehState, d: Direction) -> int:
     """Usage deficit of d against the most used direction."""
-    return max(st.usage.values()) - st.usage[d]
+    return st.top - st.key[_direction_id(d)] // len(st.tie_list)
 
 
 def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, mask: int) -> bool:
     """No imbalanced direction on a coordinate of `mask` is available at v;
     balance is measured against the most used direction overall.  Walks
     only the set bits of the outmap within the mask."""
-    out = oracle.evaluate(v) & mask
-    top = max(st.usage.values())
-    while out:
-        bit = out & -out
-        out ^= bit
-        if st.usage[(bit.bit_length() - 1, not v & bit)] < top:
-            return False
-    return True
+    return _least(v, oracle.evaluate(v) & mask, st.key) >= st.top * len(st.tie_list)
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     t: int
     vertex: int
@@ -282,12 +328,12 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
             raise OracleInconsistencyError(
                 f"outmap of {vertex_text(v, n)} nonempty but no direction available")
         state.record(v, d)
-        v_next = apply_direction(v, d)
+        crossed = 1 << d.coord
+        v_next = v ^ crossed  # d is outgoing at v, so the move is legal
         history = _snapshot(rule, state, bundle_size, v_next) if record_history else None
         trace.steps.append(TraceStep(t, v, d, history))
         if after_step is not None:
             after_step(d, v_next)
-        crossed = 1 << d.coord
         v = v_next
         t += 1
 
@@ -309,16 +355,21 @@ def replay(trace: Trace, state):
 
 
 def write_trace_jsonl(trace: Trace, path) -> None:
-    """One record per step plus a final record with the sink and length."""
+    """One record per step plus a final record with the sink and length.
+    Each line is json.dumps(record, sort_keys=True); a step's line is
+    formatted directly, with each direction's text made once."""
+    n, texts = trace.dimension, {}
     with open(path, "w", encoding="utf-8") as fh:
         for s in trace.steps:
-            rec = {"t": s.t, "vertex": vertex_text(s.vertex, trace.dimension),
-                   "dir": direction_text(s.direction, trace.bundle_size)}
-            if s.history is not None:
-                rec["h"] = s.history
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        final = {"sink": vertex_text(trace.end, trace.dimension), "length": len(trace),
-                 "rule": trace.rule, "start": vertex_text(trace.start, trace.dimension)}
+            d = texts.get(s.direction)
+            if d is None:
+                d = texts[s.direction] = direction_text(s.direction, trace.bundle_size)
+            h = ("" if s.history is None
+                 else f' "h": {json.dumps(s.history, sort_keys=True)},')
+            fh.write(f'{{"dir": "{d}",{h} "t": {s.t}, '
+                     f'"vertex": "{vertex_text(s.vertex, n)}"}}\n')
+        final = {"sink": vertex_text(trace.end, n), "length": len(trace),
+                 "rule": trace.rule, "start": vertex_text(trace.start, n)}
         if trace.final_history is not None:
             final["h"] = trace.final_history
         fh.write(json.dumps(final, sort_keys=True) + "\n")

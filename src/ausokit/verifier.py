@@ -445,7 +445,7 @@ def _zadeh_replay(level, trace):
         # The sink is trivially saturated.
         if step is None or is_saturated(level.oracle, v, st, full_mask):
             sat.append(i)
-            tops.append(max(st.usage.values()))
+            tops.append(st.top)
             escaping = step is not None and bool(level.oracle.evaluate(v) & inner_mask)
             escapes = escapes and (not escaping or step.direction.coord < size)
     return sat, tops, escapes, st

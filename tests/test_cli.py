@@ -176,3 +176,40 @@ def test_unreadable_cache_is_configuration_error(tmp_path, capsys, damage):
                      "--cache-dir", str(cache)]) == 2
         err = capsys.readouterr().err
         assert str(path) in err and "Traceback" not in err
+
+
+
+def _cli(tmp_path, argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(ausokit.__file__).parents[1])}
+    return subprocess.run([sys.executable, "-m", "ausokit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          cwd=tmp_path)
+
+
+@pytest.mark.parametrize("command", ["verify", "run"])
+def test_negative_level_is_usage_error(tmp_path, command):
+    proc = _cli(tmp_path, [command, "--family", "johnson", "--level", "-1",
+                           "--cache-dir", str(tmp_path / "c")])
+    assert proc.returncode == 2, proc.stderr
+    assert "negative level -1" in proc.stderr and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["report", "--family", "johnson", "--levels", "0..1", "--out", "missing/x.csv"],
+     "missing/x.csv"),
+    (["verify", "--family", "johnson", "--level", "0", "--mode", "traces",
+      "--report", "missing/r.json"], "missing/r.json"),
+    (["build", "--family", "johnson", "--levels", "0..1", "--cache-dir", "file/c"],
+     "file/c"),
+    (["run", "--family", "johnson", "--level", "0", "--trace", "file/t.jsonl"], "file"),
+], ids=["report-out", "verify-report", "build-cache-dir", "run-trace"])
+def test_unusable_path_is_usage_error(tmp_path, argv, path):
+    (tmp_path / "file").write_text("")
+    if "--cache-dir" not in argv:
+        argv = [*argv, "--cache-dir", "c"]
+    if argv[0] == "run":
+        assert _cli(tmp_path, ["build", "--family", "johnson", "--levels", "0",
+                               "--cache-dir", "c"]).returncode == 0
+    proc = _cli(tmp_path, argv)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.count("\n") == 1 and f"'{path}'" in proc.stderr, proc.stderr

@@ -27,7 +27,7 @@ from ausokit.constructions import (
 )
 from ausokit.cube_core import Direction, TableOracle
 from ausokit.frame_store import FAMILY_FRAMES, load_family
-from ausokit.pivot_engine import run_to_sink, write_trace_jsonl
+from ausokit.pivot_engine import replay, run_to_sink, write_trace_jsonl
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
 
 
@@ -131,8 +131,8 @@ def test_zadeh_level1_imbalanced_set(built_levels):
     level1, trace1 = built_levels["zadeh"][1]
     assert level1.dimension == 12
     state = rule_state("zadeh", 1)
-    for step in trace1.steps:
-        state.usage[step.direction] += 1
+    for _ in replay(trace1, state):
+        pass
     im = {Direction(j * 6 + k, False) for j in (0, 1) for k in (2, 3, 4, 5)}
     for d in state.tie_list:
         assert balance_of(state, d) == (1 if d in im else 0)

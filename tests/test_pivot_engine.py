@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
@@ -12,6 +15,7 @@ from ausokit.cube_core import (
     apply_direction,
     direction_text,
     is_available,
+    vertex_text,
 )
 from ausokit.frame_store import johnson_tie_order, tie_pattern_zadeh
 from ausokit.pivot_engine import (
@@ -250,9 +254,10 @@ def test_balance_of_fresh_and_scoped():
     st = ZadehState(tuple(tie_pattern_zadeh(0)))
     for d in st.tie_list:
         assert balance_of(st, d) == 0
-    st.usage[Direction(0, True)] = 3
-    st.usage[Direction(1, True)] = 1
+    for d in [Direction(0, True)] * 3 + [Direction(1, True)]:
+        st.record(0, d)
     assert balance_of(st, Direction(1, True)) == 2
+    assert st.top == 3
 
 
 def test_is_saturated_fresh_state(zadeh_frames):
@@ -343,12 +348,15 @@ def test_replay_ends_in_the_steppers_final_state(family, top):
 # order: the reference for the single-outmap choose methods and for the
 # stamped h tables.
 def _reference_run(oracle, start, rule, order, limit):
-    """The directions of the run and, for Johnson, h after each step in both
-    conventions ((arrival, non-arrival) pairs) and after the final update."""
+    """The directions of the run; for Johnson, h after each step in both
+    conventions ((arrival, non-arrival) pairs) and after the final update;
+    and the bookkeeping after each step (Zadeh's usage counts, Johnson's
+    stamps: the step whose move took the direction's opposite, 0 before)."""
     rank = {d: i for i, d in enumerate(order)}
     h = {d: 0 for d in order}
+    stamp = dict(h)
     marker, counter = len(order), 1
-    v, dirs, tables = start, [], []
+    v, dirs, tables, books = start, [], [], []
 
     def updated(u, t):
         """h after an update phase at u with step number t."""
@@ -368,18 +376,37 @@ def _reference_run(oracle, start, rule, order, limit):
             if rule == "johnson":
                 h = updated(v, counter)
                 tables.append((updated(apply_direction(v, d), counter), h))
+                opposite = Direction(d.coord, not d.positive)
+                if opposite in stamp:
+                    stamp[opposite] = counter
+                books.append(dict(stamp))
                 counter += 1
             else:
                 h[d] += 1
+                books.append(dict(h))
         dirs.append(d)
         v = apply_direction(v, d)
-    return dirs, tables, updated(v, counter)
+    return dirs, tables, updated(v, counter), books
+
+
+def _views_match_reference(got, rule, order, books):
+    """Replaying a run, the Direction-keyed views after every move equal the
+    reference bookkeeping (Zadeh's usage, Johnson's stamps); Zadeh's running
+    top count is the top usage."""
+    state = _states(order)[rule]
+    for moves, _ in enumerate(replay(got, state)):
+        if moves:
+            book = books[moves - 1]
+            assert (state.usage if rule == "zadeh" else state.stamp) == book
+            if rule == "zadeh":
+                assert state.top == max(book.values())
+    assert moves == len(books)
 
 
 def _johnson_matches_reference(oracle, start, order, limit, bundle_size):
     """Snapshots, final history and replayed last_step against the reference,
     in both arrival conventions."""
-    _, tables, final = _reference_run(oracle, start, "johnson", order, limit)
+    _, tables, final, _ = _reference_run(oracle, start, "johnson", order, limit)
 
     def text(table):
         return {direction_text(d, bundle_size): c for d, c in table.items()}
@@ -448,8 +475,10 @@ def test_rules_match_per_direction_reference(cunningham_frames, johnson_frames,
                                   bundle_size=max(n, 1), record_history=False)
             except StepLimitExceeded as exc:
                 got = exc.partial
-            assert got.directions() == _reference_run(oracle, start, rule,
-                                                      order, limit)[0]
+            dirs, _, _, books = _reference_run(oracle, start, rule, order, limit)
+            assert got.directions() == dirs
+            if rule != "cunningham":
+                _views_match_reference(got, rule, order, books)
         _johnson_matches_reference(oracle, start, order, limit, max(n, 1))
 
 
@@ -464,3 +493,74 @@ def test_johnson_h_keys_stay_the_tie_order():
     assert all(list(s.history) == keys for s in trace.steps)
     assert list(trace.final_history) == keys
     _johnson_matches_reference(UniformOracle(2, 0b11), 0, order, 8, 2)
+
+
+def test_zadeh_usage_keys_stay_the_tie_list():
+    # The tie list lacks -c1; the run never needs it.
+    order = (Direction(0, True), Direction(1, True), Direction(1, False))
+    state = ZadehState(order)
+    trace = run_to_sink(UniformOracle(2, 0b11), 0, "zadeh", state, bundle_size=2)
+    assert trace.directions() == [Direction(0, True), Direction(1, True)]
+    assert list(state.usage) == list(order)
+    assert [balance_of(state, d) for d in order] == [0, 0, 1]
+    keys = [direction_text(d, 2) for d in order]
+    assert all(list(s.history) == keys for s in trace.steps)
+    assert trace.final_history == dict(zip(keys, (1, 1, 0)))
+
+
+@pytest.mark.parametrize("rule", ["cunningham", "johnson", "zadeh"])
+def test_direction_outside_the_order_never_wins(rule):
+    # The order lacks -c2 (coordinate 1).  At 0b10 the outmap 0b11 offers +c1
+    # and -c2: the rule takes +c1.  At 0b11 it offers -c2 alone: nothing.
+    order = (Direction(0, True), Direction(0, False), Direction(1, True))
+    state = _states(order)[rule]
+    assert state.choose(0b10, 0b11) == Direction(0, True)
+    assert state.choose(0b11, 0b10) is None
+    state.record(0b10, Direction(0, True))
+    assert state.choose(0b11, 0b11) == Direction(0, False)
+
+
+def _reference_jsonl(trace) -> list[str]:
+    """The lines of a trace file as one json.dumps per record."""
+    records = []
+    for s in trace.steps:
+        rec = {"t": s.t, "vertex": vertex_text(s.vertex, trace.dimension),
+               "dir": direction_text(s.direction, trace.bundle_size)}
+        if s.history is not None:
+            rec["h"] = s.history
+        records.append(rec)
+    final = {"sink": vertex_text(trace.end, trace.dimension), "length": len(trace),
+             "rule": trace.rule, "start": vertex_text(trace.start, trace.dimension)}
+    if trace.final_history is not None:
+        final["h"] = trace.final_history
+    records.append(final)
+    return [json.dumps(rec, sort_keys=True) for rec in records]
+
+
+def test_trace_writer_matches_json_dumps(built_levels, tmp_path):
+    """Every line the writer emits, history snapshots included, equals
+    json.dumps(record, sort_keys=True)."""
+    path = tmp_path / "t.jsonl"
+    traces = [trace for chain in built_levels.values() for _, trace in chain]
+    for trace in traces:
+        write_trace_jsonl(trace, path)
+        assert path.read_text(encoding="utf-8").splitlines() == _reference_jsonl(trace)
+    assert sum(trace.final_history is not None for trace in traces) == len(traces) - 1
+
+
+# Traces of levels above HISTORY_SNAPSHOT_MAX_DIM carry no history, so the
+# golden digests (all n <= 16) do not cover their writer path.
+NO_HISTORY_TRACE_DIGEST = (
+    "27564ac9232d7b929450809bdb80fbf392a1e14540a97e83229eb2829911385f")
+
+
+def test_no_history_trace_digest(tmp_path):
+    digest = hashlib.sha256()
+    for family, lo, hi in (("cunningham", 4, 5), ("zadeh", 2, 3)):
+        for level, trace in realize_range(family, hi)[lo:]:
+            assert trace.final_history is None and 18 <= level.dimension <= 24
+            path = tmp_path / f"{family}_level{level.level}.jsonl"
+            write_trace_jsonl(trace, path)
+            assert path.read_text(encoding="utf-8").splitlines() == _reference_jsonl(trace)
+            digest.update(path.name.encode() + b"\n" + path.read_bytes())
+    assert digest.hexdigest() == NO_HISTORY_TRACE_DIGEST
