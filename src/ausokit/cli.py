@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import sys
 from pathlib import Path
@@ -60,6 +61,13 @@ def _gate_frames(frames_dir) -> bool:
     return report.passed
 
 
+def _check_out_dir(path) -> None:
+    """Refuse an output file whose directory does not exist before any level
+    is realized, not after the work; None means standard output."""
+    if path is not None and not Path(path).parent.is_dir():
+        raise FileNotFoundError(errno.ENOENT, "no such directory", str(path))
+
+
 def cmd_build(args) -> int:
     lo, hi = _parse_levels(args.levels)
     frames_dir = resolve_frames_dir(args.frames_dir)
@@ -78,10 +86,10 @@ def cmd_run(args) -> int:
         print(f"no cache for {args.family} level {args.level}; run build first",
               file=sys.stderr)
         return EXIT_USAGE
-    chain = realize_range(args.family, args.level, frames_dir, cache_dir)
-    level, trace = chain[-1]
     out = Path(args.trace) if args.trace else Path(f"{args.family}_level{args.level}.jsonl")
     out.parent.mkdir(parents=True, exist_ok=True)
+    chain = realize_range(args.family, args.level, frames_dir, cache_dir)
+    level, trace = chain[-1]
     write_trace_jsonl(trace, out)
     summary = {"family": args.family, "level": level.level, "n": level.dimension,
                "path_length": len(trace)}
@@ -92,6 +100,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_out_dir(args.report)
     frames_dir = resolve_frames_dir(args.frames_dir)
     if args.all_frames:
         report = validate_all(frames_dir)
@@ -136,6 +145,7 @@ def _emit_report(report, path) -> None:
 
 
 def cmd_report(args) -> int:
+    _check_out_dir(args.out)
     frames_dir = resolve_frames_dir(args.frames_dir)
     lo, hi = _parse_levels(args.levels)
     chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir))

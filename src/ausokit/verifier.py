@@ -8,8 +8,10 @@ trusted on its own.  Likewise the depth-first search is the ground truth
 for acyclicity; above CROSS_VALIDATE_CAP layered Kahn peeling decides, and
 a cycle it finds is still reported by the search.  The structural checks
 evaluate oracles in batches (`evaluate_many`), never one vertex at a time,
-and in blocks of bounded size: 2^8 rows of the pairwise criterion, at most
-SAMPLED_BLOCK vertices of sampled faces.
+and every batch is bounded whatever the cube size: the outmap table is
+filled VERTEX_BLOCK vertices at a time, the sampled faces go to the oracle
+at most VERTEX_BLOCK vertices at a time, and the pairwise criterion scans
+PAIRWISE_ROWS rows at a time.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ USO_EXHAUSTIVE_CAP = 14
 ACYCLIC_CAP = 20
 CROSS_VALIDATE_CAP = 8
 SAMPLED_MAX_FACE_DIM = 10
-SAMPLED_BLOCK = 1 << 16  # vertices per batch of the sampled check
+VERTEX_BLOCK = 1 << 14  # vertices per oracle batch of the table and the sample
+PAIRWISE_ROWS = 1 << 6  # rows per block of the pairwise criterion
 WORD_BLOCK = 1 << 12  # generator words drawn at once by sample_faces
 
 
@@ -84,8 +87,15 @@ class VerificationReport:
 
 
 def outmap_table(oracle: OrientationOracle) -> np.ndarray:
-    """Outmap of every vertex, indexed by vertex, as uint64."""
-    return oracle.evaluate_many(np.arange(1 << oracle.dimension, dtype=np.uint64))
+    """Outmap of every vertex, indexed by vertex, as uint64.  The oracle
+    sees VERTEX_BLOCK vertices at a time, so the temporaries of its chain
+    stay small beside the table."""
+    size = 1 << oracle.dimension
+    table = np.empty(size, dtype=np.uint64)
+    for lo in range(0, size, VERTEX_BLOCK):
+        hi = min(lo + VERTEX_BLOCK, size)
+        table[lo:hi] = oracle.evaluate_many(np.arange(lo, hi, dtype=np.uint64))
+    return table
 
 
 def _face_count_uso(table: np.ndarray, n: int):
@@ -111,15 +121,16 @@ def _face_count_uso(table: np.ndarray, n: int):
     return True, None
 
 
-def _pairwise_uso(table: np.ndarray, n: int, block: int = 1 << 8):
-    """Outmap criterion over all vertex pairs, blockwise.  The witness is
-    the first conflicting pair in row-major order, whatever the block size;
-    a block of 2^8 rows keeps the temporaries at n = 12 under 5 MB each."""
+def _pairwise_uso(table: np.ndarray, n: int):
+    """Outmap criterion over all vertex pairs, PAIRWISE_ROWS rows at a time.
+    The witness is the first conflicting pair in row-major order, whatever
+    the block size; a block of 2^6 rows keeps the temporaries at n = 14
+    (the exhaustive cap) at most 4 MB each."""
     size = 1 << n
     vertices = np.arange(size, dtype=np.uint32)
     table = table.astype(np.uint32)  # n <= USO_EXHAUSTIVE_CAP fits half width
-    for lo in range(0, size, block):
-        hi = min(lo + block, size)
+    for lo in range(0, size, PAIRWISE_ROWS):
+        hi = min(lo + PAIRWISE_ROWS, size)
         u = vertices[lo:hi, None]
         su = table[lo:hi, None]
         conflict = ((su ^ table[None, :]) & (u ^ vertices[None, :])) == 0
@@ -189,8 +200,12 @@ def _kahn_acyclic(table: np.ndarray, n: int) -> bool:
     (a 2-cycle), just as the depth-first search sees it."""
     size = 1 << n
     indeg = np.zeros(size, dtype=np.int8)
+    # Bit c of every outmap, read from its byte plane (byte c >> 3 of the
+    # little-endian words), so no temporary is wider than a byte per vertex.
+    planes = table.astype("<u8", copy=False).view(np.uint8).reshape(size, 8)
     for c in range(n):
-        indeg += _flip(((table >> np.uint64(c)) & np.uint64(1)).astype(np.int8), c)
+        indeg += _flip(((planes[:, c >> 3] >> np.uint8(c & 7)) & np.uint8(1))
+                       .view(np.int8), c)
     bits = 1 << np.arange(n, dtype=np.int64)
     out_bits = bits.astype(np.uint64)
     layer = np.flatnonzero(indeg == 0)
@@ -327,8 +342,8 @@ def check_uso_sampled(oracle: OrientationOracle, samples: int, max_face_dim: int
                       seed: int) -> VerificationReport:
     """Unique-sink check on a seeded random sample of small faces.
 
-    The faces of dimension k go to the oracle max(1, SAMPLED_BLOCK >> k) at
-    a time, so no batch holds more than SAMPLED_BLOCK vertices whatever the
+    The faces of dimension k go to the oracle max(1, VERTEX_BLOCK >> k) at
+    a time, so no batch holds more than VERTEX_BLOCK vertices whatever the
     sample size.  The witness is the first face in sample order whose sink
     count is not one.  An empty sample is refused, not passed.
     """
@@ -345,7 +360,7 @@ def check_uso_sampled(oracle: OrientationOracle, samples: int, max_face_dim: int
     bad = None  # (sample index, sink count) of the first failing face
     for k in np.unique(dims).tolist():
         index = np.flatnonzero(dims == k)
-        step = max(1, SAMPLED_BLOCK >> k)
+        step = max(1, VERTEX_BLOCK >> k)
         for lo in range(0, len(index), step):
             rows = index[lo:lo + step]
             counts = _sink_counts(oracle, anchors[rows], frees[rows], k)

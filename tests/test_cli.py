@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import ausokit
+from ausokit import cli
 from ausokit.cli import main
 
 
@@ -213,3 +214,26 @@ def test_unusable_path_is_usage_error(tmp_path, argv, path):
     proc = _cli(tmp_path, argv)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.count("\n") == 1 and f"'{path}'" in proc.stderr, proc.stderr
+
+
+@pytest.mark.parametrize("argv,path", [
+    (["report", "--family", "johnson", "--levels", "0..1", "--out", "missing/x.csv"],
+     "missing/x.csv"),
+    (["verify", "--family", "johnson", "--level", "0", "--mode", "traces",
+      "--report", "missing/r.json"], "missing/r.json"),
+    (["run", "--family", "johnson", "--level", "0", "--trace", "file/t.jsonl"], "file"),
+], ids=["report-out", "verify-report", "run-trace"])
+def test_unusable_path_fails_before_any_level_is_realized(tmp_path, monkeypatch, capsys,
+                                                          argv, path):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("")
+    assert main(["build", "--family", "johnson", "--levels", "0", "--cache-dir", "c"]) == 0
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was realized before the path was checked")
+
+    monkeypatch.setattr(cli, "realize_range", refuse)
+    capsys.readouterr()
+    assert main([*argv, "--cache-dir", "c"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"'{path}'" in err, err

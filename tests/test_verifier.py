@@ -5,19 +5,35 @@ import numpy as np
 import pytest
 
 from ausokit import verifier
+from ausokit.combinators import FrameAssignmentMap, ProductOracle, ReorientedOracle
 from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
 from ausokit.verifier import (
     CROSS_VALIDATE_CAP,
     VerifierError,
     _dfs_cycle,
     _kahn_acyclic,
+    _pairwise_uso,
     check_acyclic,
     check_growth,
     check_trace_properties,
     check_uso_exhaustive,
     check_uso_sampled,
+    outmap_table,
     sample_faces,
 )
+
+
+class _Counting:
+    """Passes each batch to an oracle and records the batch's size."""
+
+    def __init__(self, oracle):
+        self.oracle = oracle
+        self.dimension = oracle.dimension
+        self.sizes = []
+
+    def evaluate_many(self, vs):
+        self.sizes.append(len(vs))
+        return self.oracle.evaluate_many(vs)
 
 
 def test_uniform_4cube_passes_both_modes():
@@ -239,26 +255,62 @@ def test_sampled_witness_does_not_depend_on_the_block(monkeypatch):
     broken = _broken_12_cube()
     witnesses = [check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
                  for seed in range(40, 46)]
-    monkeypatch.setattr(verifier, "SAMPLED_BLOCK", 1 << 4)
+    monkeypatch.setattr(verifier, "VERTEX_BLOCK", 1 << 4)
     assert witnesses == [check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
                          for seed in range(40, 46)]
 
 
 def test_sampled_batches_stay_within_the_block(built_levels):
     level, _ = built_levels["johnson"][3]
-    sizes = []
-    inner = level.oracle.evaluate_many
+    counting = _Counting(level.oracle)
+    assert check_uso_sampled(counting, 3000, 10, seed=1).passed
+    assert max(counting.sizes) <= verifier.VERTEX_BLOCK
+    assert sum(counting.sizes) > 4 * verifier.VERTEX_BLOCK  # the sample spans many blocks
 
-    class Counting:
-        dimension = level.oracle.dimension
 
-        def evaluate_many(self, vs):
-            sizes.append(len(vs))
-            return inner(vs)
+def _random_composition(rng):
+    """A 10-cube orientation (not necessarily a USO): a random 4-cube table,
+    twice a product with 3-cube frames on sparse overrides followed by a
+    reorientation of a random 3-face."""
+    oracle = TableOracle(4, [rng.getrandbits(4) for _ in range(16)])
+    for _ in range(2):
+        n = oracle.dimension
+        pool = [UniformOracle(3, rng.getrandbits(3)),
+                TableOracle(3, [rng.getrandbits(3) for _ in range(8)])]
+        overrides = {rng.getrandbits(n): rng.choice(pool) for _ in range(6)}
+        oracle = ProductOracle(oracle, FrameAssignmentMap(n, rng.choice(pool), overrides))
+        free = sum(1 << c for c in rng.sample(range(n + 3), 3))
+        oracle = ReorientedOracle(
+            oracle, Face(rng.getrandbits(n + 3) & ~free, free),
+            TableOracle(3, [rng.getrandbits(3) for _ in range(8)]),
+            rng.getrandbits(n + 3) & ~free)
+    return oracle
 
-    assert check_uso_sampled(Counting(), 3000, 10, seed=1).passed
-    assert max(sizes) <= verifier.SAMPLED_BLOCK
-    assert sum(sizes) > 4 * verifier.SAMPLED_BLOCK  # the sample spans many blocks
+
+def test_outmap_table_is_filled_block_by_block(monkeypatch):
+    monkeypatch.setattr(verifier, "VERTEX_BLOCK", 1 << 4)
+    rng = random.Random(5)
+    for _ in range(5):
+        oracle = _random_composition(rng)
+        counting = _Counting(oracle)
+        table = outmap_table(counting)
+        assert oracle.dimension == 10 and table.dtype == np.uint64
+        assert table.tolist() == [oracle.evaluate(v) for v in range(1 << 10)]
+        assert max(counting.sizes) <= 1 << 4 and sum(counting.sizes) == 1 << 10
+
+
+def test_pairwise_witness_does_not_depend_on_the_rows(monkeypatch):
+    rng = random.Random(8)
+    table = [UniformOracle(10, 0b1001).evaluate(v) for v in range(1 << 10)]
+    for _ in range(5):
+        _corrupt_edge(table, rng.getrandbits(10), rng.randrange(10))
+    table = np.array(table, dtype=np.uint64)
+    witnesses = []
+    for rows in (1, 1 << 6, 1 << 10):
+        monkeypatch.setattr(verifier, "PAIRWISE_ROWS", rows)
+        witnesses.append(_pairwise_uso(table, 10))
+    assert not witnesses[0][0] and witnesses[0][1]["pair"]
+    assert witnesses[1:] == witnesses[:1] * 2
 
 
 def test_caps_raise():
