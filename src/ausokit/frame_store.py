@@ -365,8 +365,8 @@ def validate_zadeh(frames) -> VerificationReport:
     # box12 is saturated mid-run, and the sink lies at least two vertices
     # beyond the last saturated path vertex.
     st2 = ZadehState(tuple(tie0))
-    sat_positions = [i for i, (v, step) in enumerate(replay(trace, st2))
-                     if step is not None and is_saturated(a0, v, st2, 0b111111)]
+    sat_positions = [i for i, (v, d) in enumerate(replay(trace, st2))
+                     if d is not None and is_saturated(a0, v, st2, 0b111111)]
     interior = [i for i in sat_positions if i > 0]
     ok = spec0.labels.get("box12") == trace.vertices()[11] and 11 in interior \
         and len(trace) - max(interior) >= 2

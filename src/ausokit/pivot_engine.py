@@ -8,7 +8,8 @@ wins, ties by a fixed ordered list.
 Each state chooses a move from the current vertex's outmap and keeps its
 own bookkeeping; run_to_sink reads one outmap per visited vertex (one
 query of the vertex-evaluation model per step), drives a state until the
-global sink and records a Trace.
+global sink and records a Trace: its start, its end and one direction id
+byte per move, plus one history snapshot per move when recorded (n <= 16).
 """
 
 from __future__ import annotations
@@ -238,36 +239,41 @@ def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, mask: int) -
     return _least(v, oracle.evaluate(v) & mask, st.key) >= st.top * len(st.tie_list)
 
 
-@dataclass(slots=True)
-class TraceStep:
-    t: int
-    vertex: int
-    direction: Direction
-    history: dict | None = None
+# The Direction of each id below 128 (ids 0 and 1 name none).
+_DIRECTIONS = tuple(Direction((i >> 1) - 1, not i & 1) for i in range(128))
 
 
 @dataclass
 class Trace:
+    """A run: step t is moves[t - 1], taken where the earlier moves lead
+    from the start; history, when recorded, the snapshot after each step."""
+
     rule: str
     dimension: int
     bundle_size: int
     start: int
     end: int
-    steps: list[TraceStep] = field(default_factory=list)
+    moves: bytearray = field(default_factory=bytearray)
+    history: list[dict] | None = None
     final_history: dict | None = None
 
     def __len__(self) -> int:
-        return len(self.steps)
+        return len(self.moves)
 
     def directions(self) -> list[Direction]:
-        return [s.direction for s in self.steps]
+        return [_DIRECTIONS[i] for i in self.moves]
+
+    def walk(self):
+        """(vertex, direction) before each move, then (last vertex, None)."""
+        v = self.start
+        for d in map(_DIRECTIONS.__getitem__, self.moves):
+            yield v, d
+            v = apply_direction(v, d)
+        yield v, None
 
     def vertices(self) -> list[int]:
         """Start vertex followed by the vertex after each step."""
-        out = [self.start]
-        for s in self.steps:
-            out.append(apply_direction(out[-1], s.direction))
-        return out
+        return [v for v, _ in self.walk()]
 
 
 def _snapshot(rule: str, st, bundle_size: int, arrival: int | None = None):
@@ -303,14 +309,14 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
     if record_history is None:
         record_history = n <= HISTORY_SNAPSHOT_MAX_DIM
 
-    trace = Trace(rule, n, bundle_size, start, start)
+    trace = Trace(rule, n, bundle_size, start, start,
+                  history=[] if record_history else None)
     v = start
     crossed = 0  # bit of the edge the last move crossed into v
-    t = 1
     while True:
         out = oracle.evaluate(v)
         if out & crossed:
-            d = trace.steps[-1].direction
+            d = _DIRECTIONS[trace.moves[-1]]
             raise OracleInconsistencyError(
                 f"both ends of the {direction_text(d, bundle_size)} edge into "
                 f"{vertex_text(v, n)} claim it as outgoing")
@@ -321,7 +327,7 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
                 trace.final_history = _snapshot(rule, state, bundle_size)
             trace.end = v
             return trace
-        if t > step_limit:
+        if len(trace) >= step_limit:
             raise StepLimitExceeded(step_limit, trace)
         d = state.choose(v, out)
         if d is None:
@@ -330,44 +336,42 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
         state.record(v, d)
         crossed = 1 << d.coord
         v_next = v ^ crossed  # d is outgoing at v, so the move is legal
-        history = _snapshot(rule, state, bundle_size, v_next) if record_history else None
-        trace.steps.append(TraceStep(t, v, d, history))
+        trace.moves.append(_direction_id(d))
+        if record_history:
+            trace.history.append(_snapshot(rule, state, bundle_size, v_next))
         if after_step is not None:
             after_step(d, v_next)
         v = v_next
-        t += 1
 
 
 def replay(trace: Trace, state):
     """Re-apply a trace's moves to a rule state with its own bookkeeping.
 
-    Yields (vertex, step) before each move, with the state holding every
-    earlier move, and (sink, None) last.  Once the generator is exhausted the
-    state is the one run_to_sink left at the sink.
+    Yields (vertex, direction) before each move, with the state holding
+    every earlier move, and (sink, None) last.  Once the generator is
+    exhausted the state is the one run_to_sink left at the sink.
     """
-    v = trace.start
-    for step in trace.steps:
-        yield v, step
-        state.record(v, step.direction)
-        v = apply_direction(v, step.direction)
-    yield v, None
-    state.settle(v)
+    for v, d in trace.walk():
+        yield v, d
+        if d is None:
+            state.settle(v)
+        else:
+            state.record(v, d)
 
 
 def write_trace_jsonl(trace: Trace, path) -> None:
     """One record per step plus a final record with the sink and length.
     Each line is json.dumps(record, sort_keys=True); a step's line is
     formatted directly, with each direction's text made once."""
-    n, texts = trace.dimension, {}
+    n, history = trace.dimension, trace.history
+    texts = {_DIRECTIONS[i]: direction_text(_DIRECTIONS[i], trace.bundle_size)
+             for i in set(trace.moves)}
     with open(path, "w", encoding="utf-8") as fh:
-        for s in trace.steps:
-            d = texts.get(s.direction)
-            if d is None:
-                d = texts[s.direction] = direction_text(s.direction, trace.bundle_size)
-            h = ("" if s.history is None
-                 else f' "h": {json.dumps(s.history, sort_keys=True)},')
-            fh.write(f'{{"dir": "{d}",{h} "t": {s.t}, '
-                     f'"vertex": "{vertex_text(s.vertex, n)}"}}\n')
+        for t, (v, d) in zip(range(1, len(trace) + 1), trace.walk()):
+            h = ("" if history is None
+                 else f' "h": {json.dumps(history[t - 1], sort_keys=True)},')
+            fh.write(f'{{"dir": "{texts[d]}",{h} "t": {t}, '
+                     f'"vertex": "{vertex_text(v, n)}"}}\n')
         final = {"sink": vertex_text(trace.end, n), "length": len(trace),
                  "rule": trace.rule, "start": vertex_text(trace.start, n)}
         if trace.final_history is not None:
@@ -376,20 +380,61 @@ def write_trace_jsonl(trace: Trace, path) -> None:
 
 
 def read_trace_jsonl(path, bundle_size: int) -> Trace:
-    steps = []
-    final = None
+    """The trace a write_trace_jsonl file holds, checked as it is read.
+
+    The last line is the final record.  Step line t must carry "t": t, the
+    vertex the earlier moves reach from the start and a move that is legal
+    there, in the writer's text, with "h" exactly when the final record has
+    it; the final record's length and sink must match the steps.  Any other
+    content raises CubeError naming the line.
+    """
+    where = f"trace file {path}"
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            if "sink" in rec:
-                final = rec
-            else:
-                steps.append(TraceStep(rec["t"], parse_vertex(rec["vertex"]),
-                                       parse_direction(rec["dir"], bundle_size),
-                                       rec.get("h")))
-    if final is None:
-        raise CubeError(f"trace file {path} lacks a final record")
-    n = len(final["sink"])
-    trace = Trace(final["rule"], n, bundle_size, parse_vertex(final["start"]),
-                  parse_vertex(final["sink"]), steps, final.get("h"))
+        try:
+            last = 0
+            for last, line in enumerate(fh, 1):
+                pass
+            if not last:
+                raise CubeError("the file is empty")
+            where = f"trace file {path} line {last}"
+            final = json.loads(line)
+            if "sink" not in final:
+                raise CubeError("the last line is no final record")
+            n = len(final["sink"])
+            v = parse_vertex(final["start"])
+            trace = Trace(final["rule"], n, bundle_size, v, v,
+                          history=[] if "h" in final else None,
+                          final_history=final.get("h"))
+            ids = {}
+            fh.seek(0)
+            for t, line in zip(range(1, last), fh):
+                where = f"trace file {path} line {t}"
+                rec = json.loads(line)
+                if rec["t"] != t:
+                    raise CubeError(f'"t" is {rec["t"]!r}')
+                if rec["vertex"] != vertex_text(v, n):
+                    raise CubeError(f'"vertex" is {rec["vertex"]!r}, the moves '
+                                    f"reach {vertex_text(v, n)}")
+                i = ids.get(rec["dir"])
+                if i is None:
+                    d = parse_direction(rec["dir"], bundle_size)
+                    if not 0 <= d.coord < n or direction_text(d, bundle_size) != rec["dir"]:
+                        raise CubeError(f'"dir" {rec["dir"]!r} names no direction')
+                    i = ids[rec["dir"]] = _direction_id(d)
+                v = apply_direction(v, _DIRECTIONS[i])
+                trace.moves.append(i)
+                if ("h" in rec) != (trace.history is not None):
+                    raise CubeError('"h" on some records only')
+                if trace.history is not None:
+                    trace.history.append(rec["h"])
+            where = f"trace file {path} line {last}"
+            if final["length"] != len(trace):
+                raise CubeError(f'"length" is {final["length"]!r}, '
+                                f"the file has {len(trace)} steps")
+            if v != parse_vertex(final["sink"]):
+                raise CubeError(f'"sink" is {final["sink"]!r}, the moves '
+                                f"reach {vertex_text(v, n)}")
+        except (CubeError, LookupError, TypeError, ValueError) as exc:
+            raise CubeError(f"{where}: {exc}") from exc
+    trace.end = v
     return trace

@@ -10,8 +10,9 @@ a cycle it finds is still reported by the search.  The structural checks
 evaluate oracles in batches (`evaluate_many`), never one vertex at a time,
 and every batch is bounded whatever the cube size: the outmap table is
 filled VERTEX_BLOCK vertices at a time, the sampled faces go to the oracle
-at most VERTEX_BLOCK vertices at a time, and the pairwise criterion scans
-PAIRWISE_ROWS rows at a time.
+at most VERTEX_BLOCK vertices at a time, the pairwise criterion scans
+PAIRWISE_ROWS rows at a time and Kahn peeling takes KAHN_BLOCK vertices of
+a layer at a time.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ SAMPLED_MAX_FACE_DIM = 10
 VERTEX_BLOCK = 1 << 14  # vertices per oracle batch of the table and the sample
 PAIRWISE_ROWS = 1 << 6  # rows per block of the pairwise criterion
 WORD_BLOCK = 1 << 12  # generator words drawn at once by sample_faces
+KAHN_BLOCK = 1 << 10  # layer vertices peeled at once by the Kahn check
 
 
 class VerifierError(CubeError):
@@ -195,9 +197,10 @@ def _flip(a: np.ndarray, c: int) -> np.ndarray:
 
 def _kahn_acyclic(table: np.ndarray, n: int) -> bool:
     """Layered Kahn peeling of the directed edge relation: vertices with no
-    incoming edge are removed layer by layer.  In-degrees are counted from
-    the neighbours' outmaps, so an edge both endpoints claim counts twice
-    (a 2-cycle), just as the depth-first search sees it."""
+    incoming edge are removed layer by layer, KAHN_BLOCK of a layer at a
+    time.  In-degrees are counted from the neighbours' outmaps, so an edge
+    both endpoints claim counts twice (a 2-cycle), just as the depth-first
+    search sees it."""
     size = 1 << n
     indeg = np.zeros(size, dtype=np.int8)
     # Bit c of every outmap, read from its byte plane (byte c >> 3 of the
@@ -212,10 +215,16 @@ def _kahn_acyclic(table: np.ndarray, n: int) -> bool:
     removed = 0
     while layer.size:
         removed += layer.size
-        edges = (table[layer, None] & out_bits) != 0
-        heads, hits = np.unique((layer[:, None] ^ bits)[edges], return_counts=True)
-        indeg[heads] -= hits.astype(np.int8)
-        layer = heads[indeg[heads] == 0]
+        freed = []
+        for lo in range(0, layer.size, KAHN_BLOCK):
+            block = layer[lo:lo + KAHN_BLOCK]
+            edges = (table[block, None] & out_bits) != 0
+            heads, hits = np.unique((block[:, None] ^ bits)[edges], return_counts=True)
+            indeg[heads] -= hits.astype(np.int8)
+            freed.append(heads[indeg[heads] == 0])
+        # A head freed by one block has no edge from a later one, so the
+        # next layer holds each vertex once.
+        layer = np.concatenate(freed)
     return removed == size
 
 
@@ -402,11 +411,6 @@ def check_trace_properties(level, trace, lower_trace=None) -> VerificationReport
     return report
 
 
-def _inner_steps(level, trace):
-    inner_dim = level.dimension - level.bundle_size
-    return [s for s in trace.steps if s.direction.coord < inner_dim]
-
-
 def _projection_check(report, level, trace, lower_trace):
     """The inner-direction subsequence is the lower path, then the gadget
     return walk, then the lower path again."""
@@ -418,22 +422,21 @@ def _projection_check(report, level, trace, lower_trace):
         return
     inner_dim = level.dimension - level.bundle_size
     inner_mask = (1 << inner_dim) - 1
-    inner = _inner_steps(level, trace)
+    # (vertex, direction) before each move on an inner coordinate.
+    inner = [(v, d) for v, d in trace.walk() if d is not None and d.coord < inner_dim]
     lower_dirs = lower_trace.directions()
     k = len(lower_dirs)
     ok = len(inner) >= 2 * k
-    ok = ok and [s.direction for s in inner[:k]] == lower_dirs
-    ok = ok and [s.direction for s in inner[len(inner) - k:]] == lower_dirs
+    ok = ok and [d for _, d in inner[:k]] == lower_dirs
+    ok = ok and [d for _, d in inner[len(inner) - k:]] == lower_dirs
     middle = inner[k:len(inner) - k]
     # The gadget walk starts at the lower sink, ends at the lower start, and
     # every move happens inside the gadget face.
     if ok and middle:
-        ok = (middle[0].vertex & inner_mask) == lower_trace.end
-        gadget_pos = level.gadget_anchor
-        for s in middle:
-            ok = ok and (s.vertex & ~inner_mask) == gadget_pos
-        after_last = middle[-1].vertex ^ (1 << middle[-1].direction.coord)
-        ok = ok and (after_last & inner_mask) == lower_trace.start
+        ok = (middle[0][0] & inner_mask) == lower_trace.end
+        ok = ok and all((v & ~inner_mask) == level.gadget_anchor for v, _ in middle)
+        v, d = middle[-1]
+        ok = ok and (v ^ 1 << d.coord) & inner_mask == lower_trace.start
     report.add("projection_twice", ok,
                None if ok else {"inner_steps": len(inner), "lower": k})
 
@@ -452,17 +455,17 @@ def _zadeh_replay(level, trace):
     sat, tops = [], []
     escapes = True
     escaping = False  # the previous vertex was saturated and inner-active
-    for i, (v, step) in enumerate(replay(trace, st)):
+    for i, (v, d) in enumerate(replay(trace, st)):
         if escaping:
             escapes = escapes and not is_saturated(level.oracle, v, st, inner_mask)
             escapes = escapes and bool(level.oracle.evaluate(v) & inner_mask)
         escaping = False
         # The sink is trivially saturated.
-        if step is None or is_saturated(level.oracle, v, st, full_mask):
+        if d is None or is_saturated(level.oracle, v, st, full_mask):
             sat.append(i)
             tops.append(st.top)
-            escaping = step is not None and bool(level.oracle.evaluate(v) & inner_mask)
-            escapes = escapes and (not escaping or step.direction.coord < size)
+            escaping = d is not None and bool(level.oracle.evaluate(v) & inner_mask)
+            escapes = escapes and (not escaping or d.coord < size)
     return sat, tops, escapes, st
 
 
@@ -477,8 +480,9 @@ def _zadeh_trace_checks(report, level, trace, lower_trace):
     top = {Direction(level.level * size + k, s)
            for k in range(size) for s in (True, False)}
     ok = all(after <= before + 1 for before, after in zip(tops, tops[1:]))
+    dirs = trace.directions()
     for a, b in zip(sat, sat[1:]):
-        segment = [s.direction for s in trace.steps[a:b]]
+        segment = dirs[a:b]
         new_bundle = [d for d in segment if d in top]
         ok = ok and len(set(new_bundle)) == len(new_bundle)
         ok = ok and len(set(segment)) <= 2 * level.dimension - 1
@@ -496,7 +500,7 @@ def _zadeh_trace_checks(report, level, trace, lower_trace):
         # An interior saturated vertex exists and the sink is at least two
         # steps past the last one.
         interior = [i for i in sat[:-1] if i > 0]
-        ok = bool(interior) and len(trace.steps) - max(interior) >= 2
+        ok = bool(interior) and len(trace) - max(interior) >= 2
         report.add("interior_saturated_vertex", ok, None if ok else {"saturated": sat})
     else:
         _projection_check(report, level, trace, lower_trace)

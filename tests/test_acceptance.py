@@ -84,11 +84,12 @@ def test_criterion_1_johnson_example_table():
 
     trace, elapsed = _best_time(run)
     ok = len(trace) == 6
-    for step, (bits, d, hist) in zip(trace.steps, JOHNSON_TABLE):
+    for v, direction, history, (bits, d, hist) in zip(
+            trace.vertices(), trace.directions(), trace.history, JOHNSON_TABLE):
         from ausokit.cube_core import direction_text
-        ok = ok and vertex_text(step.vertex, 4) == bits
-        ok = ok and direction_text(step.direction, 4) == d
-        ok = ok and step.history == hist
+        ok = ok and vertex_text(v, 4) == bits
+        ok = ok and direction_text(direction, 4) == d
+        ok = ok and history == hist
     ok = ok and vertex_text(trace.end, 4) == JOHNSON_FINAL[0]
     ok = ok and trace.final_history == JOHNSON_FINAL[1]
     ok = ok and elapsed < 1e-3

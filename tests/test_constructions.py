@@ -121,7 +121,7 @@ def test_johnson_level1_projection_and_growth(built_levels):
     level1, trace1 = built_levels["johnson"][1]
     assert level1.dimension == 8
     assert len(trace1) > 2 * len(trace0)
-    inner = [s.direction for s in trace1.steps if s.direction.coord < 4]
+    inner = [d for d in trace1.directions() if d.coord < 4]
     assert inner[:len(trace0)] == trace0.directions()
     assert inner[-len(trace0):] == trace0.directions()
 

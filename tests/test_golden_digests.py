@@ -68,5 +68,6 @@ def test_johnson_non_arrival_digest(built_levels, tmp_path):
                           JohnsonState(tuple(johnson_tie_order(level.level + 1)),
                                        arrival_update=False), bundle_size=4)
               for level, _ in built_levels["johnson"]]
-    assert all(trace.steps[-1].history is not None for trace in traces)
+    assert all(trace.history is not None and len(trace.history) == len(trace)
+               for trace in traces)
     assert _digest(_write_traces(traces, tmp_path)) == JOHNSON_NON_ARRIVAL_DIGEST

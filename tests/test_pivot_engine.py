@@ -7,6 +7,7 @@ from hypothesis import strategies as hst
 
 from ausokit.combinators import FrameAssignmentMap, ProductOracle, materialize, reorient_face
 from ausokit.cube_core import (
+    CubeError,
     Direction,
     Face,
     OrientationOracle,
@@ -100,13 +101,14 @@ def test_johnson_example_table(johnson_frames):
     st = JohnsonState(tuple(johnson_tie_order(1)))
     trace = run_to_sink(f1, 0, "johnson", st, bundle_size=4)
     assert len(trace) == 6
-    for step, (bits, d, pos, neg) in zip(trace.steps, JOHNSON_TABLE):
-        assert vertex_text(step.vertex, 4) == bits
+    for v, direction, history, (bits, d, pos, neg) in zip(
+            trace.vertices(), trace.directions(), trace.history, JOHNSON_TABLE):
+        assert vertex_text(v, 4) == bits
         sign, k = d[0], int(d[1])
-        assert step.direction == Direction(k - 1, sign == "+")
+        assert direction == Direction(k - 1, sign == "+")
         for k in range(4):
-            assert step.history[f"+0.{k+1}"] == pos[k]
-            assert step.history[f"-0.{k+1}"] == neg[k]
+            assert history[f"+0.{k+1}"] == pos[k]
+            assert history[f"-0.{k+1}"] == neg[k]
     bits, pos, neg = JOHNSON_FINAL
     assert trace.end == parse_vertex(bits)
     for k in range(4):
@@ -123,7 +125,7 @@ def test_johnson_dual_mode_same_directions(johnson_frames):
                     bundle_size=4)
     assert a.directions() == b.directions()
     # the recorded snapshots differ, the choices never do
-    assert a.steps[0].history != b.steps[0].history
+    assert a.history[0] != b.history[0]
 
 
 def test_zadeh_base_case_walk(zadeh_frames):
@@ -180,7 +182,7 @@ def test_determinism_identical_traces(zadeh_frames):
                         ZadehState(tuple(tie_pattern_zadeh(0))), bundle_size=6)
             for _ in range(2)]
     assert runs[0].directions() == runs[1].directions()
-    assert [s.history for s in runs[0].steps] == [s.history for s in runs[1].steps]
+    assert runs[0].history == runs[1].history
 
 
 def test_step_limit_flags_cycle():
@@ -189,7 +191,7 @@ def test_step_limit_flags_cycle():
                           Direction(0, False), Direction(1, False)))
     with pytest.raises(StepLimitExceeded) as exc:
         run_to_sink(cyclic, 0, "cunningham", st, step_limit=50, bundle_size=2)
-    assert len(exc.value.partial.steps) == 50
+    assert len(exc.value.partial) == 50
 
 
 def _states(order):
@@ -281,18 +283,45 @@ def test_is_saturated_at_box12_not_at_box2(zadeh_frames):
     assert is_saturated(a0, v, st, 0b111111)
 
 
-def test_trace_jsonl_roundtrip(tmp_path, johnson_frames):
+def test_trace_jsonl_roundtrip(tmp_path, built_levels):
+    """Every fixture trace, history included, reads back field by field."""
+    path = tmp_path / "t.jsonl"
+    traces = [trace for chain in built_levels.values() for _, trace in chain]
+    assert any(trace.history for trace in traces)
+    for trace in traces:
+        write_trace_jsonl(trace, path)
+        lines = path.read_text().strip().splitlines()
+        assert len(lines) == len(trace) + 1  # final record carries sink and length
+        assert read_trace_jsonl(path, trace.bundle_size) == trace
+
+
+# Johnson's example run on F1: line 3 is step 3, +0.3 from 1100; line 7 is
+# the final record, sink 1001 after 6 steps.
+@pytest.mark.parametrize("line,key,value", [
+    (3, "t", 4),
+    (3, "vertex", "1110"),
+    (3, "dir", "-0.3"),  # 1100 lacks c3
+    (3, "dir", "+0.7"),  # no coordinate 7 in the 4-cube
+    (3, "h", None),  # the other records carry a snapshot
+    (7, "length", 7),
+    (7, "sink", "1000"),
+])
+def test_trace_jsonl_tampering_is_caught(tmp_path, johnson_frames, line, key, value):
     _, f1 = johnson_frames["f1"]
     trace = run_to_sink(f1, 0, "johnson", JohnsonState(tuple(johnson_tie_order(1))),
                         bundle_size=4)
     path = tmp_path / "t.jsonl"
     write_trace_jsonl(trace, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == len(trace) + 1  # final record carries sink and length
-    again = read_trace_jsonl(path, 4)
-    assert again.directions() == trace.directions()
-    assert again.end == trace.end
-    assert [s.history for s in again.steps] == [s.history for s in trace.steps]
+    records = [json.loads(text) for text in path.read_text().splitlines()]
+    assert len(records) == 7 and records[2]["dir"] == "+0.3"
+    assert records[2]["vertex"] == "1100" and records[6]["sink"] == "1001"
+    if value is None:
+        del records[line - 1][key]
+    else:
+        records[line - 1][key] = value
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    with pytest.raises(CubeError, match=f"line {line}: "):
+        read_trace_jsonl(path, 4)
 
 
 def test_rules_terminate_within_2n_from_every_start(cunningham_frames,
@@ -321,7 +350,7 @@ def test_history_snapshots_off_beyond_dim16():
     level, _ = realize_level("zadeh", 2)  # n = 18
     trace = run_to_sink(level.oracle, level.start, "zadeh",
                         rule_state("zadeh", 2), bundle_size=6)
-    assert all(s.history is None for s in trace.steps)
+    assert trace.history is None
 
 
 @pytest.mark.parametrize("family,top", [("cunningham", 5), ("johnson", 5), ("zadeh", 3)])
@@ -419,8 +448,7 @@ def _johnson_matches_reference(oracle, start, order, limit, bundle_size):
                               record_history=True)
         except StepLimitExceeded as exc:
             got = exc.partial
-        assert [s.history for s in got.steps] == [text(pair[0 if arrival else 1])
-                                                  for pair in tables]
+        assert got.history == [text(pair[0 if arrival else 1]) for pair in tables]
         if got.final_history is not None:
             assert got.final_history == text(final)
     state = JohnsonState(order)
@@ -490,7 +518,7 @@ def test_johnson_h_keys_stay_the_tie_order():
     assert trace.directions() == [Direction(0, True), Direction(1, True)]
     assert list(state.last_step) == list(state.stamp) == list(order)
     keys = [direction_text(d, 2) for d in order]
-    assert all(list(s.history) == keys for s in trace.steps)
+    assert all(list(h) == keys for h in trace.history)
     assert list(trace.final_history) == keys
     _johnson_matches_reference(UniformOracle(2, 0b11), 0, order, 8, 2)
 
@@ -504,7 +532,7 @@ def test_zadeh_usage_keys_stay_the_tie_list():
     assert list(state.usage) == list(order)
     assert [balance_of(state, d) for d in order] == [0, 0, 1]
     keys = [direction_text(d, 2) for d in order]
-    assert all(list(s.history) == keys for s in trace.steps)
+    assert all(list(h) == keys for h in trace.history)
     assert trace.final_history == dict(zip(keys, (1, 1, 0)))
 
 
@@ -523,11 +551,12 @@ def test_direction_outside_the_order_never_wins(rule):
 def _reference_jsonl(trace) -> list[str]:
     """The lines of a trace file as one json.dumps per record."""
     records = []
-    for s in trace.steps:
-        rec = {"t": s.t, "vertex": vertex_text(s.vertex, trace.dimension),
-               "dir": direction_text(s.direction, trace.bundle_size)}
-        if s.history is not None:
-            rec["h"] = s.history
+    history = trace.history or [None] * len(trace)
+    for t, (v, d, h) in enumerate(zip(trace.vertices(), trace.directions(), history), 1):
+        rec = {"t": t, "vertex": vertex_text(v, trace.dimension),
+               "dir": direction_text(d, trace.bundle_size)}
+        if h is not None:
+            rec["h"] = h
         records.append(rec)
     final = {"sink": vertex_text(trace.end, trace.dimension), "length": len(trace),
              "rule": trace.rule, "start": vertex_text(trace.start, trace.dimension)}

@@ -131,6 +131,30 @@ def test_kahn_agrees_with_dfs():
     assert 50 < sum(verdicts) < 350
 
 
+@pytest.mark.parametrize("n", range(9, 15))
+def test_kahn_verdict_does_not_depend_on_the_block(monkeypatch, n):
+    rng = random.Random(n)
+    acyclic = _random_orientation(rng, n)
+    cyclic = list(acyclic)
+    anchor = rng.getrandbits(n) & ~0b11
+    for low, out in {0b00: 0b01, 0b01: 0b10, 0b11: 0b01, 0b10: 0b10}.items():  # 4-cycle
+        cyclic[anchor | low] = (cyclic[anchor | low] & ~0b11) | out
+    reversed_edges = list(acyclic)
+    for _ in range(3):  # may close a cycle
+        v, c = rng.getrandbits(n), rng.randrange(n)
+        reversed_edges[v] ^= 1 << c
+        reversed_edges[v ^ (1 << c)] ^= 1 << c
+    noisy = [rng.getrandbits(n) for _ in range(1 << n)]
+    verdicts = []
+    for table in (acyclic, cyclic, reversed_edges, noisy):
+        want = _dfs_cycle(table, n) is None
+        for block in (1, 1 << 20):
+            monkeypatch.setattr(verifier, "KAHN_BLOCK", block)
+            assert _kahn_acyclic(np.array(table, dtype=np.uint64), n) == want
+        verdicts.append(want)
+    assert verdicts[:2] == [True, False] and not verdicts[3]
+
+
 def _assert_directed_cycle(cycle, table):
     vertices = [parse_vertex(t) for t in cycle]
     assert len(vertices) >= 3 and vertices[0] == vertices[-1]
@@ -348,7 +372,7 @@ def test_trace_properties_detect_tampering(built_levels):
     level, trace = built_levels["zadeh"][1]
     import copy
     bad = copy.deepcopy(trace)
-    bad.steps[5], bad.steps[6] = bad.steps[6], bad.steps[5]
+    bad.moves[5], bad.moves[6] = bad.moves[6], bad.moves[5]
     report = check_trace_properties(level, bad, built_levels["zadeh"][0][1])
     assert not report.passed
 
