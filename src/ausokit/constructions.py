@@ -18,6 +18,8 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .cube_core import (
     CubeError,
     Direction,
@@ -134,13 +136,22 @@ class ConstructionLevel:
     start: int
     expected_sink: int
     path_length: int
-    assignments: dict[int, str] = field(default_factory=dict)
+    frames: FrameAssignmentMap | None = None  # None at the base level
+    frame_names: dict[OrientationOracle, str] = field(default_factory=dict)
     default_frame: str = ""
     gadget_anchor: int = 0  # absolute bits; 0 for the base level
 
     @property
     def bundle_size(self) -> int:
         return BUNDLE_SIZE[self.family]
+
+    @property
+    def assignments(self) -> dict[int, str]:
+        """Frame name of each inner vertex the frame map overrides, derived
+        from the map (empty at the base level)."""
+        if self.frames is None:
+            return {}
+        return {v: self.frame_names[f] for v, f in self.frames.overrides.items()}
 
     def rule_state(self):
         """A fresh state of the family's pivot rule at this level."""
@@ -182,23 +193,23 @@ def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]
     trace = run_to_sink(oracle, start, family, rule_state(family, 0),
                         bundle_size=BUNDLE_SIZE[family])
     level = ConstructionLevel(family, 0, oracle.dimension, oracle, start,
-                              trace.end, len(trace), {}, DEFAULT_FRAME[family])
+                              trace.end, len(trace), default_frame=DEFAULT_FRAME[family])
     return level, trace
 
 
 def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  frames: FrameAssignmentMap,
-                  oracle: OrientationOracle) -> tuple[dict[int, str], Trace]:
+                  frame_names, frames: FrameAssignmentMap,
+                  oracle: OrientationOracle) -> Trace:
     """Run the rule on `oracle` while the adversary picks each inner vertex's
     frame on first demand and writes it into `frames`, the map below the
-    oracle; returns the assignments and the run's trace."""
+    oracle; returns the run's trace."""
     size = BUNDLE_SIZE[family]
     inner_dim = prev.dimension
     inner_mask = (1 << inner_dim) - 1
     skipped = (_bundle_bits(0, GADGET_ANCHOR[family]), HYPERSINK_POSITION[family])
     start = starting_vertex(family, level)
     state = rule_state(family, level)
-    assignments: dict[int, str] = {}
+    overrides = frames.overrides
 
     def decide(vi: int, pos: int) -> str:
         """The frame of inner vertex vi, entered at bundle position pos."""
@@ -215,70 +226,59 @@ def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracle
 
     def assign(v: int) -> None:
         vi = v & inner_mask
-        name = decide(vi, v >> inner_dim)
-        held = assignments.setdefault(vi, name)
-        if held != name:
-            raise FrameConflictError(
-                f"inner vertex {vi:b} demanded frame {name} but holds {held}")
-        frames.overrides[vi] = frame_oracles[name]
+        frame = frame_oracles[decide(vi, v >> inner_dim)]
+        held = overrides.setdefault(vi, frame)
+        if held is not frame:
+            raise FrameConflictError(f"inner vertex {vi:b} demanded frame "
+                                     f"{frame_names[frame]} but holds {frame_names[held]}")
 
     def hook(d, v_after):
         if d.coord < inner_dim and v_after >> inner_dim not in skipped:
             assign(v_after)
 
     assign(start)
-    trace = run_to_sink(oracle, start, family, state, bundle_size=size, after_step=hook)
-    return assignments, trace
+    return run_to_sink(oracle, start, family, state, bundle_size=size, after_step=hook)
 
 
 def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  frame_hashes: dict[str, str],
-                  cached: dict | None = None) -> tuple[ConstructionLevel, Trace]:
+                  frame_names, frame_hashes: dict[str, str],
+                  cache_path: Path | None = None) -> tuple[ConstructionLevel, Trace]:
     """Level `level` on top of `prev`, with the trace of one run on it.
 
-    The level has one frame map and one oracle chain.  Without a cache
-    record the adversarial run fills the map, running below the level's
-    memo, and its trace is the level's trace.  With the cache record
-    `cached`, which must have been built from frame files with
-    `frame_hashes` (stem -> sha256), the map is filled from the record, and
-    one run on the level must reproduce the recorded length and sink.
+    The level has one frame map and one oracle chain.  Without a cache file
+    the adversarial run fills the map, and its trace is the level's trace.
+    With the cache file at `cache_path`, whose record must have been built
+    from frame files with `frame_hashes` (stem -> sha256), the map is filled
+    from the record, and one run on the level must reproduce the recorded
+    length and sink.
     """
     if family == "johnson":
         replacement = build_reset(level, frame_oracles["r1"])
     else:
         replacement = UniformOracle(prev.dimension, prev.start)
     default = frame_oracles[DEFAULT_FRAME[family]]
-    assignments: dict[int, str] = {}
-    if cached is not None:
-        if cached["family"] != family or cached["level"] != level:
-            raise ConstructionError("cache file does not match the requested level")
-        for stem, digest in frame_hashes.items():
-            if cached["frame_files"].get(stem) != digest:
-                raise ConstructionError(
-                    f"cached level {family} {level} was built from another "
-                    f"{family}_{stem}.frame (sha256 differs)")
-        assignments = {parse_vertex(bits): name
-                       for bits, name in cached["assignments"].items()}
     frames = FrameAssignmentMap(
-        prev.dimension, _Unassigned(default.dimension) if cached is None else default,
-        overrides={v: frame_oracles[n] for v, n in assignments.items()})
+        prev.dimension, _Unassigned(default.dimension) if cache_path is None else default)
     oracle = _level_oracle(family, prev, frames, replacement)
-    if cached is None:
-        # The run goes below the memo, which it could not use (a rule path on
-        # an acyclic orientation never revisits a vertex), so the memo holds
-        # only outmaps of the finished level; criterion 7 re-runs every
-        # acceptance level on its oracle and compares the trace bytes.
-        assignments, trace = _adaptive_run(family, level, prev, frame_oracles,
-                                           frames, oracle.base)
+    # Either run goes below the memo, which it could not use (a rule path on
+    # an acyclic orientation never revisits a vertex), so the memo holds
+    # only outmaps of the finished level; criterion 7 re-runs every
+    # acceptance level on its oracle and compares the trace bytes.
+    if cache_path is None:
+        trace = _adaptive_run(family, level, prev, frame_oracles, frame_names,
+                              frames, oracle.base)
         frames.default = default
     else:
-        trace = run_to_sink(oracle, parse_vertex(cached["start"]), family,
-                            rule_state(family, level), bundle_size=BUNDLE_SIZE[family])
-        if len(trace) != cached["path_length"] or trace.end != parse_vertex(cached["sink"]):
+        start, sink, length = _read_cache(cache_path, family, level, prev.dimension,
+                                          frame_oracles, frame_hashes, frames.overrides)
+        trace = run_to_sink(oracle.base, start, family, rule_state(family, level),
+                            bundle_size=BUNDLE_SIZE[family])
+        if len(trace) != length or trace.end != sink:
             raise ConstructionError(
                 f"cached level {family} {level} does not replay its recorded run")
     built = ConstructionLevel(family, level, oracle.dimension, oracle, trace.start,
-                              trace.end, len(trace), assignments, DEFAULT_FRAME[family],
+                              trace.end, len(trace), frames, frame_names,
+                              DEFAULT_FRAME[family],
                               _bundle_bits(prev.dimension, GADGET_ANCHOR[family]))
     return built, trace
 
@@ -286,6 +286,10 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
 # Keys a cache record must hold to be reloaded.
 CACHE_KEYS = ("family", "level", "start", "sink", "path_length", "assignments",
               "frame_files")
+# Assignment lines per chunk of a streamed cache write.
+CACHE_WRITE_BLOCK = 1 << 12
+# Each byte value with its eight bits in reverse order.
+_BIT_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
 def _cache_path(cache_dir: Path, family: str, level: int) -> Path:
@@ -298,45 +302,97 @@ def _frame_hashes(family: str, frames_dir) -> dict[str, str]:
             for stem in FAMILY_FRAMES[family]}
 
 
-def _read_cache(path: Path) -> dict:
+def _is_vertex_text(text, n: int) -> bool:
+    """True iff `text` is the text of a vertex of an n-cube."""
+    return isinstance(text, str) and len(text) == n and not text.strip("01")
+
+
+def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracles,
+                frame_hashes: dict[str, str], overrides: dict) -> tuple[int, int, int]:
+    """Check the cache record at `path` and fill `overrides` (inner vertex ->
+    frame oracle) from its assignments in one pass; returns the recorded
+    start, sink and path length.  A file that is not a level record raises
+    CacheFileError naming it."""
     try:
         record = json.loads(path.read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CacheFileError(f"unreadable cache file {path} ({exc}); "
                              "delete it to rebuild the level") from exc
+    n = inner_dim + BUNDLE_SIZE[family]
     if not (isinstance(record, dict) and all(key in record for key in CACHE_KEYS)
             and isinstance(record["assignments"], dict)
-            and isinstance(record["frame_files"], dict)):
+            and isinstance(record["frame_files"], dict)
+            and _is_vertex_text(record["start"], n)
+            and _is_vertex_text(record["sink"], n)):
         raise CacheFileError(f"cache file {path} is not a level record; "
                              "delete it to rebuild the level")
-    return record
+    if record["family"] != family or record["level"] != level:
+        raise ConstructionError("cache file does not match the requested level")
+    for stem, digest in frame_hashes.items():
+        if record["frame_files"].get(stem) != digest:
+            raise ConstructionError(
+                f"cached level {family} {level} was built from another "
+                f"{family}_{stem}.frame (sha256 differs)")
+    for bits, name in record["assignments"].items():
+        frame = frame_oracles.get(name) if isinstance(name, str) else None
+        if frame is None or not _is_vertex_text(bits, inner_dim):
+            raise CacheFileError(
+                f"cache file {path} assigns {name!r} to {bits!r}, not a {family} "
+                f"frame to an inner vertex of dimension {inner_dim}; "
+                "delete it to rebuild the level")
+        overrides[int(bits[::-1], 2)] = frame  # parse_vertex(bits), text checked
+    return (parse_vertex(record["start"]), parse_vertex(record["sink"]),
+            record["path_length"])
 
 
-def _write_atomic(path: Path, text: str) -> None:
-    """Write to a temporary file beside `path`, then rename it into place,
-    so `path` is either absent or complete."""
+def _write_atomic(path: Path, chunks) -> None:
+    """Write the text chunks to a temporary file beside `path`, then rename
+    it into place, so `path` is either absent or complete."""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        with open(tmp, "w", encoding="utf-8") as f:
+            f.writelines(chunks)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
 
 
-def _level_to_cache(level: ConstructionLevel, hashes: dict[str, str]) -> dict:
-    return {
+def _text_order(vertices) -> np.ndarray:
+    """The vertices as a uint64 array sorted by their vertex texts, which
+    read the lowest id first: that is the order of their bit reversals."""
+    keys = np.fromiter(vertices, dtype="<u8", count=len(vertices))
+    reversed_bits = _BIT_REVERSED[keys.view(np.uint8)].reshape(-1, 8)[:, ::-1].copy()
+    return keys[np.argsort(reversed_bits.view("<u8").ravel())]
+
+
+def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
+    """The level's cache record as json.dumps(record, indent=2,
+    sort_keys=True) + "\\n" spells it, chunk by chunk.  "assignments" sorts
+    before every other key, and its lines are streamed in vertex-text
+    order; json.dumps spells the rest of the record."""
+    rest = json.dumps({
         "family": level.family,
         "level": level.level,
         "dimension": level.dimension,
         "start": vertex_text(level.start, level.dimension),
         "sink": vertex_text(level.expected_sink, level.dimension),
         "path_length": level.path_length,
-        "assignments": {vertex_text(v, level.dimension - BUNDLE_SIZE[level.family]): n
-                        for v, n in sorted(level.assignments.items())},
         "default_frame": level.default_frame,
         "gadget_anchor": vertex_text(level.gadget_anchor, level.dimension),
         "frame_files": hashes,
-    }
+    }, indent=2, sort_keys=True)
+    overrides = {} if level.frames is None else level.frames.overrides
+    yield '{\n  "assignments": {'
+    if overrides:
+        inner_dim = level.dimension - level.bundle_size
+        names = {frame: json.dumps(name) for frame, name in level.frame_names.items()}
+        order = _text_order(overrides)
+        for i in range(0, len(order), CACHE_WRITE_BLOCK):
+            yield ("\n" if i == 0 else ",\n") + ",\n".join(
+                f'    "{vertex_text(v, inner_dim)}": {names[overrides[v]]}'
+                for v in order[i:i + CACHE_WRITE_BLOCK].tolist())
+        yield "\n  "
+    yield "}," + rest[1:] + "\n"
 
 
 def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
@@ -351,22 +407,20 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
         raise ConstructionError(f"unknown family {family!r}")
     frame_oracles = {name: oracle
                      for name, (spec, oracle) in load_family(family, frames_dir).items()}
+    frame_names = {oracle: name for name, oracle in frame_oracles.items()}
     hashes = _frame_hashes(family, frames_dir)
     chain: list[tuple[ConstructionLevel, Trace]] = []
     for i in range(max_level + 1):
         path = None if cache_dir is None else _cache_path(Path(cache_dir), family, i)
+        cached = path is not None and path.exists()
         if i == 0:
             built, trace = _realize_base(family, frame_oracles)
         else:
-            cached = None
-            if path is not None and path.exists():
-                cached = _read_cache(path)
             built, trace = _realize_step(family, i, chain[-1][0], frame_oracles,
-                                         hashes, cached)
-        if path is not None and not path.exists():
+                                         frame_names, hashes, path if cached else None)
+        if path is not None and not cached:
             path.parent.mkdir(parents=True, exist_ok=True)
-            _write_atomic(path, json.dumps(_level_to_cache(built, hashes),
-                                           indent=2, sort_keys=True) + "\n")
+            _write_atomic(path, _cache_chunks(built, hashes))
         chain.append((built, trace))
     return chain
 

@@ -159,11 +159,29 @@ def test_cached_level_with_wrong_length_fails(tmp_path, capsys):
         assert "does not replay" in err and "Traceback" not in err
 
 
+def _assign(value, key=None):
+    """Damage that sets one assignment: `key` (the first one if None) to `value`."""
+    def damage(text):
+        record = json.loads(text)
+        record["assignments"][key or next(iter(record["assignments"]))] = value
+        return json.dumps(record)
+    return damage
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: text[:len(text) // 2],  # a truncated write
     lambda text: "[]\n",
     lambda text: json.dumps({**json.loads(text), "frame_files": ["f1"]}),
-], ids=["truncated", "not-an-object", "frame-files-not-an-object"])
+    _assign("f9"),
+    _assign(5),
+    _assign(["f1"]),
+    _assign("f1", key="00000"),  # the inner dimension is 6
+    _assign("f1", key="0000x0"),
+    lambda text: json.dumps({**json.loads(text), "start": 7}),
+    lambda text: json.dumps({**json.loads(text), "sink": ["0"]}),
+], ids=["truncated", "not-an-object", "frame-files-not-an-object", "unknown-frame",
+        "frame-not-text", "frame-in-a-list", "short-vertex", "vertex-not-binary",
+        "start-not-text", "sink-not-text"])
 def test_unreadable_cache_is_configuration_error(tmp_path, capsys, damage):
     cache = tmp_path / "caches"
     assert main(["build", "--family", "zadeh", "--levels", "0..1",

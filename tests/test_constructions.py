@@ -25,8 +25,13 @@ from ausokit.constructions import (
     starting_vertex,
     tie_list,
 )
-from ausokit.cube_core import Direction, TableOracle
-from ausokit.frame_store import FAMILY_FRAMES, load_family
+from ausokit.cube_core import Direction, TableOracle, vertex_text
+from ausokit.frame_store import (
+    FAMILY_FRAMES,
+    frame_file_sha256,
+    load_family,
+    resolve_frames_dir,
+)
 from ausokit.pivot_engine import replay, run_to_sink, write_trace_jsonl
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
 
@@ -198,6 +203,40 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
     with pytest.raises(OSError):
         realize_range("zadeh", 1, cache_dir=tmp_path)
     assert list(tmp_path.iterdir()) == []  # neither a partial file nor a temporary
+
+
+def _reference_cache_record(level, hashes):
+    inner_dim = level.dimension - BUNDLE_SIZE[level.family]
+    return {
+        "family": level.family,
+        "level": level.level,
+        "dimension": level.dimension,
+        "start": vertex_text(level.start, level.dimension),
+        "sink": vertex_text(level.expected_sink, level.dimension),
+        "path_length": level.path_length,
+        "assignments": {vertex_text(v, inner_dim): name
+                        for v, name in level.assignments.items()},
+        "default_frame": level.default_frame,
+        "gadget_anchor": vertex_text(level.gadget_anchor, level.dimension),
+        "frame_files": hashes,
+    }
+
+
+def test_cache_writer_matches_json_dumps(built_levels, tmp_path):
+    """Every cache file of the fixture chains, level 0's empty assignments
+    included, is json.dumps(record, indent=2, sort_keys=True) + "\n" of the
+    record rebuilt from the level."""
+    for family, chain in built_levels.items():
+        realize_range(family, len(chain) - 1, cache_dir=tmp_path)
+        frames_dir = resolve_frames_dir(None)
+        hashes = {stem: frame_file_sha256(frames_dir / f"{family}_{stem}.frame")
+                  for stem in FAMILY_FRAMES[family]}
+        for level, _ in chain:
+            record = _reference_cache_record(level, hashes)
+            assert bool(record["assignments"]) == (level.level > 0)
+            path = tmp_path / f"{family}_level{level.level}.json"
+            assert path.read_text(encoding="utf-8") == json.dumps(
+                record, indent=2, sort_keys=True) + "\n"
 
 
 def test_cached_level_serves_same_oracle(tmp_path):

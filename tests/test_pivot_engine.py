@@ -239,11 +239,14 @@ def test_one_evaluate_per_visited_vertex(family, top, built_levels):
     assert counting.calls == len(trace) + 1
 
 
-def test_built_level_memo_starts_cold():
-    """The adversarial run leaves nothing in the level's memo: a re-run
-    evaluates every vertex of its path below the memo, so criterion 7's
-    re-run recomputes every outmap it reads."""
-    level, trace = realize_level("cunningham", 3)
+@pytest.mark.parametrize("realizations", [1, 2], ids=["build", "reload"])
+def test_built_level_memo_starts_cold(tmp_path, realizations):
+    """Neither the adversarial run nor the run of a reloaded level leaves
+    anything in the level's memo: a re-run evaluates every vertex of its
+    path below the memo, so criterion 7's re-run recomputes every outmap it
+    reads."""
+    for _ in range(realizations):
+        level, trace = realize_level("cunningham", 3, cache_dir=tmp_path)
     counting = _CountingOracle(level.oracle.base)
     level.oracle.base = counting
     again = run_to_sink(level.oracle, level.start, "cunningham", level.rule_state(),
