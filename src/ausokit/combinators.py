@@ -54,9 +54,6 @@ class FrameAssignmentMap:
             if frame.dimension != self.outer_dimension:
                 raise CombinatorError("all frames must share the outer dimension")
 
-    def frame_for(self, inner_vertex: int) -> OrientationOracle:
-        return self.overrides.get(inner_vertex, self.default)
-
     @cached_property
     def _tables(self):
         """Sorted override keys, each key's row, and one uint64 row per
@@ -84,8 +81,9 @@ class FrameAssignmentMap:
                 np.array(rows + [0], dtype=np.intp), table)
 
     def evaluate_many(self, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-        """frame_for(i).evaluate(o) for each pair of the two uint64 arrays:
-        one search for the frame's row and one gather from the table."""
+        """The outmap at o of i's frame (its override, else the default)
+        for each pair of the two uint64 arrays: one search for the frame's
+        row and one gather from the table."""
         keys, rows, table = self._tables
         pos = np.searchsorted(keys, inner)
         row = np.where(keys[pos] == inner, rows[pos], 0)
@@ -112,9 +110,9 @@ class ProductOracle(OrientationOracle):
 
     def evaluate(self, v: int) -> int:
         vi = v & self.inner_mask
-        vo = v >> self.inner.dimension
+        k, frames = self.inner.dimension, self.frames
         return self.inner.evaluate(vi) | (
-            self.frames.frame_for(vi).evaluate(vo) << self.inner.dimension)
+            frames.overrides.get(vi, frames.default).evaluate(v >> k) << k)
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
         vi = vs & np.uint64(self.inner_mask)
@@ -179,26 +177,26 @@ class ReorientedOracle(OrientationOracle):
         low = (1 << face.dimension) - 1
         self._identity = face.free == low
         self._comp = None if self._identity else _BitCompressor(face.free)
+        # v is in the face iff v | free == anchor | free.
+        self._free, self._closure = face.free, face.anchor | face.free
 
     def evaluate(self, v: int) -> int:
-        face = self.face
-        if (v & ~face.free) != face.anchor:
+        if v | self._free != self._closure:
             return self.base.evaluate(v)
         if self._identity:
-            inner = self.replacement.evaluate(v & face.free)
+            inner = self.replacement.evaluate(v & self._free)
         else:
             inner = self._comp.expand(self.replacement.evaluate(self._comp.compress(v)))
         return inner | self.shared_external
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
         """The base on the whole batch, then the face's rows overwritten."""
-        face = self.face
         out = self.base.evaluate_many(vs)
-        inside = (vs | np.uint64(face.free)) == np.uint64(face.anchor | face.free)
+        inside = (vs | np.uint64(self._free)) == np.uint64(self._closure)
         if inside.any():
             w = vs[inside]
             if self._identity:
-                inner = self.replacement.evaluate_many(w & np.uint64(face.free))
+                inner = self.replacement.evaluate_many(w & np.uint64(self._free))
             else:
                 inner = self._comp.expand(
                     self.replacement.evaluate_many(self._comp.compress(w)))

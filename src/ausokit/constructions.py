@@ -8,7 +8,11 @@ decided adversarially while the pivot rule runs, and written into the
 level's own frame map; any revisit demanding a different frame aborts the
 build, so the result is a fixed, replayable orientation.  Each level is run
 once: the trace of a built level is its adversarial run's, and a level
-reloaded from a cache is run once on its frame map as recorded.
+reloaded from a cache is run once on its frame map as recorded.  Every
+level above the base has its own memo.  A level below the chain's top runs
+on it, so the memo ends holding exactly the outmaps of the level's path,
+which are all the next level's run reads of it; the top runs below its
+memo, which stays cold.
 """
 
 from __future__ import annotations
@@ -241,8 +245,8 @@ def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracle
 
 
 def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  frame_names, frame_hashes: dict[str, str],
-                  cache_path: Path | None = None) -> tuple[ConstructionLevel, Trace]:
+                  frame_names, frame_hashes: dict[str, str], cache_path: Path | None,
+                  top: bool) -> tuple[ConstructionLevel, Trace]:
     """Level `level` on top of `prev`, with the trace of one run on it.
 
     The level has one frame map and one oracle chain.  Without a cache file
@@ -250,7 +254,7 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     With the cache file at `cache_path`, whose record must have been built
     from frame files with `frame_hashes` (stem -> sha256), the map is filled
     from the record, and one run on the level must reproduce the recorded
-    length and sink.
+    length and sink.  `top` says whether the level is its chain's last.
     """
     if family == "johnson":
         replacement = build_reset(level, frame_oracles["r1"])
@@ -260,18 +264,23 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     frames = FrameAssignmentMap(
         prev.dimension, _Unassigned(default.dimension) if cache_path is None else default)
     oracle = _level_oracle(family, prev, frames, replacement)
-    # Either run goes below the memo, which it could not use (a rule path on
-    # an acyclic orientation never revisits a vertex), so the memo holds
-    # only outmaps of the finished level; criterion 7 re-runs every
-    # acceptance level on its oracle and compares the trace bytes.
+    # A run never revisits a vertex (the orientation is acyclic), so it
+    # gains nothing from its own memo.  The next level's run reads this
+    # level at exactly its path vertices: its inner moves walk this path
+    # twice, and its gadget walk stays in the replaced face.  So a level
+    # below the top runs on its memo, which then holds those |P| + 1
+    # outmaps and spares the next level computing them through the chain.
+    # The top runs below its memo, which stays cold: no level of the chain
+    # reads it, so filling it would only hold memory.
+    runs_on = oracle.base if top else oracle
     if cache_path is None:
         trace = _adaptive_run(family, level, prev, frame_oracles, frame_names,
-                              frames, oracle.base)
+                              frames, runs_on)
         frames.default = default
     else:
         start, sink, length = _read_cache(cache_path, family, level, prev.dimension,
                                           frame_oracles, frame_hashes, frames.overrides)
-        trace = run_to_sink(oracle.base, start, family, rule_state(family, level),
+        trace = run_to_sink(runs_on, start, family, rule_state(family, level),
                             bundle_size=BUNDLE_SIZE[family])
         if len(trace) != length or trace.end != sink:
             raise ConstructionError(
@@ -333,9 +342,9 @@ def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracl
             raise ConstructionError(
                 f"cached level {family} {level} was built from another "
                 f"{family}_{stem}.frame (sha256 differs)")
-    for bits, name in record["assignments"].items():
+    for bits, name in record["assignments"].items():  # a JSON key is a str
         frame = frame_oracles.get(name) if isinstance(name, str) else None
-        if frame is None or not _is_vertex_text(bits, inner_dim):
+        if frame is None or len(bits) != inner_dim or bits.strip("01"):
             raise CacheFileError(
                 f"cache file {path} assigns {name!r} to {bits!r}, not a {family} "
                 f"frame to an inner vertex of dimension {inner_dim}; "
@@ -417,7 +426,8 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
             built, trace = _realize_base(family, frame_oracles)
         else:
             built, trace = _realize_step(family, i, chain[-1][0], frame_oracles,
-                                         frame_names, hashes, path if cached else None)
+                                         frame_names, hashes, path if cached else None,
+                                         top=i == max_level)
         if path is not None and not cached:
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(path, _cache_chunks(built, hashes))

@@ -21,6 +21,7 @@ from .cube_core import (
     MAX_DIMENSION,
     CubeError,
     Direction,
+    IllegalMoveError,
     OrientationOracle,
     apply_direction,
     direction_text,
@@ -50,50 +51,15 @@ class OracleInconsistencyError(CubeError):
 
 # A direction's integer id is 2 * (coord + 1) for +c and one more for -c, so
 # a set bit of an outmap names it as bit_length() << 1 (| 1 where v has the
-# bit).  Johnson and Zadeh keep one key list per state, key[id] = count *
-# len(order) + tie rank.  An id outside the order holds _NEVER, which no key
-# reaches (a count stays below the step limit 4 << MAX_DIMENSION and
-# len(order) below 2^7), so it never wins.
+# bit).  Johnson keeps one key list, key[id] = stamp * len(order) + tie
+# rank.  An id outside the order holds _NEVER, which no key reaches (a stamp
+# stays below the step limit 4 << MAX_DIMENSION and len(order) below 2^7),
+# so it never wins.
 _NEVER = 1 << 96
 
 
 def _direction_id(d: Direction) -> int:
     return 2 * d.coord + (2 if d.positive else 3)
-
-
-def _key_list(order: tuple[Direction, ...]) -> list[int]:
-    """Count 0 and the tie rank for each direction of the order, _NEVER for
-    every other id an outmap bit can name."""
-    top = max([MAX_DIMENSION, *(d.coord + 1 for d in order)])
-    key = [_NEVER] * (2 * top + 2)
-    for rank, d in enumerate(order):
-        key[_direction_id(d)] = rank
-    return key
-
-
-def _counts(key: list[int], order: tuple[Direction, ...]) -> dict[Direction, int]:
-    """The counts of a key list as a Direction-keyed dict, in the order."""
-    size = len(order)
-    return {d: key[_direction_id(d)] // size for d in order}
-
-
-def _least(v: int, out: int, key: list[int]) -> int:
-    """The least key of an outgoing direction at v, read off the set bits of
-    the outmap `out` alone: +c where v lacks c, then -c where v has it.
-    _NEVER when every outgoing direction lies outside the order."""
-    best = _NEVER
-    up, down = out & ~v, out & v
-    while up:
-        k = key[(up & -up).bit_length() << 1]
-        if k < best:
-            best = k
-        up &= up - 1
-    while down:
-        k = key[(down & -down).bit_length() << 1 | 1]
-        if k < best:
-            best = k
-        down &= down - 1
-    return best
 
 
 @dataclass
@@ -151,11 +117,17 @@ class JohnsonState:
     arrival_update: bool = True
 
     def __post_init__(self):
-        self.key = _key_list(self.tie_order)
+        # Stamp 0 and the tie rank for each direction of the order, _NEVER
+        # for every other id an outmap bit can name.
+        top = max([MAX_DIMENSION, *(d.coord + 1 for d in self.tie_order)])
+        self.key = [_NEVER] * (2 * top + 2)
+        for rank, d in enumerate(self.tie_order):
+            self.key[_direction_id(d)] = rank
 
     @property
     def stamp(self) -> dict[Direction, int]:
-        return _counts(self.key, self.tie_order)
+        size = len(self.tie_order)
+        return {d: self.key[_direction_id(d)] // size for d in self.tie_order}
 
     def table(self, u: int | None = None) -> dict[Direction, int]:
         """h after the latest update phase, or as if it had been at u."""
@@ -171,9 +143,22 @@ class JohnsonState:
     def choose(self, v: int, out: int) -> Direction | None:
         """The outgoing direction with the smallest h, ties by the tie order.
         An outgoing direction's h is its stamp, which the update phase at v
-        leaves alone, so stamping first, as the rule is stated, agrees."""
-        k = _least(v, out, self.key)
-        return None if k == _NEVER else self.tie_order[k % len(self.tie_order)]
+        leaves alone, so stamping first, as the rule is stated, agrees.
+        The least key is read off the set bits of `out` alone: +c where v
+        lacks c, then -c where v has it."""
+        key, best = self.key, _NEVER
+        up, down = out & ~v, out & v
+        while up:
+            k = key[(up & -up).bit_length() << 1]
+            if k < best:
+                best = k
+            up &= up - 1
+        while down:
+            k = key[(down & -down).bit_length() << 1 | 1]
+            if k < best:
+                best = k
+            down &= down - 1
+        return None if best == _NEVER else self.tie_order[best % len(self.tie_order)]
 
     def record(self, v: int, d: Direction) -> None:
         """Bookkeeping of the move d from v: update h at v (the stamp of d's
@@ -191,37 +176,77 @@ class JohnsonState:
         self.updated = (v, self.step_counter)
 
 
+def _packed_bit(d: Direction) -> int:
+    """The bit of d in a packed direction set: coord for +c, 64 + coord for -c."""
+    return d.coord if d.positive else 64 + d.coord
+
+
 @dataclass
 class ZadehState:
-    """Usage counts h, as the counts of the key list, the tie list T (all 2n
-    directions, fixed order) and the top usage count."""
+    """Usage counts h, the tie list T (all 2n directions, fixed order) and
+    the top usage count.
+
+    Direction sets are packed as CunninghamState packs availability (bit c
+    for +c, bit 64 + c for -c): count[b] is the usage of the direction of
+    bit b (-1 outside the tie list), masks[k] the set of directions used k
+    times for k <= top, and bottom the least k with a nonempty mask.
+    """
 
     tie_list: tuple[Direction, ...]
-    key: list[int] = field(init=False, repr=False)
+    count: list[int] = field(init=False, repr=False)
     top: int = field(init=False, default=0)
+    masks: list[int] = field(init=False, repr=False, compare=False)
+    bottom: int = field(init=False, default=0, compare=False)
 
     def __post_init__(self):
-        self.key = _key_list(self.tie_list)
+        self.count = [-1] * 128
+        # rank[b + 1] is the tie rank of the direction of bit b.
+        self._rank = [len(self.tie_list)] * 129
+        for rank, d in enumerate(self.tie_list):
+            self.count[_packed_bit(d)] = 0
+            self._rank[_packed_bit(d) + 1] = rank
+        self._listed = sum(1 << _packed_bit(d) for d in self.tie_list)
+        self.masks = [self._listed]
 
     @property
     def usage(self) -> dict[Direction, int]:
-        return _counts(self.key, self.tie_list)
+        return {d: self.count[_packed_bit(d)] for d in self.tie_list}
 
     def choose(self, v: int, out: int) -> Direction | None:
-        """The least-used outgoing direction; ties go by the tie list."""
-        k = _least(v, out, self.key)
-        return None if k == _NEVER else self.tie_list[k % len(self.tie_list)]
+        """The least-used outgoing direction; ties go by the tie list: the
+        outgoing directions of the least count that has any, least rank
+        first."""
+        available = ((out & ~v) | (out & v) << 64) & self._listed
+        if not available:
+            return None
+        masks, k = self.masks, self.bottom
+        while not masks[k] & available:
+            k += 1
+        ties, rank = masks[k] & available, self._rank
+        best = len(self.tie_list)
+        while ties:
+            low = ties & -ties
+            if rank[low.bit_length()] < best:
+                best = rank[low.bit_length()]
+            ties ^= low
+        return self.tie_list[best]
 
     def record(self, v: int, d: Direction) -> None:
         """Bookkeeping of the move d from v: one more use of d."""
-        i = _direction_id(d)
-        k = self.key[i]
-        if k == _NEVER:
+        b = _packed_bit(d)
+        k = self.count[b]
+        if k < 0:
             raise CubeError(f"direction {d} is not in the tie list")
-        size = len(self.tie_list)
-        self.key[i] = k + size
-        if k // size == self.top:
-            self.top += 1
+        self.count[b] = k + 1
+        bit, masks = 1 << b, self.masks
+        masks[k] ^= bit
+        if k == self.top:
+            self.top = k + 1
+            masks.append(bit)
+        else:
+            masks[k + 1] |= bit
+        if k == self.bottom and not masks[k]:
+            self.bottom = k + 1
 
     def settle(self, v: int) -> None:
         """Bookkeeping at the sink: none."""
@@ -229,14 +254,15 @@ class ZadehState:
 
 def balance_of(st: ZadehState, d: Direction) -> int:
     """Usage deficit of d against the most used direction."""
-    return st.top - st.key[_direction_id(d)] // len(st.tie_list)
+    return st.top - st.count[_packed_bit(d)]
 
 
 def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, mask: int) -> bool:
     """No imbalanced direction on a coordinate of `mask` is available at v;
-    balance is measured against the most used direction overall.  Walks
-    only the set bits of the outmap within the mask."""
-    return _least(v, oracle.evaluate(v) & mask, st.key) >= st.top * len(st.tie_list)
+    balance is measured against the most used direction overall.  One test
+    of the available directions against those used fewer than top times."""
+    out = oracle.evaluate(v) & mask
+    return not ((out & ~v) | (out & v) << 64) & st._listed & ~st.masks[st.top]
 
 
 # The Direction of each id below 128 (ids 0 and 1 name none).
@@ -311,34 +337,37 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
 
     trace = Trace(rule, n, bundle_size, start, start,
                   history=[] if record_history else None)
+    evaluate, choose, record = oracle.evaluate, state.choose, state.record
+    moves, history = trace.moves, trace.history
     v = start
     crossed = 0  # bit of the edge the last move crossed into v
     while True:
-        out = oracle.evaluate(v)
+        out = evaluate(v)
         if out & crossed:
-            d = _DIRECTIONS[trace.moves[-1]]
+            d = _DIRECTIONS[moves[-1]]
             raise OracleInconsistencyError(
                 f"both ends of the {direction_text(d, bundle_size)} edge into "
                 f"{vertex_text(v, n)} claim it as outgoing")
         if out == 0:
             # Johnson's final update at the sink: the last displayed row of a run.
             state.settle(v)
-            if record_history:
+            if history is not None:
                 trace.final_history = _snapshot(rule, state, bundle_size)
             trace.end = v
             return trace
-        if len(trace) >= step_limit:
+        if len(moves) >= step_limit:
             raise StepLimitExceeded(step_limit, trace)
-        d = state.choose(v, out)
+        d = choose(v, out)
         if d is None:
             raise OracleInconsistencyError(
                 f"outmap of {vertex_text(v, n)} nonempty but no direction available")
-        state.record(v, d)
-        crossed = 1 << d.coord
+        record(v, d)
+        coord, positive = d
+        crossed = 1 << coord
         v_next = v ^ crossed  # d is outgoing at v, so the move is legal
-        trace.moves.append(_direction_id(d))
-        if record_history:
-            trace.history.append(_snapshot(rule, state, bundle_size, v_next))
+        moves.append(2 * coord + (2 if positive else 3))  # _direction_id(d), inline
+        if history is not None:
+            history.append(_snapshot(rule, state, bundle_size, v_next))
         if after_step is not None:
             after_step(d, v_next)
         v = v_next
@@ -362,16 +391,28 @@ def replay(trace: Trace, state):
 def write_trace_jsonl(trace: Trace, path) -> None:
     """One record per step plus a final record with the sink and length.
     Each line is json.dumps(record, sort_keys=True); a step's line is
-    formatted directly, with each direction's text made once."""
+    formatted directly, with each direction's text made once and the vertex
+    text kept as bytes, one character flipped per move.  A move that is not
+    legal where it is taken raises IllegalMoveError, as walk() does."""
     n, history = trace.dimension, trace.history
-    texts = {_DIRECTIONS[i]: direction_text(_DIRECTIONS[i], trace.bundle_size)
-             for i in set(trace.moves)}
+    texts = {}
+    for i in set(trace.moves):
+        d = _DIRECTIONS[i]
+        if not 0 <= d.coord < n:
+            raise IllegalMoveError(f"move {i} leaves the {n}-cube")
+        texts[i] = direction_text(d, trace.bundle_size)
+    vertex = bytearray(vertex_text(trace.start, n), "ascii")
     with open(path, "w", encoding="utf-8") as fh:
-        for t, (v, d) in zip(range(1, len(trace) + 1), trace.walk()):
+        for t, i in enumerate(trace.moves, 1):
             h = ("" if history is None
                  else f' "h": {json.dumps(history[t - 1], sort_keys=True)},')
-            fh.write(f'{{"dir": "{texts[d]}",{h} "t": {t}, '
-                     f'"vertex": "{vertex_text(v, n)}"}}\n')
+            fh.write(f'{{"dir": "{texts[i]}",{h} "t": {t}, '
+                     f'"vertex": "{vertex.decode()}"}}\n')
+            # +c needs "0" at text position c and -c needs "1"; the move flips it.
+            c = (i >> 1) - 1
+            if vertex[c] != 48 + (i & 1):
+                raise IllegalMoveError(f"{texts[i]} at vertex {vertex.decode()}")
+            vertex[c] ^= 1
         final = {"sink": vertex_text(trace.end, n), "length": len(trace),
                  "rule": trace.rule, "start": vertex_text(trace.start, n)}
         if trace.final_history is not None:

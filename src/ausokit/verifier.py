@@ -588,16 +588,16 @@ def _johnson_sink_pattern(bundles: int, size: int) -> int:
 def _johnson_resettable_check(level, trace) -> bool:
     size = level.bundle_size
     bundles = level.level + 1
+    # Per prefix t_j: its sink pattern, its mask and the next bundle's mask.
+    prefixes = [(_johnson_sink_pattern(j + 1, size), (1 << ((j + 1) * size)) - 1,
+                 ((1 << size) - 1) << ((j + 1) * size)) for j in range(bundles - 1)]
     st = level.rule_state()
     positions = replay(trace, st)
     prev, _ = next(positions)
     for v, _ in positions:
-        for j in range(bundles - 1):
-            pattern = _johnson_sink_pattern(j + 1, size)
-            mask = (1 << ((j + 1) * size)) - 1
+        for j, (pattern, mask, next_bundle) in enumerate(prefixes):
             if (v & mask) != pattern or (prev & mask) == pattern:
                 continue  # not a fresh arrival at t_j's sink
-            next_bundle = ((1 << size) - 1) << ((j + 1) * size)
             if not level.oracle.evaluate(v) & next_bundle:
                 continue  # next bundle inactive: condition does not apply
             h = st.last_step

@@ -232,7 +232,7 @@ def test_frame_map_shared_frame_objects(cunningham_frames):
     inner, outer = (a.ravel() for a in np.meshgrid(np.arange(64, dtype=np.uint64),
                                                     np.arange(16, dtype=np.uint64)))
     got = frames.evaluate_many(inner, outer)
-    assert got.tolist() == [frames.frame_for(i).evaluate(o)
+    assert got.tolist() == [overrides.get(i, default).evaluate(o)
                             for i, o in zip(inner.tolist(), outer.tolist())]
     assert len(frames._tables[2]) == 3  # one row per distinct frame
 
@@ -240,6 +240,7 @@ def test_frame_map_shared_frame_objects(cunningham_frames):
 def test_frame_map_table_cap():
     wide = UniformOracle(MATERIALIZE_MAX_DIM + 1, 0)
     frames = FrameAssignmentMap(2, wide)
-    assert frames.frame_for(1).evaluate(5) == 5  # single evaluations still work
+    # Single evaluations still work: inner vertex 1, outer vertex 5.
+    assert ProductOracle(UniformOracle(2, 0), frames).evaluate(1 | 5 << 2) == 1 | 5 << 2
     with pytest.raises(CombinatorError):
         frames.evaluate_many(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64))

@@ -1,15 +1,23 @@
 import hashlib
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as hst
 
-from ausokit.combinators import FrameAssignmentMap, ProductOracle, materialize, reorient_face
+from ausokit.combinators import (
+    FrameAssignmentMap,
+    ProductOracle,
+    ReorientedOracle,
+    materialize,
+    reorient_face,
+)
 from ausokit.cube_core import (
     CubeError,
     Direction,
     Face,
+    IllegalMoveError,
     OrientationOracle,
     TableOracle,
     UniformOracle,
@@ -24,6 +32,7 @@ from ausokit.pivot_engine import (
     JohnsonState,
     OracleInconsistencyError,
     StepLimitExceeded,
+    Trace,
     ZadehState,
     balance_of,
     is_saturated,
@@ -241,10 +250,11 @@ def test_one_evaluate_per_visited_vertex(family, top, built_levels):
 
 @pytest.mark.parametrize("realizations", [1, 2], ids=["build", "reload"])
 def test_built_level_memo_starts_cold(tmp_path, realizations):
-    """Neither the adversarial run nor the run of a reloaded level leaves
-    anything in the level's memo: a re-run evaluates every vertex of its
-    path below the memo, so criterion 7's re-run recomputes every outmap it
-    reads."""
+    """A chain's top level, built or reloaded, runs below its memo and
+    leaves nothing there: a re-run on its oracle evaluates every vertex of
+    its path below the memo, so it recomputes every outmap it reads.  (Lower
+    levels run on their memo; see
+    test_lower_levels_computed_once_per_path_vertex.)"""
     for _ in range(realizations):
         level, trace = realize_level("cunningham", 3, cache_dir=tmp_path)
     counting = _CountingOracle(level.oracle.base)
@@ -253,6 +263,32 @@ def test_built_level_memo_starts_cold(tmp_path, realizations):
                         bundle_size=level.bundle_size)
     assert again.directions() == trace.directions()
     assert counting.calls == len(trace) + 1
+
+
+@pytest.mark.parametrize("family,top", [("cunningham", 4), ("zadeh", 2)])
+@pytest.mark.parametrize("realizations", [1, 2], ids=["build", "reload"])
+def test_lower_levels_computed_once_per_path_vertex(tmp_path, monkeypatch, family,
+                                                    top, realizations):
+    """Over a whole chain, built or reloaded, each level is computed through
+    its oracle chain (its ReorientedOracle) once per vertex of its path:
+    a level below the top runs on its memo, which ends holding exactly its
+    path's outmaps, and the next level's run reads nothing else of it.  The
+    top's memo stays cold."""
+    for _ in range(realizations - 1):
+        realize_range(family, top, cache_dir=tmp_path)
+    calls = Counter()
+    evaluate = ReorientedOracle.evaluate
+
+    def counting(self, v):
+        calls[id(self)] += 1
+        return evaluate(self, v)
+
+    monkeypatch.setattr(ReorientedOracle, "evaluate", counting)
+    chain = realize_range(family, top, cache_dir=tmp_path)
+    for level, trace in chain[1:]:
+        assert calls[id(level.oracle.base)] == len(trace) + 1
+        held = 0 if level.level == top else len(trace) + 1
+        assert len(level.oracle._cache) == held
 
 
 def test_balance_of_fresh_and_scoped():
@@ -298,6 +334,76 @@ def test_trace_jsonl_roundtrip(tmp_path, built_levels):
         assert read_trace_jsonl(path, trace.bundle_size) == trace
 
 
+class _FixedOutmap(OrientationOracle):
+    """Answers every vertex with one outmap."""
+
+    dimension = 63
+
+    def __init__(self, out):
+        self.out = out
+
+    def evaluate(self, v):
+        return self.out
+
+
+def _zadeh_reference_choice(usage, order, v, out):
+    """Least usage among the available directions of the order, then tie rank."""
+    available = [d for d in order
+                 if out >> d.coord & 1 and bool(v >> d.coord & 1) != d.positive]
+    return min(available, key=lambda d: (usage[d], order.index(d)), default=None)
+
+
+_zadeh_directions = hst.builds(Direction, hst.integers(0, 62), hst.booleans())
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(order=hst.lists(_zadeh_directions, unique=True, max_size=20),
+       moves=hst.lists(hst.tuples(hst.integers(0, 19), _zadeh_directions), max_size=60),
+       queries=hst.lists(hst.tuples(hst.integers(0, (1 << 63) - 1),
+                                    hst.integers(0, (1 << 63) - 1),
+                                    hst.integers(0, (1 << 63) - 1)), max_size=8))
+def test_zadeh_state_matches_its_definition(order, moves, queries):
+    """The packed ZadehState against the rule's definitions, on random tie
+    lists (most leave directions out), moves and (v, out, mask) queries:
+    choose takes the least usage, then the least tie rank; a vertex is
+    saturated when no available direction on the mask is used fewer times
+    than the most used one; record refuses a direction outside the list."""
+    order = tuple(order)
+    state = ZadehState(order)
+    usage = {d: 0 for d in order}
+    for pick, d in moves:
+        if order and pick % 2:
+            d = order[pick % len(order)]  # half the moves stay in the list
+        if d in usage:
+            state.record(0, d)
+            usage[d] += 1
+        else:
+            with pytest.raises(CubeError):
+                state.record(0, d)
+        top = max(usage.values(), default=0)
+        assert state.usage == usage and list(state.usage) == list(order)
+        assert state.top == top
+        assert all(balance_of(state, x) == top - c for x, c in usage.items())
+        for v, out, mask in queries:
+            # Half the outmaps keep only coordinates of the order.
+            if pick % 2:
+                out &= sum(1 << x.coord for x in order)
+            assert state.choose(v, out) == _zadeh_reference_choice(usage, order, v, out)
+            saturated = not any(c < top for x, c in usage.items()
+                                if (mask & out) >> x.coord & 1
+                                and bool(v >> x.coord & 1) != x.positive)
+            assert is_saturated(_FixedOutmap(out), v, state, mask) == saturated
+    # Equality compares the counts, not the order the moves came in.
+    again = ZadehState(order)
+    for d, c in reversed(usage.items()):
+        for _ in range(c):
+            again.record(0, d)
+    assert again == state
+    if order:
+        again.record(0, order[0])
+        assert again != state
+
+
 # Johnson's example run on F1: line 3 is step 3, +0.3 from 1100; line 7 is
 # the final record, sink 1001 after 6 steps.
 @pytest.mark.parametrize("line,key,value", [
@@ -325,6 +431,39 @@ def test_trace_jsonl_tampering_is_caught(tmp_path, johnson_frames, line, key, va
     path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
     with pytest.raises(CubeError, match=f"line {line}: "):
         read_trace_jsonl(path, 4)
+
+
+@pytest.mark.parametrize("start,moves", [
+    (0b001, [2, 4]),  # +c1 where the vertex has c1
+    (0b000, [3, 4]),  # -c1 where the vertex lacks c1
+    (0b000, [2, 4, 2, 6]),  # +c1 again after +c1, +c2
+    (0b010, [5, 3, 2]),  # -c2, then -c1 where the vertex lacks c1
+    # The same as a run's last move.
+    (0b001, [2]),
+    (0b000, [3]),
+    (0b010, [5, 3]),
+    (0b000, [8]),  # +c4 outside the 3-cube
+], ids=["plus", "minus", "plus-again", "minus-later", "last-plus", "last-minus",
+        "last-minus-later", "off-cube"])
+def test_trace_writer_refuses_illegal_moves(tmp_path, start, moves):
+    trace = Trace("zadeh", 3, 3, start, start, moves=bytearray(moves))
+    with pytest.raises(IllegalMoveError):
+        write_trace_jsonl(trace, tmp_path / "t.jsonl")
+
+
+@pytest.mark.parametrize("history", [True, False], ids=["history", "no-history"])
+def test_trace_writer_flips_one_character_per_move(tmp_path, history):
+    """A hand-made walk over every coordinate of a 5-cube and back, with and
+    without snapshots, is written as one json.dumps per record."""
+    moves = bytearray([2, 5, 6, 8, 10, 3, 4, 7, 9, 11, 5, 2])
+    trace = Trace("cunningham", 5, 2, 0b00010, 0, moves=moves,
+                  history=[{"mu": t} for t in range(len(moves))] if history else None,
+                  final_history={"mu": 99} if history else None)
+    trace.end = trace.vertices()[-1]
+    path = tmp_path / "t.jsonl"
+    write_trace_jsonl(trace, path)
+    assert path.read_text(encoding="utf-8").splitlines() == _reference_jsonl(trace)
+    assert read_trace_jsonl(path, 2) == trace
 
 
 def test_rules_terminate_within_2n_from_every_start(cunningham_frames,
