@@ -59,6 +59,16 @@ def parse_direction(text: str, bundle_size: int) -> Direction:
     return Direction(coord, text[0] == "+")
 
 
+def direction_bit(d: Direction) -> int:
+    """d's integer form, its bit in the packed set of the directions available
+    at v, (out & ~v) | (out & v) << 64: coord for +c, 64 + coord for -c."""
+    return d.coord if d.positive else 64 + d.coord
+
+
+# The Direction of each bit: DIRECTIONS[direction_bit(d)] == d.
+DIRECTIONS = tuple(Direction(b & 63, b < 64) for b in range(128))
+
+
 def vertex_text(v: int, n: int) -> str:
     # Binary with the lowest id first: the low n bits, reversed.
     return format(v & ((1 << n) - 1), f"0{n}b")[::-1] if n > 0 else ""
@@ -158,16 +168,11 @@ class TableOracle(OrientationOracle):
         return self._array[vs]
 
 
-def is_outgoing(v: int, out: int, d: Direction) -> bool:
-    """True iff d leaves v (+c where v lacks c, -c where v has it) and the
-    outmap `out` of v lists its edge."""
-    bit = 1 << d.coord
-    return bool(out & bit) and bool(v & bit) != d.positive
-
-
 def is_available(oracle: OrientationOracle, v: int, d: Direction) -> bool:
-    """True iff d's edge at v is outgoing (forward edge for +c, backward for -c)."""
-    return is_outgoing(v, oracle.evaluate(v), d)
+    """True iff d leaves v (+c where v lacks c, -c where v has it) and the
+    outmap of v lists its edge."""
+    bit = 1 << d.coord
+    return bool(oracle.evaluate(v) & bit) and bool(v & bit) != d.positive
 
 
 def apply_direction(v: int, d: Direction) -> int:

@@ -247,7 +247,7 @@ def validate_cunningham(frames) -> VerificationReport:
     report = VerificationReport("validate_cunningham")
     full = 0b1111
     box1, box5, boxB = 0b0010, 0b0111, 0b1110  # {c2}, {c1,c2,c3}, {c2,c3,c4}
-    out_block = _dirs(0, "+1,-2,+3,-1,+4,-3,+2,-4", 4)
+    out_block = tie_pattern_cunningham(0)
     for name, (spec, oracle) in frames.items():
         _structural(report, name, oracle, full)
         # The balance face B shows only coordinate c1 outgoing (to the

@@ -8,7 +8,7 @@ wins, ties by a fixed ordered list.
 Each state chooses a move from the current vertex's outmap and keeps its
 own bookkeeping; run_to_sink reads one outmap per visited vertex (one
 query of the vertex-evaluation model per step), drives a state until the
-global sink and records a Trace: its start, its end and one direction id
+global sink and records a Trace: its start, its end and one direction bit
 byte per move, plus one history snapshot per move when recorded (n <= 16).
 """
 
@@ -18,12 +18,14 @@ import json
 from dataclasses import dataclass, field
 
 from .cube_core import (
+    DIRECTIONS,
     MAX_DIMENSION,
     CubeError,
     Direction,
     IllegalMoveError,
     OrientationOracle,
     apply_direction,
+    direction_bit,
     direction_text,
     parse_direction,
     parse_vertex,
@@ -49,17 +51,13 @@ class OracleInconsistencyError(CubeError):
     just crossed claim it, or a nonempty outmap offers the rule nothing."""
 
 
-# A direction's integer id is 2 * (coord + 1) for +c and one more for -c, so
-# a set bit of an outmap names it as bit_length() << 1 (| 1 where v has the
-# bit).  Johnson keeps one key list, key[id] = stamp * len(order) + tie
-# rank.  An id outside the order holds _NEVER, which no key reaches (a stamp
-# stays below the step limit 4 << MAX_DIMENSION and len(order) below 2^7),
-# so it never wins.
+# The states speak each direction as its bit (cube_core.direction_bit):
+# choose(v, out) returns the bit of its pick or None, record(v, b) takes
+# one.  A table that a walk over set bits indexes with low.bit_length()
+# holds bit b at b + 1.  Johnson's key[b + 1] is stamp * len(order) + tie
+# rank, and _NEVER for a bit outside the order: no key reaches it (a stamp
+# stays below the step limit 4 << MAX_DIMENSION and len(order) below 2^7).
 _NEVER = 1 << 96
-
-
-def _direction_id(d: Direction) -> int:
-    return 2 * d.coord + (2 if d.positive else 3)
 
 
 @dataclass
@@ -72,24 +70,28 @@ class CunninghamState:
 
     def __post_init__(self):
         self.marker = len(self.order)
-        self._rank = {d: i for i, d in enumerate(self.order)}
-        # Position i tests bit coord of the packed availability for +c and
-        # bit 64 + coord for -c; the list is doubled so the scan never wraps.
-        self._tests = [1 << d.coord + (0 if d.positive else 64)
-                       for d in self.order] * 2
+        # _rank[b] is bit b's position in L (-1 outside L).  The test masks
+        # hold L's bits in order, doubled so the scan never wraps.
+        self._rank = [-1] * 128
+        for i, d in enumerate(self.order):
+            self._rank[direction_bit(d)] = i
+        self._tests = [1 << direction_bit(d) for d in self.order] * 2
 
-    def choose(self, v: int, out: int) -> Direction | None:
+    def choose(self, v: int, out: int) -> int | None:
         """Scan L cyclically from the marker; the first outgoing direction."""
         available = (out & ~v) | (out & v) << 64
-        tests, n2 = self._tests, len(self.order)
-        for k in range(self.marker, self.marker + n2):
+        tests = self._tests
+        for k in range(self.marker, self.marker + len(self.order)):
             if available & tests[k]:
-                return self.order[k % n2]
+                return tests[k].bit_length() - 1
         return None
 
-    def record(self, v: int, d: Direction) -> None:
-        """Bookkeeping of the move d from v: the marker points at d."""
-        self.marker = self._rank[d] + 1
+    def record(self, v: int, b: int) -> None:
+        """Bookkeeping of the move b from v: the marker points at it."""
+        rank = self._rank[b]
+        if rank < 0:
+            raise CubeError(f"direction {DIRECTIONS[b]} is not in the order")
+        self.marker = rank + 1
 
     def settle(self, v: int) -> None:
         """Bookkeeping at the sink: none."""
@@ -118,16 +120,16 @@ class JohnsonState:
 
     def __post_init__(self):
         # Stamp 0 and the tie rank for each direction of the order, _NEVER
-        # for every other id an outmap bit can name.
-        top = max([MAX_DIMENSION, *(d.coord + 1 for d in self.tie_order)])
-        self.key = [_NEVER] * (2 * top + 2)
+        # for every other bit.
+        self.key = [_NEVER] * 129
         for rank, d in enumerate(self.tie_order):
-            self.key[_direction_id(d)] = rank
+            self.key[direction_bit(d) + 1] = rank
+        self._bits = [direction_bit(d) for d in self.tie_order]
 
     @property
     def stamp(self) -> dict[Direction, int]:
         size = len(self.tie_order)
-        return {d: self.key[_direction_id(d)] // size for d in self.tie_order}
+        return {d: self.key[direction_bit(d) + 1] // size for d in self.tie_order}
 
     def table(self, u: int | None = None) -> dict[Direction, int]:
         """h after the latest update phase, or as if it had been at u."""
@@ -140,30 +142,25 @@ class JohnsonState:
     def last_step(self) -> dict[Direction, int]:
         return self.table()
 
-    def choose(self, v: int, out: int) -> Direction | None:
+    def choose(self, v: int, out: int) -> int | None:
         """The outgoing direction with the smallest h, ties by the tie order.
         An outgoing direction's h is its stamp, which the update phase at v
         leaves alone, so stamping first, as the rule is stated, agrees.
-        The least key is read off the set bits of `out` alone: +c where v
-        lacks c, then -c where v has it."""
+        The least key is read off the available bits alone."""
         key, best = self.key, _NEVER
-        up, down = out & ~v, out & v
-        while up:
-            k = key[(up & -up).bit_length() << 1]
+        available = (out & ~v) | (out & v) << 64
+        while available:
+            low = available & -available
+            k = key[low.bit_length()]
             if k < best:
                 best = k
-            up &= up - 1
-        while down:
-            k = key[(down & -down).bit_length() << 1 | 1]
-            if k < best:
-                best = k
-            down &= down - 1
-        return None if best == _NEVER else self.tie_order[best % len(self.tie_order)]
+            available ^= low
+        return None if best == _NEVER else self._bits[best % len(self.tie_order)]
 
-    def record(self, v: int, d: Direction) -> None:
-        """Bookkeeping of the move d from v: update h at v (the stamp of d's
+    def record(self, v: int, b: int) -> None:
+        """Bookkeeping of the move b from v: update h at v (the stamp of b's
         opposite is this step), then count the step."""
-        opposite = _direction_id(d) ^ 1
+        opposite = (b ^ 64) + 1
         k = self.key[opposite]
         if k != _NEVER:
             size = len(self.tie_order)
@@ -176,20 +173,15 @@ class JohnsonState:
         self.updated = (v, self.step_counter)
 
 
-def _packed_bit(d: Direction) -> int:
-    """The bit of d in a packed direction set: coord for +c, 64 + coord for -c."""
-    return d.coord if d.positive else 64 + d.coord
-
-
 @dataclass
 class ZadehState:
     """Usage counts h, the tie list T (all 2n directions, fixed order) and
     the top usage count.
 
-    Direction sets are packed as CunninghamState packs availability (bit c
-    for +c, bit 64 + c for -c): count[b] is the usage of the direction of
-    bit b (-1 outside the tie list), masks[k] the set of directions used k
-    times for k <= top, and bottom the least k with a nonempty mask.
+    Direction sets are packed as bits: count[b] is the usage of the
+    direction of bit b (-1 outside the tie list), masks[k] the set of
+    directions used k times for k <= top, and bottom the least k with a
+    nonempty mask.
     """
 
     tie_list: tuple[Direction, ...]
@@ -202,17 +194,18 @@ class ZadehState:
         self.count = [-1] * 128
         # rank[b + 1] is the tie rank of the direction of bit b.
         self._rank = [len(self.tie_list)] * 129
-        for rank, d in enumerate(self.tie_list):
-            self.count[_packed_bit(d)] = 0
-            self._rank[_packed_bit(d) + 1] = rank
-        self._listed = sum(1 << _packed_bit(d) for d in self.tie_list)
+        self._bits = [direction_bit(d) for d in self.tie_list]
+        for rank, b in enumerate(self._bits):
+            self.count[b] = 0
+            self._rank[b + 1] = rank
+        self._listed = sum(1 << b for b in self._bits)
         self.masks = [self._listed]
 
     @property
     def usage(self) -> dict[Direction, int]:
-        return {d: self.count[_packed_bit(d)] for d in self.tie_list}
+        return {d: self.count[b] for d, b in zip(self.tie_list, self._bits)}
 
-    def choose(self, v: int, out: int) -> Direction | None:
+    def choose(self, v: int, out: int) -> int | None:
         """The least-used outgoing direction; ties go by the tie list: the
         outgoing directions of the least count that has any, least rank
         first."""
@@ -229,14 +222,13 @@ class ZadehState:
             if rank[low.bit_length()] < best:
                 best = rank[low.bit_length()]
             ties ^= low
-        return self.tie_list[best]
+        return self._bits[best]
 
-    def record(self, v: int, d: Direction) -> None:
-        """Bookkeeping of the move d from v: one more use of d."""
-        b = _packed_bit(d)
+    def record(self, v: int, b: int) -> None:
+        """Bookkeeping of the move b from v: one more use of it."""
         k = self.count[b]
         if k < 0:
-            raise CubeError(f"direction {d} is not in the tie list")
+            raise CubeError(f"direction {DIRECTIONS[b]} is not in the tie list")
         self.count[b] = k + 1
         bit, masks = 1 << b, self.masks
         masks[k] ^= bit
@@ -254,7 +246,7 @@ class ZadehState:
 
 def balance_of(st: ZadehState, d: Direction) -> int:
     """Usage deficit of d against the most used direction."""
-    return st.top - st.count[_packed_bit(d)]
+    return st.top - st.count[direction_bit(d)]
 
 
 def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, mask: int) -> bool:
@@ -263,10 +255,6 @@ def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, mask: int) -
     of the available directions against those used fewer than top times."""
     out = oracle.evaluate(v) & mask
     return not ((out & ~v) | (out & v) << 64) & st._listed & ~st.masks[st.top]
-
-
-# The Direction of each id below 128 (ids 0 and 1 name none).
-_DIRECTIONS = tuple(Direction((i >> 1) - 1, not i & 1) for i in range(128))
 
 
 @dataclass
@@ -287,12 +275,12 @@ class Trace:
         return len(self.moves)
 
     def directions(self) -> list[Direction]:
-        return [_DIRECTIONS[i] for i in self.moves]
+        return [DIRECTIONS[b] for b in self.moves]
 
     def walk(self):
         """(vertex, direction) before each move, then (last vertex, None)."""
         v = self.start
-        for d in map(_DIRECTIONS.__getitem__, self.moves):
+        for d in map(DIRECTIONS.__getitem__, self.moves):
             yield v, d
             v = apply_direction(v, d)
         yield v, None
@@ -344,7 +332,7 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
     while True:
         out = evaluate(v)
         if out & crossed:
-            d = _DIRECTIONS[moves[-1]]
+            d = DIRECTIONS[moves[-1]]
             raise OracleInconsistencyError(
                 f"both ends of the {direction_text(d, bundle_size)} edge into "
                 f"{vertex_text(v, n)} claim it as outgoing")
@@ -357,19 +345,18 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
             return trace
         if len(moves) >= step_limit:
             raise StepLimitExceeded(step_limit, trace)
-        d = choose(v, out)
-        if d is None:
+        b = choose(v, out)
+        if b is None:
             raise OracleInconsistencyError(
                 f"outmap of {vertex_text(v, n)} nonempty but no direction available")
-        record(v, d)
-        coord, positive = d
-        crossed = 1 << coord
-        v_next = v ^ crossed  # d is outgoing at v, so the move is legal
-        moves.append(2 * coord + (2 if positive else 3))  # _direction_id(d), inline
+        record(v, b)
+        crossed = 1 << (b & 63)
+        v_next = v ^ crossed  # b is outgoing at v, so the move is legal
+        moves.append(b)
         if history is not None:
             history.append(_snapshot(rule, state, bundle_size, v_next))
         if after_step is not None:
-            after_step(d, v_next)
+            after_step(DIRECTIONS[b], v_next)
         v = v_next
 
 
@@ -380,12 +367,13 @@ def replay(trace: Trace, state):
     every earlier move, and (sink, None) last.  Once the generator is
     exhausted the state is the one run_to_sink left at the sink.
     """
-    for v, d in trace.walk():
-        yield v, d
-        if d is None:
-            state.settle(v)
-        else:
-            state.record(v, d)
+    v = trace.start
+    for b in trace.moves:
+        yield v, DIRECTIONS[b]
+        state.record(v, b)
+        v = apply_direction(v, DIRECTIONS[b])
+    yield v, None
+    state.settle(v)
 
 
 def write_trace_jsonl(trace: Trace, path) -> None:
@@ -396,22 +384,22 @@ def write_trace_jsonl(trace: Trace, path) -> None:
     legal where it is taken raises IllegalMoveError, as walk() does."""
     n, history = trace.dimension, trace.history
     texts = {}
-    for i in set(trace.moves):
-        d = _DIRECTIONS[i]
+    for b in set(trace.moves):
+        d = DIRECTIONS[b]
         if not 0 <= d.coord < n:
-            raise IllegalMoveError(f"move {i} leaves the {n}-cube")
-        texts[i] = direction_text(d, trace.bundle_size)
+            raise IllegalMoveError(f"move {b} leaves the {n}-cube")
+        texts[b] = direction_text(d, trace.bundle_size)
     vertex = bytearray(vertex_text(trace.start, n), "ascii")
     with open(path, "w", encoding="utf-8") as fh:
-        for t, i in enumerate(trace.moves, 1):
+        for t, b in enumerate(trace.moves, 1):
             h = ("" if history is None
                  else f' "h": {json.dumps(history[t - 1], sort_keys=True)},')
-            fh.write(f'{{"dir": "{texts[i]}",{h} "t": {t}, '
+            fh.write(f'{{"dir": "{texts[b]}",{h} "t": {t}, '
                      f'"vertex": "{vertex.decode()}"}}\n')
             # +c needs "0" at text position c and -c needs "1"; the move flips it.
-            c = (i >> 1) - 1
-            if vertex[c] != 48 + (i & 1):
-                raise IllegalMoveError(f"{texts[i]} at vertex {vertex.decode()}")
+            c = b & 63
+            if vertex[c] != 48 + (b >> 6):
+                raise IllegalMoveError(f"{texts[b]} at vertex {vertex.decode()}")
             vertex[c] ^= 1
         final = {"sink": vertex_text(trace.end, n), "length": len(trace),
                  "rule": trace.rule, "start": vertex_text(trace.start, n)}
@@ -446,7 +434,7 @@ def read_trace_jsonl(path, bundle_size: int) -> Trace:
             trace = Trace(final["rule"], n, bundle_size, v, v,
                           history=[] if "h" in final else None,
                           final_history=final.get("h"))
-            ids = {}
+            bits = {}
             fh.seek(0)
             for t, line in zip(range(1, last), fh):
                 where = f"trace file {path} line {t}"
@@ -456,14 +444,15 @@ def read_trace_jsonl(path, bundle_size: int) -> Trace:
                 if rec["vertex"] != vertex_text(v, n):
                     raise CubeError(f'"vertex" is {rec["vertex"]!r}, the moves '
                                     f"reach {vertex_text(v, n)}")
-                i = ids.get(rec["dir"])
-                if i is None:
+                b = bits.get(rec["dir"])
+                if b is None:
                     d = parse_direction(rec["dir"], bundle_size)
-                    if not 0 <= d.coord < n or direction_text(d, bundle_size) != rec["dir"]:
+                    if (not 0 <= d.coord < min(n, MAX_DIMENSION)
+                            or direction_text(d, bundle_size) != rec["dir"]):
                         raise CubeError(f'"dir" {rec["dir"]!r} names no direction')
-                    i = ids[rec["dir"]] = _direction_id(d)
-                v = apply_direction(v, _DIRECTIONS[i])
-                trace.moves.append(i)
+                    b = bits[rec["dir"]] = direction_bit(d)
+                v = apply_direction(v, DIRECTIONS[b])
+                trace.moves.append(b)
                 if ("h" in rec) != (trace.history is not None):
                     raise CubeError('"h" on some records only')
                 if trace.history is not None:

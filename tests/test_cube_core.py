@@ -3,6 +3,7 @@ import random
 import pytest
 
 from ausokit.cube_core import (
+    DIRECTIONS,
     CubeError,
     Direction,
     Face,
@@ -11,6 +12,7 @@ from ausokit.cube_core import (
     TableOracle,
     UniformOracle,
     apply_direction,
+    direction_bit,
     direction_text,
     face_sink,
     is_available,
@@ -153,3 +155,14 @@ def test_direction_text_roundtrip():
     assert parse_direction("-0.3", 6) == Direction(2, False)
     with pytest.raises(CubeError):
         parse_direction("0.3", 4)
+
+
+def test_direction_bit_roundtrip():
+    """A direction's bit is its place in the packed set (out & ~v) | (out &
+    v) << 64, and DIRECTIONS maps it back."""
+    for c in range(64):
+        for positive, bit in ((True, c), (False, 64 + c)):
+            d = Direction(c, positive)
+            assert direction_bit(d) == bit
+            assert DIRECTIONS[direction_bit(d)] == d
+    assert len(DIRECTIONS) == 128

@@ -32,6 +32,11 @@ def test_module_imports_first_in_fresh_interpreter(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_every_module_is_in_the_order():
+    modules = {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"}
+    assert modules == set(ORDER), f"not in ORDER: {sorted(modules - set(ORDER))}"
+
+
 def test_imports_are_module_level_and_follow_the_order():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

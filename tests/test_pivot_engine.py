@@ -14,6 +14,8 @@ from ausokit.combinators import (
     reorient_face,
 )
 from ausokit.cube_core import (
+    DIRECTIONS,
+    MAX_DIMENSION,
     CubeError,
     Direction,
     Face,
@@ -22,6 +24,7 @@ from ausokit.cube_core import (
     TableOracle,
     UniformOracle,
     apply_direction,
+    direction_bit,
     direction_text,
     is_available,
     vertex_text,
@@ -51,10 +54,16 @@ def _dirs(pattern, bundle=0, size=4):
     return out
 
 
+def _chosen(state, v, out):
+    """The Direction of the bit state.choose(v, out) returns, or None."""
+    b = state.choose(v, out)
+    return None if b is None else DIRECTIONS[b]
+
+
 def _step(oracle, v, state):
     """One move as run_to_sink makes it: choose from v's outmap, record."""
-    d = state.choose(v, oracle.evaluate(v))
-    state.record(v, d)
+    d = _chosen(state, v, oracle.evaluate(v))
+    state.record(v, direction_bit(d))
     return d, apply_direction(v, d)
 
 
@@ -171,18 +180,23 @@ def test_zadeh_usage_conservation(zadeh_frames):
         assert sum(st.usage.values()) == steps
 
 
-def test_all_rules_take_n_steps_from_antisink():
-    for n in (3, 5):
+def test_all_rules_take_n_steps_from_antisink(tmp_path):
+    """From the antisink of a uniform cube every rule takes the n negative
+    directions in coordinate order; at n = MAX_DIMENSION = 63 these are
+    bits 64..126, the top slots of the states' tables, and the trace reads
+    back from its file."""
+    for n in (3, 5, MAX_DIMENSION):
         anti = (1 << n) - 1
         o = UniformOracle(n, 0)
-        cunn = CunninghamState(tuple(
-            d for c in range(n) for d in (Direction(c, True), Direction(c, False))))
-        assert len(run_to_sink(o, anti, "cunningham", cunn, bundle_size=n)) == n
+        pairs = tuple(d for c in range(n) for d in (Direction(c, True), Direction(c, False)))
         john = JohnsonState(tuple(johnson_tie_order(1, bundle_size=n)))
-        assert len(run_to_sink(o, anti, "johnson", john, bundle_size=n)) == n
-        zad = ZadehState(tuple(
-            d for c in range(n) for d in (Direction(c, True), Direction(c, False))))
-        assert len(run_to_sink(o, anti, "zadeh", zad, bundle_size=n)) == n
+        for rule, state in (("cunningham", CunninghamState(pairs)), ("johnson", john),
+                            ("zadeh", ZadehState(pairs))):
+            trace = run_to_sink(o, anti, rule, state, bundle_size=n)
+            assert trace.moves == bytearray(range(64, 64 + n))
+            path = tmp_path / f"{rule}_{n}.jsonl"
+            write_trace_jsonl(trace, path)
+            assert read_trace_jsonl(path, n) == trace
 
 
 def test_determinism_identical_traces(zadeh_frames):
@@ -296,7 +310,7 @@ def test_balance_of_fresh_and_scoped():
     for d in st.tie_list:
         assert balance_of(st, d) == 0
     for d in [Direction(0, True)] * 3 + [Direction(1, True)]:
-        st.record(0, d)
+        st.record(0, direction_bit(d))
     assert balance_of(st, Direction(1, True)) == 2
     assert st.top == 3
 
@@ -346,19 +360,20 @@ class _FixedOutmap(OrientationOracle):
         return self.out
 
 
-def _zadeh_reference_choice(usage, order, v, out):
-    """Least usage among the available directions of the order, then tie rank."""
+def _reference_choice(counts, order, v, out):
+    """Least count (Zadeh's usage, Johnson's stamp) among the available
+    directions of the order, then tie rank."""
     available = [d for d in order
                  if out >> d.coord & 1 and bool(v >> d.coord & 1) != d.positive]
-    return min(available, key=lambda d: (usage[d], order.index(d)), default=None)
+    return min(available, key=lambda d: (counts[d], order.index(d)), default=None)
 
 
-_zadeh_directions = hst.builds(Direction, hst.integers(0, 62), hst.booleans())
+_directions = hst.builds(Direction, hst.integers(0, 62), hst.booleans())
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
-@given(order=hst.lists(_zadeh_directions, unique=True, max_size=20),
-       moves=hst.lists(hst.tuples(hst.integers(0, 19), _zadeh_directions), max_size=60),
+@given(order=hst.lists(_directions, unique=True, max_size=20),
+       moves=hst.lists(hst.tuples(hst.integers(0, 19), _directions), max_size=60),
        queries=hst.lists(hst.tuples(hst.integers(0, (1 << 63) - 1),
                                     hst.integers(0, (1 << 63) - 1),
                                     hst.integers(0, (1 << 63) - 1)), max_size=8))
@@ -375,11 +390,11 @@ def test_zadeh_state_matches_its_definition(order, moves, queries):
         if order and pick % 2:
             d = order[pick % len(order)]  # half the moves stay in the list
         if d in usage:
-            state.record(0, d)
+            state.record(0, direction_bit(d))
             usage[d] += 1
         else:
             with pytest.raises(CubeError):
-                state.record(0, d)
+                state.record(0, direction_bit(d))
         top = max(usage.values(), default=0)
         assert state.usage == usage and list(state.usage) == list(order)
         assert state.top == top
@@ -388,7 +403,7 @@ def test_zadeh_state_matches_its_definition(order, moves, queries):
             # Half the outmaps keep only coordinates of the order.
             if pick % 2:
                 out &= sum(1 << x.coord for x in order)
-            assert state.choose(v, out) == _zadeh_reference_choice(usage, order, v, out)
+            assert _chosen(state, v, out) == _reference_choice(usage, order, v, out)
             saturated = not any(c < top for x, c in usage.items()
                                 if (mask & out) >> x.coord & 1
                                 and bool(v >> x.coord & 1) != x.positive)
@@ -397,11 +412,62 @@ def test_zadeh_state_matches_its_definition(order, moves, queries):
     again = ZadehState(order)
     for d, c in reversed(usage.items()):
         for _ in range(c):
-            again.record(0, d)
+            again.record(0, direction_bit(d))
     assert again == state
     if order:
-        again.record(0, order[0])
+        again.record(0, direction_bit(order[0]))
         assert again != state
+
+
+def _johnson_reference_table(stamp, s, u):
+    """h after an update phase at u with step number s: s for each d not
+    outgoing-side at u (+c with c present, -c with c absent), stamp[d] for
+    the others."""
+    return {d: s if (u >> d.coord & 1 if d.positive else not u >> d.coord & 1) else c
+            for d, c in stamp.items()}
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(order=hst.lists(_directions, unique=True, max_size=20),
+       moves=hst.lists(hst.tuples(hst.integers(0, 19), _directions,
+                                  hst.integers(0, (1 << 63) - 1)), max_size=60),
+       queries=hst.lists(hst.tuples(hst.integers(0, (1 << 63) - 1),
+                                    hst.integers(0, (1 << 63) - 1)), max_size=8))
+def test_johnson_state_matches_its_definition(order, moves, queries):
+    """JohnsonState against the rule's definitions, on random tie orders
+    (most leave directions out), moves in and out of the order from random
+    vertices, and (v, out) queries: choose takes the least stamp, then the
+    least tie rank; the stamp of d is the step whose move took d's opposite
+    (0 before one); table(u) is h after an update at u with the latest step
+    number; equality compares the key lists."""
+    order = tuple(order)
+    state = JohnsonState(order)
+    stamp = {d: 0 for d in order}
+    taken = []
+    for step, (pick, d, u) in enumerate(moves, 1):
+        if order and pick % 2:
+            d = order[pick % len(order)]  # half the moves stay in the order
+        state.record(u, direction_bit(d))
+        taken.append((u, direction_bit(d)))
+        opposite = Direction(d.coord, not d.positive)
+        if opposite in stamp:
+            stamp[opposite] = step
+        assert state.stamp == stamp and list(state.stamp) == list(order)
+        assert state.table() == _johnson_reference_table(stamp, step, u)
+        for v, out in queries:
+            # Half the outmaps keep only coordinates of the order.
+            if pick % 2:
+                out &= sum(1 << x.coord for x in order)
+            assert _chosen(state, v, out) == _reference_choice(stamp, order, v, out)
+            assert state.table(v) == _johnson_reference_table(stamp, step, v)
+    # The same moves give an equal state; the moves in reverse order, taken
+    # at the same vertices, one that is equal exactly when the stamps are.
+    same, reordered = JohnsonState(order), JohnsonState(order)
+    for (u, b), (_, b_back) in zip(taken, reversed(taken)):
+        same.record(u, b)
+        reordered.record(u, b_back)
+    assert same == state
+    assert (reordered == state) == (reordered.stamp == state.stamp)
 
 
 # Johnson's example run on F1: line 3 is step 3, +0.3 from 1100; line 7 is
@@ -433,16 +499,28 @@ def test_trace_jsonl_tampering_is_caught(tmp_path, johnson_frames, line, key, va
         read_trace_jsonl(path, 4)
 
 
+def test_trace_reader_refuses_coordinates_beyond_the_bits(tmp_path):
+    """A 65-cube file's +16.1 (coordinate 64) has no bit; read as bit 64 it
+    would be -0.1, legal from this start and reaching the recorded sink."""
+    start = "1" + "0" * 64
+    records = [{"dir": "+16.1", "t": 1, "vertex": start},
+               {"length": 1, "rule": "zadeh", "sink": "0" * 65, "start": start}]
+    path = tmp_path / "t.jsonl"
+    path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+    with pytest.raises(CubeError, match='line 1: "dir"'):
+        read_trace_jsonl(path, 4)
+
+
 @pytest.mark.parametrize("start,moves", [
-    (0b001, [2, 4]),  # +c1 where the vertex has c1
-    (0b000, [3, 4]),  # -c1 where the vertex lacks c1
-    (0b000, [2, 4, 2, 6]),  # +c1 again after +c1, +c2
-    (0b010, [5, 3, 2]),  # -c2, then -c1 where the vertex lacks c1
+    (0b001, [0, 1]),  # +c1 where the vertex has c1
+    (0b000, [64, 1]),  # -c1 where the vertex lacks c1
+    (0b000, [0, 1, 0, 2]),  # +c1 again after +c1, +c2
+    (0b010, [65, 64, 0]),  # -c2, then -c1 where the vertex lacks c1
     # The same as a run's last move.
-    (0b001, [2]),
-    (0b000, [3]),
-    (0b010, [5, 3]),
-    (0b000, [8]),  # +c4 outside the 3-cube
+    (0b001, [0]),
+    (0b000, [64]),
+    (0b010, [65, 64]),
+    (0b000, [3]),  # +c4 outside the 3-cube
 ], ids=["plus", "minus", "plus-again", "minus-later", "last-plus", "last-minus",
         "last-minus-later", "off-cube"])
 def test_trace_writer_refuses_illegal_moves(tmp_path, start, moves):
@@ -455,7 +533,7 @@ def test_trace_writer_refuses_illegal_moves(tmp_path, start, moves):
 def test_trace_writer_flips_one_character_per_move(tmp_path, history):
     """A hand-made walk over every coordinate of a 5-cube and back, with and
     without snapshots, is written as one json.dumps per record."""
-    moves = bytearray([2, 5, 6, 8, 10, 3, 4, 7, 9, 11, 5, 2])
+    moves = bytearray([0, 65, 2, 3, 4, 64, 1, 66, 67, 68, 65, 0])
     trace = Trace("cunningham", 5, 2, 0b00010, 0, moves=moves,
                   history=[{"mu": t} for t in range(len(moves))] if history else None,
                   final_history={"mu": 99} if history else None)
@@ -684,10 +762,13 @@ def test_direction_outside_the_order_never_wins(rule):
     # and -c2: the rule takes +c1.  At 0b11 it offers -c2 alone: nothing.
     order = (Direction(0, True), Direction(0, False), Direction(1, True))
     state = _states(order)[rule]
-    assert state.choose(0b10, 0b11) == Direction(0, True)
-    assert state.choose(0b11, 0b10) is None
-    state.record(0b10, Direction(0, True))
-    assert state.choose(0b11, 0b11) == Direction(0, False)
+    assert _chosen(state, 0b10, 0b11) == Direction(0, True)
+    assert _chosen(state, 0b11, 0b10) is None
+    state.record(0b10, direction_bit(Direction(0, True)))
+    assert _chosen(state, 0b11, 0b11) == Direction(0, False)
+    if rule != "johnson":  # Johnson's record stamps only the move's opposite
+        with pytest.raises(CubeError, match="is not in the"):
+            state.record(0b11, direction_bit(Direction(1, False)))
 
 
 def _reference_jsonl(trace) -> list[str]:
