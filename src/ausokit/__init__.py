@@ -17,7 +17,6 @@ from .cube_core import (
     is_available,
 )
 from .combinators import (
-    FrameAssignmentMap,
     ProductOracle,
     external_outmap_uniform,
     materialize,

@@ -15,7 +15,7 @@ import json
 import sys
 from pathlib import Path
 
-from .constructions import BUNDLE_SIZE, ConstructionError, _cache_path, realize_range
+from .constructions import BUNDLE_SIZE, ConstructionError, cache_path, realize_range
 from .cube_core import CubeError
 from .frame_store import resolve_frames_dir, validate_all, validate_family
 from .pivot_engine import StepLimitExceeded, write_trace_jsonl
@@ -52,9 +52,9 @@ def _level(text: str) -> int:
     return level
 
 
-def _gate_frames(frames_dir) -> bool:
-    """Frame transcription gate: every build starts from validated frames."""
-    report = validate_all(frames_dir)
+def _gate_frames(report) -> bool:
+    """Frame transcription gate: levels are realized only from frames whose
+    validation `report` passed; each failing check is printed."""
     if not report.passed:
         for c in report.failures():
             print(f"frame validation failed: {c.name} {c.witness}", file=sys.stderr)
@@ -71,7 +71,7 @@ def _check_out_dir(path) -> None:
 def cmd_build(args) -> int:
     lo, hi = _parse_levels(args.levels)
     frames_dir = resolve_frames_dir(args.frames_dir)
-    if not _gate_frames(frames_dir):
+    if not _gate_frames(validate_all(frames_dir)):
         return EXIT_VIOLATION
     chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir))
     for level, _ in chain[lo:]:
@@ -82,12 +82,14 @@ def cmd_build(args) -> int:
 def cmd_run(args) -> int:
     frames_dir = resolve_frames_dir(args.frames_dir)
     cache_dir = Path(args.cache_dir)
-    if not _cache_path(cache_dir, args.family, args.level).exists():
+    if not cache_path(cache_dir, args.family, args.level).exists():
         print(f"no cache for {args.family} level {args.level}; run build first",
               file=sys.stderr)
         return EXIT_USAGE
     out = Path(args.trace) if args.trace else Path(f"{args.family}_level{args.level}.jsonl")
     out.parent.mkdir(parents=True, exist_ok=True)
+    if not _gate_frames(validate_family(args.family, frames_dir)):
+        return EXIT_VIOLATION
     chain = realize_range(args.family, args.level, frames_dir, cache_dir)
     level, trace = chain[-1]
     write_trace_jsonl(trace, out)
@@ -148,41 +150,34 @@ def cmd_report(args) -> int:
     _check_out_dir(args.out)
     frames_dir = resolve_frames_dir(args.frames_dir)
     lo, hi = _parse_levels(args.levels)
+    if not _gate_frames(validate_family(args.family, frames_dir)):
+        return EXIT_VIOLATION
     chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir))
     size = BUNDLE_SIZE[args.family]
+    lengths = [(level.level, level.dimension, level.path_length) for level, _ in chain]
     rows = []
-    prev_len = None
-    for level, _ in chain:
-        if level.level < lo:
-            prev_len = level.path_length
-            continue
-        ratio = "" if prev_len is None else round(level.path_length / prev_len, 3)
-        ratio_ok = "" if prev_len is None else str(level.path_length > 2 * prev_len).lower()
+    for i, n, length in lengths[lo:]:
+        prev_len = lengths[i - 1][2] if i else None
         rows.append({
-            "level": level.level,
-            "n": level.dimension,
-            "path_length": level.path_length,
-            "bound": 2 ** (level.dimension // size),
-            "ratio": ratio,
-            "ratio_ok": ratio_ok,
+            "level": i,
+            "n": n,
+            "path_length": length,
+            "bound": 2 ** (n // size),
+            "ratio": "" if prev_len is None else round(length / prev_len, 3),
+            "ratio_ok": "" if prev_len is None else str(length > 2 * prev_len).lower(),
         })
-        prev_len = level.path_length
-    violated = any(r["ratio_ok"] == "false" for r in rows)
     out = Path(args.out) if args.out else None
     if args.format == "json":
         text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
         (out.write_text(text, encoding="utf-8") if out else print(text, end=""))
     else:
         stream = out.open("w", newline="", encoding="utf-8") if out else sys.stdout
-        writer = csv.DictWriter(stream, fieldnames=list(rows[0]) if rows else
-                                ["level", "n", "path_length", "bound", "ratio", "ratio_ok"])
+        writer = csv.DictWriter(stream, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
         if out:
             stream.close()
-    lengths = [(r["level"], r["n"], r["path_length"]) for r in rows]
-    growth = check_growth(lengths, size)
-    if violated or not growth.passed:
+    if not check_growth(lengths, size).passed:
         print("growth recursion violated", file=sys.stderr)
         return EXIT_VIOLATION
     return EXIT_OK

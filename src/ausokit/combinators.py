@@ -4,8 +4,10 @@ Both are lazy: the returned oracles evaluate on demand and never
 materialize the composed cube, so deeply nested compositions stay cheap.
 The product places the inner cube on the low global ids and the frames on
 the ids directly above it, which is how the recursive constructions stack
-bundles.  For batches a frame map tabulates its few distinct frames once,
-one row of 2^outer outmaps each, and answers a batch with one gather.
+bundles.  A product holds its own connecting frames: a default plus sparse
+per-inner-vertex overrides.  For batches it tabulates its few distinct
+frames once, one row of 2^outer outmaps each, and answers a batch with one
+gather.
 """
 
 from __future__ import annotations
@@ -38,21 +40,27 @@ class ReorientationError(CombinatorError):
         self.witness = witness
 
 
-class FrameAssignmentMap:
-    """Connecting frame per inner vertex: a default plus sparse overrides.
+class ProductOracle(OrientationOracle):
+    """Product composition: inner USO on the low coords, one connecting frame
+    per inner vertex orienting the outer coords.  `overrides` maps an inner
+    vertex to its frame; every other inner vertex has `default`.
 
-    `overrides` and `default` may be filled in until the first
-    evaluate_many, which tabulates them once."""
+    s(v) = inner(v & low) | frame(v & low)(v >> k) << k.  USO and acyclicity
+    are preserved when the inner oracle and every frame have them.
+    `default` and `overrides` may be filled in until the first evaluate_many,
+    which tabulates the frames once.
+    """
 
-    def __init__(self, inner_dimension: int, default: OrientationOracle,
+    def __init__(self, inner: OrientationOracle, default: OrientationOracle,
                  overrides: dict[int, OrientationOracle] | None = None):
-        self.inner_dimension = inner_dimension
+        self.inner = inner
         self.default = default
         self.overrides = dict(overrides or {})
-        self.outer_dimension = default.dimension
         for frame in self.overrides.values():
-            if frame.dimension != self.outer_dimension:
+            if frame.dimension != default.dimension:
                 raise CombinatorError("all frames must share the outer dimension")
+        self.inner_mask = (1 << inner.dimension) - 1
+        self.dimension = inner.dimension + default.dimension
 
     @cached_property
     def _tables(self):
@@ -61,9 +69,10 @@ class FrameAssignmentMap:
         vertex.  The keys end in the sentinel 2^64 - 1, above every vertex
         of a cube of at most 63 coordinates, so every position that
         searchsorted returns indexes a key; the sentinel's row is 0."""
-        if self.outer_dimension > MATERIALIZE_MAX_DIM:
+        outer_dim = self.dimension - self.inner.dimension
+        if outer_dim > MATERIALIZE_MAX_DIM:
             raise CombinatorError(
-                f"refusing to tabulate {self.outer_dimension}-dimensional frames "
+                f"refusing to tabulate {outer_dim}-dimensional frames "
                 f"(max {MATERIALIZE_MAX_DIM})")
         keys = sorted(self.overrides)
         frames = [self.default]
@@ -75,50 +84,29 @@ class FrameAssignmentMap:
                 row_of[id(frame)] = len(frames)
                 frames.append(frame)
             rows.append(row_of[id(frame)])
-        outer = np.arange(1 << self.outer_dimension, dtype=np.uint64)
+        outer = np.arange(1 << outer_dim, dtype=np.uint64)
         table = np.stack([frame.evaluate_many(outer) for frame in frames])
         return (np.array(keys + [(1 << 64) - 1], dtype=np.uint64),
                 np.array(rows + [0], dtype=np.intp), table)
 
-    def evaluate_many(self, inner: np.ndarray, outer: np.ndarray) -> np.ndarray:
-        """The outmap at o of i's frame (its override, else the default)
-        for each pair of the two uint64 arrays: one search for the frame's
-        row and one gather from the table."""
-        keys, rows, table = self._tables
-        pos = np.searchsorted(keys, inner)
-        row = np.where(keys[pos] == inner, rows[pos], 0)
-        return table[row, outer]
-
-
-class ProductOracle(OrientationOracle):
-    """Product composition: inner USO on the low coords, one connecting frame
-    per inner vertex orienting the outer coords.
-
-    s(v) = inner(v & low) | frame(v & low)(v >> k) << k.  USO and acyclicity
-    are preserved when the inner oracle and every frame have them.
-    """
-
-    def __init__(self, inner: OrientationOracle, frames: FrameAssignmentMap):
-        if frames.inner_dimension != inner.dimension:
-            raise CombinatorError(
-                f"frame map keyed on {frames.inner_dimension}-cube but inner has "
-                f"dimension {inner.dimension}")
-        self.inner = inner
-        self.frames = frames
-        self.inner_mask = (1 << inner.dimension) - 1
-        self.dimension = inner.dimension + frames.outer_dimension
-
     def evaluate(self, v: int) -> int:
         vi = v & self.inner_mask
-        k, frames = self.inner.dimension, self.frames
+        k = self.inner.dimension
         return self.inner.evaluate(vi) | (
-            frames.overrides.get(vi, frames.default).evaluate(v >> k) << k)
+            self.overrides.get(vi, self.default).evaluate(v >> k) << k)
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
+        """The inner batch first, so no frame-side array is held while the
+        inner chain recurses; then each vertex's frame row by one search
+        and its outmap by one gather from the table."""
         vi = vs & np.uint64(self.inner_mask)
-        vo = vs >> np.uint64(self.inner.dimension)
-        return self.inner.evaluate_many(vi) | (
-            self.frames.evaluate_many(vi, vo) << np.uint64(self.inner.dimension))
+        out = self.inner.evaluate_many(vi)
+        keys, rows, table = self._tables
+        pos = np.searchsorted(keys, vi)
+        row = np.where(keys[pos] == vi, rows[pos], 0)
+        k = np.uint64(self.inner.dimension)
+        out |= table[row, vs >> k] << k
+        return out
 
 
 def external_outmap_uniform(oracle: OrientationOracle, face: Face):

@@ -5,14 +5,14 @@ frames, followed by one face reorientation that installs the family's
 gadget (a uniform balance orientation, or the reset orientation for the
 least-recently-basic rule).  The frame chosen for each inner vertex is
 decided adversarially while the pivot rule runs, and written into the
-level's own frame map; any revisit demanding a different frame aborts the
-build, so the result is a fixed, replayable orientation.  Each level is run
-once: the trace of a built level is its adversarial run's, and a level
-reloaded from a cache is run once on its frame map as recorded.  Every
-level above the base has its own memo.  A level below the chain's top runs
-on it, so the memo ends holding exactly the outmaps of the level's path,
-which are all the next level's run reads of it; the top runs below its
-memo, which stays cold.
+overrides of the level's own product; any revisit demanding a different
+frame aborts the build, so the result is a fixed, replayable orientation.
+Each level is run once: the trace of a built level is its adversarial
+run's, and a level reloaded from a cache is run once on its overrides as
+recorded.  Every level above the base has its own memo.  A level below the
+chain's top runs on it, so the memo ends holding exactly the outmaps of the
+level's path, which are all the next level's run reads of it; the top runs
+below its memo, which stays cold.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from .cube_core import (
     vertex_text,
 )
 from .combinators import (
-    FrameAssignmentMap,
     MemoOracle,
     ProductOracle,
     ReorientedOracle,
@@ -125,9 +124,7 @@ def build_reset(level: int, r1: OrientationOracle) -> OrientationOracle:
     """
     oracle: OrientationOracle = TableOracle(0, [0])
     for j in range(level):
-        frames = FrameAssignmentMap(oracle.dimension, UniformOracle(4, 0b1001),
-                                    overrides={0: r1})
-        oracle = MemoOracle(ProductOracle(oracle, frames))
+        oracle = MemoOracle(ProductOracle(oracle, UniformOracle(4, 0b1001), {0: r1}))
     return oracle
 
 
@@ -140,7 +137,7 @@ class ConstructionLevel:
     start: int
     expected_sink: int
     path_length: int
-    frames: FrameAssignmentMap | None = None  # None at the base level
+    overrides: dict[int, OrientationOracle] = field(default_factory=dict)
     frame_names: dict[OrientationOracle, str] = field(default_factory=dict)
     default_frame: str = ""
     gadget_anchor: int = 0  # absolute bits; 0 for the base level
@@ -151,11 +148,9 @@ class ConstructionLevel:
 
     @property
     def assignments(self) -> dict[int, str]:
-        """Frame name of each inner vertex the frame map overrides, derived
-        from the map (empty at the base level)."""
-        if self.frames is None:
-            return {}
-        return {v: self.frame_names[f] for v, f in self.frames.overrides.items()}
+        """Frame name of each inner vertex the level's product overrides
+        (empty at the base level)."""
+        return {v: self.frame_names[f] for v, f in self.overrides.items()}
 
     def rule_state(self):
         """A fresh state of the family's pivot rule at this level."""
@@ -168,7 +163,7 @@ def _bundle_bits(inner_dim: int, coords) -> int:
 
 
 class _Unassigned(OrientationOracle):
-    """Default of a level's frame map while its adversarial run fills the
+    """Default of a level's product while its adversarial run fills the
     overrides: a frame the adversary never assigned cannot be read."""
 
     def __init__(self, dimension: int):
@@ -180,15 +175,14 @@ class _Unassigned(OrientationOracle):
     evaluate_many = evaluate
 
 
-def _level_oracle(family: str, prev: ConstructionLevel, frames: FrameAssignmentMap,
+def _level_oracle(family: str, product: ProductOracle,
                   replacement: OrientationOracle) -> MemoOracle:
-    """The previous level times one frame per inner vertex (a frame map),
+    """The product of the previous level with one frame per inner vertex,
     with the gadget face reoriented to `replacement`."""
-    inner_dim = prev.dimension
+    inner_dim = product.inner.dimension
     face = Face(_bundle_bits(inner_dim, GADGET_ANCHOR[family]), (1 << inner_dim) - 1)
     return MemoOracle(ReorientedOracle(
-        ProductOracle(prev.oracle, frames), face, replacement,
-        _bundle_bits(inner_dim, GADGET_EXTERNAL[family])))
+        product, face, replacement, _bundle_bits(inner_dim, GADGET_EXTERNAL[family])))
 
 
 def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]:
@@ -202,18 +196,16 @@ def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]
 
 
 def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  frame_names, frames: FrameAssignmentMap,
-                  oracle: OrientationOracle) -> Trace:
+                  frame_names, overrides: dict, oracle: OrientationOracle) -> Trace:
     """Run the rule on `oracle` while the adversary picks each inner vertex's
-    frame on first demand and writes it into `frames`, the map below the
-    oracle; returns the run's trace."""
+    frame on first demand and writes it into `overrides`, those of the
+    product below the oracle; returns the run's trace."""
     size = BUNDLE_SIZE[family]
     inner_dim = prev.dimension
     inner_mask = (1 << inner_dim) - 1
     skipped = (_bundle_bits(0, GADGET_ANCHOR[family]), HYPERSINK_POSITION[family])
     start = starting_vertex(family, level)
     state = rule_state(family, level)
-    overrides = frames.overrides
 
     def decide(vi: int, pos: int) -> str:
         """The frame of inner vertex vi, entered at bundle position pos."""
@@ -245,25 +237,27 @@ def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracle
 
 
 def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  frame_names, frame_hashes: dict[str, str], cache_path: Path | None,
+                  frame_names, frame_hashes: dict[str, str], cache_file: Path | None,
                   top: bool) -> tuple[ConstructionLevel, Trace]:
     """Level `level` on top of `prev`, with the trace of one run on it.
 
-    The level has one frame map and one oracle chain.  Without a cache file
-    the adversarial run fills the map, and its trace is the level's trace.
-    With the cache file at `cache_path`, whose record must have been built
-    from frame files with `frame_hashes` (stem -> sha256), the map is filled
-    from the record, and one run on the level must reproduce the recorded
-    length and sink.  `top` says whether the level is its chain's last.
+    The level has one product and one oracle chain.  Without a cache file
+    the adversarial run fills the product's overrides, under a default that
+    refuses to be read until the run ends, and its trace is the level's
+    trace.  With the cache file `cache_file`, whose record must have been
+    built from frame files with `frame_hashes` (stem -> sha256), the
+    overrides are filled from the record, and one run on the level must
+    reproduce the recorded length and sink.  `top` says whether the level is
+    its chain's last.
     """
     if family == "johnson":
         replacement = build_reset(level, frame_oracles["r1"])
     else:
         replacement = UniformOracle(prev.dimension, prev.start)
     default = frame_oracles[DEFAULT_FRAME[family]]
-    frames = FrameAssignmentMap(
-        prev.dimension, _Unassigned(default.dimension) if cache_path is None else default)
-    oracle = _level_oracle(family, prev, frames, replacement)
+    product = ProductOracle(
+        prev.oracle, _Unassigned(default.dimension) if cache_file is None else default)
+    oracle = _level_oracle(family, product, replacement)
     # A run never revisits a vertex (the orientation is acyclic), so it
     # gains nothing from its own memo.  The next level's run reads this
     # level at exactly its path vertices: its inner moves walk this path
@@ -273,20 +267,20 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     # The top runs below its memo, which stays cold: no level of the chain
     # reads it, so filling it would only hold memory.
     runs_on = oracle.base if top else oracle
-    if cache_path is None:
+    if cache_file is None:
         trace = _adaptive_run(family, level, prev, frame_oracles, frame_names,
-                              frames, runs_on)
-        frames.default = default
+                              product.overrides, runs_on)
+        product.default = default
     else:
-        start, sink, length = _read_cache(cache_path, family, level, prev.dimension,
-                                          frame_oracles, frame_hashes, frames.overrides)
+        start, sink, length = _read_cache(cache_file, family, level, prev.dimension,
+                                          frame_oracles, frame_hashes, product.overrides)
         trace = run_to_sink(runs_on, start, family, rule_state(family, level),
                             bundle_size=BUNDLE_SIZE[family])
         if len(trace) != length or trace.end != sink:
             raise ConstructionError(
                 f"cached level {family} {level} does not replay its recorded run")
     built = ConstructionLevel(family, level, oracle.dimension, oracle, trace.start,
-                              trace.end, len(trace), frames, frame_names,
+                              trace.end, len(trace), product.overrides, frame_names,
                               DEFAULT_FRAME[family],
                               _bundle_bits(prev.dimension, GADGET_ANCHOR[family]))
     return built, trace
@@ -301,7 +295,7 @@ CACHE_WRITE_BLOCK = 1 << 12
 _BIT_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 
 
-def _cache_path(cache_dir: Path, family: str, level: int) -> Path:
+def cache_path(cache_dir: Path, family: str, level: int) -> Path:
     return cache_dir / f"{family}_level{level}.json"
 
 
@@ -390,7 +384,7 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
         "gadget_anchor": vertex_text(level.gadget_anchor, level.dimension),
         "frame_files": hashes,
     }, indent=2, sort_keys=True)
-    overrides = {} if level.frames is None else level.frames.overrides
+    overrides = level.overrides
     yield '{\n  "assignments": {'
     if overrides:
         inner_dim = level.dimension - level.bundle_size
@@ -420,7 +414,7 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
     hashes = _frame_hashes(family, frames_dir)
     chain: list[tuple[ConstructionLevel, Trace]] = []
     for i in range(max_level + 1):
-        path = None if cache_dir is None else _cache_path(Path(cache_dir), family, i)
+        path = None if cache_dir is None else cache_path(Path(cache_dir), family, i)
         cached = path is not None and path.exists()
         if i == 0:
             built, trace = _realize_base(family, frame_oracles)

@@ -367,13 +367,12 @@ def replay(trace: Trace, state):
     every earlier move, and (sink, None) last.  Once the generator is
     exhausted the state is the one run_to_sink left at the sink.
     """
-    v = trace.start
-    for b in trace.moves:
-        yield v, DIRECTIONS[b]
-        state.record(v, b)
-        v = apply_direction(v, DIRECTIONS[b])
-    yield v, None
-    state.settle(v)
+    for v, d in trace.walk():
+        yield v, d
+        if d is None:
+            state.settle(v)
+        else:
+            state.record(v, direction_bit(d))
 
 
 def write_trace_jsonl(trace: Trace, path) -> None:

@@ -9,7 +9,6 @@ import time
 import pytest
 
 from ausokit.combinators import (
-    FrameAssignmentMap,
     ProductOracle,
     materialize,
     reorient_face,
@@ -177,8 +176,7 @@ def test_criterion_6_property_suites(chains):
     for i in range(500):
         inner = rng.choice(frames)
         overrides = {v: rng.choice(four_dim) for v in range(1 << inner.dimension)}
-        combined = ProductOracle(inner, FrameAssignmentMap(
-            inner.dimension, rng.choice(four_dim), overrides))
+        combined = ProductOracle(inner, rng.choice(four_dim), overrides)
         ok = ok and check_uso_exhaustive(combined, mode="pairwise").passed
         ok = ok and check_acyclic(combined).passed
     for i in range(500):

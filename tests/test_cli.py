@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -123,6 +124,39 @@ def test_missing_frames_dir_is_usage_error(tmp_path, argv):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_commands_refuse_frames_that_fail_validation(tmp_path, capsys):
+    """build, report and run realize levels only from frames that pass their
+    family's checks: with a cunningham frame missing one label, each exits 1
+    naming the failing check and writes no cache, report, or trace."""
+    frames = tmp_path / "frames"
+    shutil.copytree(Path(ausokit.__file__).parent / "frames", frames)
+    f1 = frames / "cunningham_f1.frame"
+    lines = f1.read_text().splitlines(keepends=True)
+    f1.write_text("".join(line for line in lines if line.strip() != "label H 1111"))
+    cache = tmp_path / "caches"
+    common = ["--family", "cunningham", "--frames-dir", str(frames),
+              "--cache-dir", str(cache)]
+
+    def refused(argv):
+        code = main([*argv, *common])
+        err = capsys.readouterr().err
+        return code == 1 and "frame validation failed" in err and "Traceback" not in err
+
+    assert refused(["build", "--levels", "0..2"])
+    assert refused(["report", "--levels", "0..2", "--out", str(tmp_path / "g.csv")])
+    assert not cache.exists() and not (tmp_path / "g.csv").exists()
+    # A level-2 cache built from the packaged frames takes run past its
+    # usage check.
+    assert main(["build", "--family", "cunningham", "--levels", "2",
+                 "--cache-dir", str(tmp_path / "packaged")]) == 0
+    cache.mkdir()
+    shutil.copy(tmp_path / "packaged" / "cunningham_level2.json", cache)
+    capsys.readouterr()
+    assert refused(["run", "--level", "2", "--trace", str(tmp_path / "c2.jsonl")])
+    assert [p.name for p in cache.iterdir()] == ["cunningham_level2.json"]
+    assert not (tmp_path / "c2.jsonl").exists()
 
 
 def test_cached_level_with_other_frame_hash_fails(tmp_path, capsys):

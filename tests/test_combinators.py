@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ausokit.combinators import (
     MATERIALIZE_MAX_DIM,
     CombinatorError,
-    FrameAssignmentMap,
     MemoOracle,
     ProductOracle,
     ReorientationError,
@@ -23,15 +22,15 @@ from ausokit.verifier import check_acyclic, check_uso_exhaustive
 
 def test_product_of_uniform_1cubes_is_uniform_2cube():
     inner = UniformOracle(1, 0)
-    frames = FrameAssignmentMap(1, UniformOracle(1, 0))
-    combined = ProductOracle(inner, frames)
+    combined = ProductOracle(inner, UniformOracle(1, 0))
     reference = UniformOracle(2, 0)
     assert all(combined.evaluate(v) == reference.evaluate(v) for v in range(4))
 
 
 def test_product_dimension_mismatch():
-    with pytest.raises(CombinatorError):
-        ProductOracle(UniformOracle(2, 0), FrameAssignmentMap(1, UniformOracle(1, 0)))
+    """Frames of another outer dimension than the default's are refused."""
+    with pytest.raises(CombinatorError, match="outer dimension"):
+        ProductOracle(UniformOracle(2, 0), UniformOracle(1, 0), {3: UniformOracle(2, 0)})
 
 
 def test_product_random_frame_pairs(cunningham_frames, johnson_frames):
@@ -43,7 +42,7 @@ def test_product_random_frame_pairs(cunningham_frames, johnson_frames):
     rng = random.Random(99)
     for _ in range(500):
         overrides = {v: rng.choice(pool) for v in range(16)}
-        combined = ProductOracle(inner, FrameAssignmentMap(4, rng.choice(pool), overrides))
+        combined = ProductOracle(inner, rng.choice(pool), overrides)
         assert check_uso_exhaustive(combined, mode="pairwise").passed
         assert check_acyclic(combined).passed
 
@@ -177,9 +176,8 @@ def _compositions(draw):
             keys = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
             if draw(st.booleans()):
                 keys |= {0, (1 << n) - 1}
-            frames = FrameAssignmentMap(n, draw(st.sampled_from(pool)),
-                                        {k: draw(st.sampled_from(pool)) for k in keys})
-            oracle = ProductOracle(oracle, frames)
+            oracle = ProductOracle(oracle, draw(st.sampled_from(pool)),
+                                   {k: draw(st.sampled_from(pool)) for k in keys})
         else:
             coords = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
             free = sum(1 << c for c in coords)
@@ -205,9 +203,8 @@ def test_evaluate_many_matches_evaluate(data):
 
 def test_memo_evaluate_many_leaves_the_memo_alone(cunningham_frames):
     inner = cunningham_frames["f1"][1]
-    frames = FrameAssignmentMap(4, cunningham_frames["f3"][1],
-                                {0: cunningham_frames["f2"][1]})
-    memo = MemoOracle(ProductOracle(inner, frames))
+    memo = MemoOracle(ProductOracle(inner, cunningham_frames["f3"][1],
+                                    {0: cunningham_frames["f2"][1]}))
     warm = [memo.evaluate(v) for v in range(0, 256, 3)]
     before = len(memo._cache)
     got = memo.evaluate_many(np.arange(256, dtype=np.uint64))
@@ -216,9 +213,8 @@ def test_memo_evaluate_many_leaves_the_memo_alone(cunningham_frames):
 
 
 def test_frame_map_empty_batch():
-    frames = FrameAssignmentMap(2, UniformOracle(3, 1), {1: UniformOracle(3, 6)})
-    empty = np.array([], dtype=np.uint64)
-    got = frames.evaluate_many(empty, empty)
+    product = ProductOracle(UniformOracle(2, 0), UniformOracle(3, 1), {1: UniformOracle(3, 6)})
+    got = product.evaluate_many(np.array([], dtype=np.uint64))
     assert got.dtype == np.uint64 and got.size == 0
 
 
@@ -228,19 +224,20 @@ def test_frame_map_shared_frame_objects(cunningham_frames):
     overrides = {v: shared for v in range(1, 64, 3)}
     overrides.update({v: default for v in range(2, 64, 5)})  # the default, again
     overrides[63] = cunningham_frames["f3"][1]
-    frames = FrameAssignmentMap(6, default, overrides)
-    inner, outer = (a.ravel() for a in np.meshgrid(np.arange(64, dtype=np.uint64),
-                                                    np.arange(16, dtype=np.uint64)))
-    got = frames.evaluate_many(inner, outer)
-    assert got.tolist() == [overrides.get(i, default).evaluate(o)
-                            for i, o in zip(inner.tolist(), outer.tolist())]
-    assert len(frames._tables[2]) == 3  # one row per distinct frame
+    inner = UniformOracle(6, 0)
+    product = ProductOracle(inner, default, overrides)
+    vs = np.arange(1 << 10, dtype=np.uint64)
+    got = product.evaluate_many(vs)
+    assert got.tolist() == [inner.evaluate(v & 63)
+                            | overrides.get(v & 63, default).evaluate(v >> 6) << 6
+                            for v in vs.tolist()]
+    assert len(product._tables[2]) == 3  # one row per distinct frame
 
 
 def test_frame_map_table_cap():
     wide = UniformOracle(MATERIALIZE_MAX_DIM + 1, 0)
-    frames = FrameAssignmentMap(2, wide)
+    product = ProductOracle(UniformOracle(2, 0), wide)
     # Single evaluations still work: inner vertex 1, outer vertex 5.
-    assert ProductOracle(UniformOracle(2, 0), frames).evaluate(1 | 5 << 2) == 1 | 5 << 2
-    with pytest.raises(CombinatorError):
-        frames.evaluate_many(np.zeros(1, dtype=np.uint64), np.zeros(1, dtype=np.uint64))
+    assert product.evaluate(1 | 5 << 2) == 1 | 5 << 2
+    with pytest.raises(CombinatorError, match="refusing to tabulate"):
+        product.evaluate_many(np.zeros(1, dtype=np.uint64))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ausokit import constructions
-from ausokit.combinators import FrameAssignmentMap, ProductOracle, materialize
+from ausokit.combinators import ProductOracle, materialize
 from ausokit.constructions import (
     BOX1_POSITION,
     BOX5_POSITION,
@@ -269,9 +269,9 @@ def test_unassigned_frame_demand_fails_closed(monkeypatch):
 
 def test_unassigned_frame_map_refuses_batches():
     inner = TableOracle(1, [1, 0])
-    frames = FrameAssignmentMap(1, _Unassigned(4), overrides={0: TableOracle(4, [0] * 16)})
+    product = ProductOracle(inner, _Unassigned(4), {0: TableOracle(4, [0] * 16)})
     with pytest.raises(ConstructionError, match="unassigned"):
-        ProductOracle(inner, frames).evaluate_many(np.arange(32, dtype=np.uint64))
+        product.evaluate_many(np.arange(32, dtype=np.uint64))
 
 
 def test_conflicting_frame_demand_fails_closed(monkeypatch):

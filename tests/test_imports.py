@@ -48,3 +48,12 @@ def test_imports_are_module_level_and_follow_the_order():
             for n in imports:
                 if isinstance(n, ast.ImportFrom) and n.level:
                     assert ORDER.index(n.module) < rank, (path.name, n.module)
+
+
+def test_no_module_imports_a_private_name_of_another():
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        private = [(n.module, a.name) for n in ast.walk(tree)
+                   if isinstance(n, ast.ImportFrom) and n.level
+                   for a in n.names if a.name.startswith("_")]
+        assert not private, f"{path.name} imports private names {private}"

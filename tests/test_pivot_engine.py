@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as hst
 
 from ausokit.combinators import (
-    FrameAssignmentMap,
     ProductOracle,
     ReorientedOracle,
     materialize,
@@ -695,9 +694,8 @@ def _rule_oracles(draw, frames):
             m = draw(hst.integers(1, 6))
             inner = UniformOracle(m, draw(hst.integers(0, (1 << m) - 1)))
         keys = draw(hst.sets(hst.integers(0, (1 << inner.dimension) - 1), max_size=12))
-        frame_map = FrameAssignmentMap(inner.dimension, draw(hst.sampled_from(four_dim)),
-                                       {k: draw(hst.sampled_from(four_dim)) for k in keys})
-        return ProductOracle(inner, frame_map)
+        return ProductOracle(inner, draw(hst.sampled_from(four_dim)),
+                             {k: draw(hst.sampled_from(four_dim)) for k in keys})
     n = draw(hst.integers(4, 10))
     base = UniformOracle(n, draw(hst.integers(0, (1 << n) - 1)))
     free = sum(1 << c for c in draw(hst.permutations(range(n)))[:4])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ausokit import verifier
-from ausokit.combinators import FrameAssignmentMap, ProductOracle, ReorientedOracle
+from ausokit.combinators import ProductOracle, ReorientedOracle
 from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
 from ausokit.verifier import (
     CROSS_VALIDATE_CAP,
@@ -302,7 +302,7 @@ def _random_composition(rng):
         pool = [UniformOracle(3, rng.getrandbits(3)),
                 TableOracle(3, [rng.getrandbits(3) for _ in range(8)])]
         overrides = {rng.getrandbits(n): rng.choice(pool) for _ in range(6)}
-        oracle = ProductOracle(oracle, FrameAssignmentMap(n, rng.choice(pool), overrides))
+        oracle = ProductOracle(oracle, rng.choice(pool), overrides)
         free = sum(1 << c for c in rng.sample(range(n + 3), 3))
         oracle = ReorientedOracle(
             oracle, Face(rng.getrandbits(n + 3) & ~free, free),
