@@ -206,7 +206,7 @@ def test_criterion_7_determinism_and_replay(chains, tmp_path):
     for family, _ in LEVEL_RANGES:
         for level, trace in chains[family]:
             # Above the base the re-run goes below the level's memo, so it
-            # recomputes every outmap it reads on the finished frame map; the
+            # recomputes every outmap it reads on the finished product; the
             # memo, which the next level's run read, must agree with it.
             oracle = level.oracle.base if level.level else level.oracle
             if level.level:
