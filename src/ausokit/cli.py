@@ -1,5 +1,8 @@
 """Command-line front end: build levels, run rules, verify, report.
 
+Only `build` writes cache files; `run`, `verify` and `report` realize a
+level whose cache file is missing in memory.
+
 Exit codes: 0 success, 1 property violation (a cached level built from
 other frame files counts as one), 2 usage or configuration error (a missing
 or unparsable frame file or cache file, a negative level, or a path that
@@ -90,7 +93,7 @@ def cmd_run(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     if not _gate_frames(validate_family(args.family, frames_dir)):
         return EXIT_VIOLATION
-    chain = realize_range(args.family, args.level, frames_dir, cache_dir)
+    chain = realize_range(args.family, args.level, frames_dir, cache_dir, write=False)
     level, trace = chain[-1]
     write_trace_jsonl(trace, out)
     summary = {"family": args.family, "level": level.level, "n": level.dimension,
@@ -115,7 +118,8 @@ def cmd_verify(args) -> int:
     if not frame_report.passed:
         _emit_report(frame_report, args.report)
         return EXIT_VIOLATION
-    chain = realize_range(args.family, args.level, frames_dir, Path(args.cache_dir))
+    chain = realize_range(args.family, args.level, frames_dir, Path(args.cache_dir),
+                          write=False)
     level, trace = chain[-1]
     if args.mode == "exhaustive":
         if level.dimension > USO_EXHAUSTIVE_CAP:
@@ -152,7 +156,8 @@ def cmd_report(args) -> int:
     lo, hi = _parse_levels(args.levels)
     if not _gate_frames(validate_family(args.family, frames_dir)):
         return EXIT_VIOLATION
-    chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir))
+    chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir),
+                          write=False)
     size = BUNDLE_SIZE[args.family]
     lengths = [(level.level, level.dimension, level.path_length) for level, _ in chain]
     rows = []

@@ -64,11 +64,15 @@ class ProductOracle(OrientationOracle):
 
     @cached_property
     def _tables(self):
-        """Sorted override keys, each key's row, and one uint64 row per
-        distinct frame (row 0 the default) holding its outmap of every outer
-        vertex.  The keys end in the sentinel 2^64 - 1, above every vertex
-        of a cube of at most 63 coordinates, so every position that
-        searchsorted returns indexes a key; the sentinel's row is 0."""
+        """The overrides as an interval map over inner vertices, and one
+        uint64 row per distinct frame (row 0 the default) holding its
+        outmap of every outer vertex.  Each override key k is the interval
+        [k, k + 1) and the gaps between them have row 0; adjacent intervals
+        of one row are merged.  `bounds` holds every interval's start but
+        the first (0), so searchsorted(bounds, v, "right") is the index of
+        v's interval in `offsets`, which holds each interval's row times
+        2^outer, its offset into the flattened table, in the narrowest
+        unsigned type."""
         outer_dim = self.dimension - self.inner.dimension
         if outer_dim > MATERIALIZE_MAX_DIM:
             raise CombinatorError(
@@ -77,17 +81,27 @@ class ProductOracle(OrientationOracle):
         keys = sorted(self.overrides)
         frames = [self.default]
         row_of = {id(self.default): 0}
-        rows = []
+        key_offsets = []
         for key in keys:
             frame = self.overrides[key]
             if id(frame) not in row_of:
                 row_of[id(frame)] = len(frames)
                 frames.append(frame)
-            rows.append(row_of[id(frame)])
+            key_offsets.append(row_of[id(frame)] << outer_dim)
+        # Intervals start at 0, and at k and k + 1 for each key k; their
+        # offsets are 0, the key's and 0.  Kept are the nonempty ones whose
+        # offset differs from the previous kept one's.
+        starts = np.zeros(2 * len(keys) + 1, dtype=np.uint64)
+        starts[1::2] = keys
+        np.add(starts[1::2], np.uint64(1), out=starts[2::2])
+        offsets = np.zeros(len(starts), np.min_scalar_type((len(frames) - 1) << outer_dim))
+        offsets[1::2] = key_offsets
+        keep = np.append(starts[1:] != starts[:-1], True)
+        kept = offsets[keep]
+        keep[keep] = np.append(True, kept[1:] != kept[:-1])
         outer = np.arange(1 << outer_dim, dtype=np.uint64)
         table = np.stack([frame.evaluate_many(outer) for frame in frames])
-        return (np.array(keys + [(1 << 64) - 1], dtype=np.uint64),
-                np.array(rows + [0], dtype=np.intp), table)
+        return starts[keep][1:], offsets[keep], table
 
     def evaluate(self, v: int) -> int:
         vi = v & self.inner_mask
@@ -97,15 +111,14 @@ class ProductOracle(OrientationOracle):
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
         """The inner batch first, so no frame-side array is held while the
-        inner chain recurses; then each vertex's frame row by one search
-        and its outmap by one gather from the table."""
+        inner chain recurses; then each vertex's frame row by one search of
+        the interval map and its outmap by one gather from the table."""
         vi = vs & np.uint64(self.inner_mask)
         out = self.inner.evaluate_many(vi)
-        keys, rows, table = self._tables
-        pos = np.searchsorted(keys, vi)
-        row = np.where(keys[pos] == vi, rows[pos], 0)
+        bounds, offsets, table = self._tables
         k = np.uint64(self.inner.dimension)
-        out |= table[row, vs >> k] << k
+        at = offsets[np.searchsorted(bounds, vi, "right")] + (vs >> k)
+        out |= table.reshape(-1)[at] << k
         return out
 
 

@@ -398,12 +398,14 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     yield "}," + rest[1:] + "\n"
 
 
-def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
+def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None,
+                 write: bool = True):
     """Levels 0..max_level with their traces, built strictly bottom-up.
 
-    Each level is run once.  With a cache directory, assignment maps are
-    persisted as JSON and reloaded instead of running the adversary; one
-    run on a reloaded level must reproduce the recorded length and sink.
+    Each level is run once.  With a cache directory, cached assignment maps
+    are reloaded instead of running the adversary; one run on a reloaded
+    level must reproduce the recorded length and sink.  A level with no
+    cache file is realized in memory and, if `write`, persisted as JSON.
     Existing cache files are left untouched, so a rerun is a no-op.
     """
     if family not in BUNDLE_SIZE:
@@ -422,7 +424,7 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None):
             built, trace = _realize_step(family, i, chain[-1][0], frame_oracles,
                                          frame_names, hashes, path if cached else None,
                                          top=i == max_level)
-        if path is not None and not cached:
+        if write and path is not None and not cached:
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(path, _cache_chunks(built, hashes))
         chain.append((built, trace))
@@ -435,6 +437,8 @@ def realize_level(family: str, level: int, frames_dir=None,
     return _build_chain(family, level, frames_dir, cache_dir)[-1]
 
 
-def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None):
-    """All levels 0..max_level with their traces, built bottom-up."""
-    return _build_chain(family, max_level, frames_dir, cache_dir)
+def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
+                  write: bool = True):
+    """All levels 0..max_level with their traces, built bottom-up; with
+    `write` false, no cache file is written."""
+    return _build_chain(family, max_level, frames_dir, cache_dir, write)

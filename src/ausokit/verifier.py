@@ -10,7 +10,8 @@ a cycle it finds is still reported by the search.  The structural checks
 evaluate oracles in batches (`evaluate_many`), never one vertex at a time,
 and every batch is bounded whatever the cube size: the outmap table is
 filled VERTEX_BLOCK vertices at a time, the sampled faces go to the oracle
-at most VERTEX_BLOCK vertices at a time, the pairwise criterion scans
+at most VERTEX_BLOCK vertices at a time, the face-sink count takes
+VERTEX_BLOCK (mask, vertex) cells at a time, the pairwise criterion scans
 PAIRWISE_ROWS rows at a time and Kahn peeling takes KAHN_BLOCK vertices of
 a layer at a time.
 """
@@ -39,7 +40,7 @@ USO_EXHAUSTIVE_CAP = 14
 ACYCLIC_CAP = 20
 CROSS_VALIDATE_CAP = 8
 SAMPLED_MAX_FACE_DIM = 10
-VERTEX_BLOCK = 1 << 14  # vertices per oracle batch of the table and the sample
+VERTEX_BLOCK = 1 << 14  # vertices per oracle batch, cells per face-count block
 PAIRWISE_ROWS = 1 << 6  # rows per block of the pairwise criterion
 WORD_BLOCK = 1 << 12  # generator words drawn at once by sample_faces
 KAHN_BLOCK = 1 << 10  # layer vertices peeled at once by the Kahn check
@@ -105,17 +106,24 @@ def _face_count_uso(table: np.ndarray, n: int):
 
     For each free-coordinate mask, vertices whose outmap misses the mask are
     face sinks; grouping them by anchor must cover every anchor exactly once.
+    The masks go in ascending order, max(1, VERTEX_BLOCK >> n) at a time, as
+    one (mask, vertex) array; the witness is the first bad (mask, anchor)
+    cell in row-major order, the lowest anchor of the lowest failing mask,
+    whatever the block size.
     """
     size = 1 << n
-    vertices = np.arange(size, dtype=np.uint32)
-    for free in range(1, size):
-        sinks = vertices[(table & free) == 0]
-        anchors = sinks & ~np.uint32(free)
-        counts = np.bincount(anchors, minlength=size)
-        valid = (vertices & free) == 0
-        bad = np.nonzero(valid & (counts != 1))[0]
+    vertices = np.arange(size, dtype=np.intp)
+    outmaps = table.astype(np.intp)  # only the low n bits are ever tested
+    step = max(1, VERTEX_BLOCK >> n)
+    for lo in range(1, size, step):
+        frees = np.arange(lo, min(lo + step, size), dtype=np.intp)[:, None]
+        sinks = (outmaps & frees) == 0
+        cells = (vertices & ~frees) | (np.arange(len(frees))[:, None] << n)
+        counts = np.bincount(cells[sinks], minlength=len(frees) << n)
+        bad = np.flatnonzero(((vertices & frees) == 0).ravel() & (counts != 1))
         if bad.size:
-            anchor = int(bad[0])
+            row, anchor = divmod(int(bad[0]), size)
+            free = lo + row
             face = Face(anchor, free)
             wit = [v for v in face.vertices() if not int(table[v]) & free]
             return False, {"anchor": vertex_text(anchor, n), "free": vertex_text(free, n),
@@ -124,22 +132,28 @@ def _face_count_uso(table: np.ndarray, n: int):
 
 
 def _pairwise_uso(table: np.ndarray, n: int):
-    """Outmap criterion over all vertex pairs, PAIRWISE_ROWS rows at a time.
-    The witness is the first conflicting pair in row-major order, whatever
-    the block size; a block of 2^6 rows keeps the temporaries at n = 14
-    (the exhaustive cap) at most 4 MB each."""
+    """Outmap criterion over the vertex pairs u < v, PAIRWISE_ROWS rows at a
+    time.  The relation is symmetric, so each row u is compared with the
+    columns above it only; the first row with a conflict has none below the
+    diagonal (the row of that column would come first), so the witness is
+    the first conflicting pair in row-major order, whatever the block size.
+    n <= 14 (the exhaustive cap) fits uint16, so a block of 2^6 rows keeps
+    each temporary at n = 14 at most 2 MB, and the scan reads half the
+    pairs."""
     size = 1 << n
-    vertices = np.arange(size, dtype=np.uint32)
-    table = table.astype(np.uint32)  # n <= USO_EXHAUSTIVE_CAP fits half width
-    for lo in range(0, size, PAIRWISE_ROWS):
-        hi = min(lo + PAIRWISE_ROWS, size)
-        u = vertices[lo:hi, None]
-        su = table[lo:hi, None]
-        conflict = ((su ^ table[None, :]) & (u ^ vertices[None, :])) == 0
-        conflict[np.arange(hi - lo), np.arange(lo, hi)] = False
-        bad = np.argwhere(conflict)
-        if bad.size:
-            a, b = int(bad[0][0] + lo), int(bad[0][1])
+    vertices = np.arange(size, dtype=np.uint16)
+    table = table.astype(np.uint16)
+    rows = min(PAIRWISE_ROWS, size)
+    upper = np.arange(rows)[:, None] < np.arange(rows)  # column above the row
+    for lo in range(0, size, rows):
+        hi = min(lo + rows, size)
+        bits = table[lo:hi, None] ^ table[None, lo:]
+        bits &= vertices[lo:hi, None] ^ vertices[None, lo:]
+        conflict = bits == 0
+        conflict[:, :hi - lo] &= upper[:hi - lo, :hi - lo]
+        if conflict.any():  # argwhere alone scans a clean block far slower
+            a, b = np.argwhere(conflict)[0].tolist()
+            a, b = a + lo, b + lo
             return False, {"pair": [vertex_text(a, n), vertex_text(b, n)]}
     return True, None
 
@@ -291,45 +305,48 @@ def sample_faces(n: int, samples: int, max_face_dim: int,
     shifted).
     """
     m = min(max_face_dim, n)
-    if m < 1 or samples < 0:  # randint(1, 0) raises; below(0) would never return
+    if m < 1 or samples < 0:  # randint(1, 0) raises; _randbelow(0) never returns
         raise ValueError(f"no sample of {samples} faces of dimension 1..{m}")
     word = chain.from_iterable(_word_blocks(random.Random(seed))).__next__
-
-    def below(bound: int) -> int:  # _randbelow
-        shift = 32 - bound.bit_length()
-        r = word() >> shift
-        while r >= bound:
-            r = word() >> shift
-        return r
-
+    # _randbelow(bound) is word() >> shift[bound], redrawn while >= bound.
+    shift = [32 - bound.bit_length() for bound in range(n + 1)]
     # sample() keeps a pool of the undrawn coordinates when that list is
     # smaller than a set of k drawn ones, else the set.
     use_pool = [n <= 21 + (4 ** math.ceil(math.log(k * 3, 4)) if k > 5 else 0)
                 for k in range(m + 1)]
     coords = list(range(n))
+    # The pool's bounds n, n - 1, ... with their shifts, for k draws.
+    pool_bounds = [[(i, shift[i]) for i in range(n, n - k, -1)] for k in range(m + 1)]
     anchor_words = [(32 * i, max(0, 32 * (i + 1) - n)) for i in range((n + 31) // 32)]
+    shift_m, shift_n = shift[m], shift[n]
     anchors, frees = [], []
     for _ in range(samples):
-        k = 1 + below(m)
+        k = word() >> shift_m
+        while k >= m:
+            k = word() >> shift_m
+        k += 1
         free = 0
         if use_pool[k]:
             pool = coords[:]
-            for i in range(n, n - k, -1):  # the last undrawn one fills the gap
-                j = below(i)
+            for i, cut in pool_bounds[k]:  # the last undrawn one fills the gap
+                j = word() >> cut
+                while j >= i:
+                    j = word() >> cut
                 free |= 1 << pool[j]
                 pool[j] = pool[i - 1]
         else:
             for _ in range(k):
-                j = below(n)
-                while free >> j & 1:  # drawn before: draw again
-                    j = below(n)
+                j = word() >> shift_n
+                while j >= n or free >> j & 1:  # out of range or drawn before
+                    j = word() >> shift_n
                 free |= 1 << j
         anchor = 0
-        for pos, shift in anchor_words:
-            anchor |= word() >> shift << pos
-        anchors.append(anchor & ~free)
+        for pos, cut in anchor_words:
+            anchor |= word() >> cut << pos
+        anchors.append(anchor)
         frees.append(free)
-    return np.array(anchors, dtype=np.uint64), np.array(frees, dtype=np.uint64)
+    frees = np.array(frees, dtype=np.uint64)
+    return np.array(anchors, dtype=np.uint64) & ~frees, frees
 
 
 def _sink_counts(oracle: OrientationOracle, anchors: np.ndarray,
@@ -365,9 +382,10 @@ def check_uso_sampled(oracle: OrientationOracle, samples: int, max_face_dim: int
     report = VerificationReport("uso_sampled")
     started = time.perf_counter()
     anchors, frees = sample_faces(n, samples, max_face_dim, seed)
-    dims = np.unpackbits(frees.view(np.uint8).reshape(-1, 8), axis=1).sum(axis=1)
+    dims = np.unpackbits(frees.view(np.uint8).reshape(-1, 8), axis=1).sum(
+        axis=1, dtype=np.intp)
     bad = None  # (sample index, sink count) of the first failing face
-    for k in np.unique(dims).tolist():
+    for k in np.flatnonzero(np.bincount(dims)).tolist():
         index = np.flatnonzero(dims == k)
         step = max(1, VERTEX_BLOCK >> k)
         for lo in range(0, len(index), step):

@@ -98,6 +98,63 @@ def test_sampled_verify_level(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_only_build_writes_caches(tmp_path, capsys):
+    """run, verify and report realize the levels whose cache files are
+    missing in memory and write none of them."""
+    cache = tmp_path / "caches"
+    assert main(["build", "--family", "johnson", "--levels", "0..2",
+                 "--cache-dir", str(cache)]) == 0
+    top = (cache / "johnson_level2.json").read_bytes()
+    for level in (0, 1):
+        (cache / f"johnson_level{level}.json").unlink()
+    common = ["--family", "johnson", "--cache-dir", str(cache)]
+    for argv in (["run", "--level", "2", "--trace", str(tmp_path / "j2.jsonl")],
+                 ["verify", "--level", "2", "--mode", "sampled", "--samples", "500"],
+                 ["verify", "--level", "2", "--mode", "traces"],
+                 ["verify", "--level", "1", "--mode", "exhaustive"],
+                 ["report", "--levels", "0..2", "--out", str(tmp_path / "g.csv")]):
+        assert main([*argv, *common]) == 0, argv
+        assert [p.name for p in cache.iterdir()] == ["johnson_level2.json"], argv
+    assert (cache / "johnson_level2.json").read_bytes() == top
+    # Without any cache the directory is not even made.
+    assert main(["verify", "--family", "johnson", "--level", "2", "--mode", "traces",
+                 "--cache-dir", str(tmp_path / "none")]) == 0
+    assert not (tmp_path / "none").exists()
+    capsys.readouterr()
+
+
+# Runs one command in a fresh interpreter and reports whether numpy.ma, a
+# package of some 20 ms to import, was loaded on the way.
+NUMPY_MA_PROBE = """
+import contextlib, io, sys
+from ausokit.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, "numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv", [
+    ["build", "--levels", "0..2", "--cache-dir", "fresh"],
+    ["run", "--level", "2", "--trace", "j2.jsonl"],
+    ["report", "--levels", "0..2", "--format", "json"],
+    ["verify", "--level", "2", "--mode", "exhaustive"],
+    ["verify", "--level", "2", "--mode", "acyclic"],
+    ["verify", "--level", "2", "--mode", "sampled", "--samples", "200"],
+    ["verify", "--level", "2", "--mode", "traces"],
+], ids=["build", "run", "report", "exhaustive", "acyclic", "sampled", "traces"])
+def test_commands_do_not_import_numpy_ma(tmp_path, capsys, argv):
+    assert main(["build", "--family", "johnson", "--levels", "0..2",
+                 "--cache-dir", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    env = {**os.environ, "PYTHONPATH": str(Path(ausokit.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", NUMPY_MA_PROBE, *argv, "--family", "johnson",
+         *(["--cache-dir", "c"] if "--cache-dir" not in argv else [])],
+        capture_output=True, text=True, env=env, timeout=120, cwd=tmp_path)
+    assert proc.stdout.split() == ["0", "False"], proc.stderr
+
+
 @pytest.mark.parametrize("limits", [
     ["--samples", "0"],
     ["--samples", "-3"],

@@ -234,6 +234,34 @@ def test_frame_map_shared_frame_objects(cunningham_frames):
     assert len(product._tables[2]) == 3  # one row per distinct frame
 
 
+@pytest.mark.parametrize("keys", [
+    {3: "f2", 4: "f3"},  # adjacent keys, different frames
+    {3: "f2", 4: "f2", 5: "f3", 6: "f1", 7: "f2"},  # a run, then the default
+    {0: "f2"},
+    {0: "f2", 1: "f3", 63: "f2"},
+    {63: "f3"},
+    {62: "f2", 63: "f2"},
+    {5: "f1", 6: "f1"},  # the default object only: no interval of its own
+    {},
+], ids=["adjacent", "run", "zero", "zero-one-top", "top", "top-pair", "default",
+        "none"])
+def test_frame_map_intervals(cunningham_frames, keys):
+    """Override keys k and k + 1 with different frames or the same one, key
+    0, key 2^m - 1 and overrides that hold the default object: each batch
+    equals evaluate, vertex by vertex."""
+    frames = {name: cunningham_frames[name][1] for name in ("f1", "f2", "f3")}
+    inner = UniformOracle(6, 0b101)
+    product = ProductOracle(inner, frames["f1"],
+                            {k: frames[name] for k, name in keys.items()})
+    vs = np.arange(1 << 10, dtype=np.uint64)
+    assert product.evaluate_many(vs).tolist() == [product.evaluate(v) for v in vs.tolist()]
+    bounds, offsets, table = product._tables
+    assert len(offsets) == len(bounds) + 1
+    # Each interval's row differs from its neighbour's: none is redundant.
+    assert (offsets[1:] != offsets[:-1]).all()
+    assert len(table) == 1 + len({name for name in keys.values() if name != "f1"})
+
+
 def test_frame_map_table_cap():
     wide = UniformOracle(MATERIALIZE_MAX_DIM + 1, 0)
     product = ProductOracle(UniformOracle(2, 0), wide)

@@ -6,11 +6,18 @@ import pytest
 
 from ausokit import verifier
 from ausokit.combinators import ProductOracle, ReorientedOracle
-from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
+from ausokit.cube_core import (
+    Face,
+    TableOracle,
+    UniformOracle,
+    parse_vertex,
+    vertex_text,
+)
 from ausokit.verifier import (
     CROSS_VALIDATE_CAP,
     VerifierError,
     _dfs_cycle,
+    _face_count_uso,
     _kahn_acyclic,
     _pairwise_uso,
     check_acyclic,
@@ -335,6 +342,88 @@ def test_pairwise_witness_does_not_depend_on_the_rows(monkeypatch):
         witnesses.append(_pairwise_uso(table, 10))
     assert not witnesses[0][0] and witnesses[0][1]["pair"]
     assert witnesses[1:] == witnesses[:1] * 2
+
+
+def _first_conflict(table, n):
+    """The first pair u != v in row-major order over all ordered pairs with
+    ((s(u) ^ s(v)) & (u ^ v)) == 0, or None."""
+    t = np.array(table, dtype=np.int64)
+    v = np.arange(1 << n)
+    conflict = ((t[:, None] ^ t[None, :]) & (v[:, None] ^ v[None, :])) == 0
+    np.fill_diagonal(conflict, False)
+    bad = np.argwhere(conflict)
+    return tuple(bad[0].tolist()) if bad.size else None
+
+
+def test_pairwise_witness_is_the_first_pair_of_a_full_scan(monkeypatch):
+    """The check reads the pairs u < v only; its witness is still the first
+    conflict of a scan over every ordered pair, whose later rows also hold
+    conflicts below the diagonal."""
+    rng = random.Random(12)
+    below = 0
+    for n in range(1, 11):
+        for trial in range(6):
+            if trial < 2:  # arbitrary outmaps: conflicts almost everywhere
+                table = [rng.getrandbits(n) for _ in range(1 << n)]
+            else:  # a USO with a few one-sided edge claims
+                table = [UniformOracle(n, rng.getrandbits(n)).evaluate(v)
+                         for v in range(1 << n)]
+                for _ in range(trial - 1):
+                    _corrupt_edge(table, rng.getrandbits(n), rng.randrange(n))
+            want = _first_conflict(table, n)
+            for rows in (1, 3, 1 << 6):
+                monkeypatch.setattr(verifier, "PAIRWISE_ROWS", rows)
+                ok, witness = _pairwise_uso(np.array(table, dtype=np.uint64), n)
+                assert ok == (want is None), (n, trial)
+                if want is not None:
+                    assert [parse_vertex(t) for t in witness["pair"]] == list(want)
+            if want is not None:
+                t, v = np.array(table), np.arange(1 << n)
+                later = ((t[want[0] + 1:, None] ^ t) & (v[want[0] + 1:, None] ^ v)) == 0
+                below += int(np.tril(later, want[0]).any())
+    assert below > 10  # conflicts below the diagonal did occur
+
+
+def _face_count_reference(table, n):
+    """One free mask at a time: the first mask, ascending, with an anchor
+    whose face does not have exactly one sink, and its lowest such anchor."""
+    size = 1 << n
+    vertices = np.arange(size)
+    for free in range(1, size):
+        sinks = vertices[(table & free) == 0]
+        counts = np.bincount(sinks & ~free, minlength=size)
+        bad = np.flatnonzero(((vertices & free) == 0) & (counts != 1))
+        if bad.size:
+            return vertex_text(int(bad[0]), n), vertex_text(free, n)
+    return None
+
+
+def test_face_count_witness_matches_one_mask_at_a_time(monkeypatch):
+    rng = random.Random(31)
+    failing = 0
+    for n in range(1, 9):
+        for trial in range(5):
+            table = [UniformOracle(n, rng.getrandbits(n)).evaluate(v)
+                     for v in range(1 << n)]
+            for _ in range(trial):
+                _corrupt_edge(table, rng.getrandbits(n), rng.randrange(n))
+            if trial == 4:
+                table = [rng.getrandbits(n) for _ in range(1 << n)]
+            table = np.array(table, dtype=np.uint64)
+            want = _face_count_reference(table.astype(np.int64), n)
+            failing += want is not None
+            for block in (1, 1 << 5, 1 << 14):
+                monkeypatch.setattr(verifier, "VERTEX_BLOCK", block)
+                ok, witness = _face_count_uso(table, n)
+                assert ok == (want is None), (n, trial, block)
+                if want is not None:
+                    assert (witness["anchor"], witness["free"]) == want
+                    free = parse_vertex(witness["free"])
+                    face = Face(parse_vertex(witness["anchor"]), free)
+                    sinks = [v for v in face.vertices() if not int(table[v]) & free]
+                    assert [parse_vertex(t) for t in witness["sinks"]] == sinks
+                    assert len(sinks) != 1
+    assert failing > 20
 
 
 def test_caps_raise():
