@@ -109,18 +109,23 @@ def _face_count_uso(table: np.ndarray, n: int):
     The masks go in ascending order, max(1, VERTEX_BLOCK >> n) at a time, as
     one (mask, vertex) array; the witness is the first bad (mask, anchor)
     cell in row-major order, the lowest anchor of the lowest failing mask,
-    whatever the block size.
+    whatever the block size.  Every array is uint32 (n <= 14, the exhaustive
+    cap, fits) and no step shifts: the gate runs this in every command, and
+    signed or shift loops are numpy code that nothing else of a build runs,
+    each adding some 64 KB of library pages to the command's peak RSS.
     """
     size = 1 << n
-    vertices = np.arange(size, dtype=np.intp)
-    outmaps = table.astype(np.intp)  # only the low n bits are ever tested
+    vertices = np.arange(size, dtype=np.uint32)
+    outmaps = table.astype(np.uint32)  # n <= USO_EXHAUSTIVE_CAP fits
     step = max(1, VERTEX_BLOCK >> n)
     for lo in range(1, size, step):
-        frees = np.arange(lo, min(lo + step, size), dtype=np.intp)[:, None]
+        frees = np.arange(lo, min(lo + step, size), dtype=np.uint32)[:, None]
         sinks = (outmaps & frees) == 0
-        cells = (vertices & ~frees) | (np.arange(len(frees))[:, None] << n)
+        inside = vertices & frees
+        cells = vertices ^ inside  # each vertex's anchor, in its mask's row
+        cells |= np.arange(0, len(frees) << n, size, dtype=np.uint32)[:, None]
         counts = np.bincount(cells[sinks], minlength=len(frees) << n)
-        bad = np.flatnonzero(((vertices & frees) == 0).ravel() & (counts != 1))
+        bad = np.flatnonzero((inside == 0).ravel() & (counts != 1))
         if bad.size:
             row, anchor = divmod(int(bad[0]), size)
             free = lo + row
@@ -151,8 +156,9 @@ def _pairwise_uso(table: np.ndarray, n: int):
         bits &= vertices[lo:hi, None] ^ vertices[None, lo:]
         conflict = bits == 0
         conflict[:, :hi - lo] &= upper[:hi - lo, :hi - lo]
-        if conflict.any():  # argwhere alone scans a clean block far slower
-            a, b = np.argwhere(conflict)[0].tolist()
+        bad = np.flatnonzero(conflict)
+        if bad.size:
+            a, b = divmod(int(bad[0]), size - lo)
             a, b = a + lo, b + lo
             return False, {"pair": [vertex_text(a, n), vertex_text(b, n)]}
     return True, None
