@@ -142,12 +142,12 @@ def _pairwise_uso(table: np.ndarray, n: int):
     columns above it only; the first row with a conflict has none below the
     diagonal (the row of that column would come first), so the witness is
     the first conflicting pair in row-major order, whatever the block size.
-    n <= 14 (the exhaustive cap) fits uint16, so a block of 2^6 rows keeps
-    each temporary at n = 14 at most 2 MB, and the scan reads half the
-    pairs."""
+    The scan reads half the pairs, in uint32 as the face-sink count does
+    (uint16 loops are numpy code that nothing else of a build runs); a
+    block of 2^6 rows keeps each temporary at n = 14 at most 4 MB."""
     size = 1 << n
-    vertices = np.arange(size, dtype=np.uint16)
-    table = table.astype(np.uint16)
+    vertices = np.arange(size, dtype=np.uint32)
+    table = table.astype(np.uint32)
     rows = min(PAIRWISE_ROWS, size)
     upper = np.arange(rows)[:, None] < np.arange(rows)  # column above the row
     for lo in range(0, size, rows):
