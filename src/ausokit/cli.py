@@ -3,10 +3,11 @@
 Only `build` writes cache files; `run`, `verify` and `report` realize a
 level whose cache file is missing in memory.
 
-Exit codes: 0 success, 1 property violation (a cached level built from
-other frame files counts as one), 2 usage or configuration error (a missing
-or unparsable frame file or cache file, a negative level, or a path that
-cannot be read or written), 3 resource limit (step limit exceeded).
+Exit codes: 0 success, 1 property violation (frame files that fail their
+family's validation, or a cached level built from other frame files, count
+as one), 2 usage or configuration error (a missing or unparsable frame file
+or cache file, a negative level, a verify mode or option the level cannot
+take, or a path that cannot be read or written), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -18,11 +19,19 @@ import json
 import sys
 from pathlib import Path
 
-from .constructions import BUNDLE_SIZE, ConstructionError, cache_path, realize_range
+from .constructions import (
+    BUNDLE_SIZE,
+    ConstructionError,
+    FrameValidationError,
+    cache_path,
+    realize_range,
+)
 from .cube_core import CubeError
-from .frame_store import resolve_frames_dir, validate_all, validate_family
+from .frame_store import validate_all
 from .pivot_engine import StepLimitExceeded, write_trace_jsonl
 from .verifier import (
+    ACYCLIC_CAP,
+    SAMPLED_MAX_FACE_DIM,
     USO_EXHAUSTIVE_CAP,
     check_acyclic,
     check_growth,
@@ -55,15 +64,6 @@ def _level(text: str) -> int:
     return level
 
 
-def _gate_frames(report) -> bool:
-    """Frame transcription gate: levels are realized only from frames whose
-    validation `report` passed; each failing check is printed."""
-    if not report.passed:
-        for c in report.failures():
-            print(f"frame validation failed: {c.name} {c.witness}", file=sys.stderr)
-    return report.passed
-
-
 def _check_out_dir(path) -> None:
     """Refuse an output file whose directory does not exist before any level
     is realized, not after the work; None means standard output."""
@@ -73,17 +73,16 @@ def _check_out_dir(path) -> None:
 
 def cmd_build(args) -> int:
     lo, hi = _parse_levels(args.levels)
-    frames_dir = resolve_frames_dir(args.frames_dir)
-    if not _gate_frames(validate_all(frames_dir)):
-        return EXIT_VIOLATION
-    chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir))
+    report = validate_all(args.frames_dir)  # every family, not only the one built
+    if not report.passed:
+        raise FrameValidationError(report)
+    chain = realize_range(args.family, hi, args.frames_dir, args.cache_dir)
     for level, _ in chain[lo:]:
         print(f"level {level.level}: n={level.dimension} path_length={level.path_length}")
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    frames_dir = resolve_frames_dir(args.frames_dir)
     cache_dir = Path(args.cache_dir)
     if not cache_path(cache_dir, args.family, args.level).exists():
         print(f"no cache for {args.family} level {args.level}; run build first",
@@ -91,9 +90,8 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     out = Path(args.trace) if args.trace else Path(f"{args.family}_level{args.level}.jsonl")
     out.parent.mkdir(parents=True, exist_ok=True)
-    if not _gate_frames(validate_family(args.family, frames_dir)):
-        return EXIT_VIOLATION
-    chain = realize_range(args.family, args.level, frames_dir, cache_dir, write=False)
+    chain = realize_range(args.family, args.level, args.frames_dir, cache_dir,
+                          write=False)
     level, trace = chain[-1]
     write_trace_jsonl(trace, out)
     summary = {"family": args.family, "level": level.level, "n": level.dimension,
@@ -106,28 +104,27 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_out_dir(args.report)
-    frames_dir = resolve_frames_dir(args.frames_dir)
     if args.all_frames:
-        report = validate_all(frames_dir)
+        report = validate_all(args.frames_dir)
         _emit_report(report, args.report)
         return EXIT_OK if report.passed else EXIT_VIOLATION
     if args.family is None or args.level is None:
         print("verify needs --all-frames or --family/--level", file=sys.stderr)
         return EXIT_USAGE
-    frame_report = validate_family(args.family, frames_dir)
-    if not frame_report.passed:
-        _emit_report(frame_report, args.report)
-        return EXIT_VIOLATION
-    chain = realize_range(args.family, args.level, frames_dir, Path(args.cache_dir),
+    # What the verifier refuses at the level's dimension fails before any build.
+    n = BUNDLE_SIZE[args.family] * (args.level + 1)
+    cap = {"exhaustive": USO_EXHAUSTIVE_CAP, "acyclic": ACYCLIC_CAP}.get(args.mode, n)
+    if n > cap:
+        raise ValueError(f"n={n} above the {args.mode} cap {cap}; use --mode sampled")
+    if args.mode == "sampled" and not (args.samples >= 1 and
+                                       1 <= args.max_face_dim <= SAMPLED_MAX_FACE_DIM):
+        raise ValueError("--mode sampled needs --samples >= 1 and --max-face-dim "
+                         f"in 1..{SAMPLED_MAX_FACE_DIM}")
+    chain = realize_range(args.family, args.level, args.frames_dir, args.cache_dir,
                           write=False)
     level, trace = chain[-1]
     if args.mode == "exhaustive":
-        if level.dimension > USO_EXHAUSTIVE_CAP:
-            print(f"n={level.dimension} above the exhaustive cap "
-                  f"{USO_EXHAUSTIVE_CAP}; use --mode sampled", file=sys.stderr)
-            return EXIT_USAGE
-        report = check_uso_exhaustive(level.oracle)
-        report = report.merge(check_acyclic(level.oracle))
+        report = check_uso_exhaustive(level.oracle).merge(check_acyclic(level.oracle))
     elif args.mode == "sampled":
         report = check_uso_sampled(level.oracle, args.samples, args.max_face_dim,
                                    args.seed)
@@ -152,12 +149,8 @@ def _emit_report(report, path) -> None:
 
 def cmd_report(args) -> int:
     _check_out_dir(args.out)
-    frames_dir = resolve_frames_dir(args.frames_dir)
     lo, hi = _parse_levels(args.levels)
-    if not _gate_frames(validate_family(args.family, frames_dir)):
-        return EXIT_VIOLATION
-    chain = realize_range(args.family, hi, frames_dir, Path(args.cache_dir),
-                          write=False)
+    chain = realize_range(args.family, hi, args.frames_dir, args.cache_dir, write=False)
     size = BUNDLE_SIZE[args.family]
     lengths = [(level.level, level.dimension, level.path_length) for level, _ in chain]
     rows = []
@@ -250,6 +243,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except FrameValidationError as exc:
+        for c in exc.report.failures():
+            print(f"frame validation failed: {c.name} {c.witness}", file=sys.stderr)
+        return EXIT_VIOLATION
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -40,13 +40,11 @@ from .combinators import (
     ReorientedOracle,
 )
 from .frame_store import (
-    FAMILY_FRAMES,
-    frame_file_sha256,
     johnson_tie_order,
     load_family,
-    resolve_frames_dir,
     tie_pattern_cunningham,
     tie_pattern_zadeh,
+    validate_family,
 )
 from .pivot_engine import (
     CunninghamState,
@@ -76,6 +74,15 @@ class ConstructionError(CubeError):
 
 class FrameConflictError(ConstructionError):
     """The adversary demanded two different frames for one inner vertex."""
+
+
+class FrameValidationError(ConstructionError):
+    """Frame files failed their family's validation `report`, so no level is
+    built from them; the message names every failing check."""
+
+    def __init__(self, report):
+        super().__init__(", ".join(c.name for c in report.failures()))
+        self.report = report
 
 
 class CacheFileError(CubeError):
@@ -299,12 +306,6 @@ def cache_path(cache_dir: Path, family: str, level: int) -> Path:
     return cache_dir / f"{family}_level{level}.json"
 
 
-def _frame_hashes(family: str, frames_dir) -> dict[str, str]:
-    frames_dir = resolve_frames_dir(frames_dir)
-    return {stem: frame_file_sha256(frames_dir / f"{family}_{stem}.frame")
-            for stem in FAMILY_FRAMES[family]}
-
-
 def _is_vertex_text(text, n: int) -> bool:
     """True iff `text` is the text of a vertex of an n-cube."""
     return isinstance(text, str) and len(text) == n and not text.strip("01")
@@ -398,22 +399,27 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     yield "}," + rest[1:] + "\n"
 
 
-def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None,
-                 write: bool = True):
-    """Levels 0..max_level with their traces, built strictly bottom-up.
+def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
+                  write: bool = True):
+    """Levels 0..max_level with their traces, built strictly bottom-up from
+    frame files that pass validate_family, the frame gate; if it fails,
+    FrameValidationError is raised before any level is built or file written.
 
-    Each level is run once.  With a cache directory, cached assignment maps
-    are reloaded instead of running the adversary; one run on a reloaded
-    level must reproduce the recorded length and sink.  A level with no
-    cache file is realized in memory and, if `write`, persisted as JSON.
-    Existing cache files are left untouched, so a rerun is a no-op.
+    Each level is run once.  A level with a cache file in `cache_dir` is
+    reloaded from it: the record must name the sha256 of the frame bytes
+    built from, and one run must reproduce its length and sink.  Any other
+    level is realized in memory and, if `write`, persisted as JSON.  Existing
+    cache files are left untouched, so a rerun is a no-op.
     """
     if family not in BUNDLE_SIZE:
         raise ConstructionError(f"unknown family {family!r}")
-    frame_oracles = {name: oracle
-                     for name, (spec, oracle) in load_family(family, frames_dir).items()}
+    report = validate_family(family, frames_dir)
+    if not report.passed:
+        raise FrameValidationError(report)
+    frames = load_family(family, frames_dir)
+    frame_oracles = {name: oracle for name, (_, oracle) in frames.items()}
     frame_names = {oracle: name for name, oracle in frame_oracles.items()}
-    hashes = _frame_hashes(family, frames_dir)
+    hashes = {name: spec.sha256 for name, (spec, _) in frames.items()}
     chain: list[tuple[ConstructionLevel, Trace]] = []
     for i in range(max_level + 1):
         path = None if cache_dir is None else cache_path(Path(cache_dir), family, i)
@@ -434,11 +440,4 @@ def _build_chain(family: str, max_level: int, frames_dir=None, cache_dir=None,
 def realize_level(family: str, level: int, frames_dir=None,
                   cache_dir=None) -> tuple[ConstructionLevel, Trace]:
     """Build (or reload) the family's AUSO A_level and the realizing trace."""
-    return _build_chain(family, level, frames_dir, cache_dir)[-1]
-
-
-def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
-                  write: bool = True):
-    """All levels 0..max_level with their traces, built bottom-up; with
-    `write` false, no cache file is written."""
-    return _build_chain(family, max_level, frames_dir, cache_dir, write)
+    return realize_range(family, level, frames_dir, cache_dir)[-1]

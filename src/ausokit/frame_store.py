@@ -71,6 +71,7 @@ class FrameSpec:
     dim: int
     backward_edges: list[tuple[int, int]] = field(default_factory=list)  # (bits, k 1-based)
     labels: dict[str, int] = field(default_factory=dict)
+    sha256: str = ""  # of the file bytes it was parsed from; set by load_family
 
     def to_text(self) -> str:
         lines = [f"# {self.family} frame {self.name}", f"dim {self.dim}"]
@@ -173,7 +174,9 @@ def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, Tabl
         path = frames_dir / f"{family}_{stem}.frame"
         if not path.exists():
             raise CubeError(f"missing frame transcription {path}")
-        spec = parse_frame(path.read_text(encoding="utf-8"), name=stem, family=family)
+        data = path.read_bytes()
+        spec = parse_frame(data.decode("utf-8"), name=stem, family=family)
+        spec.sha256 = hashlib.sha256(data).hexdigest()
         out[stem] = (spec, oracle_from_spec(spec))
     return out
 

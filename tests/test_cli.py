@@ -187,9 +187,10 @@ def test_missing_frames_dir_is_usage_error(tmp_path, argv):
 
 
 def test_commands_refuse_frames_that_fail_validation(tmp_path, capsys):
-    """build, report and run realize levels only from frames that pass their
-    family's checks: with a cunningham frame missing one label, each exits 1
-    naming the failing check and writes no cache, report, or trace."""
+    """build, report, verify and run realize levels only from frames that
+    pass their family's checks: with a cunningham frame missing one label,
+    each exits 1 naming the failing check and writes no cache, report, or
+    trace."""
     frames = tmp_path / "frames"
     shutil.copytree(Path(ausokit.__file__).parent / "frames", frames)
     f1 = frames / "cunningham_f1.frame"
@@ -202,11 +203,15 @@ def test_commands_refuse_frames_that_fail_validation(tmp_path, capsys):
     def refused(argv):
         code = main([*argv, *common])
         err = capsys.readouterr().err
-        return code == 1 and "frame validation failed" in err and "Traceback" not in err
+        return (code == 1 and "frame validation failed: label_H " in err
+                and "Traceback" not in err)
 
     assert refused(["build", "--levels", "0..2"])
     assert refused(["report", "--levels", "0..2", "--out", str(tmp_path / "g.csv")])
-    assert not cache.exists() and not (tmp_path / "g.csv").exists()
+    assert refused(["verify", "--level", "2", "--mode", "traces",
+                    "--report", str(tmp_path / "r.json")])
+    assert not cache.exists()
+    assert not (tmp_path / "g.csv").exists() and not (tmp_path / "r.json").exists()
     # A level-2 cache built from the packaged frames takes run past its
     # usage check.
     assert main(["build", "--family", "cunningham", "--levels", "2",
@@ -349,3 +354,32 @@ def test_unusable_path_fails_before_any_level_is_realized(tmp_path, monkeypatch,
     assert main([*argv, "--cache-dir", "c"]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and f"'{path}'" in err, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "cunningham", "--level", "9", "--mode", "exhaustive"],
+    ["--family", "johnson", "--level", "3", "--mode", "exhaustive"],
+    ["--family", "cunningham", "--level", "9", "--mode", "acyclic"],
+    ["--family", "zadeh", "--level", "3", "--mode", "acyclic"],
+    ["--family", "johnson", "--level", "1", "--mode", "sampled", "--samples", "0"],
+    ["--family", "johnson", "--level", "1", "--mode", "sampled", "--max-face-dim", "0"],
+    ["--family", "zadeh", "--level", "1", "--mode", "sampled", "--max-face-dim", "11"],
+], ids=["exhaustive-c9", "exhaustive-j3", "acyclic-c9", "acyclic-z3", "no-samples",
+        "face-dim-0", "face-dim-11"])
+def test_unverifiable_request_fails_before_any_level_is_realized(monkeypatch, capsys,
+                                                                 built_levels, argv):
+    """verify refuses a mode above its cap, or sampled options outside their
+    range, from the dimension the level will have: BUNDLE_SIZE * (level + 1)."""
+    for family, chain in built_levels.items():
+        for level, _ in chain:
+            assert level.dimension == cli.BUNDLE_SIZE[family] * (level.level + 1)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was realized before the request was checked")
+
+    monkeypatch.setattr(cli, "realize_range", refuse)
+    assert main(["verify", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("usage error: "), err
+    if "exhaustive" in argv:
+        assert "above the exhaustive cap 14; use --mode sampled" in err

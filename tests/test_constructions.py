@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import shutil
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from ausokit.constructions import (
     HYPERSINK_POSITION,
     ConstructionError,
     FrameConflictError,
+    FrameValidationError,
     _Unassigned,
     build_reset,
     realize_level,
@@ -30,6 +32,7 @@ from ausokit.frame_store import (
     FAMILY_FRAMES,
     frame_file_sha256,
     load_family,
+    packaged_frames_dir,
     resolve_frames_dir,
 )
 from ausokit.pivot_engine import replay, run_to_sink, write_trace_jsonl
@@ -282,6 +285,23 @@ def test_conflicting_frame_demand_fails_closed(monkeypatch):
     with pytest.raises(FrameConflictError) as info:
         realize_level("zadeh", 1)
     assert "f1" in str(info.value) and "f2" in str(info.value)
+
+
+def test_frames_that_fail_validation_build_nothing(tmp_path):
+    """The builder is gated on the family's frame checks: with a cunningham
+    frame missing its `label H` line, realize_range and realize_level raise
+    naming the failing check, and neither builds a level nor writes a cache."""
+    frames = tmp_path / "frames"
+    shutil.copytree(packaged_frames_dir(), frames)
+    f1 = frames / "cunningham_f1.frame"
+    lines = f1.read_text().splitlines(keepends=True)
+    f1.write_text("".join(line for line in lines if line.strip() != "label H 1111"))
+    cache = tmp_path / "caches"
+    for build in (realize_range, realize_level):
+        with pytest.raises(FrameValidationError, match="label_H") as info:
+            build("cunningham", 3, frames, cache)
+        assert [c.name for c in info.value.report.failures()] == ["label_H"]
+    assert not cache.exists()
 
 
 @pytest.mark.parametrize("family", sorted(BUNDLE_SIZE))
