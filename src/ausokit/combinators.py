@@ -8,10 +8,17 @@ bundles.  A product holds its own connecting frames: a default plus sparse
 per-inner-vertex overrides.  For batches it tabulates its few distinct
 frames once, one row of 2^outer outmaps each, and answers a batch with one
 gather.
+
+A product and a memo start as dicts and can be frozen once nothing writes
+to them any more: sorted uint64 keys in an `array`, with a uint8 frame row
+(product) or a uint64 outmap (memo) per key, 9 and 16 bytes an entry
+against some 80 and 112 for the dicts.  A frozen lookup bisects the keys.
 """
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from functools import cached_property
 
 import numpy as np
@@ -40,6 +47,12 @@ class ReorientationError(CombinatorError):
         self.witness = witness
 
 
+def _index(keys: array, v: int) -> int:
+    """The position of v in the sorted keys, or -1."""
+    i = bisect_left(keys, v)
+    return i if i < len(keys) and keys[i] == v else -1
+
+
 class ProductOracle(OrientationOracle):
     """Product composition: inner USO on the low coords, one connecting frame
     per inner vertex orienting the outer coords.  `overrides` maps an inner
@@ -47,8 +60,12 @@ class ProductOracle(OrientationOracle):
 
     s(v) = inner(v & low) | frame(v & low)(v >> k) << k.  USO and acyclicity
     are preserved when the inner oracle and every frame have them.
-    `default` and `overrides` may be filled in until the first evaluate_many,
-    which tabulates the frames once.
+    `default` and `overrides` may be filled in until the product is frozen,
+    by freeze() or by the first evaluate_many, which tabulates the frames.
+    Frozen, it holds `keys`, the overridden inner vertices in ascending
+    order, `rows`, each key's index into `frames` as one byte, and
+    `frames`, the distinct frames with the default first; `overrides` is
+    then None.
     """
 
     def __init__(self, inner: OrientationOracle, default: OrientationOracle,
@@ -61,12 +78,44 @@ class ProductOracle(OrientationOracle):
                 raise CombinatorError("all frames must share the outer dimension")
         self.inner_mask = (1 << inner.dimension) - 1
         self.dimension = inner.dimension + default.dimension
+        self.keys = self.rows = self.frames = None
+
+    @property
+    def frozen(self) -> bool:
+        return self.overrides is None
+
+    def freeze(self) -> None:
+        """Replace the overrides dict by the sorted key and row columns; a
+        no-op once frozen."""
+        if self.overrides is None:
+            return
+        keys = sorted(self.overrides)
+        frames = [self.default]
+        row_of = {id(self.default): 0}
+        rows = bytearray(len(keys))
+        for i, key in enumerate(keys):
+            frame = self.overrides[key]
+            row = row_of.get(id(frame))
+            if row is None:
+                if len(frames) == 256:
+                    raise CombinatorError("more than 256 distinct frames")
+                row = row_of[id(frame)] = len(frames)
+                frames.append(frame)
+            rows[i] = row
+        self.keys, self.rows, self.frames = array("Q", keys), bytes(rows), tuple(frames)
+        self.overrides = None
+
+    def items(self) -> list[tuple[int, OrientationOracle]]:
+        """(inner vertex, frame) of each override, in vertex order."""
+        if self.overrides is not None:
+            return sorted(self.overrides.items())
+        return list(zip(self.keys, map(self.frames.__getitem__, self.rows)))
 
     @cached_property
     def _tables(self):
-        """The overrides as an interval map over inner vertices, and one
-        uint64 row per distinct frame (row 0 the default) holding its
-        outmap of every outer vertex.  Each override key k is the interval
+        """The frozen overrides as an interval map over inner vertices, and
+        one uint64 row per frame of `frames` (row 0 the default) holding
+        its outmap of every outer vertex.  Each key k is the interval
         [k, k + 1) and the gaps between them have row 0; adjacent intervals
         of one row are merged.  `bounds` holds every interval's start but
         the first (0), so searchsorted(bounds, v, "right") is the index of
@@ -78,36 +127,33 @@ class ProductOracle(OrientationOracle):
             raise CombinatorError(
                 f"refusing to tabulate {outer_dim}-dimensional frames "
                 f"(max {MATERIALIZE_MAX_DIM})")
-        keys = sorted(self.overrides)
-        frames = [self.default]
-        row_of = {id(self.default): 0}
-        key_offsets = []
-        for key in keys:
-            frame = self.overrides[key]
-            if id(frame) not in row_of:
-                row_of[id(frame)] = len(frames)
-                frames.append(frame)
-            key_offsets.append(row_of[id(frame)] << outer_dim)
+        self.freeze()
+        keys = np.frombuffer(self.keys, dtype=np.uint64)
+        row_offsets = [row << outer_dim for row in range(len(self.frames))]
         # Intervals start at 0, and at k and k + 1 for each key k; their
         # offsets are 0, the key's and 0.  Kept are the nonempty ones whose
         # offset differs from the previous kept one's.
         starts = np.zeros(2 * len(keys) + 1, dtype=np.uint64)
         starts[1::2] = keys
         np.add(starts[1::2], np.uint64(1), out=starts[2::2])
-        offsets = np.zeros(len(starts), np.min_scalar_type((len(frames) - 1) << outer_dim))
-        offsets[1::2] = key_offsets
+        offsets = np.zeros(len(starts), np.min_scalar_type(row_offsets[-1]))
+        offsets[1::2] = list(map(row_offsets.__getitem__, self.rows))
         keep = np.append(starts[1:] != starts[:-1], True)
         kept = offsets[keep]
         keep[keep] = np.append(True, kept[1:] != kept[:-1])
         outer = np.arange(1 << outer_dim, dtype=np.uint64)
-        table = np.stack([frame.evaluate_many(outer) for frame in frames])
+        table = np.stack([frame.evaluate_many(outer) for frame in self.frames])
         return starts[keep][1:], offsets[keep], table
 
     def evaluate(self, v: int) -> int:
         vi = v & self.inner_mask
         k = self.inner.dimension
-        return self.inner.evaluate(vi) | (
-            self.overrides.get(vi, self.default).evaluate(v >> k) << k)
+        if self.overrides is not None:
+            frame = self.overrides.get(vi, self.default)
+        else:
+            i = _index(self.keys, vi)
+            frame = self.frames[self.rows[i]] if i >= 0 else self.default
+        return self.inner.evaluate(vi) | (frame.evaluate(v >> k) << k)
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
         """The inner batch first, so no frame-side array is held while the
@@ -231,17 +277,45 @@ def materialize(oracle: OrientationOracle) -> TableOracle:
 
 
 class MemoOracle(OrientationOracle):
-    """Deterministic caching wrapper; useful over deep lazy compositions."""
+    """Deterministic caching wrapper; useful over deep lazy compositions.
+    Frozen (freeze()), it holds `keys`, the memoized vertices in ascending
+    order, and their `outmaps`, and answers any other vertex from its base
+    without storing it."""
 
     def __init__(self, base: OrientationOracle):
         self.base = base
         self.dimension = base.dimension
-        self._cache: dict[int, int] = {}
+        self._cache: dict[int, int] | None = {}
+        self.keys = self.outmaps = None
+
+    @property
+    def frozen(self) -> bool:
+        return self._cache is None
+
+    def freeze(self) -> None:
+        """Replace the memo dict by the sorted key and outmap columns; a
+        no-op once frozen."""
+        if self._cache is None:
+            return
+        keys = sorted(self._cache)
+        self.keys = array("Q", keys)
+        self.outmaps = array("Q", map(self._cache.__getitem__, keys))
+        self._cache = None
+
+    def entries(self) -> list[tuple[int, int]]:
+        """The memoized (vertex, outmap) pairs, in vertex order once frozen."""
+        if self._cache is None:
+            return list(zip(self.keys, self.outmaps))
+        return list(self._cache.items())
 
     def evaluate(self, v: int) -> int:
-        out = self._cache.get(v)
+        cache = self._cache
+        if cache is None:
+            i = _index(self.keys, v)
+            return self.outmaps[i] if i >= 0 else self.base.evaluate(v)
+        out = cache.get(v)
         if out is None:
-            out = self._cache[v] = self.base.evaluate(v)
+            out = cache[v] = self.base.evaluate(v)
         return out
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:

@@ -12,7 +12,9 @@ run's, and a level reloaded from a cache is run once on its overrides as
 recorded.  Every level above the base has its own memo.  A level below the
 chain's top runs on it, so the memo ends holding exactly the outmaps of the
 level's path, which are all the next level's run reads of it; the top runs
-below its memo, which stays cold.
+below its memo, which stays cold.  Below the top pair (the top and the
+level under it) a chain keeps its levels frozen: a level's product once its
+own run is over, its memo once the level above has run on it.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +147,7 @@ class ConstructionLevel:
     start: int
     expected_sink: int
     path_length: int
-    overrides: dict[int, OrientationOracle] = field(default_factory=dict)
+    product: ProductOracle | None = None  # None at the base level
     frame_names: dict[OrientationOracle, str] = field(default_factory=dict)
     default_frame: str = ""
     gadget_anchor: int = 0  # absolute bits; 0 for the base level
@@ -155,9 +158,11 @@ class ConstructionLevel:
 
     @property
     def assignments(self) -> dict[int, str]:
-        """Frame name of each inner vertex the level's product overrides
-        (empty at the base level)."""
-        return {v: self.frame_names[f] for v, f in self.overrides.items()}
+        """Frame name of each inner vertex the level's product overrides, in
+        vertex order (empty at the base level)."""
+        if self.product is None:
+            return {}
+        return {v: self.frame_names[f] for v, f in self.product.items()}
 
     def rule_state(self):
         """A fresh state of the family's pivot rule at this level."""
@@ -255,7 +260,8 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     built from frame files with `frame_hashes` (stem -> sha256), the
     overrides are filled from the record, and one run on the level must
     reproduce the recorded length and sink.  `top` says whether the level is
-    its chain's last.
+    its chain's last: below the top pair the level's product is frozen
+    after its run, and so is the memo of the level below, which the run read.
     """
     if family == "johnson":
         replacement = build_reset(level, frame_oracles["r1"])
@@ -286,20 +292,29 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
         if len(trace) != length or trace.end != sink:
             raise ConstructionError(
                 f"cached level {family} {level} does not replay its recorded run")
+    if not top:
+        product.freeze()
+        if prev.product is not None:
+            prev.oracle.freeze()
     built = ConstructionLevel(family, level, oracle.dimension, oracle, trace.start,
-                              trace.end, len(trace), product.overrides, frame_names,
+                              trace.end, len(trace), product, frame_names,
                               DEFAULT_FRAME[family],
                               _bundle_bits(prev.dimension, GADGET_ANCHOR[family]))
     return built, trace
 
 
-# Keys a cache record must hold to be reloaded.
-CACHE_KEYS = ("family", "level", "start", "sink", "path_length", "assignments",
-              "frame_files")
-# Assignment lines per chunk of a streamed cache write.
+# Keys the rest of a cache record, after its assignments, must hold to be
+# reloaded.
+CACHE_KEYS = ("family", "level", "start", "sink", "path_length", "frame_files")
+# Assignment lines per chunk of a streamed cache write or read.
 CACHE_WRITE_BLOCK = 1 << 12
 # Each byte value with its eight bits in reverse order.
 _BIT_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+# The head of a record with and without assignments, and the line that
+# closes a nonempty assignments block.
+_HEAD = b'{\n  "assignments": {\n'
+_HEAD_EMPTY = b'{\n  "assignments": {},\n'
+_CLOSE = b"  },\n"
 
 
 def cache_path(cache_dir: Path, family: str, level: int) -> Path:
@@ -314,22 +329,74 @@ def _is_vertex_text(text, n: int) -> bool:
 def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracles,
                 frame_hashes: dict[str, str], overrides: dict) -> tuple[int, int, int]:
     """Check the cache record at `path` and fill `overrides` (inner vertex ->
-    frame oracle) from its assignments in one pass; returns the recorded
-    start, sink and path length.  A file that is not a level record raises
-    CacheFileError naming it."""
+    frame oracle) from its assignments; returns the recorded start, sink
+    and path length.
+
+    The record must be laid out exactly as _cache_chunks writes it.  The
+    assignment lines are parsed from the file's bytes, CACHE_WRITE_BLOCK
+    lines at a time, and json.loads reads only the rest of the record,
+    which must be json.dumps(rest, indent=2, sort_keys=True) of what it
+    reads and hold no second "assignments".  Any other layout raises
+    CacheFileError naming the file.  The checks then go in this order: the
+    rest's keys and its start and sink texts (CacheFileError), its family
+    and level, its frame hashes (ConstructionError), and last the
+    assignment lines (CacheFileError): each a vertex text of the inner
+    dimension, after the line before it in text order, and a frame name of
+    the family.
+    """
+    def refuse(what: str) -> CacheFileError:
+        return CacheFileError(f"cache file {path} {what}; delete it to rebuild the level")
+
+    frames = {json.dumps(name).encode(): frame for name, frame in frame_oracles.items()}
+    end = 5 + inner_dim  # where a line's vertex text ends
+    bad = None  # the number of the first line that breaks the assignments
+    with open(path, "rb") as f:
+        head = f.readline() + f.readline()
+        if head == _HEAD_EMPTY:
+            rest = f.read()
+        elif head != _HEAD:
+            raise refuse("does not open as a level record")
+        else:
+            # `last` is the previous line's vertex text; `after_comma` says
+            # whether a comma ended it (the head counts as one), so that an
+            # assignment line may follow it and the close may not.
+            rest, number, last, after_comma = None, 2, b"", True
+            while rest is None:
+                block = list(islice(f, CACHE_WRITE_BLOCK))
+                if not block:
+                    raise refuse("ends inside its assignments")
+                for j, line in enumerate(block, number + 1):
+                    if line == _CLOSE:
+                        if after_comma and bad is None:
+                            bad = j
+                        rest = b"".join(block[j - number:]) + f.read()
+                        break
+                    if bad is not None:
+                        continue
+                    comma = line.endswith(b",\n")
+                    frame = frames.get(line[end + 3:-2 if comma else -1])
+                    bits = line[5:end]
+                    if (not after_comma or frame is None or line[:5] != b'    "'
+                            or line[end:end + 3] != b'": ' or bits.strip(b"01")
+                            or bits <= last):
+                        bad = j
+                        continue
+                    overrides[int(bits[::-1], 2)] = frame  # parse_vertex(bits)
+                    last, after_comma = bits, comma
+                number += len(block)
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
+        text = "{\n" + rest.decode("utf-8")
+        record = json.loads(text)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CacheFileError(f"unreadable cache file {path} ({exc}); "
-                             "delete it to rebuild the level") from exc
+        raise refuse(f"is unreadable ({exc})") from exc
+    if "assignments" in record or json.dumps(record, indent=2, sort_keys=True) + "\n" != text:
+        raise refuse("is not laid out as the cache writer lays a record out")
     n = inner_dim + BUNDLE_SIZE[family]
-    if not (isinstance(record, dict) and all(key in record for key in CACHE_KEYS)
-            and isinstance(record["assignments"], dict)
+    if not (all(key in record for key in CACHE_KEYS)
             and isinstance(record["frame_files"], dict)
             and _is_vertex_text(record["start"], n)
             and _is_vertex_text(record["sink"], n)):
-        raise CacheFileError(f"cache file {path} is not a level record; "
-                             "delete it to rebuild the level")
+        raise refuse("is not a level record")
     if record["family"] != family or record["level"] != level:
         raise ConstructionError("cache file does not match the requested level")
     for stem, digest in frame_hashes.items():
@@ -337,14 +404,9 @@ def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracl
             raise ConstructionError(
                 f"cached level {family} {level} was built from another "
                 f"{family}_{stem}.frame (sha256 differs)")
-    for bits, name in record["assignments"].items():  # a JSON key is a str
-        frame = frame_oracles.get(name) if isinstance(name, str) else None
-        if frame is None or len(bits) != inner_dim or bits.strip("01"):
-            raise CacheFileError(
-                f"cache file {path} assigns {name!r} to {bits!r}, not a {family} "
-                f"frame to an inner vertex of dimension {inner_dim}; "
-                "delete it to rebuild the level")
-        overrides[int(bits[::-1], 2)] = frame  # parse_vertex(bits), text checked
+    if bad is not None:
+        raise refuse(f"line {bad} does not assign a {family} frame to the next inner "
+                     f"vertex of dimension {inner_dim} in text order")
     return (parse_vertex(record["start"]), parse_vertex(record["sink"]),
             record["path_length"])
 
@@ -361,19 +423,19 @@ def _write_atomic(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _text_order(vertices) -> np.ndarray:
-    """The vertices as a uint64 array sorted by their vertex texts, which
-    read the lowest id first: that is the order of their bit reversals."""
-    keys = np.fromiter(vertices, dtype="<u8", count=len(vertices))
+def _text_order(keys: np.ndarray) -> np.ndarray:
+    """The permutation that sorts uint64 vertices by their vertex texts,
+    which read the lowest id first: the order of their bit reversals."""
     reversed_bits = _BIT_REVERSED[keys.view(np.uint8)].reshape(-1, 8)[:, ::-1].copy()
-    return keys[np.argsort(reversed_bits.view("<u8").ravel())]
+    return np.argsort(reversed_bits.view("<u8").ravel())
 
 
 def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     """The level's cache record as json.dumps(record, indent=2,
-    sort_keys=True) + "\\n" spells it, chunk by chunk.  "assignments" sorts
-    before every other key, and its lines are streamed in vertex-text
-    order; json.dumps spells the rest of the record."""
+    sort_keys=True) + "\\n" spells it, chunk by chunk, from its frozen
+    product.  "assignments" sorts before every other key, and its lines are
+    streamed in vertex-text order; json.dumps spells the rest of the
+    record."""
     rest = json.dumps({
         "family": level.family,
         "level": level.level,
@@ -385,16 +447,19 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
         "gadget_anchor": vertex_text(level.gadget_anchor, level.dimension),
         "frame_files": hashes,
     }, indent=2, sort_keys=True)
-    overrides = level.overrides
+    product = level.product
     yield '{\n  "assignments": {'
-    if overrides:
+    if product is not None and product.keys:
         inner_dim = level.dimension - level.bundle_size
-        names = {frame: json.dumps(name) for frame, name in level.frame_names.items()}
-        order = _text_order(overrides)
+        names = [json.dumps(level.frame_names[frame]) for frame in product.frames]
+        keys = np.frombuffer(product.keys, dtype="<u8")
+        rows = np.frombuffer(product.rows, dtype=np.uint8)
+        order = _text_order(keys)
         for i in range(0, len(order), CACHE_WRITE_BLOCK):
+            block = order[i:i + CACHE_WRITE_BLOCK]
             yield ("\n" if i == 0 else ",\n") + ",\n".join(
-                f'    "{vertex_text(v, inner_dim)}": {names[overrides[v]]}'
-                for v in order[i:i + CACHE_WRITE_BLOCK].tolist())
+                f'    "{vertex_text(v, inner_dim)}": {names[row]}'
+                for v, row in zip(keys[block].tolist(), rows[block].tolist()))
         yield "\n  "
     yield "}," + rest[1:] + "\n"
 
@@ -413,10 +478,10 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     """
     if family not in BUNDLE_SIZE:
         raise ConstructionError(f"unknown family {family!r}")
-    report = validate_family(family, frames_dir)
+    frames = load_family(family, frames_dir)
+    report = validate_family(family, frames=frames)  # the frames built from
     if not report.passed:
         raise FrameValidationError(report)
-    frames = load_family(family, frames_dir)
     frame_oracles = {name: oracle for name, (_, oracle) in frames.items()}
     frame_names = {oracle: name for name, oracle in frame_oracles.items()}
     hashes = {name: spec.sha256 for name, (spec, _) in frames.items()}
@@ -431,6 +496,8 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
                                          frame_names, hashes, path if cached else None,
                                          top=i == max_level)
         if write and path is not None and not cached:
+            if built.product is not None:
+                built.product.freeze()  # the writer reads the frozen columns
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(path, _cache_chunks(built, hashes))
         chain.append((built, trace))

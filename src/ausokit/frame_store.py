@@ -16,8 +16,9 @@ File format (UTF-8, line based):
 
 from __future__ import annotations
 
-import hashlib
+import importlib
 import os
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -49,6 +50,11 @@ from .verifier import (
 
 FAMILIES = ("cunningham", "johnson", "zadeh")
 ENV_FRAMES_DIR = "AUSOKIT_FRAMES_DIR"
+
+# CPython's own SHA-256, the one hashlib falls back to without OpenSSL:
+# hashlib.sha256 sets OpenSSL up on its first call, some 1 MB resident.
+_sha256 = importlib.import_module(
+    "_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
 
 # Family frame inventories: file stem -> frame name.
 FAMILY_FRAMES = {
@@ -164,7 +170,7 @@ def resolve_frames_dir(explicit=None) -> Path:
 
 
 def frame_file_sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _sha256(Path(path).read_bytes()).hexdigest()
 
 
 def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, TableOracle]]:
@@ -176,7 +182,7 @@ def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, Tabl
             raise CubeError(f"missing frame transcription {path}")
         data = path.read_bytes()
         spec = parse_frame(data.decode("utf-8"), name=stem, family=family)
-        spec.sha256 = hashlib.sha256(data).hexdigest()
+        spec.sha256 = _sha256(data).hexdigest()
         out[stem] = (spec, oracle_from_spec(spec))
     return out
 
@@ -448,8 +454,11 @@ _VALIDATORS = {
 }
 
 
-def validate_family(family: str, frames_dir=None) -> VerificationReport:
-    frames = load_family(family, frames_dir)
+def validate_family(family: str, frames_dir=None, frames=None) -> VerificationReport:
+    """The family's checks on `frames`, a load_family result, or on the
+    frames load_family reads from `frames_dir` when none are given."""
+    if frames is None:
+        frames = load_family(family, frames_dir)
     return _VALIDATORS[family](frames)
 
 

@@ -28,10 +28,13 @@ from itertools import chain
 import numpy as np
 
 from .cube_core import (
+    DIRECTIONS,
     CubeError,
     Direction,
     Face,
+    IllegalMoveError,
     OrientationOracle,
+    direction_text,
     vertex_text,
 )
 from .pivot_engine import balance_of, is_saturated, replay
@@ -437,7 +440,9 @@ def check_trace_properties(level, trace, lower_trace=None) -> VerificationReport
 
 def _projection_check(report, level, trace, lower_trace):
     """The inner-direction subsequence is the lower path, then the gadget
-    return walk, then the lower path again."""
+    return walk, then the lower path again.  The inner moves are compared
+    as move bytes; one walk over the trace checks that every move is legal
+    where it is taken, as Trace.walk() does, and follows the gadget walk."""
     if level.level == 0:
         report.add("projection", True, details="base level, vacuous")
         return
@@ -446,23 +451,29 @@ def _projection_check(report, level, trace, lower_trace):
         return
     inner_dim = level.dimension - level.bundle_size
     inner_mask = (1 << inner_dim) - 1
-    # (vertex, direction) before each move on an inner coordinate.
-    inner = [(v, d) for v, d in trace.walk() if d is not None and d.coord < inner_dim]
-    lower_dirs = lower_trace.directions()
-    k = len(lower_dirs)
-    ok = len(inner) >= 2 * k
-    ok = ok and [d for _, d in inner[:k]] == lower_dirs
-    ok = ok and [d for _, d in inner[len(inner) - k:]] == lower_dirs
-    middle = inner[k:len(inner) - k]
-    # The gadget walk starts at the lower sink, ends at the lower start, and
-    # every move happens inside the gadget face.
-    if ok and middle:
-        ok = (middle[0][0] & inner_mask) == lower_trace.end
-        ok = ok and all((v & ~inner_mask) == level.gadget_anchor for v, _ in middle)
-        v, d = middle[-1]
-        ok = ok and (v ^ 1 << d.coord) & inner_mask == lower_trace.start
+    # The moves on an inner coordinate, in order.
+    inner = trace.moves.translate(None, bytes(b for b in range(256) if b & 63 >= inner_dim))
+    lower = lower_trace.moves
+    k, m = len(lower), len(inner)
+    ok = m >= 2 * k and inner[:k] == lower and inner[m - k:] == lower
+    # The gadget walk, inner moves k..m - k - 1, starts at the lower sink,
+    # ends at the lower start, and every move happens inside the gadget face.
+    first, last = (k, m - k - 1) if ok else (m, -1)
+    i, v = 0, trace.start
+    for b in trace.moves:
+        bit = 1 << (b & 63)
+        if (v & bit) != (bit if b >> 6 else 0):
+            raise IllegalMoveError(f"{direction_text(DIRECTIONS[b], trace.bundle_size)} "
+                                   f"at vertex {vertex_text(v, trace.dimension)}")
+        if bit <= inner_mask:
+            if first <= i <= last:
+                ok = ok and (v & ~inner_mask) == level.gadget_anchor
+                ok = ok and (i != first or v & inner_mask == lower_trace.end)
+                ok = ok and (i != last or (v ^ bit) & inner_mask == lower_trace.start)
+            i += 1
+        v ^= bit
     report.add("projection_twice", ok,
-               None if ok else {"inner_steps": len(inner), "lower": k})
+               None if ok else {"inner_steps": m, "lower": k})
 
 
 def _zadeh_replay(level, trace):

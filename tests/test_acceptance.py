@@ -211,7 +211,7 @@ def test_criterion_7_determinism_and_replay(chains, tmp_path):
             oracle = level.oracle.base if level.level else level.oracle
             if level.level:
                 ok = ok and all(oracle.evaluate(v) == out
-                                for v, out in level.oracle._cache.items())
+                                for v, out in level.oracle.entries())
             again = run_to_sink(oracle, level.start, family,
                                 rule_state(family, level.level),
                                 bundle_size=level.bundle_size,

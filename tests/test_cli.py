@@ -267,6 +267,11 @@ def _assign(value, key=None):
     return damage
 
 
+def _swap(lines, i, j):
+    lines[i], lines[j] = lines[j], lines[i]
+    return lines
+
+
 @pytest.mark.parametrize("damage", [
     lambda text: text[:len(text) // 2],  # a truncated write
     lambda text: "[]\n",
@@ -278,9 +283,17 @@ def _assign(value, key=None):
     _assign("f1", key="0000x0"),
     lambda text: json.dumps({**json.loads(text), "start": 7}),
     lambda text: json.dumps({**json.loads(text), "sink": ["0"]}),
+    lambda text: json.dumps(json.loads(text)),  # the same record, reformatted
+    lambda text: text.replace('\n  "default_frame"',
+                              '\n  "assignments": {},\n  "default_frame"'),
+    lambda text: text.replace('\n    "0', '\n    "', 1),  # one character short
+    lambda text: "\n".join(_swap(text.split("\n"), 2, 3)),  # out of text order
+    lambda text: text.replace('",\n    "', '"\n    "', 1),
+    lambda text: text.replace('"\n  },', '",\n  },', 1),
 ], ids=["truncated", "not-an-object", "frame-files-not-an-object", "unknown-frame",
         "frame-not-text", "frame-in-a-list", "short-vertex", "vertex-not-binary",
-        "start-not-text", "sink-not-text"])
+        "start-not-text", "sink-not-text", "reformatted", "second-assignments",
+        "short-line", "out-of-order", "comma-missing", "comma-before-close"])
 def test_unreadable_cache_is_configuration_error(tmp_path, capsys, damage):
     cache = tmp_path / "caches"
     assert main(["build", "--family", "zadeh", "--levels", "0..1",

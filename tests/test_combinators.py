@@ -1,3 +1,4 @@
+import copy
 import random
 
 import numpy as np
@@ -16,6 +17,7 @@ from ausokit.combinators import (
     materialize,
     reorient_face,
 )
+from ausokit.constructions import realize_range
 from ausokit.cube_core import Face, TableOracle, UniformOracle
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
 
@@ -201,14 +203,113 @@ def test_evaluate_many_matches_evaluate(data):
     assert got.tolist() == [oracle.evaluate(v) for v in vs]
 
 
+def _chain_links(oracle):
+    """The oracles of a composition from the top down, frames left out."""
+    while oracle is not None:
+        yield oracle
+        oracle = getattr(oracle, "base", getattr(oracle, "inner", None))
+
+
+def _freeze_all(oracle):
+    for link in _chain_links(oracle):
+        if isinstance(link, (MemoOracle, ProductOracle)):
+            link.freeze()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_frozen_compositions_answer_as_live_ones(data):
+    """Every memo and product of a random composition frozen after part of
+    the vertices were evaluated answers evaluate (memo hits and misses
+    alike) and evaluate_many as an untouched copy of it does, and each memo
+    keeps its entries."""
+    oracle = data.draw(_compositions())
+    live = copy.deepcopy(oracle)
+    top = (1 << oracle.dimension) - 1
+    vs = [0, top] + data.draw(st.lists(st.integers(0, top), max_size=64))
+    for v in vs[::2]:
+        oracle.evaluate(v)
+    memos = [link for link in _chain_links(oracle) if isinstance(link, MemoOracle)]
+    held = [sorted(memo.entries()) for memo in memos]
+    _freeze_all(oracle)
+    assert all(link.frozen for link in _chain_links(oracle)
+               if isinstance(link, (MemoOracle, ProductOracle)))
+    assert [memo.entries() for memo in memos] == held
+    want = [live.evaluate(v) for v in vs]
+    assert [oracle.evaluate(v) for v in vs] == want
+    assert oracle.evaluate_many(np.array(vs, dtype=np.uint64)).tolist() == want
+
+
+@pytest.fixture(scope="module")
+def live_and_frozen_tops():
+    """Per family, the top level of a small chain realized with freezing
+    switched off, its trace, and the top of the same chain with every level
+    frozen."""
+    tops = {}
+    for family, top in (("cunningham", 3), ("johnson", 3), ("zadeh", 2)):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(ProductOracle, "freeze", lambda self: None)
+            patch.setattr(MemoOracle, "freeze", lambda self: None)
+            live, trace = realize_range(family, top)[-1]
+        frozen = realize_range(family, top)[-1][0]
+        _freeze_all(frozen.oracle)
+        tops[family] = live, trace.vertices(), frozen
+    return tops
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(st.data())
+@pytest.mark.parametrize("family", ["cunningham", "johnson", "zadeh"])
+def test_frozen_levels_answer_as_live_ones(live_and_frozen_tops, family, data):
+    """A realized level with every memo and product of its chain frozen
+    answers evaluate and evaluate_many as the same level never frozen, on
+    random vertices and on path vertices with random bits of the top two
+    bundles flipped, whose lower parts hit the frozen memos."""
+    live, path, frozen = live_and_frozen_tops[family]
+    assert all(link.frozen for link in _chain_links(frozen.oracle)
+               if isinstance(link, (MemoOracle, ProductOracle)))
+    n, size = live.dimension, live.bundle_size
+    vs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=32))
+    vs += [v ^ data.draw(st.integers(0, (1 << 2 * size) - 1)) << (n - 2 * size)
+           for v in data.draw(st.lists(st.sampled_from(path), min_size=1, max_size=32))]
+    want = [live.oracle.evaluate(v) for v in vs]
+    assert [frozen.oracle.evaluate(v) for v in vs] == want
+    assert frozen.oracle.evaluate_many(np.array(vs, dtype=np.uint64)).tolist() == want
+
+
+def test_frozen_keys_above_2_to_the_53_stay_exact(cunningham_frames):
+    """Inner vertices at and above 2^53 (float64 would round them) freeze
+    into the key column, answer batches through the interval map and memo
+    lookups exactly."""
+    f1, f2, f3 = (cunningham_frames[name][1] for name in ("f1", "f2", "f3"))
+    inner = UniformOracle(56, 0)
+    overrides = {(1 << 53) + 1: f1, (1 << 54) + (1 << 53): f2, (1 << 55) | 5: f2,
+                 (1 << 56) - 1: f1}
+    product = ProductOracle(inner, f3, overrides)
+    product.freeze()
+    assert list(product.keys) == sorted(overrides)
+    assert product.items() == sorted(overrides.items())
+    vs = [k | o << 56 for k in [*overrides, 1 << 53, (1 << 53) + 2] for o in (0, 6, 15)]
+    want = [(v & ((1 << 56) - 1))
+            | overrides.get(v & ((1 << 56) - 1), f3).evaluate(v >> 56) << 56 for v in vs]
+    assert [product.evaluate(v) for v in vs] == want
+    assert product.evaluate_many(np.array(vs, dtype=np.uint64)).tolist() == want
+    memo = MemoOracle(product)
+    for v in vs[::2]:
+        memo.evaluate(v)
+    memo.freeze()
+    assert memo.entries() == sorted(zip(vs[::2], want[::2]))
+    assert [memo.evaluate(v) for v in vs] == want
+
+
 def test_memo_evaluate_many_leaves_the_memo_alone(cunningham_frames):
     inner = cunningham_frames["f1"][1]
     memo = MemoOracle(ProductOracle(inner, cunningham_frames["f3"][1],
                                     {0: cunningham_frames["f2"][1]}))
     warm = [memo.evaluate(v) for v in range(0, 256, 3)]
-    before = len(memo._cache)
+    before = len(memo.entries())
     got = memo.evaluate_many(np.arange(256, dtype=np.uint64))
-    assert len(memo._cache) == before
+    assert len(memo.entries()) == before
     assert got[::3].tolist() == warm
 
 

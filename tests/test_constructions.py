@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from ausokit import constructions
+from ausokit import constructions, frame_store
 from ausokit.combinators import ProductOracle, materialize
 from ausokit.constructions import (
     BOX1_POSITION,
@@ -17,8 +17,11 @@ from ausokit.constructions import (
     GADGET_EXTERNAL,
     HYPERSINK_POSITION,
     ConstructionError,
+    ConstructionLevel,
     FrameConflictError,
     FrameValidationError,
+    _cache_chunks,
+    _read_cache,
     _Unassigned,
     build_reset,
     realize_level,
@@ -27,7 +30,7 @@ from ausokit.constructions import (
     starting_vertex,
     tie_list,
 )
-from ausokit.cube_core import Direction, TableOracle, vertex_text
+from ausokit.cube_core import Direction, TableOracle, UniformOracle, vertex_text
 from ausokit.frame_store import (
     FAMILY_FRAMES,
     frame_file_sha256,
@@ -196,6 +199,66 @@ def test_one_run_per_level(tmp_path, monkeypatch, family, top):
         calls.clear()
         realize_range(family, top, cache_dir=tmp_path)
         assert len(calls) == top + 1
+
+
+@pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
+@pytest.mark.parametrize("cached", [False, True], ids=["build", "reload"])
+def test_levels_below_the_top_pair_are_frozen(tmp_path, family, top, cached):
+    """After realize_range, built in memory or reloaded, every product below
+    the top and every memo below the level under the top is frozen; the top
+    product and the memo under it, which the top run reads, are not."""
+    if cached:
+        realize_range(family, top, cache_dir=tmp_path)
+    chain = realize_range(family, top, cache_dir=tmp_path if cached else None)
+    for level, _ in chain[1:]:
+        assert level.product.frozen == (level.level < top)
+        assert level.oracle.frozen == (level.level < top - 1)
+
+
+def test_one_frame_read_per_realize_range(monkeypatch):
+    """realize_range reads the frame files once: the gate checks the frames
+    the levels are built from, through frame_store.validate_family."""
+    reads, gates = [], []
+    load_family, validate_family = frame_store.load_family, frame_store.validate_family
+
+    def counting_load(*args, **kwargs):
+        reads.append(args)
+        return load_family(*args, **kwargs)
+
+    def counting_gate(*args, **kwargs):
+        gates.append(args)
+        return validate_family(*args, **kwargs)
+
+    for module in (frame_store, constructions):
+        monkeypatch.setattr(module, "load_family", counting_load)
+        monkeypatch.setattr(module, "validate_family", counting_gate)
+    for family in sorted(BUNDLE_SIZE):
+        reads.clear()
+        gates.clear()
+        realize_range(family, 1)
+        assert len(reads) == 1 and len(gates) == 1
+
+
+def test_wide_cache_record_roundtrip(tmp_path, cunningham_frames):
+    """A record of inner dimension 56 with keys at and above 2^53 is written
+    from the frozen product and read back to the same overrides, exactly."""
+    frames = {name: oracle for name, (_, oracle) in cunningham_frames.items()}
+    names = {oracle: name for name, oracle in frames.items()}
+    hashes = {name: spec.sha256 for name, (spec, _) in cunningham_frames.items()}
+    overrides = {(1 << 53) + 1: frames["f1"], (1 << 54) + (1 << 53): frames["f2"],
+                 (1 << 55) | 5: frames["f2"], (1 << 56) - 1: frames["f1"], 3: frames["f2"]}
+    product = ProductOracle(UniformOracle(56, 0), frames["f3"], overrides)
+    product.freeze()
+    level = ConstructionLevel("cunningham", 14, 60, product, 1 << 59, 0, 7,
+                              product, names, "f3", 0)
+    path = tmp_path / "cunningham_level14.json"
+    path.write_text("".join(_cache_chunks(level, hashes)), encoding="utf-8")
+    record = json.loads(path.read_text(encoding="utf-8"))
+    assert record["assignments"] == {vertex_text(v, 56): names[f]
+                                     for v, f in overrides.items()}
+    read = {}
+    assert _read_cache(path, "cunningham", 14, 56, frames, hashes, read) == (1 << 59, 0, 7)
+    assert read == overrides
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):

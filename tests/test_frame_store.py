@@ -1,9 +1,14 @@
+import hashlib
+
 import pytest
 
 from ausokit.cube_core import Face, face_sink
 from ausokit.frame_store import (
+    FAMILIES,
     FrameParseError,
+    frame_file_sha256,
     load_family,
+    packaged_frames_dir,
     oracle_from_spec,
     parse_frame,
     validate_all,
@@ -122,3 +127,16 @@ def test_frames_dir_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("AUSOKIT_FRAMES_DIR", str(tmp_path))
     assert resolve_frames_dir() == tmp_path
     assert validate_family("cunningham").passed
+
+
+def test_frame_hashes_equal_hashlib_sha256():
+    """The built-in SHA-256 gives hashlib's digests, so the frame hashes
+    recorded in caches are unchanged."""
+    paths = sorted(packaged_frames_dir().glob("*.frame"))
+    assert paths
+    for path in paths:
+        assert frame_file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+    for family in FAMILIES:
+        for stem, (spec, _) in load_family(family).items():
+            data = (packaged_frames_dir() / f"{family}_{stem}.frame").read_bytes()
+            assert spec.sha256 == hashlib.sha256(data).hexdigest()

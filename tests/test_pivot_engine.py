@@ -301,7 +301,7 @@ def test_lower_levels_computed_once_per_path_vertex(tmp_path, monkeypatch, famil
     for level, trace in chain[1:]:
         assert calls[id(level.oracle.base)] == len(trace) + 1
         held = 0 if level.level == top else len(trace) + 1
-        assert len(level.oracle._cache) == held
+        assert len(level.oracle.entries()) == held
 
 
 def test_balance_of_fresh_and_scoped():

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import random
 
@@ -8,6 +9,7 @@ from ausokit import verifier
 from ausokit.combinators import ProductOracle, ReorientedOracle
 from ausokit.cube_core import (
     Face,
+    IllegalMoveError,
     TableOracle,
     UniformOracle,
     parse_vertex,
@@ -464,6 +466,64 @@ def test_trace_properties_detect_tampering(built_levels):
     bad.moves[5], bad.moves[6] = bad.moves[6], bad.moves[5]
     report = check_trace_properties(level, bad, built_levels["zadeh"][0][1])
     assert not report.passed
+
+
+def _projection_reference(level, trace, lower_trace):
+    """The projection check on (vertex, direction) pairs, as Trace.walk()
+    gives them."""
+    inner_dim = level.dimension - level.bundle_size
+    inner_mask = (1 << inner_dim) - 1
+    inner = [(v, d) for v, d in trace.walk() if d is not None and d.coord < inner_dim]
+    lower_dirs = lower_trace.directions()
+    k = len(lower_dirs)
+    ok = len(inner) >= 2 * k
+    ok = ok and [d for _, d in inner[:k]] == lower_dirs
+    ok = ok and [d for _, d in inner[len(inner) - k:]] == lower_dirs
+    middle = inner[k:len(inner) - k]
+    if ok and middle:
+        ok = (middle[0][0] & inner_mask) == lower_trace.end
+        ok = ok and all((v & ~inner_mask) == level.gadget_anchor for v, _ in middle)
+        v, d = middle[-1]
+        ok = ok and (v ^ 1 << d.coord) & inner_mask == lower_trace.start
+    return ok
+
+
+@pytest.mark.parametrize("family", ["cunningham", "zadeh"])
+def test_projection_check_matches_walk_reference(built_levels, family):
+    """On each level's trace and on copies with two neighbouring moves
+    swapped, in the trace or in the lower trace, with one move's sign
+    flipped, or with another lower start or sink, the byte-level projection check gives the walk's verdict, and
+    raises IllegalMoveError where the walk does."""
+    rng = random.Random(11)
+    chain = built_levels[family]
+    seen = set()
+    for (_, lower), (level, trace) in zip(chain, chain[1:]):
+        cases = [(trace, lower)]
+        for t in (trace,) * 60 + (lower,) * 20:
+            bad = copy.deepcopy(t)
+            i = rng.randrange(len(bad) - 1)
+            bad.moves[i], bad.moves[i + 1] = bad.moves[i + 1], bad.moves[i]
+            cases.append((bad, lower) if t is trace else (trace, bad))
+        for i in rng.sample(range(len(trace)), 5):
+            bad = copy.deepcopy(trace)
+            bad.moves[i] ^= 64
+            cases.append((bad, lower))
+        for end in ("start", "end"):  # where the gadget walk must end or start
+            bad = copy.deepcopy(lower)
+            setattr(bad, end, getattr(bad, end) ^ 1)
+            cases.append((trace, bad))
+        for t, lo in cases:
+            try:
+                want = _projection_reference(level, t, lo)
+            except IllegalMoveError:
+                with pytest.raises(IllegalMoveError):
+                    check_trace_properties(level, t, lo)
+                seen.add("illegal")
+                continue
+            report = check_trace_properties(level, t, lo)
+            assert [c.passed for c in report.checks if c.name == "projection_twice"] == [want]
+            seen.add(want)
+    assert seen == {True, False, "illegal"}
 
 
 def test_report_merge_and_json():
