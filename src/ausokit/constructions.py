@@ -338,7 +338,8 @@ def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracl
     which must be json.dumps(rest, indent=2, sort_keys=True) of what it
     reads and hold no second "assignments".  Any other layout raises
     CacheFileError naming the file.  The checks then go in this order: the
-    rest's keys and its start and sink texts (CacheFileError), its family
+    rest's keys, its integer level and path length and its start and sink
+    texts (CacheFileError), its family
     and level, its frame hashes (ConstructionError), and last the
     assignment lines (CacheFileError): each a vertex text of the inner
     dimension, after the line before it in text order, and a frame name of
@@ -393,6 +394,7 @@ def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracl
         raise refuse("is not laid out as the cache writer lays a record out")
     n = inner_dim + BUNDLE_SIZE[family]
     if not (all(key in record for key in CACHE_KEYS)
+            and type(record["level"]) is int and type(record["path_length"]) is int
             and isinstance(record["frame_files"], dict)
             and _is_vertex_text(record["start"], n)
             and _is_vertex_text(record["sink"], n)):

@@ -267,6 +267,13 @@ def _assign(value, key=None):
     return damage
 
 
+def _rewrite(**fields):
+    """Damage that sets record fields and keeps the writer's layout."""
+    def damage(text):
+        return json.dumps({**json.loads(text), **fields}, indent=2, sort_keys=True) + "\n"
+    return damage
+
+
 def _swap(lines, i, j):
     lines[i], lines[j] = lines[j], lines[i]
     return lines
@@ -290,10 +297,13 @@ def _swap(lines, i, j):
     lambda text: "\n".join(_swap(text.split("\n"), 2, 3)),  # out of text order
     lambda text: text.replace('",\n    "', '"\n    "', 1),
     lambda text: text.replace('"\n  },', '",\n  },', 1),
+    _rewrite(path_length="88"),
+    _rewrite(level="1"),
 ], ids=["truncated", "not-an-object", "frame-files-not-an-object", "unknown-frame",
         "frame-not-text", "frame-in-a-list", "short-vertex", "vertex-not-binary",
         "start-not-text", "sink-not-text", "reformatted", "second-assignments",
-        "short-line", "out-of-order", "comma-missing", "comma-before-close"])
+        "short-line", "out-of-order", "comma-missing", "comma-before-close",
+        "length-not-a-number", "level-not-a-number"])
 def test_unreadable_cache_is_configuration_error(tmp_path, capsys, damage):
     cache = tmp_path / "caches"
     assert main(["build", "--family", "zadeh", "--levels", "0..1",

@@ -249,8 +249,9 @@ def test_wide_cache_record_roundtrip(tmp_path, cunningham_frames):
                  (1 << 55) | 5: frames["f2"], (1 << 56) - 1: frames["f1"], 3: frames["f2"]}
     product = ProductOracle(UniformOracle(56, 0), frames["f3"], overrides)
     product.freeze()
-    level = ConstructionLevel("cunningham", 14, 60, product, 1 << 59, 0, 7,
-                              product, names, "f3", 0)
+    level = ConstructionLevel("cunningham", 14, 60, oracle=product, start=1 << 59,
+                              expected_sink=0, path_length=7, product=product,
+                              frame_names=names, default_frame="f3")
     path = tmp_path / "cunningham_level14.json"
     path.write_text("".join(_cache_chunks(level, hashes)), encoding="utf-8")
     record = json.loads(path.read_text(encoding="utf-8"))

@@ -8,8 +8,8 @@ from ausokit.frame_store import (
     FrameParseError,
     frame_file_sha256,
     load_family,
-    packaged_frames_dir,
     oracle_from_spec,
+    packaged_frames_dir,
     parse_frame,
     validate_all,
     validate_cunningham,
