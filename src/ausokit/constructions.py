@@ -4,25 +4,28 @@ Each level is a product of the previous level with per-vertex connecting
 frames, followed by one face reorientation that installs the family's
 gadget (a uniform balance orientation, or the reset orientation for the
 least-recently-basic rule).  The frame chosen for each inner vertex is
-decided adversarially while the pivot rule runs, and written into the
-overrides of the level's own product; any revisit demanding a different
-frame aborts the build, so the result is a fixed, replayable orientation.
-Each level is run once: the trace of a built level is its adversarial
-run's, and a level reloaded from a cache is run once on its overrides as
-recorded.  Every level above the base has its own memo.  A level below the
-chain's top runs on it, so the memo ends holding exactly the outmaps of the
-level's path, which are all the next level's run reads of it; the top runs
-below its memo, which stays cold.  Below the top pair (the top and the
-level under it) a chain keeps its levels frozen: a level's product once its
-own run is over, its memo once the level above has run on it.
+decided adversarially while the pivot rule runs, and assigned in the
+level's own product; any revisit demanding a different frame aborts the
+build, so the result is a fixed, replayable orientation.  Each level is run
+once: the trace of a built level is its adversarial run's, and a level
+reloaded from a cache is run once on its frames as recorded.
+
+A level is its path.  The next level's run reads it only along that path,
+from its start to its sink and then again, and the adversary assigns a
+frame to exactly the path's vertices.  So every level below the chain's top
+records the outmaps of its run in its memo, in path order, and the product
+above it holds one frame byte per path position (`combinators`).  The top
+runs below its memo, which no level reads and which stays empty.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from array import array
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import accumulate, islice
+from operator import xor
 from pathlib import Path
 
 import numpy as np
@@ -134,7 +137,7 @@ def build_reset(level: int, r1: OrientationOracle) -> OrientationOracle:
     """
     oracle: OrientationOracle = TableOracle(0, [0])
     for j in range(level):
-        oracle = MemoOracle(ProductOracle(oracle, UniformOracle(4, 0b1001), {0: r1}))
+        oracle = ProductOracle(oracle, UniformOracle(4, 0b1001), {0: r1})
     return oracle
 
 
@@ -158,7 +161,7 @@ class ConstructionLevel:
 
     @property
     def assignments(self) -> dict[int, str]:
-        """Frame name of each inner vertex the level's product overrides, in
+        """Frame name of each inner vertex the level's product assigns, in
         vertex order (empty at the base level)."""
         if self.product is None:
             return {}
@@ -175,8 +178,8 @@ def _bundle_bits(inner_dim: int, coords) -> int:
 
 
 class _Unassigned(OrientationOracle):
-    """Default of a level's product while its adversarial run fills the
-    overrides: a frame the adversary never assigned cannot be read."""
+    """Default of a level's product while its adversarial run assigns the
+    frames: a frame the adversary never assigned cannot be read."""
 
     def __init__(self, dimension: int):
         self.dimension = dimension
@@ -208,10 +211,10 @@ def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]
 
 
 def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  frame_names, overrides: dict, oracle: OrientationOracle) -> Trace:
+                  frame_names, product: ProductOracle, oracle: OrientationOracle) -> Trace:
     """Run the rule on `oracle` while the adversary picks each inner vertex's
-    frame on first demand and writes it into `overrides`, those of the
-    product below the oracle; returns the run's trace."""
+    frame on first demand and assigns it in `product`, the product below the
+    oracle; returns the run's trace."""
     size = BUNDLE_SIZE[family]
     inner_dim = prev.dimension
     inner_mask = (1 << inner_dim) - 1
@@ -235,7 +238,7 @@ def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracle
     def assign(v: int) -> None:
         vi = v & inner_mask
         frame = frame_oracles[decide(vi, v >> inner_dim)]
-        held = overrides.setdefault(vi, frame)
+        held = product.assign(vi, frame)
         if held is not frame:
             raise FrameConflictError(f"inner vertex {vi:b} demanded frame "
                                      f"{frame_names[frame]} but holds {frame_names[held]}")
@@ -254,14 +257,14 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     """Level `level` on top of `prev`, with the trace of one run on it.
 
     The level has one product and one oracle chain.  Without a cache file
-    the adversarial run fills the product's overrides, under a default that
+    the adversarial run assigns the product's frames, under a default that
     refuses to be read until the run ends, and its trace is the level's
     trace.  With the cache file `cache_file`, whose record must have been
-    built from frame files with `frame_hashes` (stem -> sha256), the
-    overrides are filled from the record, and one run on the level must
-    reproduce the recorded length and sink.  `top` says whether the level is
-    its chain's last: below the top pair the level's product is frozen
-    after its run, and so is the memo of the level below, which the run read.
+    built from frame files with `frame_hashes` (stem -> sha256), the frames
+    are assigned from the record, and one run on the level must reproduce
+    the recorded length and sink.  Unless the level is its chain's `top`,
+    the run records its path's outmaps in the level's memo, which the next
+    level reads along that path.
     """
     if family == "johnson":
         replacement = build_reset(level, frame_oracles["r1"])
@@ -273,29 +276,26 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     oracle = _level_oracle(family, product, replacement)
     # A run never revisits a vertex (the orientation is acyclic), so it
     # gains nothing from its own memo.  The next level's run reads this
-    # level at exactly its path vertices: its inner moves walk this path
-    # twice, and its gadget walk stays in the replaced face.  So a level
-    # below the top runs on its memo, which then holds those |P| + 1
-    # outmaps and spares the next level computing them through the chain.
-    # The top runs below its memo, which stays cold: no level of the chain
-    # reads it, so filling it would only hold memory.
+    # level at exactly its path vertices, in path order: its inner moves
+    # walk this path twice, and its gadget walk stays in the replaced face.
+    # So a level below the top runs on its memo, which records its path's
+    # |P| + 1 outmaps; the top runs below its memo, which no level reads.
+    oracle.recording = not top
     runs_on = oracle.base if top else oracle
     if cache_file is None:
         trace = _adaptive_run(family, level, prev, frame_oracles, frame_names,
-                              product.overrides, runs_on)
-        product.default = default
+                              product, runs_on)
+        product.frames[0] = default
     else:
-        start, sink, length = _read_cache(cache_file, family, level, prev.dimension,
-                                          frame_oracles, frame_hashes, product.overrides)
+        start, sink, length = _read_cache(cache_file, family, level, frame_oracles,
+                                          frame_hashes, product)
         trace = run_to_sink(runs_on, start, family, rule_state(family, level),
                             bundle_size=BUNDLE_SIZE[family])
         if len(trace) != length or trace.end != sink:
             raise ConstructionError(
                 f"cached level {family} {level} does not replay its recorded run")
     if not top:
-        product.freeze()
-        if prev.product is not None:
-            prev.oracle.freeze()
+        oracle.bind(trace)
     built = ConstructionLevel(family, level, oracle.dimension, oracle, trace.start,
                               trace.end, len(trace), product, frame_names,
                               DEFAULT_FRAME[family],
@@ -308,8 +308,6 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
 CACHE_KEYS = ("family", "level", "start", "sink", "path_length", "frame_files")
 # Assignment lines per chunk of a streamed cache write or read.
 CACHE_WRITE_BLOCK = 1 << 12
-# Each byte value with its eight bits in reverse order.
-_BIT_REVERSED = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
 # The head of a record with and without assignments, and the line that
 # closes a nonempty assignments block.
 _HEAD = b'{\n  "assignments": {\n'
@@ -326,11 +324,10 @@ def _is_vertex_text(text, n: int) -> bool:
     return isinstance(text, str) and len(text) == n and not text.strip("01")
 
 
-def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracles,
-                frame_hashes: dict[str, str], overrides: dict) -> tuple[int, int, int]:
-    """Check the cache record at `path` and fill `overrides` (inner vertex ->
-    frame oracle) from its assignments; returns the recorded start, sink
-    and path length.
+def _read_cache(path: Path, family: str, level: int, frame_oracles,
+                frame_hashes: dict[str, str], product: ProductOracle) -> tuple[int, int, int]:
+    """Check the cache record at `path` and assign `product`'s frames from
+    its assignments; returns the recorded start, sink and path length.
 
     The record must be laid out exactly as _cache_chunks writes it.  The
     assignment lines are parsed from the file's bytes, CACHE_WRITE_BLOCK
@@ -339,16 +336,24 @@ def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracl
     reads and hold no second "assignments".  Any other layout raises
     CacheFileError naming the file.  The checks then go in this order: the
     rest's keys, its integer level and path length and its start and sink
-    texts (CacheFileError), its family
-    and level, its frame hashes (ConstructionError), and last the
-    assignment lines (CacheFileError): each a vertex text of the inner
-    dimension, after the line before it in text order, and a frame name of
-    the family.
+    texts (CacheFileError), its family and level, its frame hashes
+    (ConstructionError), and last the assignment lines (CacheFileError):
+    each a vertex text of the inner dimension, after the line before it in
+    text order, and a frame name of the family.  The lines are merged with
+    the lower path sorted by vertex text: a frame goes to its vertex's path
+    position, or to the side dict if the vertex is off the path.
     """
     def refuse(what: str) -> CacheFileError:
         return CacheFileError(f"cache file {path} {what}; delete it to rebuild the level")
 
+    inner_dim = product.inner.dimension
     frames = {json.dumps(name).encode(): frame for name, frame in frame_oracles.items()}
+    # The lower path positions' text numbers, then one above them all, and
+    # the positions in the order of their numbers.
+    texts = _text_numbers(product)
+    texts.append(1 << inner_dim)
+    order = sorted(range(len(texts)), key=texts.__getitem__)
+    rows_of = {}  # the product's row of each frame name in the file
     end = 5 + inner_dim  # where a line's vertex text ends
     bad = None  # the number of the first line that breaks the assignments
     with open(path, "rb") as f:
@@ -358,10 +363,12 @@ def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracl
         elif head != _HEAD:
             raise refuse("does not open as a level record")
         else:
-            # `last` is the previous line's vertex text; `after_comma` says
-            # whether a comma ended it (the head counts as one), so that an
-            # assignment line may follow it and the close may not.
-            rest, number, last, after_comma = None, 2, b"", True
+            # `last` is the previous line's number and `at` that of order[k],
+            # the first position not below it; `after_comma` says whether a
+            # comma ended the previous line (the head counts as one), so
+            # that an assignment line may follow it and the close may not.
+            rest, number, last, after_comma = None, 2, -1, True
+            k, at = 0, texts[order[0]]
             while rest is None:
                 block = list(islice(f, CACHE_WRITE_BLOCK))
                 if not block:
@@ -375,15 +382,23 @@ def _read_cache(path: Path, family: str, level: int, inner_dim: int, frame_oracl
                     if bad is not None:
                         continue
                     comma = line.endswith(b",\n")
-                    frame = frames.get(line[end + 3:-2 if comma else -1])
+                    name = line[end + 3:-2 if comma else -1]
+                    frame = frames.get(name)
                     bits = line[5:end]
                     if (not after_comma or frame is None or line[:5] != b'    "'
                             or line[end:end + 3] != b'": ' or bits.strip(b"01")
-                            or bits <= last):
+                            or (text := int(bits, 2)) <= last):
                         bad = j
                         continue
-                    overrides[int(bits[::-1], 2)] = frame  # parse_vertex(bits)
-                    last, after_comma = bits, comma
+                    row = rows_of.get(name) or rows_of.setdefault(name, product.row(frame))
+                    while at < text:
+                        k += 1
+                        at = texts[order[k]]
+                    if at == text:
+                        product.rows[order[k]] = row
+                    else:  # off the lower path
+                        product.side[int(bits[::-1], 2)] = row
+                    last, after_comma = text, comma
                 number += len(block)
     try:
         text = "{\n" + rest.decode("utf-8")
@@ -425,17 +440,22 @@ def _write_atomic(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _text_order(keys: np.ndarray) -> np.ndarray:
-    """The permutation that sorts uint64 vertices by their vertex texts,
-    which read the lowest id first: the order of their bit reversals."""
-    reversed_bits = _BIT_REVERSED[keys.view(np.uint8)].reshape(-1, 8)[:, ::-1].copy()
-    return np.argsort(reversed_bits.view("<u8").ravel())
+def _text_numbers(product: ProductOracle) -> array:
+    """The vertex text of each lower path position of the product, then of
+    each key of its side dict, read as a binary number: the numbers order
+    the texts as the texts do."""
+    n, lower = product.inner.dimension, product.lower
+    flip = [1 << n - 1 - (b & 63) if b & 63 < n else 0 for b in range(256)]
+    texts = array("Q", () if lower.moves is None else accumulate(
+        map(flip.__getitem__, lower.moves), xor, initial=int(vertex_text(lower.start, n), 2)))
+    texts.extend(int(vertex_text(v, n), 2) for v in product.side)
+    return texts
 
 
 def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     """The level's cache record as json.dumps(record, indent=2,
-    sort_keys=True) + "\\n" spells it, chunk by chunk, from its frozen
-    product.  "assignments" sorts before every other key, and its lines are
+    sort_keys=True) + "\\n" spells it, chunk by chunk, from its product's
+    columns.  "assignments" sorts before every other key, and its lines are
     streamed in vertex-text order; json.dumps spells the rest of the
     record."""
     rest = json.dumps({
@@ -451,18 +471,20 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     }, indent=2, sort_keys=True)
     product = level.product
     yield '{\n  "assignments": {'
-    if product is not None and product.keys:
+    if product is not None:
         inner_dim = level.dimension - level.bundle_size
         names = [json.dumps(level.frame_names[frame]) for frame in product.frames]
-        keys = np.frombuffer(product.keys, dtype="<u8")
-        rows = np.frombuffer(product.rows, dtype=np.uint8)
-        order = _text_order(keys)
+        texts = np.frombuffer(_text_numbers(product), dtype=np.uint64)
+        rows = np.frombuffer(bytes(product.rows) + bytes(product.side.values()), np.uint8)
+        order = np.argsort(texts)
+        order = order[rows[order] != 0]
         for i in range(0, len(order), CACHE_WRITE_BLOCK):
             block = order[i:i + CACHE_WRITE_BLOCK]
             yield ("\n" if i == 0 else ",\n") + ",\n".join(
-                f'    "{vertex_text(v, inner_dim)}": {names[row]}'
-                for v, row in zip(keys[block].tolist(), rows[block].tolist()))
-        yield "\n  "
+                f'    "{text:0{inner_dim}b}": {names[row]}'
+                for text, row in zip(texts[block].tolist(), rows[block].tolist()))
+        if len(order):
+            yield "\n  "
     yield "}," + rest[1:] + "\n"
 
 
@@ -475,8 +497,10 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     Each level is run once.  A level with a cache file in `cache_dir` is
     reloaded from it: the record must name the sha256 of the frame bytes
     built from, and one run must reproduce its length and sink.  Any other
-    level is realized in memory and, if `write`, persisted as JSON.  Existing
-    cache files are left untouched, so a rerun is a no-op.
+    level is realized in memory and, if `write`, persisted as JSON, its
+    lines streamed from the product's path bytes.  Existing cache files are
+    left untouched, so a rerun is a no-op.  Every level below `max_level`
+    ends with its memo bound to its path; the top's memo holds nothing.
     """
     if family not in BUNDLE_SIZE:
         raise ConstructionError(f"unknown family {family!r}")
@@ -498,8 +522,6 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
                                          frame_names, hashes, path if cached else None,
                                          top=i == max_level)
         if write and path is not None and not cached:
-            if built.product is not None:
-                built.product.freeze()  # the writer reads the frozen columns
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(path, _cache_chunks(built, hashes))
         chain.append((built, trace))

@@ -1,0 +1,179 @@
+"""References kept in the tests for the level storage of `combinators` and
+`constructions`.
+
+- `DictProduct` is the product as a dict of frame overrides, the form the
+  path-order columns replaced; `record` binds a memo to a walk, as a
+  level's own run does.
+- `level_tables` builds each level of a chain as one full numpy outmap
+  table, from the frame tables and the assignments recorded in the level
+  caches (which the golden digests pin), with the gadget face overwritten
+  by the uniform orientation or by Johnson's reset orientation R_level,
+  itself built as a table.  `reference_run` steps a pivot rule on such a
+  table from its per-direction definition.  No combinator, memo, stepper
+  state or cache reader is involved.
+- `compare_with_reference` names every way a realized chain differs from
+  these tables.
+"""
+
+import json
+
+import numpy as np
+
+from ausokit.constructions import (
+    BASE_FRAME,
+    BUNDLE_SIZE,
+    GADGET_ANCHOR,
+    GADGET_EXTERNAL,
+    cache_path,
+    starting_vertex,
+    tie_list,
+)
+from ausokit.cube_core import Direction, OrientationOracle, direction_bit, parse_vertex
+from ausokit.frame_store import johnson_tie_order
+from ausokit.pivot_engine import Trace
+from test_pivot_engine import _reference_choice
+
+
+class DictProduct(OrientationOracle):
+    """Inner USO on the low coordinates and the frame overrides[vi] (else
+    `default`) on the coordinates above them, looked up in a dict."""
+
+    def __init__(self, inner, default, overrides):
+        self.inner, self.default, self.overrides = inner, default, dict(overrides)
+        self.dimension = inner.dimension + default.dimension
+
+    def evaluate(self, v):
+        k = self.inner.dimension
+        vi = v & ((1 << k) - 1)
+        return self.inner.evaluate(vi) | self.overrides.get(vi, self.default).evaluate(v >> k) << k
+
+
+def record(memo, path):
+    """Run `path` (distinct vertices, neighbours one coordinate apart) on
+    the memo as its recording run, then bind the memo to it."""
+    memo.recording = True
+    for v in path:
+        memo.evaluate(v)
+    moves = bytearray()
+    for u, w in zip(path, path[1:]):
+        c = (u ^ w).bit_length() - 1
+        moves.append(direction_bit(Direction(c, bool(w >> c & 1))))
+    memo.bind(Trace("zadeh", memo.dimension, 1, path[0], path[-1], moves=moves))
+
+
+class ArrayOracle(OrientationOracle):
+    """An outmap table held as a numpy array, for the verifiers."""
+
+    def __init__(self, table):
+        self.table = table
+        self.dimension = len(table).bit_length() - 1
+
+    def evaluate(self, v):
+        return int(self.table[v])
+
+    def evaluate_many(self, vs):
+        return self.table[vs]
+
+
+def frame_table(frame):
+    return np.array([frame.evaluate(v) for v in range(1 << frame.dimension)], dtype=np.uint64)
+
+
+def product_table(inner, frame_tables, rows):
+    """The product of the inner table with frame_tables[rows[vi]] at each
+    inner vertex vi, indexed by (outer << m) | vi."""
+    m = len(inner).bit_length() - 1
+    return (inner[None, :] | np.stack(frame_tables)[rows].T << np.uint64(m)).ravel()
+
+
+def reset_table(level, r1):
+    """R_level: R_0 a point; R_{j+1} the product of R_j with r1 at its sink
+    (vertex 0) and the uniform 4-cube with sink {c1, c4} elsewhere."""
+    table = np.zeros(1, dtype=np.uint64)
+    uniform = np.arange(16, dtype=np.uint64) ^ np.uint64(0b1001)
+    for _ in range(level):
+        rows = np.ones(len(table), dtype=np.intp)
+        rows[0] = 0
+        table = product_table(table, [r1, uniform], rows)
+    return table
+
+
+def level_tables(family, top, cache_dir, frames, anchor=None):
+    """Outmap tables of levels 0..top of the family, from the cache records
+    in cache_dir.  `anchor` replaces the family's local gadget anchor."""
+    size = BUNDLE_SIZE[family]
+    anchor = sum(1 << k for k in (anchor or GADGET_ANCHOR[family]))
+    external = np.uint64(sum(1 << k for k in GADGET_EXTERNAL[family]))
+    tables = {name: frame_table(frame) for name, frame in frames.items()}
+    out = [tables[BASE_FRAME[family]]]
+    for level in range(1, top + 1):
+        record = json.loads(cache_path(cache_dir, family, level).read_text())
+        m = level * size
+        names = [record["default_frame"]]
+        rows = np.zeros(1 << m, dtype=np.intp)
+        for text, name in record["assignments"].items():
+            if name not in names:
+                names.append(name)
+            rows[parse_vertex(text)] = names.index(name)
+        table = product_table(out[-1], [tables[name] for name in names], rows)
+        if family == "johnson":
+            replacement = reset_table(level, tables["r1"])
+        else:
+            lower_start = starting_vertex(family, level - 1)
+            replacement = np.arange(1 << m, dtype=np.uint64) ^ np.uint64(lower_start)
+        table[anchor << m:(anchor + 1) << m] = replacement | external << np.uint64(m)
+        out.append(table)
+    return out
+
+
+def reference_run(table, start, family, level, limit):
+    """The moves and the end of the family's rule on the table, chosen per
+    direction: round-robin from the marker, Johnson's least stamp and
+    Zadeh's least usage (ties by rank), as `_reference_choice` states them;
+    at most `limit` moves."""
+    order = (tuple(johnson_tie_order(level + 1)) if family == "johnson"
+             else tuple(tie_list(family, level)))
+    counts = {d: 0 for d in order}
+    marker, v, moves = 0, start, bytearray()
+    while (out := int(table[v])) and len(moves) < limit:
+        if family == "cunningham":
+            d = next(d for d in order[marker:] + order[:marker]
+                     if out >> d.coord & 1 and bool(v >> d.coord & 1) != d.positive)
+            marker = order.index(d) + 1
+        else:
+            d = _reference_choice(counts, order, v, out)
+            if family == "zadeh":
+                counts[d] += 1
+            elif (opposite := Direction(d.coord, not d.positive)) in counts:
+                counts[opposite] = len(moves) + 1
+        moves.append(direction_bit(d))
+        v ^= 1 << d.coord
+    return bytes(moves), v
+
+
+def compare_with_reference(chain, tables, samples=256):
+    """The names of the checks on which the realized chain differs from the
+    reference tables: each level's start, sink, length and moves against
+    the reference run, and its outmaps (read below its memo) at every
+    vertex of the reference path and at a seeded sample of vertices.  A
+    reference run stops one move past the realized run's length."""
+    rng = np.random.default_rng(5)
+    failed = []
+    for (level, trace), table in zip(chain, tables):
+        name = f"{level.family} level {level.level}"
+        start = starting_vertex(level.family, level.level)
+        moves, end = reference_run(table, start, level.family, level.level, len(trace) + 1)
+        for check, ok in (("start", trace.start == level.start == start),
+                          ("sink", trace.end == level.expected_sink == end),
+                          ("length", len(trace) == level.path_length == len(moves)),
+                          ("moves", bytes(trace.moves) == moves)):
+            if not ok:
+                failed.append(f"{name} {check}")
+        oracle = level.oracle.base if level.level else level.oracle
+        vs = [start]
+        for b in moves:
+            vs.append(vs[-1] ^ 1 << (b & 63))
+        vs += rng.integers(0, len(table), samples).tolist()
+        if [oracle.evaluate(v) for v in vs] != table[vs].tolist():
+            failed.append(f"{name} outmaps")
+    return failed

@@ -1,4 +1,4 @@
-import copy
+import json
 import random
 
 import numpy as np
@@ -17,9 +17,11 @@ from ausokit.combinators import (
     materialize,
     reorient_face,
 )
-from ausokit.constructions import realize_range
-from ausokit.cube_core import Face, TableOracle, UniformOracle
+from ausokit.constructions import cache_path, realize_range
+from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
+from ausokit.frame_store import load_family
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
+from reference import DictProduct, record
 
 
 def test_product_of_uniform_1cubes_is_uniform_2cube():
@@ -203,103 +205,168 @@ def test_evaluate_many_matches_evaluate(data):
     assert got.tolist() == [oracle.evaluate(v) for v in vs]
 
 
-def _chain_links(oracle):
-    """The oracles of a composition from the top down, frames left out."""
-    while oracle is not None:
-        yield oracle
-        oracle = getattr(oracle, "base", getattr(oracle, "inner", None))
+def _walk(draw, n):
+    """A walk of distinct vertices of the n-cube, one coordinate apart."""
+    path = [draw(st.integers(0, (1 << n) - 1))]
+    for c in draw(st.lists(st.integers(0, max(n - 1, 0)), max_size=12)) if n else ():
+        if path[-1] ^ 1 << c not in path:
+            path.append(path[-1] ^ 1 << c)
+    return path
 
 
-def _freeze_all(oracle):
-    for link in _chain_links(oracle):
-        if isinstance(link, (MemoOracle, ProductOracle)):
-            link.freeze()
+@st.composite
+def _path_compositions(draw):
+    """Random stacks as _compositions draws them, each memo bound to a
+    random walk as soon as it is drawn, so that the products above it keep
+    their frames on its path as bytes (and off it in the side dict), with
+    override keys drawn from the walk too; and the same stack built from
+    dict references without memos.  Returns the stack, the reference and
+    (memo, walk, reference under the memo) per memo."""
+    oracle = ref = draw(_leaf_oracles(draw(st.integers(0, 3))))
+    memos = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = oracle.dimension
+        on_memo = bool(memos) and memos[-1][0] is oracle
+        if n == 0 or draw(st.integers(0, 3 if on_memo else 1)):
+            m = draw(st.integers(1, 3))
+            pool = draw(st.lists(_leaf_oracles(m), min_size=1, max_size=3))
+            keys = draw(st.sets(st.integers(0, (1 << n) - 1), max_size=8))
+            if on_memo:
+                keys |= set(draw(st.lists(st.sampled_from(memos[-1][1]), max_size=8)))
+            overrides = {k: draw(st.sampled_from(pool)) for k in keys}
+            default = draw(st.sampled_from(pool))
+            oracle = ProductOracle(oracle, default, overrides)
+            ref = DictProduct(ref, default, overrides)
+            assert oracle.items() == sorted(overrides.items(), key=lambda kv: kv[0])
+        else:
+            coords = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
+            free = sum(1 << c for c in coords)
+            anchor = draw(st.integers(0, (1 << n) - 1)) & ~free
+            external = draw(st.integers(0, (1 << n) - 1)) & ~free
+            replacement = draw(_leaf_oracles(len(coords)))
+            oracle = ReorientedOracle(oracle, Face(anchor, free), replacement, external)
+            ref = ReorientedOracle(ref, Face(anchor, free), replacement, external)
+        if draw(st.booleans()):
+            oracle = MemoOracle(oracle)
+            walk = _walk(draw, oracle.dimension)
+            record(oracle, walk)
+            memos.append((oracle, walk, ref))
+    return oracle, ref, memos
+
+
+def _reads(data, walk, n):
+    """Vertices of the n-cube: the walk in order, in reverse and shuffled,
+    and random vertices, most of them off the walk."""
+    shuffled = data.draw(st.permutations(walk))
+    return walk + walk[::-1] + shuffled + data.draw(
+        st.lists(st.integers(0, (1 << n) - 1), max_size=16))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.data())
 def test_frozen_compositions_answer_as_live_ones(data):
-    """Every memo and product of a random composition frozen after part of
-    the vertices were evaluated answers evaluate (memo hits and misses
-    alike) and evaluate_many as an untouched copy of it does, and each memo
-    keeps its entries."""
-    oracle = data.draw(_compositions())
-    live = copy.deepcopy(oracle)
+    """A random composition whose memos are frozen on random walks (bound
+    to them, nothing writes their columns any more) and whose products keep
+    frame bytes on those walks answers evaluate and evaluate_many as the
+    same stack of live dict references, read in walk order, in reverse, at
+    random and off the walk, at the top and at every memo; each memo holds
+    exactly its walk's outmaps."""
+    oracle, ref, memos = data.draw(_path_compositions())
+    assert all(memo.moves is not None for memo, _, _ in memos)
+    for memo, walk, under in memos:
+        assert memo.entries() == [(v, under.evaluate(v)) for v in walk]
     top = (1 << oracle.dimension) - 1
-    vs = [0, top] + data.draw(st.lists(st.integers(0, top), max_size=64))
-    for v in vs[::2]:
-        oracle.evaluate(v)
-    memos = [link for link in _chain_links(oracle) if isinstance(link, MemoOracle)]
-    held = [sorted(memo.entries()) for memo in memos]
-    _freeze_all(oracle)
-    assert all(link.frozen for link in _chain_links(oracle)
-               if isinstance(link, (MemoOracle, ProductOracle)))
-    assert [memo.entries() for memo in memos] == held
-    want = [live.evaluate(v) for v in vs]
+    walks = [walk for _, walk, _ in memos] or [[0]]
+    high = data.draw(st.integers(0, top))
+    vs = [0, top] + [v | high >> memo.dimension << memo.dimension
+                     for (memo, _, _), walk in zip(memos, walks)
+                     for v in _reads(data, walk, memo.dimension)]
+    vs += data.draw(st.lists(st.integers(0, top), max_size=32))
+    want = [ref.evaluate(v) for v in vs]
     assert [oracle.evaluate(v) for v in vs] == want
     assert oracle.evaluate_many(np.array(vs, dtype=np.uint64)).tolist() == want
+    for memo, walk, under in memos:
+        vs = _reads(data, walk, memo.dimension)
+        want = [under.evaluate(v) for v in vs]
+        assert [memo.evaluate(v) for v in vs] == want
+        assert memo.evaluate_many(np.array(vs, dtype=np.uint64)).tolist() == want
 
 
 @pytest.fixture(scope="module")
-def live_and_frozen_tops():
-    """Per family, the top level of a small chain realized with freezing
-    switched off, its trace, and the top of the same chain with every level
-    frozen."""
-    tops = {}
+def levels_and_references(tmp_path_factory):
+    """Per family, a small chain realized with caches and, per level, its
+    oracle rebuilt from dict references: each product a DictProduct of the
+    assignments its cache record lists, under the level's own gadget."""
+    out = {}
     for family, top in (("cunningham", 3), ("johnson", 3), ("zadeh", 2)):
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(ProductOracle, "freeze", lambda self: None)
-            patch.setattr(MemoOracle, "freeze", lambda self: None)
-            live, trace = realize_range(family, top)[-1]
-        frozen = realize_range(family, top)[-1][0]
-        _freeze_all(frozen.oracle)
-        tops[family] = live, trace.vertices(), frozen
-    return tops
+        cache = tmp_path_factory.mktemp(family)
+        chain = realize_range(family, top, cache_dir=cache)
+        frames = {name: oracle for name, (_, oracle) in load_family(family).items()}
+        refs = [chain[0][0].oracle]
+        for level, _ in chain[1:]:
+            record = json.loads(cache_path(cache, family, level.level).read_text())
+            overrides = {parse_vertex(text): frames[name]
+                         for text, name in record["assignments"].items()}
+            gadget = level.oracle.base
+            refs.append(ReorientedOracle(
+                DictProduct(refs[-1], frames[record["default_frame"]], overrides),
+                gadget.face, gadget.replacement, gadget.shared_external))
+        out[family] = chain, refs
+    return out
 
 
 @settings(max_examples=50, deadline=None, derandomize=True, database=None)
 @given(st.data())
 @pytest.mark.parametrize("family", ["cunningham", "johnson", "zadeh"])
-def test_frozen_levels_answer_as_live_ones(live_and_frozen_tops, family, data):
-    """A realized level with every memo and product of its chain frozen
-    answers evaluate and evaluate_many as the same level never frozen, on
-    random vertices and on path vertices with random bits of the top two
-    bundles flipped, whose lower parts hit the frozen memos."""
-    live, path, frozen = live_and_frozen_tops[family]
-    assert all(link.frozen for link in _chain_links(frozen.oracle)
-               if isinstance(link, (MemoOracle, ProductOracle)))
-    n, size = live.dimension, live.bundle_size
-    vs = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=32))
-    vs += [v ^ data.draw(st.integers(0, (1 << 2 * size) - 1)) << (n - 2 * size)
-           for v in data.draw(st.lists(st.sampled_from(path), min_size=1, max_size=32))]
-    want = [live.oracle.evaluate(v) for v in vs]
-    assert [frozen.oracle.evaluate(v) for v in vs] == want
-    assert frozen.oracle.evaluate_many(np.array(vs, dtype=np.uint64)).tolist() == want
+def test_frozen_levels_answer_as_live_ones(levels_and_references, family, data):
+    """Every level of a realized chain (every memo below the top frozen on
+    its path, the top's memo empty) answers evaluate and evaluate_many as
+    its live dict reference: on its path in order, in reverse and shuffled, on
+    random vertices, and on path vertices with random bits of the top two
+    bundles flipped, whose lower parts read the lower paths' columns."""
+    chain, refs = levels_and_references[family]
+    top = chain[-1][0]
+    assert all(level.oracle.moves is not None for level, _ in chain[1:-1])
+    assert top.oracle.moves is None and not top.oracle.outmaps
+    for (level, trace), ref in zip(chain, refs):
+        n = level.dimension
+        flipped = min(n, 2 * level.bundle_size)
+        path = trace.vertices()
+        vs = _reads(data, path, n)
+        vs += [v ^ data.draw(st.integers(0, (1 << flipped) - 1)) << n - flipped
+               for v in data.draw(st.lists(st.sampled_from(path), min_size=1, max_size=32))]
+        want = [ref.evaluate(v) for v in vs]
+        assert [level.oracle.evaluate(v) for v in vs] == want
+        assert level.oracle.evaluate_many(np.array(vs, dtype=np.uint64)).tolist() == want
 
 
 def test_frozen_keys_above_2_to_the_53_stay_exact(cunningham_frames):
-    """Inner vertices at and above 2^53 (float64 would round them) freeze
-    into the key column, answer batches through the interval map and memo
-    lookups exactly."""
+    """Inner vertices at and above 2^53 (float64 would round them) stay
+    exact on a memo's path (frame bytes, the sorted column) and off it (the
+    side dict), through the interval map and the memos' lookups."""
     f1, f2, f3 = (cunningham_frames[name][1] for name in ("f1", "f2", "f3"))
-    inner = UniformOracle(56, 0)
-    overrides = {(1 << 53) + 1: f1, (1 << 54) + (1 << 53): f2, (1 << 55) | 5: f2,
-                 (1 << 56) - 1: f1}
+    inner = MemoOracle(UniformOracle(56, 0))
+    walk = [(1 << 53) + 1, (1 << 53) + 3, (1 << 54) + (1 << 53) + 3, (1 << 55) + (1 << 54)
+            + (1 << 53) + 3]
+    record(inner, walk)
+    assert list(inner._column[0]) == sorted(walk)
+    overrides = {walk[0]: f1, walk[2]: f2, walk[3]: f1, (1 << 54) + (1 << 53): f2,
+                 (1 << 55) | 5: f2, (1 << 56) - 1: f1}
     product = ProductOracle(inner, f3, overrides)
-    product.freeze()
-    assert list(product.keys) == sorted(overrides)
-    assert product.items() == sorted(overrides.items())
-    vs = [k | o << 56 for k in [*overrides, 1 << 53, (1 << 53) + 2] for o in (0, 6, 15)]
+    assert set(product.side) == set(overrides) - set(walk)
+    assert [v for v, _ in product.items()] == sorted(overrides)
+    assert product.items() == sorted(overrides.items(), key=lambda kv: kv[0])
+    vs = [k | o << 56 for k in [*overrides, *walk, 1 << 53, (1 << 53) + 2] for o in (0, 6, 15)]
     want = [(v & ((1 << 56) - 1))
             | overrides.get(v & ((1 << 56) - 1), f3).evaluate(v >> 56) << 56 for v in vs]
     assert [product.evaluate(v) for v in vs] == want
     assert product.evaluate_many(np.array(vs, dtype=np.uint64)).tolist() == want
     memo = MemoOracle(product)
-    for v in vs[::2]:
-        memo.evaluate(v)
-    memo.freeze()
-    assert memo.entries() == sorted(zip(vs[::2], want[::2]))
-    assert [memo.evaluate(v) for v in vs] == want
+    outer_walk = [walk[0] | 6 << 56, walk[0] | 7 << 56, walk[1] | 7 << 56, walk[1] | 15 << 56]
+    record(memo, outer_walk)
+    assert memo.entries() == [(v, product.evaluate(v)) for v in outer_walk]
+    assert [memo.evaluate(v) for v in vs + outer_walk] == want + [
+        product.evaluate(v) for v in outer_walk]
 
 
 def test_memo_evaluate_many_leaves_the_memo_alone(cunningham_frames):

@@ -2,12 +2,13 @@ import itertools
 import json
 import random
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ausokit import constructions, frame_store
-from ausokit.combinators import ProductOracle, materialize
+from ausokit.combinators import MemoOracle, ProductOracle, materialize
 from ausokit.constructions import (
     BOX1_POSITION,
     BOX5_POSITION,
@@ -38,8 +39,9 @@ from ausokit.frame_store import (
     packaged_frames_dir,
     resolve_frames_dir,
 )
-from ausokit.pivot_engine import replay, run_to_sink, write_trace_jsonl
-from ausokit.verifier import check_acyclic, check_uso_exhaustive
+from ausokit.pivot_engine import is_saturated, replay, run_to_sink, write_trace_jsonl
+from ausokit.verifier import check_acyclic, check_trace_properties, check_uso_exhaustive
+from reference import record
 
 
 def _d(bundle, k, positive, size=4):
@@ -187,7 +189,7 @@ def test_level_cache_roundtrip(tmp_path, family, top):
 @pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
 def test_one_run_per_level(tmp_path, monkeypatch, family, top):
     """A built level is run once, by the adversary; a reloaded level is run
-    once, on its frozen oracle."""
+    once, on the frames its cache records."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -204,15 +206,26 @@ def test_one_run_per_level(tmp_path, monkeypatch, family, top):
 @pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
 @pytest.mark.parametrize("cached", [False, True], ids=["build", "reload"])
 def test_levels_below_the_top_pair_are_frozen(tmp_path, family, top, cached):
-    """After realize_range, built in memory or reloaded, every product below
-    the top and every memo below the level under the top is frozen; the top
-    product and the memo under it, which the top run reads, are not."""
+    """After realize_range, built in memory or reloaded, every memo below
+    the top, the top pair's lower one included, is frozen on its level's
+    path (bound to it, holding its |P| + 1 outmaps) and the top's memo holds
+    nothing, also once read; every product above level 1 holds one assigned frame byte per
+    position of the path below it and nothing off it (level 1's inner is
+    the base frame, which has no memo)."""
     if cached:
         realize_range(family, top, cache_dir=tmp_path)
     chain = realize_range(family, top, cache_dir=tmp_path if cached else None)
-    for level, _ in chain[1:]:
-        assert level.product.frozen == (level.level < top)
-        assert level.oracle.frozen == (level.level < top - 1)
+    level, trace = chain[-1]
+    assert all(level.oracle.evaluate(v) for v in trace.vertices()[:-1])
+    for (lower, lower_trace), (level, trace) in zip(chain, chain[1:]):
+        assert (level.oracle.moves is not None) == (level.level < top)
+        assert len(level.oracle.outmaps) == (len(trace) + 1 if level.level < top else 0)
+        if level.level > 1:
+            assert level.product.lower is lower.oracle
+            assert len(level.product.rows) == len(lower_trace) + 1
+            assert all(level.product.rows) and not level.product.side
+        else:
+            assert not level.product.rows and level.product.side
 
 
 def test_one_frame_read_per_realize_range(monkeypatch):
@@ -240,26 +253,34 @@ def test_one_frame_read_per_realize_range(monkeypatch):
 
 
 def test_wide_cache_record_roundtrip(tmp_path, cunningham_frames):
-    """A record of inner dimension 56 with keys at and above 2^53 is written
-    from the frozen product and read back to the same overrides, exactly."""
+    """A record of inner dimension 56 with keys at and above 2^53, on the
+    inner memo's path and off it, is written from the product's columns
+    and read back onto the same path positions and side keys, exactly."""
     frames = {name: oracle for name, (_, oracle) in cunningham_frames.items()}
     names = {oracle: name for name, oracle in frames.items()}
     hashes = {name: spec.sha256 for name, (spec, _) in cunningham_frames.items()}
+    inner = MemoOracle(UniformOracle(56, 0))
+    walk = [(1 << 53) + 1, (1 << 53) + 3, 3, 2, (1 << 55) | 2]
+    record(inner, walk)
     overrides = {(1 << 53) + 1: frames["f1"], (1 << 54) + (1 << 53): frames["f2"],
-                 (1 << 55) | 5: frames["f2"], (1 << 56) - 1: frames["f1"], 3: frames["f2"]}
-    product = ProductOracle(UniformOracle(56, 0), frames["f3"], overrides)
-    product.freeze()
+                 (1 << 55) | 5: frames["f2"], (1 << 56) - 1: frames["f1"], 3: frames["f2"],
+                 (1 << 55) | 2: frames["f3"]}
+    product = ProductOracle(inner, frames["f3"], overrides)
     level = ConstructionLevel("cunningham", 14, 60, oracle=product, start=1 << 59,
                               expected_sink=0, path_length=7, product=product,
                               frame_names=names, default_frame="f3")
     path = tmp_path / "cunningham_level14.json"
     path.write_text("".join(_cache_chunks(level, hashes)), encoding="utf-8")
-    record = json.loads(path.read_text(encoding="utf-8"))
-    assert record["assignments"] == {vertex_text(v, 56): names[f]
-                                     for v, f in overrides.items()}
-    read = {}
-    assert _read_cache(path, "cunningham", 14, 56, frames, hashes, read) == (1 << 59, 0, 7)
-    assert read == overrides
+    record_read = json.loads(path.read_text(encoding="utf-8"))
+    assert record_read["assignments"] == {vertex_text(v, 56): names[f]
+                                          for v, f in overrides.items()}
+    read = ProductOracle(inner, frames["f3"])
+    assert _read_cache(path, "cunningham", 14, frames, hashes, read) == (1 << 59, 0, 7)
+    assert dict(read.items()) == overrides
+    assert [read.frames[row] for row in read.rows] == [product.frames[row]
+                                                        for row in product.rows]
+    assert {v: read.frames[row] for v, row in read.side.items()} == {
+        v: f for v, f in overrides.items() if v not in walk}
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):
@@ -384,3 +405,127 @@ def test_builder_geometry_matches_frame_labels(family):
         if table[family] is not None:
             assert table[family] == labels[label]
     assert starting_vertex(family, 0) == labels["box1"]
+
+
+def test_cached_off_path_assignment_reloads(tmp_path):
+    """A level record that gains one valid assignment line for an inner
+    vertex off the lower path reloads with the same run and the same
+    verdicts: the frame lands in the product's side dict and answers there."""
+    built = realize_range("cunningham", 3, cache_dir=tmp_path)
+    lower_path = set(built[1][1].vertices())
+    off = next(v for v in range(1 << 8) if v not in lower_path)
+    path = tmp_path / "cunningham_level2.json"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    close = lines.index("  },\n")
+    block = sorted([line.rstrip(",\n") for line in lines[2:close]]
+                   + [f'    "{vertex_text(off, 8)}": "f2"'])
+    path.write_text("".join(lines[:2]) + ",\n".join(block) + "\n"
+                    + "".join(lines[close:]), encoding="utf-8")
+    reloaded = realize_range("cunningham", 3, cache_dir=tmp_path)
+    for (a, ta), (b, tb) in zip(built, reloaded):
+        assert bytes(ta.moves) == bytes(tb.moves) and (ta.end, len(ta)) == (tb.end, len(tb))
+    level, trace = reloaded[2]
+    assert level.assignments == {**built[2][0].assignments, off: "f2"}
+    assert list(level.product.side) == [off]
+    f2 = load_family("cunningham")["f2"][1]
+    for o in range(16):
+        assert level.product.evaluate(off | o << 8) == (
+            built[1][0].oracle.evaluate(off) | f2.evaluate(o) << 8)
+    for (lvl, tr), (_, lower) in zip(reloaded[1:], reloaded):
+        assert check_trace_properties(lvl, tr, lower).passed
+    assert check_uso_exhaustive(level.oracle).passed and check_acyclic(level.oracle).passed
+
+
+def test_second_walk_demanding_another_frame_conflicts_at_a_path_position(monkeypatch):
+    """At zadeh level 2 the inner memo is bound to the lower path, so the
+    adversary's frames are bytes at path positions.  A second walk over the
+    lower path that decides the other frame raises FrameConflictError on
+    the byte held at that position, naming both frames."""
+    seen = set()
+
+    def flipping(oracle, v, state, mask):
+        got = is_saturated(oracle, v, state, mask)
+        if isinstance(oracle, MemoOracle):
+            if v in seen:
+                return not got
+            seen.add(v)
+        return got
+
+    monkeypatch.setattr(constructions, "is_saturated", flipping)
+    with pytest.raises(FrameConflictError) as info:
+        realize_level("zadeh", 2)
+    assert "f1" in str(info.value) and "f2" in str(info.value)
+    vertex = int(str(info.value).split()[2], 2)
+    assert vertex in realize_range("zadeh", 1)[1][1].vertices()
+
+
+def test_path_bytes_keep_their_first_frame(cunningham_frames):
+    """assign() on a bound memo's path vertex, at the cursor or away from
+    it, and off the path: the first frame stays and is returned."""
+    f1, f2, f3 = (cunningham_frames[name][1] for name in ("f1", "f2", "f3"))
+    inner = MemoOracle(UniformOracle(4, 0))
+    walk = [0, 1, 3, 7, 15]
+    record(inner, walk)
+    product = ProductOracle(inner, f3)
+    for v in walk[::-1] + [8]:
+        assert product.assign(v, f1) is f1
+    for v in walk + [8]:
+        assert product.assign(v, f2) is f1
+    assert list(product.rows) == [1] * 5 and product.side == {8: 1}
+
+
+@pytest.mark.parametrize("family, levels", [("cunningham", range(2, 8)),
+                                            ("johnson", range(2, 8)),
+                                            ("zadeh", range(2, 5))])
+@pytest.mark.parametrize("cached", [False, True], ids=["build", "reload"])
+def test_next_level_reads_the_lower_path_twice_in_order(tmp_path, monkeypatch, family,
+                                                        levels, cached):
+    """An observation, not a correctness condition: while level i runs, its
+    reads of level i - 1's memo (through the product and, for zadeh's
+    adversary, directly), with consecutive repeats collapsed, are the
+    lower path from start to sink, then again; and realize_range never
+    takes the memo's off-cursor search."""
+    if cached:
+        realize_range(family, levels[-1], cache_dir=tmp_path)
+    reads, searches = [], []
+    product_evaluate, memo_evaluate = ProductOracle.evaluate, MemoOracle.evaluate
+    position = MemoOracle._position
+
+    def product_reading(self, v):
+        reads.append((self.lower, v & self.inner_mask))
+        return product_evaluate(self, v)
+
+    def memo_reading(self, v):
+        if not self.recording:  # not the memo's own level's run
+            reads.append((self, v))
+        return memo_evaluate(self, v)
+
+    def searching(self, v):
+        searches.append(v)
+        return position(self, v)
+
+    monkeypatch.setattr(ProductOracle, "evaluate", product_reading)
+    monkeypatch.setattr(MemoOracle, "evaluate", memo_reading)
+    monkeypatch.setattr(MemoOracle, "_position", searching)
+    chain = realize_range(family, levels[-1], cache_dir=tmp_path if cached else None)
+    assert searches == []
+    for i in levels:
+        memo, path = chain[i - 1][0].oracle, chain[i - 1][1].vertices()
+        seen = [v for m, v in reads if m is memo]
+        collapsed = [v for k, v in enumerate(seen) if k == 0 or seen[k - 1] != v]
+        assert collapsed == path + path, (family, i)
+
+
+def test_cold_build_heap_stays_small():
+    """The tracemalloc peak of a cold realize_range("cunningham", 9) stays
+    under 2 MB: levels keep path-order columns, 9 bytes per path vertex for
+    the memo below and the product above, where per-vertex dicts took
+    3.2 MB."""
+    realize_range("cunningham", 1)  # imports and first-use caches
+    tracemalloc.start()
+    try:
+        realize_range("cunningham", 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, peak
