@@ -14,6 +14,12 @@ at the memo's cursor, which follows the run's moves.  A read off the cursor
 searches the path's sorted column, built on first need, and a vertex off
 the path goes to the base (the product's frame to a small side dict), so
 no answer depends on the order of the reads.
+
+Batches do not touch the path.  A memo of at most TABLE_MAX_DIM dimensions
+fills one read-only table of its base's outmaps on its first batch and
+answers every batch with one gather from it; a larger memo passes its
+batches to its base.  Every level is such a memo, so a batch through a
+chain recurses only through the levels above 2^TABLE_MAX_DIM vertices.
 """
 
 from __future__ import annotations
@@ -32,10 +38,13 @@ from .cube_core import (
     Face,
     OrientationOracle,
     TableOracle,
+    tabulate,
 )
 
 DEFAULT_FACE_ENUM_CAP = 1 << 20
 MATERIALIZE_MAX_DIM = 20
+TABLE_MAX_DIM = 16  # a memo of at most this many dimensions answers batches from a table
+_TABLE_BLOCK = 1 << 14  # vertices per base batch while a memo fills its table
 
 
 class CombinatorError(CubeError):
@@ -62,7 +71,10 @@ class MemoOracle(OrientationOracle):
     moves.  Then the cursor (vertex `at`, position `pos`) answers its
     vertex, the next one and the start, the sorted column (built on first
     need) any other path vertex, and the base a vertex off the path,
-    without storing it.  A memo never bound stores nothing."""
+    without storing it.  A memo never bound stores nothing.  Batches go to
+    the table of every vertex's outmap, 8 bytes a vertex, that the first
+    batch fills from the base, if the cube has at most 2^TABLE_MAX_DIM
+    vertices, and to the base otherwise."""
 
     def __init__(self, base: OrientationOracle):
         self.base = base
@@ -127,8 +139,19 @@ class MemoOracle(OrientationOracle):
         return out
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
-        """Straight to the base: batch work neither reads nor fills the memo."""
-        return self.base.evaluate_many(vs)
+        """One gather from the table, or straight to the base above
+        TABLE_MAX_DIM; batch work neither reads nor fills the path."""
+        if self.dimension > TABLE_MAX_DIM:
+            return self.base.evaluate_many(vs)
+        return self._table[vs]
+
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The base's outmap of every vertex, read-only, filled _TABLE_BLOCK
+        vertices at a time.  A fill that raises leaves no table."""
+        table = tabulate(self.base, np.uint64, _TABLE_BLOCK)
+        table.flags.writeable = False
+        return table
 
 
 class ProductOracle(OrientationOracle):

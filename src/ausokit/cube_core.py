@@ -168,6 +168,18 @@ class TableOracle(OrientationOracle):
         return self._array[vs]
 
 
+def tabulate(oracle: OrientationOracle, dtype, block: int) -> np.ndarray:
+    """The outmap of every vertex, indexed by vertex, in `dtype`.  The
+    oracle sees `block` vertices at a time, so the temporaries of its
+    chain stay small beside the table."""
+    size = 1 << oracle.dimension
+    table = np.empty(size, dtype=dtype)
+    for lo in range(0, size, block):
+        hi = min(lo + block, size)
+        table[lo:hi] = oracle.evaluate_many(np.arange(lo, hi, dtype=np.uint64))
+    return table
+
+
 def is_available(oracle: OrientationOracle, v: int, d: Direction) -> bool:
     """True iff d leaves v (+c where v lacks c, -c where v has it) and the
     outmap of v lists its edge."""

@@ -8,12 +8,13 @@ trusted on its own.  Likewise the depth-first search is the ground truth
 for acyclicity; above CROSS_VALIDATE_CAP layered Kahn peeling decides, and
 a cycle it finds is still reported by the search.  The structural checks
 evaluate oracles in batches (`evaluate_many`), never one vertex at a time,
-and every batch is bounded whatever the cube size: the outmap table is
-filled VERTEX_BLOCK vertices at a time, the sampled faces go to the oracle
-at most VERTEX_BLOCK vertices at a time, the face-sink count takes
-VERTEX_BLOCK (mask, vertex) cells at a time, the pairwise criterion scans
-PAIRWISE_ROWS rows at a time and Kahn peeling takes KAHN_BLOCK vertices of
-a layer at a time.
+and every batch is bounded whatever the cube size: the outmap table, 4
+bytes a vertex, is filled VERTEX_BLOCK vertices at a time, the sampled
+faces go to the oracle at most VERTEX_BLOCK vertices at a time, the
+face-sink count takes VERTEX_BLOCK (mask, vertex) cells at a time, the
+pairwise criterion scans PAIRWISE_ROWS rows at a time and Kahn peeling
+takes KAHN_BLOCK vertices of a layer at a time.  A level answers a batch
+from its memo's table when it has at most 2^16 vertices (combinators).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import json
 import math
 import random
 import time
+from array import array
 from dataclasses import dataclass, field
 from itertools import chain
 
@@ -35,6 +37,7 @@ from .cube_core import (
     IllegalMoveError,
     OrientationOracle,
     direction_text,
+    tabulate,
     vertex_text,
 )
 from .pivot_engine import balance_of, is_saturated, replay
@@ -93,15 +96,13 @@ class VerificationReport:
 
 
 def outmap_table(oracle: OrientationOracle) -> np.ndarray:
-    """Outmap of every vertex, indexed by vertex, as uint64.  The oracle
-    sees VERTEX_BLOCK vertices at a time, so the temporaries of its chain
-    stay small beside the table."""
-    size = 1 << oracle.dimension
-    table = np.empty(size, dtype=np.uint64)
-    for lo in range(0, size, VERTEX_BLOCK):
-        hi = min(lo + VERTEX_BLOCK, size)
-        table[lo:hi] = oracle.evaluate_many(np.arange(lo, hi, dtype=np.uint64))
-    return table
+    """Outmap of every vertex, indexed by vertex, as uint32: every caller
+    caps n at ACYCLIC_CAP or below, and n > 32 is refused.  The oracle sees
+    VERTEX_BLOCK vertices at a time, so the temporaries of its chain stay
+    small beside the table."""
+    if oracle.dimension > 32:
+        raise VerifierError(f"dimension {oracle.dimension} outmaps do not fit uint32")
+    return tabulate(oracle, np.uint32, VERTEX_BLOCK)
 
 
 def _face_count_uso(table: np.ndarray, n: int):
@@ -112,18 +113,17 @@ def _face_count_uso(table: np.ndarray, n: int):
     The masks go in ascending order, max(1, VERTEX_BLOCK >> n) at a time, as
     one (mask, vertex) array; the witness is the first bad (mask, anchor)
     cell in row-major order, the lowest anchor of the lowest failing mask,
-    whatever the block size.  Every array is uint32 (n <= 14, the exhaustive
-    cap, fits) and no step shifts: the gate runs this in every command, and
+    whatever the block size.  Every array is uint32, as outmap_table's
+    table is, and no step shifts: the gate runs this in every command, and
     signed or shift loops are numpy code that nothing else of a build runs,
     each adding some 64 KB of library pages to the command's peak RSS.
     """
     size = 1 << n
     vertices = np.arange(size, dtype=np.uint32)
-    outmaps = table.astype(np.uint32)  # n <= USO_EXHAUSTIVE_CAP fits
     step = max(1, VERTEX_BLOCK >> n)
     for lo in range(1, size, step):
         frees = np.arange(lo, min(lo + step, size), dtype=np.uint32)[:, None]
-        sinks = (outmaps & frees) == 0
+        sinks = (table & frees) == 0
         inside = vertices & frees
         cells = vertices ^ inside  # each vertex's anchor, in its mask's row
         cells |= np.arange(0, len(frees) << n, size, dtype=np.uint32)[:, None]
@@ -145,12 +145,12 @@ def _pairwise_uso(table: np.ndarray, n: int):
     columns above it only; the first row with a conflict has none below the
     diagonal (the row of that column would come first), so the witness is
     the first conflicting pair in row-major order, whatever the block size.
-    The scan reads half the pairs, in uint32 as the face-sink count does
-    (uint16 loops are numpy code that nothing else of a build runs); a
-    block of 2^6 rows keeps each temporary at n = 14 at most 4 MB."""
+    The scan reads half the pairs, in outmap_table's uint32 as the
+    face-sink count does (uint16 loops are numpy code that nothing else of
+    a build runs); a block of 2^6 rows keeps each temporary at n = 14 at
+    most 4 MB."""
     size = 1 << n
     vertices = np.arange(size, dtype=np.uint32)
-    table = table.astype(np.uint32)
     rows = min(PAIRWISE_ROWS, size)
     upper = np.arange(rows)[:, None] < np.arange(rows)  # column above the row
     for lo in range(0, size, rows):
@@ -223,17 +223,19 @@ def _kahn_acyclic(table: np.ndarray, n: int) -> bool:
     incoming edge are removed layer by layer, KAHN_BLOCK of a layer at a
     time.  In-degrees are counted from the neighbours' outmaps, so an edge
     both endpoints claim counts twice (a 2-cycle), just as the depth-first
-    search sees it."""
+    search sees it.  The table may hold its outmaps in any unsigned width;
+    the out-bit masks take its dtype."""
     size = 1 << n
     indeg = np.zeros(size, dtype=np.int8)
     # Bit c of every outmap, read from its byte plane (byte c >> 3 of the
     # little-endian words), so no temporary is wider than a byte per vertex.
-    planes = table.astype("<u8", copy=False).view(np.uint8).reshape(size, 8)
+    width = table.itemsize
+    planes = table.astype(f"<u{width}", copy=False).view(np.uint8).reshape(size, width)
     for c in range(n):
         indeg += _flip(((planes[:, c >> 3] >> np.uint8(c & 7)) & np.uint8(1))
                        .view(np.int8), c)
     bits = 1 << np.arange(n, dtype=np.int64)
-    out_bits = bits.astype(np.uint64)
+    out_bits = bits.astype(table.dtype)
     layer = np.flatnonzero(indeg == 0)
     removed = 0
     while layer.size:
@@ -328,7 +330,7 @@ def sample_faces(n: int, samples: int, max_face_dim: int,
     pool_bounds = [[(i, shift[i]) for i in range(n, n - k, -1)] for k in range(m + 1)]
     anchor_words = [(32 * i, max(0, 32 * (i + 1) - n)) for i in range((n + 31) // 32)]
     shift_m, shift_n = shift[m], shift[n]
-    anchors, frees = [], []
+    anchors, frees = array("Q"), array("Q")
     for _ in range(samples):
         k = word() >> shift_m
         while k >= m:
@@ -354,8 +356,8 @@ def sample_faces(n: int, samples: int, max_face_dim: int,
             anchor |= word() >> cut << pos
         anchors.append(anchor)
         frees.append(free)
-    frees = np.array(frees, dtype=np.uint64)
-    return np.array(anchors, dtype=np.uint64) & ~frees, frees
+    frees = np.frombuffer(frees, dtype=np.uint64)
+    return np.frombuffer(anchors, dtype=np.uint64) & ~frees, frees
 
 
 def _sink_counts(oracle: OrientationOracle, anchors: np.ndarray,

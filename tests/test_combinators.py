@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ausokit import constructions
 from ausokit.combinators import (
     MATERIALIZE_MAX_DIM,
+    TABLE_MAX_DIM,
     CombinatorError,
     MemoOracle,
     ProductOracle,
@@ -17,11 +19,13 @@ from ausokit.combinators import (
     materialize,
     reorient_face,
 )
-from ausokit.constructions import cache_path, realize_range
+from ausokit.constructions import ConstructionError, cache_path, realize_range
 from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
 from ausokit.frame_store import load_family
+from ausokit.pivot_engine import run_to_sink
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
 from reference import DictProduct, record
+from test_verifier import _Counting
 
 
 def test_product_of_uniform_1cubes_is_uniform_2cube():
@@ -203,6 +207,121 @@ def test_evaluate_many_matches_evaluate(data):
     got = oracle.evaluate_many(np.array(vs, dtype=np.uint64))
     assert got.dtype == np.uint64
     assert got.tolist() == [oracle.evaluate(v) for v in vs]
+
+
+@st.composite
+def _wide_compositions(draw, n):
+    """A random composition as _compositions draws it, widened to n
+    dimensions by a product with uniform frames above it, or with it as the
+    frame above a uniform inner cube, under a memo."""
+    oracle = draw(_compositions())
+    pad = n - oracle.dimension
+    sinks = st.integers(0, (1 << pad) - 1)
+    if draw(st.booleans()):
+        keys = draw(st.sets(st.integers(0, (1 << oracle.dimension) - 1), max_size=8))
+        oracle = ProductOracle(oracle, UniformOracle(pad, draw(sinks)),
+                               {k: UniformOracle(pad, draw(sinks)) for k in keys})
+    else:
+        keys = draw(st.sets(sinks, max_size=8))
+        oracle = ProductOracle(UniformOracle(pad, draw(sinks)), oracle,
+                               {k: MemoOracle(oracle) for k in keys})
+    return MemoOracle(oracle)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(st.data())
+@pytest.mark.parametrize("n", [TABLE_MAX_DIM - 1, TABLE_MAX_DIM, TABLE_MAX_DIM + 1])
+def test_memo_tables_answer_as_evaluate(n, data):
+    """A memo at most TABLE_MAX_DIM wide (and every memo below it) answers
+    batches from its table, a wider one from its base; either way each
+    batch equals evaluate on a seeded sample, and overwriting a batch's
+    result leaves the table as it was."""
+    memo = data.draw(_wide_compositions(n))
+    rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+    vs = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(200)]
+    want = [memo.evaluate(v) for v in vs]
+    for _ in range(2):
+        got = memo.evaluate_many(np.array(vs, dtype=np.uint64))
+        assert got.dtype == np.uint64 and got.tolist() == want
+        got[:] = 0
+    assert ("_table" in vars(memo)) == (n <= TABLE_MAX_DIM)
+
+
+@pytest.fixture(scope="module")
+def fresh_chains():
+    """Per family, a chain realized in this module only, so that the memo
+    tables its tests fill are not shared."""
+    return {family: realize_range(family, top)
+            for family, top in (("cunningham", 3), ("johnson", 3), ("zadeh", 2))}
+
+
+@settings(max_examples=3, deadline=None, derandomize=True, database=None)
+@given(st.data())
+@pytest.mark.parametrize("family", ["cunningham", "johnson", "zadeh"])
+def test_level_batches_answer_as_evaluate(fresh_chains, family, data):
+    """Every level of a realized chain answers a batch as evaluate: on
+    every vertex up to n = 12, on a seeded sample above."""
+    rng = random.Random(data.draw(st.integers(0, 1 << 32)))
+    for level, _ in fresh_chains[family]:
+        n = level.dimension
+        vs = (list(range(1 << n)) if n <= 12 else
+              [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(2000)])
+        got = level.oracle.evaluate_many(np.array(vs, dtype=np.uint64))
+        assert got.tolist() == [level.oracle.evaluate(v) for v in vs], (family, n)
+
+
+@pytest.mark.parametrize("n", [12, TABLE_MAX_DIM, TABLE_MAX_DIM + 1])
+def test_memo_table_fill_stays_within_the_block(n):
+    """The fill hands the base at most 2^14 vertices at once and reads each
+    vertex once; later batches never reach the base.  A wider memo passes
+    each batch on as it is."""
+    counting = _Counting(UniformOracle(n, 0b1011))
+    memo = MemoOracle(counting)
+    vs = np.arange(0, 1 << n, 7, dtype=np.uint64)
+    for _ in range(2):
+        assert memo.evaluate_many(vs).tolist() == (vs ^ np.uint64(0b1011)).tolist()
+    if n <= TABLE_MAX_DIM:
+        assert max(counting.sizes) <= 1 << 14 and sum(counting.sizes) == 1 << n
+        assert not memo._table.flags.writeable
+    else:
+        assert counting.sizes == [len(vs)] * 2
+
+
+def test_filled_level_table_keeps_its_product_frozen(cunningham_frames):
+    """Once a level's memo has filled its table, its product refuses to
+    assign a frame to an inner vertex that holds none, as after any batch;
+    every vertex of the lower path keeps the frame it holds."""
+    (lower, trace), (level, _) = realize_range("cunningham", 2)[1:]
+    level.oracle.evaluate_many(np.arange(1 << level.dimension, dtype=np.uint64))
+    assert "_table" in vars(level.oracle)
+    f2 = cunningham_frames["f2"][1]
+    path, held = trace.vertices(), dict(level.product.items())
+    assert [level.product.assign(v, f2) for v in path] == [held[v] for v in path]
+    with pytest.raises(TypeError):
+        level.product.assign(next(v for v in range(1 << lower.dimension) if v not in path), f2)
+
+
+def test_batch_during_the_adaptive_run_raises_and_leaves_no_table(monkeypatch):
+    """A batch on a level's memo while its adaptive run assigns the frames
+    raises, as the unassigned default is read, and leaves no table."""
+    probed = []
+
+    class Stop(Exception):
+        pass
+
+    def probing(oracle, start, *args, after_step=None, **kwargs):
+        if after_step is not None and isinstance(oracle, MemoOracle):
+            with pytest.raises(ConstructionError, match="unassigned"):
+                oracle.evaluate_many(np.arange(16, dtype=np.uint64))
+            probed.append(oracle)
+            raise Stop
+        return run_to_sink(oracle, start, *args, after_step=after_step, **kwargs)
+
+    monkeypatch.setattr(constructions, "run_to_sink", probing)
+    with pytest.raises(Stop):
+        realize_range("cunningham", 2)
+    assert len(probed) == 1 and probed[0].recording
+    assert "_table" not in vars(probed[0])
 
 
 def _walk(draw, n):

@@ -1,12 +1,14 @@
 import copy
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ausokit import verifier
 from ausokit.combinators import ProductOracle, ReorientedOracle
+from ausokit.constructions import realize_range
 from ausokit.cube_core import (
     Face,
     IllegalMoveError,
@@ -162,6 +164,51 @@ def test_kahn_verdict_does_not_depend_on_the_block(monkeypatch, n):
             assert _kahn_acyclic(np.array(table, dtype=np.uint64), n) == want
         verdicts.append(want)
     assert verdicts[:2] == [True, False] and not verdicts[3]
+
+
+def test_exact_checks_read_uint32_and_uint64_tables_alike():
+    """The face-sink count, the pairwise criterion and Kahn peeling give
+    the same verdicts and witnesses on uint32 and uint64 copies of random,
+    broken and planted-cycle tables."""
+    rng = random.Random(29)
+    failing = cyclic = 0
+    for n in range(1, 11):
+        uso = [UniformOracle(n, rng.getrandbits(n)).evaluate(v) for v in range(1 << n)]
+        broken = list(uso)
+        for _ in range(3):
+            _corrupt_edge(broken, rng.getrandbits(n), rng.randrange(n))
+        planted = _random_orientation(rng, n)
+        if n >= 2:
+            anchor = rng.getrandbits(n) & ~0b11
+            for low, out in {0b00: 0b01, 0b01: 0b10, 0b11: 0b01, 0b10: 0b10}.items():
+                planted[anchor | low] = (planted[anchor | low] & ~0b11) | out
+        noisy = [rng.getrandbits(n) for _ in range(1 << n)]
+        for table in (uso, broken, planted, noisy):
+            wide, narrow = (np.array(table, dtype=dtype) for dtype in (np.uint64, np.uint32))
+            face_count = _face_count_uso(wide, n)
+            assert _face_count_uso(narrow, n) == face_count
+            assert _pairwise_uso(narrow, n) == _pairwise_uso(wide, n)
+            acyclic = _kahn_acyclic(wide, n)
+            assert _kahn_acyclic(narrow, n) == acyclic == (_dfs_cycle(table, n) is None)
+            failing += not face_count[0]
+            cyclic += not acyclic
+    assert failing > 20 and cyclic > 10
+
+
+def test_acyclic_check_heap_stays_small():
+    """The tracemalloc peak of check_acyclic on a freshly realized zadeh
+    level 2 (n = 18) stays under 2.4 MB: the outmap table is uint32, and
+    Kahn peeling reads it by byte planes.  A uint64 table took 3.0 MB."""
+    level, _ = realize_range("zadeh", 2)[-1]
+    check_acyclic(UniformOracle(CROSS_VALIDATE_CAP + 1, 0))  # first-use caches
+    tracemalloc.start()
+    try:
+        report = check_acyclic(level.oracle)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed and level.dimension == 18
+    assert peak < 2_400_000, peak
 
 
 def _assert_directed_cycle(cycle, table):
@@ -327,7 +374,7 @@ def test_outmap_table_is_filled_block_by_block(monkeypatch):
         oracle = _random_composition(rng)
         counting = _Counting(oracle)
         table = outmap_table(counting)
-        assert oracle.dimension == 10 and table.dtype == np.uint64
+        assert oracle.dimension == 10 and table.dtype == np.uint32
         assert table.tolist() == [oracle.evaluate(v) for v in range(1 << 10)]
         assert max(counting.sizes) <= 1 << 4 and sum(counting.sizes) == 1 << 10
 
@@ -433,6 +480,8 @@ def test_caps_raise():
         check_uso_exhaustive(UniformOracle(16, 0))
     with pytest.raises(VerifierError):
         check_acyclic(UniformOracle(22, 0))
+    with pytest.raises(VerifierError, match="uint32"):
+        outmap_table(UniformOracle(33, 0))
     # max_face_dim above the cap, and empty samples: refused, not passed
     for samples, max_face_dim in ((10, 11), (0, 6), (-3, 6), (10, 0)):
         with pytest.raises(VerifierError):
