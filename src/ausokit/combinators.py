@@ -232,14 +232,14 @@ class ProductOracle(OrientationOracle):
         the first (0), so searchsorted(bounds, v, "right") is the index of
         v's interval in `offsets`, which holds each interval's row times
         2^outer, its offset into the flattened table, in the narrowest
-        unsigned type.  Assignment ends here: `rows` and `side` become
-        read-only."""
+        unsigned type.  Assignment ends here: once the tables are built,
+        `rows` and `side` become read-only; a batch that raises leaves them
+        open."""
         outer_dim = self.dimension - self.inner.dimension
         if outer_dim > MATERIALIZE_MAX_DIM:
             raise CombinatorError(
                 f"refusing to tabulate {outer_dim}-dimensional frames "
                 f"(max {MATERIALIZE_MAX_DIM})")
-        self.rows, self.side = bytes(self.rows), MappingProxyType(self.side)
         key_column, rows = self._columns()
         keys = np.frombuffer(key_column, dtype=np.uint64)
         distinct = list({id(frame): frame for frame in self.frames}.values())
@@ -257,6 +257,7 @@ class ProductOracle(OrientationOracle):
         keep[keep] = np.append(True, kept[1:] != kept[:-1])
         outer = np.arange(1 << outer_dim, dtype=np.uint64)
         table = np.stack([frame.evaluate_many(outer) for frame in distinct])
+        self.rows, self.side = bytes(self.rows), MappingProxyType(self.side)
         return starts[keep][1:], offsets[keep], table
 
     def evaluate(self, v: int) -> int:

@@ -24,8 +24,8 @@ import json
 import os
 from array import array
 from dataclasses import dataclass, field
-from itertools import accumulate, islice
-from operator import xor
+from itertools import accumulate, chain, islice
+from operator import or_, xor
 from pathlib import Path
 
 import numpy as np
@@ -307,7 +307,7 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
 # reloaded.
 CACHE_KEYS = ("family", "level", "start", "sink", "path_length", "frame_files")
 # Assignment lines per chunk of a streamed cache write or read.
-CACHE_WRITE_BLOCK = 1 << 12
+CACHE_WRITE_BLOCK = 1 << 8
 # The head of a record with and without assignments, and the line that
 # closes a nonempty assignments block.
 _HEAD = b'{\n  "assignments": {\n'
@@ -350,7 +350,7 @@ def _read_cache(path: Path, family: str, level: int, frame_oracles,
     frames = {json.dumps(name).encode(): frame for name, frame in frame_oracles.items()}
     # The lower path positions' text numbers, then one above them all, and
     # the positions in the order of their numbers.
-    texts = _text_numbers(product)
+    texts = array("Q", _text_numbers(product))
     texts.append(1 << inner_dim)
     order = sorted(range(len(texts)), key=texts.__getitem__)
     rows_of = {}  # the product's row of each frame name in the file
@@ -440,24 +440,34 @@ def _write_atomic(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _text_numbers(product: ProductOracle) -> array:
+def _text_numbers(product: ProductOracle, shift: int = 0):
     """The vertex text of each lower path position of the product, then of
-    each key of its side dict, read as a binary number: the numbers order
-    the texts as the texts do."""
+    each key of its side dict, read as a binary number and shifted left by
+    `shift` bits, one at a time: the numbers order the texts as the texts
+    do."""
     n, lower = product.inner.dimension, product.lower
-    flip = [1 << n - 1 - (b & 63) if b & 63 < n else 0 for b in range(256)]
-    texts = array("Q", () if lower.moves is None else accumulate(
-        map(flip.__getitem__, lower.moves), xor, initial=int(vertex_text(lower.start, n), 2)))
-    texts.extend(int(vertex_text(v, n), 2) for v in product.side)
-    return texts
+    flip = [1 << n - 1 - (b & 63) + shift if b & 63 < n else 0 for b in range(256)]
+    path = () if lower.moves is None else accumulate(
+        map(flip.__getitem__, lower.moves), xor,
+        initial=int(vertex_text(lower.start, n), 2) << shift)
+    return chain(path, (int(vertex_text(v, n), 2) << shift for v in product.side))
 
 
 def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     """The level's cache record as json.dumps(record, indent=2,
     sort_keys=True) + "\\n" spells it, chunk by chunk, from its product's
     columns.  "assignments" sorts before every other key, and its lines are
-    streamed in vertex-text order; json.dumps spells the rest of the
-    record."""
+    streamed in vertex-text order, at most CACHE_WRITE_BLOCK to a chunk;
+    json.dumps spells the rest of the record.
+
+    The write holds one 8-byte key per lower path position and side key,
+    sorted in place: the vertex text read as a number, shifted left 8 bits
+    and ORed with the frame row, which is 0 where no frame is assigned.  So
+    an inner dimension above 56 raises ConstructionError."""
+    product = level.product
+    inner_dim = level.dimension - level.bundle_size
+    if product is not None and inner_dim > 56:
+        raise ConstructionError(f"cannot key {inner_dim}-bit vertex texts in 56 bits")
     rest = json.dumps({
         "family": level.family,
         "level": level.level,
@@ -469,23 +479,24 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
         "gadget_anchor": vertex_text(level.gadget_anchor, level.dimension),
         "frame_files": hashes,
     }, indent=2, sort_keys=True)
-    product = level.product
     yield '{\n  "assignments": {'
+    close = "}"
     if product is not None:
-        inner_dim = level.dimension - level.bundle_size
         names = [json.dumps(level.frame_names[frame]) for frame in product.frames]
-        texts = np.frombuffer(_text_numbers(product), dtype=np.uint64)
-        rows = np.frombuffer(bytes(product.rows) + bytes(product.side.values()), np.uint8)
-        order = np.argsort(texts)
-        order = order[rows[order] != 0]
-        for i in range(0, len(order), CACHE_WRITE_BLOCK):
-            block = order[i:i + CACHE_WRITE_BLOCK]
-            yield ("\n" if i == 0 else ",\n") + ",\n".join(
-                f'    "{text:0{inner_dim}b}": {names[row]}'
-                for text, row in zip(texts[block].tolist(), rows[block].tolist()))
-        if len(order):
-            yield "\n  "
-    yield "}," + rest[1:] + "\n"
+        keys = np.fromiter(map(or_, _text_numbers(product, 8),
+                               chain(product.rows, product.side.values())),
+                           np.uint64, len(product.rows) + len(product.side))
+        keys.sort()
+        separator = "\n"
+        for i in range(0, len(keys), CACHE_WRITE_BLOCK):
+            block = keys[i:i + CACHE_WRITE_BLOCK]
+            lines = [f'    "{text:0{inner_dim}b}": {names[row]}'
+                     for text, row in zip((block >> 8).tolist(), (block & 255).tolist())
+                     if row]
+            if lines:
+                yield separator + ",\n".join(lines)
+                separator, close = ",\n", "\n  }"
+    yield close + "," + rest[1:] + "\n"
 
 
 def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,

@@ -301,6 +301,23 @@ def test_filled_level_table_keeps_its_product_frozen(cunningham_frames):
         level.product.assign(next(v for v in range(1 << lower.dimension) if v not in path), f2)
 
 
+def test_failed_batch_leaves_the_product_open():
+    """A batch that raises while the product tabulates its frames, here on
+    an unassigned default, leaves its frames open to assign; the first batch
+    that builds the tables closes them."""
+    frame = UniformOracle(4, 0)
+    product = ProductOracle(TableOracle(1, [1, 0]), constructions._Unassigned(4), {0: frame})
+    vs = np.arange(32, dtype=np.uint64)
+    with pytest.raises(ConstructionError, match="unassigned"):
+        product.evaluate_many(vs)
+    assert product.assign(1, frame) is frame
+    assert dict(product.items()) == {0: frame, 1: frame}
+    product.frames[0] = UniformOracle(4, 0b11)
+    assert product.evaluate_many(vs).tolist() == [product.evaluate(v) for v in vs.tolist()]
+    with pytest.raises(TypeError):
+        product.side[0] = 0
+
+
 def test_batch_during_the_adaptive_run_raises_and_leaves_no_table(monkeypatch):
     """A batch on a level's memo while its adaptive run assigns the frames
     raises, as the unassigned default is read, and leaves no table."""

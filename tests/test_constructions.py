@@ -327,6 +327,74 @@ def test_cache_writer_matches_json_dumps(built_levels, tmp_path):
                 record, indent=2, sort_keys=True) + "\n"
 
 
+@pytest.mark.parametrize("block", [1, 3, 1 << 8, 1 << 12])
+def test_cache_chunks_hold_at_most_a_block(built_levels, tmp_path, monkeypatch, block):
+    """Whatever CACHE_WRITE_BLOCK is, every fixture level's record is
+    json.dumps(record, indent=2, sort_keys=True) + "\n", no assignment chunk
+    holds more than CACHE_WRITE_BLOCK lines, and the files read back."""
+    monkeypatch.setattr(constructions, "CACHE_WRITE_BLOCK", block)
+    for family, chain in built_levels.items():
+        hashes = {stem: spec.sha256 for stem, (spec, _) in load_family(family).items()}
+        for level, _ in chain:
+            chunks = list(_cache_chunks(level, hashes))
+            assert "".join(chunks) == json.dumps(
+                _reference_cache_record(level, hashes), indent=2, sort_keys=True) + "\n"
+            lines = [chunk.count('\n    "') for chunk in chunks[1:-1]]
+            assert sum(lines) == len(level.assignments)
+            assert all(1 <= n <= block for n in lines), (family, level.level, lines)
+        realize_range(family, len(chain) - 1, cache_dir=tmp_path)
+        reloaded = realize_range(family, len(chain) - 1, cache_dir=tmp_path)
+        assert [level.assignments for level, _ in reloaded] == [
+            level.assignments for level, _ in chain]
+
+
+def test_cache_keys_refuse_inner_dimension_above_56(tmp_path, cunningham_frames):
+    """A vertex text of more than 56 bits leaves no room for the frame row in
+    a 64-bit key: the write raises instead of writing wrong bytes, and leaves
+    no file.  (No realizable level gets there: the widest, at n = 60, has
+    an inner dimension of at most 56.)"""
+    frames = {name: oracle for name, (_, oracle) in cunningham_frames.items()}
+    names = {oracle: name for name, oracle in frames.items()}
+    hashes = {name: spec.sha256 for name, (spec, _) in cunningham_frames.items()}
+    product = ProductOracle(UniformOracle(57, 0), frames["f3"], {1 << 56: frames["f1"]})
+    level = ConstructionLevel("cunningham", 14, 61, oracle=product, start=0,
+                              expected_sink=0, path_length=0, product=product,
+                              frame_names=names, default_frame="f3")
+    with pytest.raises(ConstructionError, match="56 bits"):
+        next(_cache_chunks(level, hashes))
+    path = tmp_path / "cunningham_level14.json"
+    with pytest.raises(ConstructionError):
+        constructions._write_atomic(path, _cache_chunks(level, hashes))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cache_write_heap_grows_by_a_key_per_assignment():
+    """Streaming a level's record, chunks consumed one at a time, holds one
+    8-byte key per lower path position and side key and one block of lines:
+    from cunningham level 7 to level 9 the tracemalloc peak grows by under
+    12 bytes per key, where level-sized index arrays and 2^12-line chunks
+    took about 47."""
+    chain = realize_range("cunningham", 9)
+    hashes = {stem: spec.sha256 for stem, (spec, _) in load_family("cunningham").items()}
+
+    def peak(level):
+        tracemalloc.start()
+        try:
+            for _ in _cache_chunks(level, hashes):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def keys(level):
+        return len(level.product.rows) + len(level.product.side)
+
+    peak(chain[1][0])  # first-use caches
+    (low, _), (high, _) = chain[7], chain[9]
+    per_key = (peak(high) - peak(low)) / (keys(high) - keys(low))
+    assert per_key < 12, per_key
+
+
 def test_cached_level_serves_same_oracle(tmp_path):
     built, _ = realize_level("zadeh", 1, cache_dir=tmp_path)
     reloaded, _ = realize_level("zadeh", 1, cache_dir=tmp_path)
