@@ -4,10 +4,11 @@ Only `build` writes cache files; `run`, `verify` and `report` realize a
 level whose cache file is missing in memory.
 
 Exit codes: 0 success, 1 property violation (frame files that fail their
-family's validation, or a cached level built from other frame files, count
-as one), 2 usage or configuration error (a missing or unparsable frame file
-or cache file, a negative level, a verify mode or option the level cannot
-take, or a path that cannot be read or written), 3 resource limit.
+family's validation, or a cached level that differs from its rebuild, count
+as one), 2 usage or configuration error (a missing or unparsable frame file,
+a cache file the cache writer could not have written, a negative level, a
+verify mode or option the level cannot take, or a path that cannot be read
+or written), 3 resource limit.
 """
 
 from __future__ import annotations

@@ -181,17 +181,6 @@ class ProductOracle(OrientationOracle):
         for vi, frame in (overrides or {}).items():
             self.assign(vi, frame)
 
-    def row(self, frame: OrientationOracle) -> int:
-        """The row of `frame` as an assigned frame, added on first use."""
-        if id(frame) not in self._row_of:
-            if frame.dimension != self.frames[0].dimension:
-                raise CombinatorError("all frames must share the outer dimension")
-            if len(self.frames) == 256:
-                raise CombinatorError("more than 255 distinct frames")
-            self._row_of[id(frame)] = len(self.frames)
-            self.frames.append(frame)
-        return self._row_of[id(frame)]
-
     def assign(self, vi: int, frame: OrientationOracle) -> OrientationOracle:
         """Give inner vertex vi `frame` unless it holds one; returns the
         frame it holds.  On the lower path, the byte at the lower cursor."""
@@ -201,7 +190,14 @@ class ProductOracle(OrientationOracle):
         else:
             held = self.side.get(vi, 0)
         if not held:
-            held = self._row_of.get(id(frame)) or self.row(frame)
+            held = self._row_of.get(id(frame))
+            if held is None:  # a new frame: the next row
+                if frame.dimension != self.frames[0].dimension:
+                    raise CombinatorError("all frames must share the outer dimension")
+                if len(self.frames) == 256:
+                    raise CombinatorError("more than 255 distinct frames")
+                held = self._row_of[id(frame)] = len(self.frames)
+                self.frames.append(frame)
             if on_path:
                 self.rows[lower.pos] = held
             else:

@@ -7,8 +7,10 @@ least-recently-basic rule).  The frame chosen for each inner vertex is
 decided adversarially while the pivot rule runs, and assigned in the
 level's own product; any revisit demanding a different frame aborts the
 build, so the result is a fixed, replayable orientation.  Each level is run
-once: the trace of a built level is its adversarial run's, and a level
-reloaded from a cache is run once on its frames as recorded.
+once, by its adversary, and its trace is that run's.  A level's cache file
+is a receipt, not a source: the level is built whether the file exists or
+not, and the file must hold exactly the bytes the cache writer gives for
+the built level.
 
 A level is its path.  The next level's run reads it only along that path,
 from its start to its sink and then again, and the adversary assigns a
@@ -22,9 +24,9 @@ from __future__ import annotations
 
 import json
 import os
-from array import array
+import re
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, islice
+from itertools import accumulate, chain
 from operator import or_, xor
 from pathlib import Path
 
@@ -37,7 +39,6 @@ from .cube_core import (
     OrientationOracle,
     TableOracle,
     UniformOracle,
-    parse_vertex,
     vertex_text,
 )
 from .combinators import (
@@ -92,8 +93,9 @@ class FrameValidationError(ConstructionError):
 
 
 class CacheFileError(CubeError):
-    """A level cache file is not a readable cache record (for example, a
-    truncated write).  A configuration error, not a property violation."""
+    """A level cache file is not a record the cache writer could have written
+    (for example, a truncated write).  A configuration error, not a property
+    violation."""
 
 
 def tie_list(family: str, level: int) -> list[Direction]:
@@ -190,16 +192,6 @@ class _Unassigned(OrientationOracle):
     evaluate_many = evaluate
 
 
-def _level_oracle(family: str, product: ProductOracle,
-                  replacement: OrientationOracle) -> MemoOracle:
-    """The product of the previous level with one frame per inner vertex,
-    with the gadget face reoriented to `replacement`."""
-    inner_dim = product.inner.dimension
-    face = Face(_bundle_bits(inner_dim, GADGET_ANCHOR[family]), (1 << inner_dim) - 1)
-    return MemoOracle(ReorientedOracle(
-        product, face, replacement, _bundle_bits(inner_dim, GADGET_EXTERNAL[family])))
-
-
 def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]:
     oracle = frame_oracles[BASE_FRAME[family]]
     start = starting_vertex(family, 0)
@@ -210,17 +202,32 @@ def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]
     return level, trace
 
 
-def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  frame_names, product: ProductOracle, oracle: OrientationOracle) -> Trace:
-    """Run the rule on `oracle` while the adversary picks each inner vertex's
-    frame on first demand and assigns it in `product`, the product below the
-    oracle; returns the run's trace."""
-    size = BUNDLE_SIZE[family]
+def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
+                  frame_names, top: bool) -> tuple[ConstructionLevel, Trace]:
+    """Level `level` on top of `prev`, with the trace of its one run.
+
+    The level has one product and one oracle chain.  The rule runs on it
+    while the adversary picks each inner vertex's frame on first demand and
+    assigns it in the product, under a default that refuses to be read
+    until the run ends; the run's trace is the level's trace.  Unless the
+    level is its chain's `top`, the run records its path's outmaps in the
+    level's memo, which the next level reads along that path.
+    """
     inner_dim = prev.dimension
     inner_mask = (1 << inner_dim) - 1
+    anchor = _bundle_bits(inner_dim, GADGET_ANCHOR[family])
     skipped = (_bundle_bits(0, GADGET_ANCHOR[family]), HYPERSINK_POSITION[family])
-    start = starting_vertex(family, level)
     state = rule_state(family, level)
+    if family == "johnson":
+        replacement = build_reset(level, frame_oracles["r1"])
+    else:
+        replacement = UniformOracle(inner_dim, prev.start)
+    default = frame_oracles[DEFAULT_FRAME[family]]
+    # The product of the previous level with one frame per inner vertex,
+    # with the gadget face reoriented to `replacement`.
+    product = ProductOracle(prev.oracle, _Unassigned(default.dimension))
+    oracle = MemoOracle(ReorientedOracle(product, Face(anchor, inner_mask), replacement,
+                                         _bundle_bits(inner_dim, GADGET_EXTERNAL[family])))
 
     def decide(vi: int, pos: int) -> str:
         """The frame of inner vertex vi, entered at bundle position pos."""
@@ -247,33 +254,6 @@ def _adaptive_run(family: str, level: int, prev: ConstructionLevel, frame_oracle
         if d.coord < inner_dim and v_after >> inner_dim not in skipped:
             assign(v_after)
 
-    assign(start)
-    return run_to_sink(oracle, start, family, state, bundle_size=size, after_step=hook)
-
-
-def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
-                  frame_names, frame_hashes: dict[str, str], cache_file: Path | None,
-                  top: bool) -> tuple[ConstructionLevel, Trace]:
-    """Level `level` on top of `prev`, with the trace of one run on it.
-
-    The level has one product and one oracle chain.  Without a cache file
-    the adversarial run assigns the product's frames, under a default that
-    refuses to be read until the run ends, and its trace is the level's
-    trace.  With the cache file `cache_file`, whose record must have been
-    built from frame files with `frame_hashes` (stem -> sha256), the frames
-    are assigned from the record, and one run on the level must reproduce
-    the recorded length and sink.  Unless the level is its chain's `top`,
-    the run records its path's outmaps in the level's memo, which the next
-    level reads along that path.
-    """
-    if family == "johnson":
-        replacement = build_reset(level, frame_oracles["r1"])
-    else:
-        replacement = UniformOracle(prev.dimension, prev.start)
-    default = frame_oracles[DEFAULT_FRAME[family]]
-    product = ProductOracle(
-        prev.oracle, _Unassigned(default.dimension) if cache_file is None else default)
-    oracle = _level_oracle(family, product, replacement)
     # A run never revisits a vertex (the orientation is acyclic), so it
     # gains nothing from its own memo.  The next level's run reads this
     # level at exactly its path vertices, in path order: its inner moves
@@ -281,151 +261,112 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     # So a level below the top runs on its memo, which records its path's
     # |P| + 1 outmaps; the top runs below its memo, which no level reads.
     oracle.recording = not top
-    runs_on = oracle.base if top else oracle
-    if cache_file is None:
-        trace = _adaptive_run(family, level, prev, frame_oracles, frame_names,
-                              product, runs_on)
-        product.frames[0] = default
-    else:
-        start, sink, length = _read_cache(cache_file, family, level, frame_oracles,
-                                          frame_hashes, product)
-        trace = run_to_sink(runs_on, start, family, rule_state(family, level),
-                            bundle_size=BUNDLE_SIZE[family])
-        if len(trace) != length or trace.end != sink:
-            raise ConstructionError(
-                f"cached level {family} {level} does not replay its recorded run")
+    start = starting_vertex(family, level)
+    assign(start)
+    trace = run_to_sink(oracle.base if top else oracle, start, family, state,
+                        bundle_size=BUNDLE_SIZE[family], after_step=hook)
+    product.frames[0] = default
     if not top:
         oracle.bind(trace)
-    built = ConstructionLevel(family, level, oracle.dimension, oracle, trace.start,
-                              trace.end, len(trace), product, frame_names,
-                              DEFAULT_FRAME[family],
-                              _bundle_bits(prev.dimension, GADGET_ANCHOR[family]))
+    built = ConstructionLevel(family, level, oracle.dimension, oracle, start, trace.end,
+                              len(trace), product, frame_names, DEFAULT_FRAME[family],
+                              anchor)
     return built, trace
 
 
-# Keys the rest of a cache record, after its assignments, must hold to be
-# reloaded.
-CACHE_KEYS = ("family", "level", "start", "sink", "path_length", "frame_files")
-# Assignment lines per chunk of a streamed cache write or read.
+# Assignment lines per chunk of a streamed cache write and check.
 CACHE_WRITE_BLOCK = 1 << 8
-# The head of a record with and without assignments, and the line that
-# closes a nonempty assignments block.
-_HEAD = b'{\n  "assignments": {\n'
-_HEAD_EMPTY = b'{\n  "assignments": {},\n'
+# The line that closes a record's assignments (and its frame_files), an
+# assignment line (vertex text, frame name, comma) and a line of the rest
+# (indent, key, a string or an integer value or none for "{", comma).
 _CLOSE = b"  },\n"
+_ASSIGNMENT = re.compile(rb'    "([01]*)": ("[^"\n]*")(,?)\n')
+_ENTRY = re.compile(rb'( *)"([^"\n]*)": (?:("[^"\\\n]*")|(-?(?:0|[1-9][0-9]*))|\{)(,?)\n')
 
 
 def cache_path(cache_dir: Path, family: str, level: int) -> Path:
     return cache_dir / f"{family}_level{level}.json"
 
 
-def _is_vertex_text(text, n: int) -> bool:
-    """True iff `text` is the text of a vertex of an n-cube."""
-    return isinstance(text, str) and len(text) == n and not text.strip("01")
-
-
-def _read_cache(path: Path, family: str, level: int, frame_oracles,
-                frame_hashes: dict[str, str], product: ProductOracle) -> tuple[int, int, int]:
-    """Check the cache record at `path` and assign `product`'s frames from
-    its assignments; returns the recorded start, sink and path length.
-
-    The record must be laid out exactly as _cache_chunks writes it.  The
-    assignment lines are parsed from the file's bytes, CACHE_WRITE_BLOCK
-    lines at a time, and json.loads reads only the rest of the record,
-    which must be json.dumps(rest, indent=2, sort_keys=True) of what it
-    reads and hold no second "assignments".  Any other layout raises
-    CacheFileError naming the file.  The checks then go in this order: the
-    rest's keys, its integer level and path length and its start and sink
-    texts (CacheFileError), its family and level, its frame hashes
-    (ConstructionError), and last the assignment lines (CacheFileError):
-    each a vertex text of the inner dimension, after the line before it in
-    text order, and a frame name of the family.  The lines are merged with
-    the lower path sorted by vertex text: a frame goes to its vertex's path
-    position, or to the side dict if the vertex is off the path.
+def _check_cache(path: Path, level: ConstructionLevel, hashes: dict[str, str]) -> None:
+    """Check that the cache file at `path` holds exactly the bytes that
+    _cache_chunks(level, hashes) writes for the built `level`, a chunk at a
+    time.  Only the first line that differs is classified, with the line
+    before it (the writer's) and the line after it.  A file the writer could
+    not have written raises CacheFileError naming the file: a head or an end
+    other than the writer's, a line that differs from the writer's only by
+    its comma, an assignment line outside `    "<inner bits>": "<family
+    frame>"` or the text order of the lines around it, or a line of the
+    rest with another key, comma or type of value.  Any other difference
+    raises ConstructionError naming a frame file whose hash in the file
+    differs from the frame in use, else the rest's key, else the inner
+    vertex text of the first assignment that differs.
     """
     def refuse(what: str) -> CacheFileError:
         return CacheFileError(f"cache file {path} {what}; delete it to rebuild the level")
 
-    inner_dim = product.inner.dimension
-    frames = {json.dumps(name).encode(): frame for name, frame in frame_oracles.items()}
-    # The lower path positions' text numbers, then one above them all, and
-    # the positions in the order of their numbers.
-    texts = array("Q", _text_numbers(product))
-    texts.append(1 << inner_dim)
-    order = sorted(range(len(texts)), key=texts.__getitem__)
-    rows_of = {}  # the product's row of each frame name in the file
-    end = 5 + inner_dim  # where a line's vertex text ends
-    bad = None  # the number of the first line that breaks the assignments
+    def assignment(line: bytes):
+        m = _ASSIGNMENT.fullmatch(line)
+        return m if m and len(m[1]) == inner_dim and m[2] in names else None
+
+    def shape(m):
+        return m and (m[1], m[2], m[5], m[3] is None, m[4] is None)
+
+    family, inner_dim = level.family, level.dimension - level.bundle_size
+    names = {json.dumps(name).encode() for name in level.frame_names.values()}
     with open(path, "rb") as f:
-        head = f.readline() + f.readline()
-        if head == _HEAD_EMPTY:
-            rest = f.read()
-        elif head != _HEAD:
+        if all(f.read(len(data)) == data for data in
+               map(str.encode, _cache_chunks(level, hashes))) and not f.read(1):
+            return
+        f.seek(0)
+        lines, before = _lines(_cache_chunks(level, hashes)), b""
+        for number, want in enumerate(chain(lines, [b""]), 1):
+            if (got := f.readline()) != want:
+                break
+            before = want
+        if number <= 2:
             raise refuse("does not open as a level record")
+        if not (want and got.endswith(b"\n")):
+            raise refuse("does not end where its record does")
+        if got.rstrip(b",\n") == want.rstrip(b",\n"):
+            raise refuse(f"line {number} differs from the writer's by its comma")
+        if assignment(want) or (want == _CLOSE and assignment(before)):
+            a, w, last, after = (assignment(got), assignment(want), assignment(before),
+                                 f.readline())
+            if not (a and w and (last is None or last[1] < a[1])
+                    and (after == _CLOSE if not a[3] else
+                         (b := assignment(after)) is not None and a[1] < b[1])):
+                raise refuse(f"line {number} does not assign a {family} frame to the "
+                             f"next inner vertex of dimension {inner_dim} in text order")
+            what = f"assignment {min(a[1], w[1]).decode()}"
         else:
-            # `last` is the previous line's number and `at` that of order[k],
-            # the first position not below it; `after_comma` says whether a
-            # comma ended the previous line (the head counts as one), so
-            # that an assignment line may follow it and the close may not.
-            rest, number, last, after_comma = None, 2, -1, True
-            k, at = 0, texts[order[0]]
-            while rest is None:
-                block = list(islice(f, CACHE_WRITE_BLOCK))
-                if not block:
-                    raise refuse("ends inside its assignments")
-                for j, line in enumerate(block, number + 1):
-                    if line == _CLOSE:
-                        if after_comma and bad is None:
-                            bad = j
-                        rest = b"".join(block[j - number:]) + f.read()
-                        break
-                    if bad is not None:
-                        continue
-                    comma = line.endswith(b",\n")
-                    name = line[end + 3:-2 if comma else -1]
-                    frame = frames.get(name)
-                    bits = line[5:end]
-                    if (not after_comma or frame is None or line[:5] != b'    "'
-                            or line[end:end + 3] != b'": ' or bits.strip(b"01")
-                            or (text := int(bits, 2)) <= last):
-                        bad = j
-                        continue
-                    row = rows_of.get(name) or rows_of.setdefault(name, product.row(frame))
-                    while at < text:
-                        k += 1
-                        at = texts[order[k]]
-                    if at == text:
-                        product.rows[order[k]] = row
-                    else:  # off the lower path
-                        product.side[int(bits[::-1], 2)] = row
-                    last, after_comma = text, comma
-                number += len(block)
-    try:
-        text = "{\n" + rest.decode("utf-8")
-        record = json.loads(text)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise refuse(f"is unreadable ({exc})") from exc
-    if "assignments" in record or json.dumps(record, indent=2, sort_keys=True) + "\n" != text:
-        raise refuse("is not laid out as the cache writer lays a record out")
-    n = inner_dim + BUNDLE_SIZE[family]
-    if not (all(key in record for key in CACHE_KEYS)
-            and type(record["level"]) is int and type(record["path_length"]) is int
-            and isinstance(record["frame_files"], dict)
-            and _is_vertex_text(record["start"], n)
-            and _is_vertex_text(record["sink"], n)):
-        raise refuse("is not a level record")
-    if record["family"] != family or record["level"] != level:
-        raise ConstructionError("cache file does not match the requested level")
-    for stem, digest in frame_hashes.items():
-        if record["frame_files"].get(stem) != digest:
-            raise ConstructionError(
-                f"cached level {family} {level} was built from another "
-                f"{family}_{stem}.frame (sha256 differs)")
-    if bad is not None:
-        raise refuse(f"line {bad} does not assign a {family} frame to the next inner "
-                     f"vertex of dimension {inner_dim} in text order")
-    return (parse_vertex(record["start"]), parse_vertex(record["sink"]),
-            record["path_length"])
+            w = _ENTRY.fullmatch(want)
+            if not w or shape(_ENTRY.fullmatch(got)) != shape(w):
+                raise refuse(f"line {number} does not hold the writer's key and type "
+                             "of value")
+            what = f'"{w[2].decode()}"'
+        # A frame file that differs is named first, from the file's hashes.
+        f.seek(0)
+        lines, opener = _lines(_cache_chunks(level, hashes)), b'  "frame_files": {\n'
+        if opener in lines and opener in f:
+            for want in lines:
+                if want == _CLOSE:
+                    break
+                if f.readline() != want:
+                    stem = _ENTRY.fullmatch(want)[2].decode()
+                    raise ConstructionError(f"cached level {family} {level.level} was built "
+                                            f"from another {family}_{stem}.frame "
+                                            "(sha256 differs)")
+    raise ConstructionError(f"cached level {family} {level.level} in {path} differs "
+                            f"from its rebuild at {what}")
+
+
+def _lines(chunks):
+    """The lines of the text the chunks spell, as bytes, newlines kept."""
+    carry = b""
+    for chunk in chunks:
+        *lines, carry = (carry + chunk.encode()).split(b"\n")
+        yield from (line + b"\n" for line in lines)
 
 
 def _write_atomic(path: Path, chunks) -> None:
@@ -440,7 +381,7 @@ def _write_atomic(path: Path, chunks) -> None:
         tmp.unlink(missing_ok=True)
 
 
-def _text_numbers(product: ProductOracle, shift: int = 0):
+def _text_numbers(product: ProductOracle, shift: int):
     """The vertex text of each lower path position of the product, then of
     each key of its side dict, read as a binary number and shifted left by
     `shift` bits, one at a time: the numbers order the texts as the texts
@@ -461,9 +402,9 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     json.dumps spells the rest of the record.
 
     The write holds one 8-byte key per lower path position and side key,
-    sorted in place: the vertex text read as a number, shifted left 8 bits
-    and ORed with the frame row, which is 0 where no frame is assigned.  So
-    an inner dimension above 56 raises ConstructionError."""
+    and timsort up to 4 bytes more a key: the vertex text read as a number,
+    shifted left 8 bits and ORed with the frame row, 0 where no frame is
+    assigned.  So an inner dimension above 56 raises ConstructionError."""
     product = level.product
     inner_dim = level.dimension - level.bundle_size
     if product is not None and inner_dim > 56:
@@ -486,13 +427,13 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
         keys = np.fromiter(map(or_, _text_numbers(product, 8),
                                chain(product.rows, product.side.values())),
                            np.uint64, len(product.rows) + len(product.side))
-        keys.sort()
+        # Timsort and Python shifts: the default sort maps 448 KB of numpy
+        # library code into a command, a numpy shift 64 more, timsort 128.
+        keys.sort(kind="stable")
         separator = "\n"
         for i in range(0, len(keys), CACHE_WRITE_BLOCK):
-            block = keys[i:i + CACHE_WRITE_BLOCK]
-            lines = [f'    "{text:0{inner_dim}b}": {names[row]}'
-                     for text, row in zip((block >> 8).tolist(), (block & 255).tolist())
-                     if row]
+            lines = [f'    "{key >> 8:0{inner_dim}b}": {names[key & 255]}'
+                     for key in keys[i:i + CACHE_WRITE_BLOCK].tolist() if key & 255]
             if lines:
                 yield separator + ",\n".join(lines)
                 separator, close = ",\n", "\n  }"
@@ -505,13 +446,14 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     frame files that pass validate_family, the frame gate; if it fails,
     FrameValidationError is raised before any level is built or file written.
 
-    Each level is run once.  A level with a cache file in `cache_dir` is
-    reloaded from it: the record must name the sha256 of the frame bytes
-    built from, and one run must reproduce its length and sink.  Any other
-    level is realized in memory and, if `write`, persisted as JSON, its
-    lines streamed from the product's path bytes.  Existing cache files are
-    left untouched, so a rerun is a no-op.  Every level below `max_level`
-    ends with its memo bound to its path; the top's memo holds nothing.
+    Each level is built by its one adversarial run.  A level with a cache
+    file in `cache_dir` is then checked against it: the file must hold the
+    bytes the writer gives for the built level, frame hashes included, or
+    CacheFileError or ConstructionError is raised (see _refuse_cache).  Any
+    other level is, if `write`, persisted as JSON, its lines streamed from
+    the product's path bytes, so a rerun leaves existing files untouched.
+    Every level below `max_level` ends with its memo bound to its path; the
+    top's memo holds nothing.
     """
     if family not in BUNDLE_SIZE:
         raise ConstructionError(f"unknown family {family!r}")
@@ -524,15 +466,15 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     hashes = {name: spec.sha256 for name, (spec, _) in frames.items()}
     chain: list[tuple[ConstructionLevel, Trace]] = []
     for i in range(max_level + 1):
-        path = None if cache_dir is None else cache_path(Path(cache_dir), family, i)
-        cached = path is not None and path.exists()
         if i == 0:
             built, trace = _realize_base(family, frame_oracles)
         else:
             built, trace = _realize_step(family, i, chain[-1][0], frame_oracles,
-                                         frame_names, hashes, path if cached else None,
-                                         top=i == max_level)
-        if write and path is not None and not cached:
+                                         frame_names, top=i == max_level)
+        path = None if cache_dir is None else cache_path(Path(cache_dir), family, i)
+        if path is not None and path.exists():
+            _check_cache(path, built, hashes)
+        elif path is not None and write:
             path.parent.mkdir(parents=True, exist_ok=True)
             _write_atomic(path, _cache_chunks(built, hashes))
         chain.append((built, trace))
@@ -541,5 +483,6 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
 
 def realize_level(family: str, level: int, frames_dir=None,
                   cache_dir=None) -> tuple[ConstructionLevel, Trace]:
-    """Build (or reload) the family's AUSO A_level and the realizing trace."""
+    """Build the family's AUSO A_level, checked against its cache file if
+    `cache_dir` holds one, and the realizing trace."""
     return realize_range(family, level, frames_dir, cache_dir)[-1]

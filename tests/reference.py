@@ -10,7 +10,7 @@
   by the uniform orientation or by Johnson's reset orientation R_level,
   itself built as a table.  `reference_run` steps a pivot rule on such a
   table from its per-direction definition.  No combinator, memo, stepper
-  state or cache reader is involved.
+  state or cache check is involved.
 - `compare_with_reference` names every way a realized chain differs from
   these tables.
 """

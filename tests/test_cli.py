@@ -255,7 +255,29 @@ def test_cached_level_with_wrong_length_fails(tmp_path, capsys):
         assert main([*argv, "--family", "johnson", "--level", "2",
                      "--cache-dir", str(cache)]) == 1
         err = capsys.readouterr().err
-        assert "does not replay" in err and "Traceback" not in err
+        assert '"path_length"' in err and "Traceback" not in err
+
+
+def test_tampered_assignment_is_refused(tmp_path, capsys):
+    """A cached level whose one assignment names another frame of the
+    family is refused by every command that realizes it, naming the inner
+    vertex, although its frames still replay to the recorded length."""
+    cache = tmp_path / "caches"
+    assert main(["build", "--family", "johnson", "--levels", "0..2",
+                 "--cache-dir", str(cache)]) == 0
+    path = cache / "johnson_level1.json"
+    text = path.read_text()
+    assert '    "0000": "f1",\n' in text
+    path.write_text(text.replace('    "0000": "f1",\n', '    "0000": "f2",\n'))
+    capsys.readouterr()
+    for argv in (["run", "--level", "1", "--trace", str(tmp_path / "j1.jsonl")],
+                 ["verify", "--level", "1", "--mode", "traces"],
+                 ["verify", "--level", "1", "--mode", "exhaustive"],
+                 ["report", "--levels", "0..2", "--out", str(tmp_path / "g.csv")]):
+        assert main([*argv, "--family", "johnson", "--cache-dir", str(cache)]) == 1, argv
+        err = capsys.readouterr().err
+        assert "at assignment 0000" in err and "Traceback" not in err, argv
+    assert not (tmp_path / "j1.jsonl").exists() and not (tmp_path / "g.csv").exists()
 
 
 def _assign(value, key=None):

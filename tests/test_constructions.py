@@ -2,10 +2,14 @@ import itertools
 import json
 import random
 import shutil
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ausokit import constructions, frame_store
 from ausokit.combinators import MemoOracle, ProductOracle, materialize
@@ -22,9 +26,10 @@ from ausokit.constructions import (
     FrameConflictError,
     FrameValidationError,
     _cache_chunks,
-    _read_cache,
+    _check_cache,
     _Unassigned,
     build_reset,
+    cache_path,
     realize_level,
     realize_range,
     rule_state,
@@ -40,7 +45,7 @@ from ausokit.frame_store import (
     resolve_frames_dir,
 )
 from ausokit.pivot_engine import is_saturated, replay, run_to_sink, write_trace_jsonl
-from ausokit.verifier import check_acyclic, check_trace_properties, check_uso_exhaustive
+from ausokit.verifier import check_acyclic, check_uso_exhaustive
 from reference import record
 
 
@@ -188,8 +193,8 @@ def test_level_cache_roundtrip(tmp_path, family, top):
 
 @pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
 def test_one_run_per_level(tmp_path, monkeypatch, family, top):
-    """A built level is run once, by the adversary; a reloaded level is run
-    once, on the frames its cache records."""
+    """Every level is run once, by the adversary, whether its cache file is
+    yet to be written or is there to be checked."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -206,7 +211,7 @@ def test_one_run_per_level(tmp_path, monkeypatch, family, top):
 @pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
 @pytest.mark.parametrize("cached", [False, True], ids=["build", "reload"])
 def test_levels_below_the_top_pair_are_frozen(tmp_path, family, top, cached):
-    """After realize_range, built in memory or reloaded, every memo below
+    """After realize_range, with or without cache files to check, every memo below
     the top, the top pair's lower one included, is frozen on its level's
     path (bound to it, holding its |P| + 1 outmaps) and the top's memo holds
     nothing, also once read; every product above level 1 holds one assigned frame byte per
@@ -254,8 +259,10 @@ def test_one_frame_read_per_realize_range(monkeypatch):
 
 def test_wide_cache_record_roundtrip(tmp_path, cunningham_frames):
     """A record of inner dimension 56 with keys at and above 2^53, on the
-    inner memo's path and off it, is written from the product's columns
-    and read back onto the same path positions and side keys, exactly."""
+    inner memo's path and off it, is written from the product's columns,
+    and the file is the receipt of the same level: unchanged, it passes the
+    check, and a line flipped to another frame at such a key is named
+    exactly."""
     frames = {name: oracle for name, (_, oracle) in cunningham_frames.items()}
     names = {oracle: name for name, oracle in frames.items()}
     hashes = {name: spec.sha256 for name, (spec, _) in cunningham_frames.items()}
@@ -271,16 +278,17 @@ def test_wide_cache_record_roundtrip(tmp_path, cunningham_frames):
                               frame_names=names, default_frame="f3")
     path = tmp_path / "cunningham_level14.json"
     path.write_text("".join(_cache_chunks(level, hashes)), encoding="utf-8")
-    record_read = json.loads(path.read_text(encoding="utf-8"))
-    assert record_read["assignments"] == {vertex_text(v, 56): names[f]
-                                          for v, f in overrides.items()}
-    read = ProductOracle(inner, frames["f3"])
-    assert _read_cache(path, "cunningham", 14, frames, hashes, read) == (1 << 59, 0, 7)
-    assert dict(read.items()) == overrides
-    assert [read.frames[row] for row in read.rows] == [product.frames[row]
-                                                        for row in product.rows]
-    assert {v: read.frames[row] for v, row in read.side.items()} == {
-        v: f for v, f in overrides.items() if v not in walk}
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text)["assignments"] == {vertex_text(v, 56): names[f]
+                                               for v, f in overrides.items()}
+    _check_cache(path, level, hashes)
+    for v in ((1 << 53) + 1, (1 << 55) | 5):  # on the path and off it
+        line = f'    "{vertex_text(v, 56)}": "{names[overrides[v]]}"'
+        assert text.count(line) == 1
+        path.write_text(text.replace(line, line.replace('"f1"', '"f3"')
+                                                 .replace('"f2"', '"f1"')))
+        with pytest.raises(ConstructionError, match=f"at assignment {vertex_text(v, 56)}$"):
+            _check_cache(path, level, hashes)
 
 
 def test_cache_write_is_atomic(tmp_path, monkeypatch):
@@ -395,6 +403,57 @@ def test_cache_write_heap_grows_by_a_key_per_assignment():
     assert per_key < 12, per_key
 
 
+def test_cache_check_heap_stays_at_the_build():
+    """Checking cunningham 0..9 against the cache files its cold build wrote
+    peaks within 32 KiB of that build under tracemalloc (about 9 KB above
+    it when measured): the check holds the writer's one key array and a
+    chunk of each side at a time, where the reader that loaded the levels
+    held a sorted Python list per level and peaked about 1.3 MB above."""
+    def peak(**kwargs):
+        tracemalloc.start()
+        try:
+            realize_range("cunningham", 9, **kwargs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    realize_range("cunningham", 1)  # first-use caches
+    with tempfile.TemporaryDirectory() as cache:
+        build = peak(cache_dir=cache)
+        check = peak(cache_dir=cache, write=False)
+    assert check - build < 32 << 10, (build, check)
+
+
+@pytest.fixture(scope="module")
+def cunningham_johnson_records(tmp_path_factory):
+    """The cache records of levels 1..3 of cunningham and johnson."""
+    records = {}
+    for family in ("cunningham", "johnson"):
+        cache = tmp_path_factory.mktemp(family)
+        realize_range(family, 3, cache_dir=cache)
+        for level in range(1, 4):
+            records[family, level] = cache_path(cache, family, level).read_text()
+    return records
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_flipped_assignment_is_refused_by_name(cunningham_johnson_records, data):
+    """A cached cunningham or johnson level of at most 3 whose one
+    assignment line names another frame of the family raises
+    ConstructionError naming that inner vertex."""
+    family, level = data.draw(st.sampled_from(sorted(cunningham_johnson_records)))
+    lines = cunningham_johnson_records[family, level].splitlines(keepends=True)
+    i = data.draw(st.integers(2, lines.index("  },\n") - 1))  # an assignment line
+    vertex, frame = json.loads("{" + lines[i].rstrip(",\n") + "}").popitem()
+    other = data.draw(st.sampled_from([f for f in FAMILY_FRAMES[family] if f != frame]))
+    lines[i] = lines[i].replace(f'"{frame}"', f'"{other}"')
+    with tempfile.TemporaryDirectory() as cache:
+        cache_path(Path(cache), family, level).write_text("".join(lines))
+        with pytest.raises(ConstructionError, match=f"at assignment {vertex}$"):
+            realize_range(family, level, cache_dir=cache, write=False)
+
+
 def test_cached_level_serves_same_oracle(tmp_path):
     built, _ = realize_level("zadeh", 1, cache_dir=tmp_path)
     reloaded, _ = realize_level("zadeh", 1, cache_dir=tmp_path)
@@ -475,10 +534,12 @@ def test_builder_geometry_matches_frame_labels(family):
     assert starting_vertex(family, 0) == labels["box1"]
 
 
-def test_cached_off_path_assignment_reloads(tmp_path):
+def test_cached_off_path_assignment_is_refused(tmp_path):
     """A level record that gains one valid assignment line for an inner
-    vertex off the lower path reloads with the same run and the same
-    verdicts: the frame lands in the product's side dict and answers there."""
+    vertex off the lower path keeps the writer's layout, but it is not the
+    built level's record: realizing the chain over it raises
+    ConstructionError (exit 1) naming the off-path vertex, and leaves the
+    file as it is."""
     built = realize_range("cunningham", 3, cache_dir=tmp_path)
     lower_path = set(built[1][1].vertices())
     off = next(v for v in range(1 << 8) if v not in lower_path)
@@ -489,19 +550,10 @@ def test_cached_off_path_assignment_reloads(tmp_path):
                    + [f'    "{vertex_text(off, 8)}": "f2"'])
     path.write_text("".join(lines[:2]) + ",\n".join(block) + "\n"
                     + "".join(lines[close:]), encoding="utf-8")
-    reloaded = realize_range("cunningham", 3, cache_dir=tmp_path)
-    for (a, ta), (b, tb) in zip(built, reloaded):
-        assert bytes(ta.moves) == bytes(tb.moves) and (ta.end, len(ta)) == (tb.end, len(tb))
-    level, trace = reloaded[2]
-    assert level.assignments == {**built[2][0].assignments, off: "f2"}
-    assert list(level.product.side) == [off]
-    f2 = load_family("cunningham")["f2"][1]
-    for o in range(16):
-        assert level.product.evaluate(off | o << 8) == (
-            built[1][0].oracle.evaluate(off) | f2.evaluate(o) << 8)
-    for (lvl, tr), (_, lower) in zip(reloaded[1:], reloaded):
-        assert check_trace_properties(lvl, tr, lower).passed
-    assert check_uso_exhaustive(level.oracle).passed and check_acyclic(level.oracle).passed
+    text = path.read_bytes()
+    with pytest.raises(ConstructionError, match=f"at assignment {vertex_text(off, 8)}$"):
+        realize_range("cunningham", 3, cache_dir=tmp_path)
+    assert path.read_bytes() == text
 
 
 def test_second_walk_demanding_another_frame_conflicts_at_a_path_position(monkeypatch):
