@@ -16,12 +16,7 @@ from .cube_core import (
     face_sink,
     is_available,
 )
-from .combinators import (
-    ProductOracle,
-    external_outmap_uniform,
-    materialize,
-    reorient_face,
-)
+from .combinators import ProductOracle
 from .pivot_engine import (
     CunninghamState,
     JohnsonState,

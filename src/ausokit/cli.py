@@ -5,10 +5,10 @@ level whose cache file is missing in memory.
 
 Exit codes: 0 success, 1 property violation (frame files that fail their
 family's validation, or a cached level that differs from its rebuild, count
-as one), 2 usage or configuration error (a missing or unparsable frame file,
-a cache file the cache writer could not have written, a negative level, a
-verify mode or option the level cannot take, or a path that cannot be read
-or written), 3 resource limit.
+as one), 2 usage or configuration error (a frame file that is missing,
+unparsable or not of its family's dimension, a cache file the cache writer
+could not have written, a negative level, a verify mode or option the level
+cannot take, or a path that cannot be read or written), 3 resource limit.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Oracle combinators: product composition and face reorientation.
+"""Oracle combinators: product composition and low-face reorientation.
 
 Both are lazy: the returned oracles evaluate on demand and never
 materialize the composed cube, so deeply nested compositions stay cheap.
@@ -35,29 +35,17 @@ import numpy as np
 
 from .cube_core import (
     CubeError,
-    Face,
     OrientationOracle,
-    TableOracle,
     tabulate,
 )
 
-DEFAULT_FACE_ENUM_CAP = 1 << 20
-MATERIALIZE_MAX_DIM = 20
+FRAME_TABLE_MAX_DIM = 20  # a product tabulates frames of at most this many dimensions
 TABLE_MAX_DIM = 16  # a memo of at most this many dimensions answers batches from a table
 _TABLE_BLOCK = 1 << 14  # vertices per base batch while a memo fills its table
 
 
 class CombinatorError(CubeError):
     pass
-
-
-class ReorientationError(CombinatorError):
-    """The face's vertices disagree on their external outmap."""
-
-    def __init__(self, face: Face, witness: tuple[int, int]):
-        super().__init__(f"external outmap not uniform on face: vertices {witness}")
-        self.face = face
-        self.witness = witness
 
 
 # The bit that a trace's move byte flips: 1 << its direction's coordinate.
@@ -232,10 +220,10 @@ class ProductOracle(OrientationOracle):
         `rows` and `side` become read-only; a batch that raises leaves them
         open."""
         outer_dim = self.dimension - self.inner.dimension
-        if outer_dim > MATERIALIZE_MAX_DIM:
+        if outer_dim > FRAME_TABLE_MAX_DIM:
             raise CombinatorError(
                 f"refusing to tabulate {outer_dim}-dimensional frames "
-                f"(max {MATERIALIZE_MAX_DIM})")
+                f"(max {FRAME_TABLE_MAX_DIM})")
         key_column, rows = self._columns()
         keys = np.frombuffer(key_column, dtype=np.uint64)
         distinct = list({id(frame): frame for frame in self.frames}.values())
@@ -281,109 +269,31 @@ class ProductOracle(OrientationOracle):
         return out
 
 
-def external_outmap_uniform(oracle: OrientationOracle, face: Face):
-    """Check the reorientation precondition by enumerating the face.
-
-    Returns (True, shared_external, None) or (False, None, (v, w)) with a
-    witness pair of face vertices whose external outmaps differ.
-    """
-    if 1 << face.dimension > DEFAULT_FACE_ENUM_CAP:
-        raise CombinatorError(f"face with 2^{face.dimension} vertices exceeds "
-                              f"enumeration cap {DEFAULT_FACE_ENUM_CAP}")
-    it = face.vertices()
-    first = next(it)
-    external = oracle.evaluate(first) & ~face.free
-    for v in it:
-        if oracle.evaluate(v) & ~face.free != external:
-            return False, None, (first, v)
-    return True, external, None
-
-
-class _BitCompressor:
-    """Maps between subsets of an arbitrary free mask and dense low bits.
-
-    Works on an int or elementwise on a uint64 array alike.
-    """
-
-    def __init__(self, free: int):
-        self.bits = [i for i in range(free.bit_length()) if (free >> i) & 1]
-
-    def compress(self, v):
-        out = 0
-        for j, i in enumerate(self.bits):
-            out |= ((v >> i) & 1) << j
-        return out
-
-    def expand(self, w):
-        out = 0
-        for j, i in enumerate(self.bits):
-            out |= ((w >> j) & 1) << i
-        return out
-
-
 class ReorientedOracle(OrientationOracle):
-    """Overlay oracle: inside the face the replacement orients the free
-    coordinates and the shared external outmap is kept; outside, the base."""
+    """Overlay oracle: on the face of the low replacement.dimension
+    coordinates at `anchor`, the replacement orients those coordinates and
+    the shared external outmap is kept; outside it, the base."""
 
-    def __init__(self, base: OrientationOracle, face: Face,
+    def __init__(self, base: OrientationOracle, anchor: int,
                  replacement: OrientationOracle, shared_external: int):
-        if replacement.dimension != face.dimension:
-            raise CombinatorError("replacement dimension must equal the face dimension")
         self.base = base
-        self.face = face
         self.replacement = replacement
         self.shared_external = shared_external
         self.dimension = base.dimension
-        low = (1 << face.dimension) - 1
-        self._identity = face.free == low
-        self._comp = None if self._identity else _BitCompressor(face.free)
         # v is in the face iff v | free == anchor | free.
-        self._free, self._closure = face.free, face.anchor | face.free
+        self._free = (1 << replacement.dimension) - 1
+        self._closure = anchor | self._free
 
     def evaluate(self, v: int) -> int:
         if v | self._free != self._closure:
             return self.base.evaluate(v)
-        if self._identity:
-            inner = self.replacement.evaluate(v & self._free)
-        else:
-            inner = self._comp.expand(self.replacement.evaluate(self._comp.compress(v)))
-        return inner | self.shared_external
+        return self.replacement.evaluate(v & self._free) | self.shared_external
 
     def evaluate_many(self, vs: np.ndarray) -> np.ndarray:
         """The base on the whole batch, then the face's rows overwritten."""
         out = self.base.evaluate_many(vs)
         inside = (vs | np.uint64(self._free)) == np.uint64(self._closure)
         if inside.any():
-            w = vs[inside]
-            if self._identity:
-                inner = self.replacement.evaluate_many(w & np.uint64(self._free))
-            else:
-                inner = self._comp.expand(
-                    self.replacement.evaluate_many(self._comp.compress(w)))
-            out[inside] = inner | np.uint64(self.shared_external)
+            out[inside] = (self.replacement.evaluate_many(vs[inside] & np.uint64(self._free))
+                           | np.uint64(self.shared_external))
         return out
-
-
-def reorient_face(base: OrientationOracle, face: Face,
-                  replacement: OrientationOracle) -> ReorientedOracle:
-    """Install `replacement` on the face, keeping the shared external outmap.
-
-    The precondition is verified over the whole face; a failure raises
-    ReorientationError with a witness pair.  (The recursive builders build
-    ReorientedOracle directly: they justify the precondition frame by frame
-    instead of enumerating exponentially large faces.)
-    """
-    ok, external, witness = external_outmap_uniform(base, face)
-    if not ok:
-        raise ReorientationError(face, witness)
-    return ReorientedOracle(base, face, replacement, external)
-
-
-def materialize(oracle: OrientationOracle) -> TableOracle:
-    """Eager table of the oracle; refused above MATERIALIZE_MAX_DIM to
-    protect memory."""
-    n = oracle.dimension
-    if n > MATERIALIZE_MAX_DIM:
-        raise CombinatorError(
-            f"refusing to materialize a {n}-cube (max {MATERIALIZE_MAX_DIM})")
-    return TableOracle(n, [oracle.evaluate(v) for v in range(1 << n)])

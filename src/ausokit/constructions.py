@@ -35,7 +35,6 @@ import numpy as np
 from .cube_core import (
     CubeError,
     Direction,
-    Face,
     OrientationOracle,
     TableOracle,
     UniformOracle,
@@ -47,6 +46,7 @@ from .combinators import (
     ReorientedOracle,
 )
 from .frame_store import (
+    FRAME_DIM as BUNDLE_SIZE,  # a level adds one frame's coordinates
     johnson_tie_order,
     load_family,
     tie_pattern_cunningham,
@@ -62,7 +62,6 @@ from .pivot_engine import (
     run_to_sink,
 )
 
-BUNDLE_SIZE = {"cunningham": 4, "johnson": 4, "zadeh": 6}
 BASE_FRAME = {"cunningham": "f3", "johnson": "f1", "zadeh": "a0"}
 DEFAULT_FRAME = {"cunningham": "f3", "johnson": "f1", "zadeh": "f3"}
 # Local bundle coordinates (0-based) of the gadget face anchor and of its
@@ -226,7 +225,7 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     # The product of the previous level with one frame per inner vertex,
     # with the gadget face reoriented to `replacement`.
     product = ProductOracle(prev.oracle, _Unassigned(default.dimension))
-    oracle = MemoOracle(ReorientedOracle(product, Face(anchor, inner_mask), replacement,
+    oracle = MemoOracle(ReorientedOracle(product, anchor, replacement,
                                          _bundle_bits(inner_dim, GADGET_EXTERNAL[family])))
 
     def decide(vi: int, pos: int) -> str:
@@ -449,7 +448,7 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     Each level is built by its one adversarial run.  A level with a cache
     file in `cache_dir` is then checked against it: the file must hold the
     bytes the writer gives for the built level, frame hashes included, or
-    CacheFileError or ConstructionError is raised (see _refuse_cache).  Any
+    CacheFileError or ConstructionError is raised (see _check_cache).  Any
     other level is, if `write`, persisted as JSON, its lines streamed from
     the product's path bytes, so a rerun leaves existing files untouched.
     Every level below `max_level` ends with its memo bound to its path; the

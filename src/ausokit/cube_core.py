@@ -94,9 +94,6 @@ class Face:
     def dimension(self) -> int:
         return self.free.bit_count()
 
-    def __contains__(self, v: int) -> bool:
-        return (v & ~self.free) == self.anchor
-
     def vertices(self):
         """Iterate the 2^dim vertices of the face."""
         free = self.free

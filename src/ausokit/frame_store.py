@@ -10,7 +10,7 @@ File format (UTF-8, line based):
     back <bits> <k>       backward edge between <bits> (bit k zero) and
                           <bits> with bit k set, oriented toward <bits>;
                           k is 1-based, leftmost bit is coordinate 1
-    label <name> <bits>   named position
+    label <name> <bits>   named position, each name once
     # comment / blank     ignored
 """
 
@@ -49,6 +49,7 @@ from .verifier import (
 )
 
 FAMILIES = ("cunningham", "johnson", "zadeh")
+FRAME_DIM = {"cunningham": 4, "johnson": 4, "zadeh": 6}  # the dim of a family's frames
 ENV_FRAMES_DIR = "AUSOKIT_FRAMES_DIR"
 
 # CPython's own SHA-256, the one hashlib falls back to without OpenSSL:
@@ -93,6 +94,15 @@ def parse_frame(text: str, name: str = "", family: str = "") -> FrameSpec:
     backs: list[tuple[int, int]] = []
     labels: dict[str, int] = {}
     seen = set()
+
+    def vertex(word: str) -> int:  # the vertex a `dim`-bit word on line line_no names
+        if len(word) != dim:
+            raise FrameParseError(f"vertex width {len(word)} does not match dim {dim}", line_no)
+        try:
+            return parse_vertex(word)
+        except CubeError as exc:
+            raise FrameParseError(str(exc), line_no) from exc
+
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -106,14 +116,10 @@ def parse_frame(text: str, name: str = "", family: str = "") -> FrameSpec:
         if parts[0] == "back":
             if len(parts) != 3:
                 raise FrameParseError("expected 'back <bits> <k>'", line_no)
-            bits_text, k_text = parts[1], parts[2]
-            if len(bits_text) != dim:
-                raise FrameParseError(
-                    f"vertex width {len(bits_text)} does not match dim {dim}", line_no)
+            bits_text, bits = parts[1], vertex(parts[1])
             try:
-                bits = parse_vertex(bits_text)
-                k = int(k_text)
-            except (CubeError, ValueError) as exc:
+                k = int(parts[2])
+            except ValueError as exc:
                 raise FrameParseError(str(exc), line_no) from exc
             if not 1 <= k <= dim:
                 raise FrameParseError(f"coordinate {k} outside 1..{dim}", line_no)
@@ -126,10 +132,9 @@ def parse_frame(text: str, name: str = "", family: str = "") -> FrameSpec:
         elif parts[0] == "label":
             if len(parts) != 3:
                 raise FrameParseError("expected 'label <name> <bits>'", line_no)
-            if len(parts[2]) != dim:
-                raise FrameParseError(
-                    f"vertex width {len(parts[2])} does not match dim {dim}", line_no)
-            labels[parts[1]] = parse_vertex(parts[2])
+            if parts[1] in labels:
+                raise FrameParseError(f"duplicate label {parts[1]}", line_no)
+            labels[parts[1]] = vertex(parts[2])
         else:
             raise FrameParseError(f"unknown directive {parts[0]!r}", line_no)
     if dim is None:
@@ -182,6 +187,8 @@ def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, Tabl
             raise CubeError(f"missing frame transcription {path}")
         data = path.read_bytes()
         spec = parse_frame(data.decode("utf-8"), name=stem, family=family)
+        if spec.dim != FRAME_DIM[family]:  # before its 2^dim table is built
+            raise CubeError(f"frame file {path} has dim {spec.dim}, not {FRAME_DIM[family]}")
         spec.sha256 = _sha256(data).hexdigest()
         out[stem] = (spec, oracle_from_spec(spec))
     return out

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -8,8 +9,11 @@ from pathlib import Path
 import pytest
 
 import ausokit
-from ausokit import cli
+from ausokit import cli, frame_store
 from ausokit.cli import main
+from ausokit.constructions import realize_range
+from ausokit.cube_core import CubeError
+from ausokit.frame_store import oracle_from_spec
 
 
 def test_build_run_report_verify_flow(tmp_path, capsys):
@@ -222,6 +226,35 @@ def test_commands_refuse_frames_that_fail_validation(tmp_path, capsys):
     assert refused(["run", "--level", "2", "--trace", str(tmp_path / "c2.jsonl")])
     assert [p.name for p in cache.iterdir()] == ["cunningham_level2.json"]
     assert not (tmp_path / "c2.jsonl").exists()
+
+
+def test_frame_of_another_dimension_is_refused_before_its_table(tmp_path, capsys,
+                                                                monkeypatch):
+    """A family frame file whose dim is not its family's frame dimension,
+    here cunningham_f1.frame reduced to `dim 12`, is refused by name with
+    exit 2 by build, verify (--all-frames or a level) and realize_range,
+    before any table of its 2^12 vertices is built."""
+    frames = tmp_path / "frames"
+    shutil.copytree(Path(ausokit.__file__).parent / "frames", frames)
+    f1 = frames / "cunningham_f1.frame"
+    f1.write_text("dim 12\n")
+    tabulated = []
+
+    def tabulating(spec):
+        tabulated.append(spec.dim)
+        return oracle_from_spec(spec)
+
+    monkeypatch.setattr(frame_store, "oracle_from_spec", tabulating)
+    named = f"frame file {f1} has dim 12, not 4"
+    for argv in (["build", "--family", "cunningham", "--levels", "0..1"],
+                 ["verify", "--all-frames"],
+                 ["verify", "--family", "cunningham", "--level", "1", "--mode", "traces"]):
+        code = main([*argv, "--frames-dir", str(frames), "--cache-dir", str(tmp_path / "c")])
+        err = capsys.readouterr().err
+        assert code == 2 and named in err and "Traceback" not in err, (argv, err)
+    with pytest.raises(CubeError, match=re.escape(named)):
+        realize_range("cunningham", 1, frames)
+    assert 12 not in tabulated and not (tmp_path / "c").exists()
 
 
 def test_cached_level_with_other_frame_hash_fails(tmp_path, capsys):

@@ -8,18 +8,19 @@ from hypothesis import strategies as st
 
 from ausokit import constructions
 from ausokit.combinators import (
-    MATERIALIZE_MAX_DIM,
+    FRAME_TABLE_MAX_DIM,
     TABLE_MAX_DIM,
     CombinatorError,
     MemoOracle,
     ProductOracle,
-    ReorientationError,
     ReorientedOracle,
-    external_outmap_uniform,
-    materialize,
-    reorient_face,
 )
-from ausokit.constructions import ConstructionError, cache_path, realize_range
+from ausokit.constructions import (
+    GADGET_EXTERNAL,
+    ConstructionError,
+    cache_path,
+    realize_range,
+)
 from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
 from ausokit.frame_store import load_family
 from ausokit.pivot_engine import run_to_sink
@@ -55,52 +56,42 @@ def test_product_random_frame_pairs(cunningham_frames, johnson_frames):
         assert check_acyclic(combined).passed
 
 
-def test_external_outmap_uniform_zero_dim_face():
-    o = UniformOracle(3, 0b101)
-    ok, external, witness = external_outmap_uniform(o, Face(0b010, 0))
-    assert ok and witness is None
-    assert external == o.evaluate(0b010)
-
-
 def test_external_outmap_uniform_gadget_faces(built_levels):
-    """Before the gadget reorientation, the balance/reset faces of the
-    level-1 products show one shared external outmap."""
-    from ausokit.constructions import GADGET_ANCHOR, GADGET_EXTERNAL
-    from ausokit.combinators import ProductOracle
-    for family, want_bits in (("cunningham", (0,)), ("johnson", (1,))):
+    """Before the gadget reorientation, the gadget faces of the level-1
+    products show one shared external outmap, read in one batch."""
+    for family, want_bits in (("cunningham", (0,)), ("johnson", (1,)), ("zadeh", (3, 4, 5))):
         level1 = built_levels[family][1][0]
-        base = level1.oracle.base.base  # MemoOracle -> ReorientedOracle -> product
-        assert isinstance(base, ProductOracle)
+        product = level1.oracle.base.base  # MemoOracle -> ReorientedOracle -> product
+        assert isinstance(product, ProductOracle)
         inner_dim = level1.dimension - level1.bundle_size
-        anchor = sum(1 << (inner_dim + k) for k in GADGET_ANCHOR[family])
-        ok, external, witness = external_outmap_uniform(
-            base, Face(anchor, (1 << inner_dim) - 1))
-        assert ok, witness
-        assert external == sum(1 << (inner_dim + k) for k in GADGET_EXTERNAL[family])
+        face = np.arange(1 << inner_dim, dtype=np.uint64) | np.uint64(level1.gadget_anchor)
+        external = product.evaluate_many(face) >> np.uint64(inner_dim)
+        assert set(external.tolist()) == {sum(1 << k for k in want_bits)}
         assert want_bits == GADGET_EXTERNAL[family]
+
+
+def _low_face_reorientation(rng, base, replacement):
+    """`base` with the face of the low replacement.dimension coordinates at
+    a random anchor reoriented to `replacement`, keeping the anchor's
+    external outmap, and that face's free set and closure (anchor | free)."""
+    free = (1 << replacement.dimension) - 1
+    anchor = rng.getrandbits(base.dimension) & ~free
+    out = ReorientedOracle(base, anchor, replacement, base.evaluate(anchor) & ~free)
+    return out, free, anchor | free
 
 
 def test_reorient_flips_single_edge_of_2cube():
     base = UniformOracle(2, 0)
     # the only other 1-USO on a single coordinate: sink at the far end
     replacement = UniformOracle(1, 1)
-    face = Face(0b10, 0b01)
-    out = reorient_face(base, face, replacement)
+    out = ReorientedOracle(base, 0b10, replacement, base.evaluate(0b10) & ~0b01)
     for v in range(4):
         for c in range(2):
             sinks = [u for u in Face(v & ~(1 << c), 1 << c).vertices()
                      if not out.evaluate(u) & (1 << c)]
             assert len(sinks) == 1
     assert out.evaluate(0b10) & 0b01  # flipped edge now leaves the face vertex
-    assert check_uso_exhaustive(materialize(out)).passed
-
-
-def test_reorient_precondition_failure_witness():
-    # the two face vertices disagree on the external coordinate
-    table = TableOracle(2, [0b11, 0b01, 0b10, 0b00])
-    with pytest.raises(ReorientationError) as exc:
-        reorient_face(table, Face(0, 0b01), UniformOracle(1, 0))
-    assert len(exc.value.witness) == 2
+    assert check_uso_exhaustive(out).passed
 
 
 def test_reorient_locality():
@@ -108,42 +99,26 @@ def test_reorient_locality():
     for _ in range(50):
         n = 5
         base = UniformOracle(n, rng.getrandbits(n))
-        free = 0
-        for c in rng.sample(range(n), 2):
-            free |= 1 << c
-        face = Face(rng.getrandbits(n) & ~free, free)
         replacement = UniformOracle(2, rng.getrandbits(2))
-        out = reorient_face(base, face, replacement)
+        out, free, closure = _low_face_reorientation(rng, base, replacement)
         for v in range(1 << n):
-            if v in face:
+            if v | free == closure:
                 assert (out.evaluate(v) & ~free) == (base.evaluate(v) & ~free)
+                assert out.evaluate(v) & free == replacement.evaluate(v & free)
             else:
                 assert out.evaluate(v) == base.evaluate(v)
 
 
 def test_reorient_preserves_uso_randomized(cunningham_frames, johnson_frames):
+    """100 uniform 8-cubes with a random sink, each with the low 4-face at
+    a random anchor reoriented to a random transcribed 4-frame."""
     pool = [cunningham_frames[n][1] for n in ("f1", "f2", "f3")]
     pool += [johnson_frames[n][1] for n in ("f1", "f2", "r1")]
     rng = random.Random(23)
     for _ in range(100):
         base = UniformOracle(8, rng.getrandbits(8))
-        free = 0
-        for c in rng.sample(range(8), 4):
-            free |= 1 << c
-        face = Face(rng.getrandbits(8) & ~free, free)
-        out = reorient_face(base, face, rng.choice(pool))
-        assert check_uso_exhaustive(materialize(out), mode="pairwise").passed
-
-
-def test_materialize_cap():
-    class Wide:
-        dimension = 24
-
-        def evaluate(self, v):
-            return 0
-
-    with pytest.raises(CombinatorError):
-        materialize(Wide())
+        out, _, _ = _low_face_reorientation(rng, base, rng.choice(pool))
+        assert check_uso_exhaustive(out, mode="pairwise").passed
 
 
 def test_memo_oracle_consistency():
@@ -151,14 +126,6 @@ def test_memo_oracle_consistency():
     memo = MemoOracle(base)
     assert all(memo.evaluate(v) == base.evaluate(v) for v in range(16))
     assert all(memo.evaluate(v) == base.evaluate(v) for v in range(16))
-
-
-def test_external_outmap_enumeration_cap():
-    # 2^21 vertices exceed DEFAULT_FACE_ENUM_CAP = 2^20; the check raises
-    # before enumerating any of them.
-    o = UniformOracle(21, 0)
-    with pytest.raises(CombinatorError):
-        external_outmap_uniform(o, Face(0, (1 << 21) - 1))
 
 
 @st.composite
@@ -173,8 +140,8 @@ def _leaf_oracles(draw, n):
 @st.composite
 def _compositions(draw):
     """Random stacks of products (sparse frame overrides, sometimes at the
-    smallest and largest inner vertex) and face reorientations (mostly on
-    free sets that are not the low coordinates), some memoized."""
+    smallest and largest inner vertex) and reorientations of a low face at
+    a random anchor, some memoized."""
     oracle = draw(_leaf_oracles(draw(st.integers(0, 3))))
     for _ in range(draw(st.integers(1, 4))):
         n = oracle.dimension
@@ -187,12 +154,10 @@ def _compositions(draw):
             oracle = ProductOracle(oracle, draw(st.sampled_from(pool)),
                                    {k: draw(st.sampled_from(pool)) for k in keys})
         else:
-            coords = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
-            free = sum(1 << c for c in coords)
-            anchor = draw(st.integers(0, (1 << n) - 1)) & ~free
-            external = draw(st.integers(0, (1 << n) - 1)) & ~free
-            oracle = ReorientedOracle(oracle, Face(anchor, free),
-                                      draw(_leaf_oracles(len(coords))), external)
+            m = draw(st.integers(1, min(n, 4)))
+            anchor = draw(st.integers(0, (1 << n) - 1))
+            external = draw(st.integers(0, (1 << n) - 1)) >> m << m
+            oracle = ReorientedOracle(oracle, anchor, draw(_leaf_oracles(m)), external)
         if draw(st.booleans()):
             oracle = MemoOracle(oracle)
     return oracle
@@ -375,13 +340,12 @@ def _path_compositions(draw):
             ref = DictProduct(ref, default, overrides)
             assert oracle.items() == sorted(overrides.items(), key=lambda kv: kv[0])
         else:
-            coords = draw(st.sets(st.integers(0, n - 1), min_size=1, max_size=4))
-            free = sum(1 << c for c in coords)
-            anchor = draw(st.integers(0, (1 << n) - 1)) & ~free
-            external = draw(st.integers(0, (1 << n) - 1)) & ~free
-            replacement = draw(_leaf_oracles(len(coords)))
-            oracle = ReorientedOracle(oracle, Face(anchor, free), replacement, external)
-            ref = ReorientedOracle(ref, Face(anchor, free), replacement, external)
+            m = draw(st.integers(1, min(n, 4)))
+            anchor = draw(st.integers(0, (1 << n) - 1))
+            external = draw(st.integers(0, (1 << n) - 1)) >> m << m
+            replacement = draw(_leaf_oracles(m))
+            oracle = ReorientedOracle(oracle, anchor, replacement, external)
+            ref = ReorientedOracle(ref, anchor, replacement, external)
         if draw(st.booleans()):
             oracle = MemoOracle(oracle)
             walk = _walk(draw, oracle.dimension)
@@ -446,7 +410,7 @@ def levels_and_references(tmp_path_factory):
             gadget = level.oracle.base
             refs.append(ReorientedOracle(
                 DictProduct(refs[-1], frames[record["default_frame"]], overrides),
-                gadget.face, gadget.replacement, gadget.shared_external))
+                level.gadget_anchor, gadget.replacement, gadget.shared_external))
         out[family] = chain, refs
     return out
 
@@ -567,7 +531,7 @@ def test_frame_map_intervals(cunningham_frames, keys):
 
 
 def test_frame_map_table_cap():
-    wide = UniformOracle(MATERIALIZE_MAX_DIM + 1, 0)
+    wide = UniformOracle(FRAME_TABLE_MAX_DIM + 1, 0)
     product = ProductOracle(UniformOracle(2, 0), wide)
     # Single evaluations still work: inner vertex 1, outer vertex 5.
     assert product.evaluate(1 | 5 << 2) == 1 | 5 << 2

@@ -50,6 +50,20 @@ def test_parse_error_line_numbers():
         parse_frame("# only comments\n")
 
 
+def test_label_with_a_bad_vertex_names_its_line():
+    with pytest.raises(FrameParseError, match="^line 2: bad vertex text '0x'$") as exc:
+        parse_frame("dim 2\nlabel a 0x\n")
+    assert exc.value.line == 2
+
+
+def test_repeated_label_is_refused():
+    """A label named twice is refused at its second line, as a repeated
+    backward edge is, rather than overwritten."""
+    with pytest.raises(FrameParseError, match="^line 3: duplicate label a$") as exc:
+        parse_frame("dim 2\nlabel a 01\nlabel a 10\n")
+    assert exc.value.line == 3
+
+
 def test_roundtrip_through_text(johnson_frames):
     spec, oracle = johnson_frames["f2"]
     again = parse_frame(spec.to_text(), name=spec.name, family=spec.family)

@@ -50,6 +50,21 @@ def test_imports_are_module_level_and_follow_the_order():
                     assert ORDER.index(n.module) < rank, (path.name, n.module)
 
 
+def test_every_imported_name_is_used():
+    """Every name a module other than __init__ (which re-exports) imports
+    is read in that module; pyflakes' unused-import check, by AST."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(a.asname or a.name).split(".")[0] for n in ast.walk(tree)
+                    if isinstance(n, ast.Import)
+                    or isinstance(n, ast.ImportFrom) and n.module != "__future__"
+                    for a in n.names}
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        assert imported <= read, f"{path.name} imports unused {sorted(imported - read)}"
+
+
 def test_no_module_imports_a_private_name_of_another():
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))

@@ -351,7 +351,7 @@ def test_sampled_batches_stay_within_the_block(built_levels):
 def _random_composition(rng):
     """A 10-cube orientation (not necessarily a USO): a random 4-cube table,
     twice a product with 3-cube frames on sparse overrides followed by a
-    reorientation of a random 3-face."""
+    reorientation of the low 3-face at a random anchor."""
     oracle = TableOracle(4, [rng.getrandbits(4) for _ in range(16)])
     for _ in range(2):
         n = oracle.dimension
@@ -359,11 +359,10 @@ def _random_composition(rng):
                 TableOracle(3, [rng.getrandbits(3) for _ in range(8)])]
         overrides = {rng.getrandbits(n): rng.choice(pool) for _ in range(6)}
         oracle = ProductOracle(oracle, rng.choice(pool), overrides)
-        free = sum(1 << c for c in rng.sample(range(n + 3), 3))
         oracle = ReorientedOracle(
-            oracle, Face(rng.getrandbits(n + 3) & ~free, free),
+            oracle, rng.getrandbits(n + 3) & ~0b111,
             TableOracle(3, [rng.getrandbits(3) for _ in range(8)]),
-            rng.getrandbits(n + 3) & ~free)
+            rng.getrandbits(n + 3) & ~0b111)
     return oracle
 
 
