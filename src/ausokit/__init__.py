@@ -31,8 +31,6 @@ from .constructions import (
     build_reset,
     realize_level,
     realize_range,
-    starting_vertex,
-    tie_list,
 )
 from .verifier import (
     VerificationReport,

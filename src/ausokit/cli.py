@@ -21,14 +21,13 @@ import sys
 from pathlib import Path
 
 from .constructions import (
-    BUNDLE_SIZE,
     ConstructionError,
     FrameValidationError,
     cache_path,
     realize_range,
 )
 from .cube_core import CubeError
-from .frame_store import validate_all
+from .frame_store import FAMILY, validate_all
 from .pivot_engine import StepLimitExceeded, write_trace_jsonl
 from .verifier import (
     ACYCLIC_CAP,
@@ -113,7 +112,7 @@ def cmd_verify(args) -> int:
         print("verify needs --all-frames or --family/--level", file=sys.stderr)
         return EXIT_USAGE
     # What the verifier refuses at the level's dimension fails before any build.
-    n = BUNDLE_SIZE[args.family] * (args.level + 1)
+    n = FAMILY[args.family].bundle_size * (args.level + 1)
     cap = {"exhaustive": USO_EXHAUSTIVE_CAP, "acyclic": ACYCLIC_CAP}.get(args.mode, n)
     if n > cap:
         raise ValueError(f"n={n} above the {args.mode} cap {cap}; use --mode sampled")
@@ -152,7 +151,7 @@ def cmd_report(args) -> int:
     _check_out_dir(args.out)
     lo, hi = _parse_levels(args.levels)
     chain = realize_range(args.family, hi, args.frames_dir, args.cache_dir, write=False)
-    size = BUNDLE_SIZE[args.family]
+    size = FAMILY[args.family].bundle_size
     lengths = [(level.level, level.dimension, level.path_length) for level, _ in chain]
     rows = []
     for i, n, length in lengths[lo:]:
@@ -194,14 +193,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", parents=[common],
                        help="realize levels bottom-up and cache them")
-    p.add_argument("--family", required=True, choices=sorted(BUNDLE_SIZE))
+    p.add_argument("--family", required=True, choices=sorted(FAMILY))
     p.add_argument("--levels", required=True, help="like 0..5 or a single level")
     p.add_argument("--cache-dir", default="caches")
     p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("run", parents=[common],
                        help="run the rule on a built level, write a trace")
-    p.add_argument("--family", required=True, choices=sorted(BUNDLE_SIZE))
+    p.add_argument("--family", required=True, choices=sorted(FAMILY))
     p.add_argument("--level", required=True, type=_level)
     p.add_argument("--cache-dir", default="caches")
     p.add_argument("--trace", default=None, help="output JSONL path")
@@ -211,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="structural / behavioral verification")
     p.add_argument("--all-frames", action="store_true",
                    help="validate every frame transcription")
-    p.add_argument("--family", choices=sorted(BUNDLE_SIZE))
+    p.add_argument("--family", choices=sorted(FAMILY))
     p.add_argument("--level", type=_level)
     p.add_argument("--mode", choices=("exhaustive", "sampled", "acyclic", "traces"),
                    default="exhaustive")
@@ -224,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", parents=[common],
                        help="growth table (CSV or JSON)")
-    p.add_argument("--family", required=True, choices=sorted(BUNDLE_SIZE))
+    p.add_argument("--family", required=True, choices=sorted(FAMILY))
     p.add_argument("--levels", required=True, help="like 0..5")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)

@@ -34,7 +34,6 @@ import numpy as np
 
 from .cube_core import (
     CubeError,
-    Direction,
     OrientationOracle,
     TableOracle,
     UniformOracle,
@@ -46,32 +45,16 @@ from .combinators import (
     ReorientedOracle,
 )
 from .frame_store import (
-    FRAME_DIM as BUNDLE_SIZE,  # a level adds one frame's coordinates
-    johnson_tie_order,
+    FAMILY,
+    Family,
     load_family,
-    tie_pattern_cunningham,
-    tie_pattern_zadeh,
     validate_family,
 )
 from .pivot_engine import (
-    CunninghamState,
-    JohnsonState,
     Trace,
-    ZadehState,
     is_saturated,
     run_to_sink,
 )
-
-BASE_FRAME = {"cunningham": "f3", "johnson": "f1", "zadeh": "a0"}
-DEFAULT_FRAME = {"cunningham": "f3", "johnson": "f1", "zadeh": "f3"}
-# Local bundle coordinates (0-based) of the gadget face anchor and of its
-# shared external outmap.
-GADGET_ANCHOR = {"cunningham": (1, 2, 3), "johnson": (0, 1, 3), "zadeh": (0, 1, 2)}
-GADGET_EXTERNAL = {"cunningham": (0,), "johnson": (1,), "zadeh": (3, 4, 5)}
-# Positions (within the new bundle) at which the adversary keys its choice.
-BOX1_POSITION = {"cunningham": 0b0010, "johnson": 0b0000, "zadeh": None}
-BOX5_POSITION = {"cunningham": 0b0111, "johnson": 0b1111, "zadeh": None}
-HYPERSINK_POSITION = {"cunningham": 0b1111, "johnson": 0b1001, "zadeh": None}
 
 
 class ConstructionError(CubeError):
@@ -97,34 +80,9 @@ class CacheFileError(CubeError):
     violation."""
 
 
-def tie_list(family: str, level: int) -> list[Direction]:
-    """Concatenated per-bundle tie pattern, earlier bundles first."""
-    if family == "cunningham":
-        pattern = tie_pattern_cunningham
-    elif family == "zadeh":
-        pattern = tie_pattern_zadeh
-    else:
-        raise ConstructionError("johnson uses the lexicographic order, not a list")
-    out: list[Direction] = []
-    for j in range(level + 1):
-        out.extend(pattern(j))
-    return out
-
-
-def starting_vertex(family: str, level: int) -> int:
-    """{c_j^2 : j <= level} for cunningham/zadeh, empty for johnson."""
-    if family == "johnson":
-        return 0
-    size = BUNDLE_SIZE[family]
-    return sum(1 << (j * size + 1) for j in range(level + 1))
-
-
 def rule_state(family: str, level: int):
-    if family == "cunningham":
-        return CunninghamState(tuple(tie_list(family, level)))
-    if family == "zadeh":
-        return ZadehState(tuple(tie_list(family, level)))
-    return JohnsonState(tuple(johnson_tie_order(level + 1)))
+    """A fresh state of the family's pivot rule at `level`."""
+    return FAMILY[family].rule_state(level)
 
 
 def build_reset(level: int, r1: OrientationOracle) -> OrientationOracle:
@@ -157,8 +115,13 @@ class ConstructionLevel:
     gadget_anchor: int = 0  # absolute bits; 0 for the base level
 
     @property
+    def spec(self) -> Family:
+        """The family's record."""
+        return FAMILY[self.family]
+
+    @property
     def bundle_size(self) -> int:
-        return BUNDLE_SIZE[self.family]
+        return self.spec.bundle_size
 
     @property
     def assignments(self) -> dict[int, str]:
@@ -170,12 +133,7 @@ class ConstructionLevel:
 
     def rule_state(self):
         """A fresh state of the family's pivot rule at this level."""
-        return rule_state(self.family, self.level)
-
-
-def _bundle_bits(inner_dim: int, coords) -> int:
-    """Absolute bits of the given local coordinates of the bundle above inner_dim."""
-    return sum(1 << (inner_dim + k) for k in coords)
+        return self.spec.rule_state(self.level)
 
 
 class _Unassigned(OrientationOracle):
@@ -191,17 +149,16 @@ class _Unassigned(OrientationOracle):
     evaluate_many = evaluate
 
 
-def _realize_base(family: str, frame_oracles) -> tuple[ConstructionLevel, Trace]:
-    oracle = frame_oracles[BASE_FRAME[family]]
-    start = starting_vertex(family, 0)
-    trace = run_to_sink(oracle, start, family, rule_state(family, 0),
-                        bundle_size=BUNDLE_SIZE[family])
-    level = ConstructionLevel(family, 0, oracle.dimension, oracle, start,
-                              trace.end, len(trace), default_frame=DEFAULT_FRAME[family])
+def _realize_base(spec: Family, frame_oracles) -> tuple[ConstructionLevel, Trace]:
+    oracle = frame_oracles[spec.base]
+    trace = run_to_sink(oracle, spec.start(0), spec.name, spec.rule_state(0),
+                        bundle_size=spec.bundle_size)
+    level = ConstructionLevel(spec.name, 0, oracle.dimension, oracle, spec.start(0),
+                              trace.end, len(trace), default_frame=spec.default)
     return level, trace
 
 
-def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracles,
+def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frame_oracles,
                   frame_names, top: bool) -> tuple[ConstructionLevel, Trace]:
     """Level `level` on top of `prev`, with the trace of its one run.
 
@@ -214,29 +171,29 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     """
     inner_dim = prev.dimension
     inner_mask = (1 << inner_dim) - 1
-    anchor = _bundle_bits(inner_dim, GADGET_ANCHOR[family])
-    skipped = (_bundle_bits(0, GADGET_ANCHOR[family]), HYPERSINK_POSITION[family])
-    state = rule_state(family, level)
-    if family == "johnson":
-        replacement = build_reset(level, frame_oracles["r1"])
+    anchor = spec.gadget_anchor << inner_dim
+    skipped = (spec.gadget_anchor, spec.hypersink)
+    state = spec.rule_state(level)
+    if spec.reset:
+        replacement = build_reset(level, frame_oracles[spec.reset])
     else:
         replacement = UniformOracle(inner_dim, prev.start)
-    default = frame_oracles[DEFAULT_FRAME[family]]
+    default = frame_oracles[spec.default]
     # The product of the previous level with one frame per inner vertex,
     # with the gadget face reoriented to `replacement`.
     product = ProductOracle(prev.oracle, _Unassigned(default.dimension))
     oracle = MemoOracle(ReorientedOracle(product, anchor, replacement,
-                                         _bundle_bits(inner_dim, GADGET_EXTERNAL[family])))
+                                         spec.gadget_external << inner_dim))
 
     def decide(vi: int, pos: int) -> str:
         """The frame of inner vertex vi, entered at bundle position pos."""
         if vi == prev.expected_sink:
-            return DEFAULT_FRAME[family]
-        if family == "zadeh":
+            return spec.default
+        if spec.box5 is None:
             return "f2" if is_saturated(prev.oracle, vi, state, inner_mask) else "f1"
-        if pos == BOX1_POSITION[family]:
+        if pos == spec.box1:
             return "f1"
-        if pos == BOX5_POSITION[family]:
+        if pos == spec.box5:
             return "f2"
         raise ConstructionError(
             f"inner vertex {vi:b} entered at unexpected position {pos:b}")
@@ -260,16 +217,15 @@ def _realize_step(family: str, level: int, prev: ConstructionLevel, frame_oracle
     # So a level below the top runs on its memo, which records its path's
     # |P| + 1 outmaps; the top runs below its memo, which no level reads.
     oracle.recording = not top
-    start = starting_vertex(family, level)
+    start = spec.start(level)
     assign(start)
-    trace = run_to_sink(oracle.base if top else oracle, start, family, state,
-                        bundle_size=BUNDLE_SIZE[family], after_step=hook)
+    trace = run_to_sink(oracle.base if top else oracle, start, spec.name, state,
+                        bundle_size=spec.bundle_size, after_step=hook)
     product.frames[0] = default
     if not top:
         oracle.bind(trace)
-    built = ConstructionLevel(family, level, oracle.dimension, oracle, start, trace.end,
-                              len(trace), product, frame_names, DEFAULT_FRAME[family],
-                              anchor)
+    built = ConstructionLevel(spec.name, level, oracle.dimension, oracle, start, trace.end,
+                              len(trace), product, frame_names, spec.default, anchor)
     return built, trace
 
 
@@ -454,8 +410,9 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     Every level below `max_level` ends with its memo bound to its path; the
     top's memo holds nothing.
     """
-    if family not in BUNDLE_SIZE:
+    if family not in FAMILY:
         raise ConstructionError(f"unknown family {family!r}")
+    spec = FAMILY[family]
     frames = load_family(family, frames_dir)
     report = validate_family(family, frames=frames)  # the frames built from
     if not report.passed:
@@ -466,9 +423,9 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     chain: list[tuple[ConstructionLevel, Trace]] = []
     for i in range(max_level + 1):
         if i == 0:
-            built, trace = _realize_base(family, frame_oracles)
+            built, trace = _realize_base(spec, frame_oracles)
         else:
-            built, trace = _realize_step(family, i, chain[-1][0], frame_oracles,
+            built, trace = _realize_step(spec, i, chain[-1][0], frame_oracles,
                                          frame_names, top=i == max_level)
         path = None if cache_dir is None else cache_path(Path(cache_dir), family, i)
         if path is not None and path.exists():

@@ -4,6 +4,8 @@ The frame files are hand-transcribed data: a frame is the all-forward
 orientation minus an explicit list of backward edges.  A transcription is
 trusted only after validate_family passes every structural and scripted-walk
 constraint for its family; any failure means the data is wrong, not the code.
+Each family's facts (its frames, the positions the builder keys on, its tie
+order, rule and suites) are one `Family` record in FAMILY.
 
 File format (UTF-8, line based):
     dim <n>               first non-comment line
@@ -46,10 +48,11 @@ from .verifier import (
     VerificationReport,
     check_acyclic,
     check_uso_exhaustive,
+    johnson_trace_checks,
+    projection_check,
+    zadeh_trace_checks,
 )
 
-FAMILIES = ("cunningham", "johnson", "zadeh")
-FRAME_DIM = {"cunningham": 4, "johnson": 4, "zadeh": 6}  # the dim of a family's frames
 ENV_FRAMES_DIR = "AUSOKIT_FRAMES_DIR"
 
 # CPython's own SHA-256, the one hashlib falls back to without OpenSSL:
@@ -57,18 +60,45 @@ ENV_FRAMES_DIR = "AUSOKIT_FRAMES_DIR"
 _sha256 = importlib.import_module(
     "_sha2" if sys.version_info >= (3, 12) else "_sha256").sha256
 
-# Family frame inventories: file stem -> frame name.
-FAMILY_FRAMES = {
-    "cunningham": ("f1", "f2", "f3"),
-    "johnson": ("f1", "f2", "r1"),
-    "zadeh": ("a0", "f1", "f2", "f3"),
-}
-
 
 class FrameParseError(CubeError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+@dataclass(frozen=True)
+class Family:
+    """One lower-bound family: every fact of it that the builder, the frame
+    gate, the rule and the trace suite read.  Positions are bundle-local bit sets."""
+
+    name: str
+    bundle_size: int  # the dim of its frames: a level adds one bundle
+    stems: tuple[str, ...]  # its frame files are <name>_<stem>.frame
+    base: str  # level 0's frame
+    default: str  # the frame of the lower sink and of every unassigned inner vertex
+    reset: str | None  # the frame R_1 of the reset gadget R_level; None: uniform gadget
+    box1: int  # the start in every bundle; the adversary assigns f1 to a vertex entered here
+    box5: int | None  # ... and f2 here; None: Zadeh's saturation test picks f2 or f1
+    hypersink: int | None  # ... and nothing here; None: nowhere
+    gadget_anchor: int  # ... nor here: the low face a level replaces
+    gadget_external: int  # that face's external outmap in every connecting frame
+    tie_pattern: str  # one bundle's tie order, "+k" / "-k" with k 1-based
+    rule: type  # the pivot rule's state class
+    frame_suite: object  # frame_suite(family, frames) -> VerificationReport
+    trace_checks: object  # trace_checks(report, level, trace, lower_trace)
+
+    def tie_order(self, level: int) -> list[Direction]:
+        """The tie pattern of each bundle up to `level`, earlier bundles first."""
+        return [d for j in range(level + 1) for d in _dirs(j, self.tie_pattern, self.bundle_size)]
+
+    def start(self, level: int) -> int:
+        """The run's start at `level`: box1 in each of its bundles."""
+        return sum(self.box1 << j * self.bundle_size for j in range(level + 1))
+
+    def rule_state(self, level: int):
+        """A fresh state of the family's pivot rule at `level`."""
+        return self.rule(tuple(self.tie_order(level)))
 
 
 @dataclass
@@ -109,7 +139,7 @@ def parse_frame(text: str, name: str = "", family: str = "") -> FrameSpec:
             continue
         parts = line.split()
         if dim is None:
-            if parts[0] != "dim" or len(parts) != 2 or not parts[1].isdigit():
+            if parts[0] != "dim" or len(parts) != 2 or not _decimal(parts[1]):
                 raise FrameParseError("expected 'dim <n>'", line_no)
             dim = int(parts[1])
             continue
@@ -117,10 +147,9 @@ def parse_frame(text: str, name: str = "", family: str = "") -> FrameSpec:
             if len(parts) != 3:
                 raise FrameParseError("expected 'back <bits> <k>'", line_no)
             bits_text, bits = parts[1], vertex(parts[1])
-            try:
-                k = int(parts[2])
-            except ValueError as exc:
-                raise FrameParseError(str(exc), line_no) from exc
+            if not _decimal(parts[2]):
+                raise FrameParseError(f"coordinate {parts[2]!r} is not a decimal number", line_no)
+            k = int(parts[2])
             if not 1 <= k <= dim:
                 raise FrameParseError(f"coordinate {k} outside 1..{dim}", line_no)
             if bits & (1 << (k - 1)):
@@ -140,6 +169,11 @@ def parse_frame(text: str, name: str = "", family: str = "") -> FrameSpec:
     if dim is None:
         raise FrameParseError("missing 'dim' line", 1)
     return FrameSpec(name, family, dim, backs, labels)
+
+
+def _decimal(word: str) -> bool:
+    """ASCII decimal digits only: int() also takes '²', '1_0' and '+1'."""
+    return word.isascii() and word.isdecimal()
 
 
 def oracle_from_spec(spec: FrameSpec) -> TableOracle:
@@ -179,16 +213,19 @@ def frame_file_sha256(path) -> str:
 
 
 def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, TableOracle]]:
-    frames_dir = resolve_frames_dir(frames_dir)
+    frames_dir, size = resolve_frames_dir(frames_dir), FAMILY[family].bundle_size
     out = {}
-    for stem in FAMILY_FRAMES[family]:
+    for stem in FAMILY[family].stems:
         path = frames_dir / f"{family}_{stem}.frame"
         if not path.exists():
             raise CubeError(f"missing frame transcription {path}")
         data = path.read_bytes()
-        spec = parse_frame(data.decode("utf-8"), name=stem, family=family)
-        if spec.dim != FRAME_DIM[family]:  # before its 2^dim table is built
-            raise CubeError(f"frame file {path} has dim {spec.dim}, not {FRAME_DIM[family]}")
+        try:
+            spec = parse_frame(data.decode("utf-8"), name=stem, family=family)
+        except (FrameParseError, UnicodeError) as exc:
+            raise CubeError(f"frame file {path}: {exc}") from exc
+        if spec.dim != size:  # before its 2^dim table is built
+            raise CubeError(f"frame file {path} has dim {spec.dim}, not {size}")
         spec.sha256 = _sha256(data).hexdigest()
         out[stem] = (spec, oracle_from_spec(spec))
     return out
@@ -225,13 +262,10 @@ def _scan_walk(oracle, start: int, order: list[Direction]):
     return positions, used
 
 
-def _require_label(report, spec, name, expected_bits=None):
-    ok = name in spec.labels
-    if ok and expected_bits is not None:
-        ok = spec.labels[name] == expected_bits
+def _require_label(report, spec, name, expected_bits: int):
+    ok = spec.labels.get(name) == expected_bits
     report.add(f"label_{name}", ok,
                None if ok else {"expected": expected_bits, "labels": sorted(spec.labels)})
-    return spec.labels.get(name)
 
 
 def _structural(report, name, oracle, sink):
@@ -259,17 +293,27 @@ def _outmap_is(report, name, oracle, vertex, expected):
                 "actual": vertex_text(actual, oracle.dimension)})
 
 
-def validate_cunningham(frames) -> VerificationReport:
+def _example_run(report, name, oracle, family: Family, state):
+    """The trace of the family's rule from its level-0 start on `oracle`, or
+    None when the run raises: check `name` then fails, with the error as its
+    witness."""
+    try:
+        return run_to_sink(oracle, family.start(0), family.name, state,
+                           bundle_size=family.bundle_size)
+    except CubeError as exc:
+        report.add(name, False, {"error": str(exc)})
+
+
+def validate_cunningham(family: Family, frames) -> VerificationReport:
     report = VerificationReport("validate_cunningham")
-    full = 0b1111
-    box1, box5, boxB = 0b0010, 0b0111, 0b1110  # {c2}, {c1,c2,c3}, {c2,c3,c4}
-    out_block = tie_pattern_cunningham(0)
+    box1, box5, boxB, H = family.box1, family.box5, family.gadget_anchor, family.hypersink
+    out_block = family.tie_order(0)
     for name, (spec, oracle) in frames.items():
-        _structural(report, name, oracle, full)
+        _structural(report, name, oracle, H)
         # The balance face B shows only coordinate c1 outgoing (to the
         # hypersink) in every connecting frame.
-        _outmap_is(report, f"{name}_B_outmap", oracle, boxB, 0b0001)
-        _outmap_is(report, f"{name}_H_hypersink", oracle, full, 0)
+        _outmap_is(report, f"{name}_B_outmap", oracle, boxB, family.gadget_external)
+        _outmap_is(report, f"{name}_H_hypersink", oracle, H, 0)
     # F1: a fresh scan of the new-bundle block walks box1 -> box5 and
     # exhausts the block there.
     _, oracle1 = frames["f1"]
@@ -293,29 +337,28 @@ def validate_cunningham(frames) -> VerificationReport:
         report.add(f"f3_scan_{label}_to_B", ok,
                    None if ok else {"positions": [vertex_text(p, 4) for p in positions]})
     # F3 doubles as the base case: the documented 5-step run.
-    st = CunninghamState(tuple(out_block))
-    trace = run_to_sink(oracle3, box1, "cunningham", st, bundle_size=4)
-    expected = _dirs(0, "+1,+3,-1,+4,+1", 4)
-    ok = trace.directions() == expected and trace.end == full
-    report.add("f3_base_case_run", ok,
-               None if ok else {"dirs": [str(d) for d in trace.directions()]})
+    trace = _example_run(report, "f3_base_case_run", oracle3, family, family.rule_state(0))
+    if trace is not None:
+        ok = trace.directions() == _dirs(0, "+1,+3,-1,+4,+1", 4) and trace.end == H
+        report.add("f3_base_case_run", ok,
+                   None if ok else {"dirs": [str(d) for d in trace.directions()]})
     spec1 = frames["f1"][0]
-    for label, bits in (("box1", box1), ("box5", box5), ("B", boxB), ("H", full)):
+    for label, bits in (("box1", box1), ("box5", box5), ("B", boxB), ("H", H)):
         _require_label(report, spec1, label, bits)
     return report
 
 
-def validate_johnson(frames) -> VerificationReport:
+def validate_johnson(family: Family, frames) -> VerificationReport:
     report = VerificationReport("validate_johnson")
-    sink = 0b1001  # {c1, c4}
-    boxR = 0b1011  # {c1, c2, c4}
+    sink = family.hypersink  # {c1, c4}
+    boxR = family.gadget_anchor  # {c1, c2, c4}
     full = 0b1111
     for name in ("f1", "f2"):
         spec, oracle = frames[name]
         _structural(report, name, oracle, sink)
         # The reset face R has a single outgoing edge, on c2, toward the
         # hypersink; both frames agree, so the face can be reoriented.
-        _outmap_is(report, f"{name}_R_outmap", oracle, boxR, 0b0010)
+        _outmap_is(report, f"{name}_R_outmap", oracle, boxR, family.gadget_external)
         _outmap_is(report, f"{name}_H_hypersink", oracle, sink, 0)
     report.add("f1_f2_same_sink", True, details="both sinks asserted at {c1,c4}")
     _, f1 = frames["f1"]
@@ -327,14 +370,12 @@ def validate_johnson(frames) -> VerificationReport:
         and bool(f1.evaluate(0b0001) & 0b0010) and not f1.evaluate(0b0001) & 0b0100
         and bool(f1.evaluate(0b0011) & 0b0100) and bool(f1.evaluate(0b0111) & 0b1000))
     report.add("f1_positive_chain", chain_ok)
-    # The documented example run on F1 from the empty vertex.
-    tie = johnson_tie_order(1)
-    st = JohnsonState(tuple(tie))
-    trace = run_to_sink(f1, 0, "johnson", st, bundle_size=4)
-    expected = _dirs(0, "+1,+2,+3,+4,-3,-2", 4)
-    ok = trace.directions() == expected and trace.end == sink
-    report.add("f1_example_run", ok,
-               None if ok else {"dirs": [str(d) for d in trace.directions()]})
+    # The documented example run on F1 from box1, the empty vertex.
+    trace = _example_run(report, "f1_example_run", f1, family, family.rule_state(0))
+    if trace is not None:
+        ok = trace.directions() == _dirs(0, "+1,+2,+3,+4,-3,-2", 4) and trace.end == sink
+        report.add("f1_example_run", ok,
+                   None if ok else {"dirs": [str(d) for d in trace.directions()]})
     # F2 lets the negative directions run consecutively from the full vertex.
     _, f2 = frames["f2"]
     v = full
@@ -345,53 +386,58 @@ def validate_johnson(frames) -> VerificationReport:
     report.add("f2_negative_chain", ok and v == 0)
     # Reset AUSO R1: one-outgoing-edge path {c1,c4} -> {c4} -> empty, sink at
     # the empty vertex.
-    spec_r, r1 = frames["r1"]
+    spec_r, r1 = frames[family.reset]
     _structural(report, "r1", r1, 0)
     _outmap_is(report, "r1_reset_step1", r1, 0b1001, 0b0001)
     _outmap_is(report, "r1_reset_step2", r1, 0b1000, 0b1000)
     spec1 = frames["f1"][0]
-    for label, bits in (("box1", 0), ("box5", full), ("R", boxR), ("H", sink)):
+    for label, bits in (("box1", family.box1), ("box5", family.box5), ("R", boxR),
+                        ("H", sink)):
         _require_label(report, spec1, label, bits)
     return report
 
 
-def validate_zadeh(frames) -> VerificationReport:
+def validate_zadeh(family: Family, frames) -> VerificationReport:
     report = VerificationReport("validate_zadeh")
-    box1, box12 = 0b000010, 0b100010  # {c2}, {c2,c6}
-    boxB = 0b000111                   # {c1,c2,c3}
+    box1, box12 = family.box1, 0b100010  # {c2}, {c2,c6}
+    boxB = family.gadget_anchor  # {c1,c2,c3}
     circ1, circ12 = 0b111010, 0b111110  # {c2,c4,c5,c6}, {c2,c3,c4,c5,c6}
-    a0_sink = circ12
-    tie0 = tie_pattern_zadeh(0)
+    full = 0b111111
     # Base case A0: the tie-list walk visits box1..box21 in order and leaves
     # balance 1 on exactly -3,-4,-5,-6.
     spec0, a0 = frames["a0"]
-    _structural(report, "a0", a0, a0_sink)
-    st = ZadehState(tuple(tie0))
-    trace = run_to_sink(a0, box1, "zadeh", st, bundle_size=6)
-    boxes = [spec0.labels.get(f"box{i}") for i in range(1, 22)]
-    ok = None not in boxes and trace.vertices() == boxes and len(trace) == 20
-    report.add("a0_walk_boxes_1_to_21", ok,
-               None if ok else {"visited": [vertex_text(v, 6) for v in trace.vertices()]})
-    imbalanced = {d for d in st.tie_list if balance_of(st, d) == 1}
-    expected_im = set(_dirs(0, "-3,-4,-5,-6", 6))
-    other_zero = all(balance_of(st, d) == 0 for d in st.tie_list if d not in expected_im)
-    report.add("a0_final_balances", imbalanced == expected_im and other_zero,
-               None if imbalanced == expected_im else
-               {"imbalanced": sorted(str(d) for d in imbalanced)})
-    # box12 is saturated mid-run, and the sink lies at least two vertices
-    # beyond the last saturated path vertex.
-    st2 = ZadehState(tuple(tie0))
-    sat_positions = [i for i, (v, d) in enumerate(replay(trace, st2))
-                     if d is not None and is_saturated(a0, v, st2, 0b111111)]
-    interior = [i for i in sat_positions if i > 0]
-    ok = spec0.labels.get("box12") == trace.vertices()[11] and 11 in interior \
-        and len(trace) - max(interior) >= 2
-    report.add("a0_interior_saturation", ok, None if ok else {"saturated_at": sat_positions})
+    _structural(report, "a0", a0, circ12)
+    st = family.rule_state(0)
+    trace = _example_run(report, "a0_walk_boxes_1_to_21", a0, family, st)
+    if trace is not None:
+        visited = trace.vertices()
+        boxes = [spec0.labels.get(f"box{i}") for i in range(1, 22)]
+        ok = None not in boxes and visited == boxes and len(trace) == 20
+        report.add("a0_walk_boxes_1_to_21", ok,
+                   None if ok else {"visited": [vertex_text(v, 6) for v in visited]})
+        imbalanced = {d for d in st.tie_list if balance_of(st, d) == 1}
+        expected_im = set(_dirs(0, "-3,-4,-5,-6", 6))
+        other_zero = all(balance_of(st, d) == 0 for d in st.tie_list if d not in expected_im)
+        report.add("a0_final_balances", imbalanced == expected_im and other_zero,
+                   None if imbalanced == expected_im else
+                   {"imbalanced": sorted(str(d) for d in imbalanced)})
+        # box12 is saturated mid-run, and the sink lies at least two vertices
+        # beyond the last saturated path vertex.
+        st2 = family.rule_state(0)
+        sat_positions = [i for i, (v, d) in enumerate(replay(trace, st2))
+                         if d is not None and is_saturated(a0, v, st2, full)]
+        interior = [i for i in sat_positions if i > 0]
+        ok = len(visited) > 11 and spec0.labels.get("box12") == visited[11] \
+            and 11 in interior and len(trace) - max(interior) >= 2
+        report.add("a0_interior_saturation", ok,
+                   None if ok else {"saturated_at": sat_positions})
     for name in ("f1", "f2", "f3"):
         spec, oracle = frames[name]
-        _structural(report, name, oracle, _zadeh_frame_sink(name))
+        # F1 and F2 sink at the full vertex (every backward edge sits below
+        # it); F3 pulls the sink down to circ12, where the global sink lands.
+        _structural(report, name, oracle, circ12 if name == "f3" else full)
         # Gadget face B keeps only forward incident edges: outmap {c4,c5,c6}.
-        _outmap_is(report, f"{name}_B_outmap", oracle, boxB, 0b111000)
+        _outmap_is(report, f"{name}_B_outmap", oracle, boxB, family.gadget_external)
     # The dashed edges (backward in F1, forward in F2): box12->box1 on c6 and
     # circ12->circ1 on c3.
     _, f1 = frames["f1"]
@@ -401,28 +447,18 @@ def validate_zadeh(frames) -> VerificationReport:
                and _edge_backward(f1, circ1, 2) and not _edge_backward(f2, circ1, 2))
     report.add("dashed_edges_f1_only", dash_ok)
     # Square walk of F2 (box1 -> box12, eleven distinct directions).
-    spec2 = frames["f2"][0]
-    sq = [spec2.labels[f"box{i}"] for i in range(1, 13)]
-    ok = _path_oriented(f2, sq)
-    report.add("f2_square_path", ok)
+    specs = {n: frames[n][0] for n in ("f1", "f2", "f3")}
+    sq = [specs["f2"].labels.get(f"box{i}") for i in range(1, 13)]
+    report.add("f2_square_path", None not in sq and _path_oriented(f2, sq))
     # Circle walk: F3 shares the circ1 -> circ12 path edge set with F2.  (F1
     # reverses the circ12 -> circ1 closing edge instead, so it stays acyclic.)
-    specs = {n: frames[n][0] for n in ("f1", "f2", "f3")}
-    circ = [specs["f2"].labels[f"circ{i}"] for i in range(1, 13)]
-    ok = all(_path_oriented(fr, circ) for fr in (f2, f3))
+    circ = [specs["f2"].labels.get(f"circ{i}") for i in range(1, 13)]
+    ok = None not in circ and all(_path_oriented(fr, circ) for fr in (f2, f3))
     report.add("circle_path_f2_f3", ok)
     # F3: only forward edges at box1; sink at circ12.
-    ok = f3.evaluate(box1) == ((1 << 6) - 1) & ~0b000010
-    report.add("f3_box1_all_forward", ok)
-    report.add("f3_sink_at_circ12", specs["f3"].labels.get("circ12") == a0_sink)
+    report.add("f3_box1_all_forward", f3.evaluate(box1) == full & ~box1)
+    report.add("f3_sink_at_circ12", specs["f3"].labels.get("circ12") == circ12)
     return report
-
-
-def _zadeh_frame_sink(name: str) -> int:
-    # F1 and F2 sink at the full vertex (every backward edge sits below it);
-    # F3 pulls the sink down to circ12, where the global sink lands.
-    full = (1 << 6) - 1
-    return {"f1": full, "f2": full, "f3": 0b111110}[name]
 
 
 def _path_oriented(oracle, path: list[int]) -> bool:
@@ -434,31 +470,30 @@ def _path_oriented(oracle, path: list[int]) -> bool:
     return True
 
 
-def johnson_tie_order(bundles: int, bundle_size: int = 4) -> list[Direction]:
-    """Lexicographic order: per bundle positives then negatives, smaller
-    index first, smaller bundle first."""
-    order = []
-    for j in range(bundles):
-        for k in range(bundle_size):
-            order.append(Direction(j * bundle_size + k, True))
-        for k in range(bundle_size):
-            order.append(Direction(j * bundle_size + k, False))
-    return order
+# The paper's three families.  Bit k - 1 of a position is coordinate k, which
+# a frame file's vertex text writes k-th from the left: box1 0b0010 is `0100`.
+FAMILY = {family.name: family for family in (
+    Family("cunningham", 4, ("f1", "f2", "f3"), base="f3", default="f3", reset=None,
+           box1=0b0010, box5=0b0111, hypersink=0b1111, gadget_anchor=0b1110,
+           gadget_external=0b0001, tie_pattern="+1,-2,+3,-1,+4,-3,+2,-4",
+           rule=CunninghamState, frame_suite=validate_cunningham,
+           trace_checks=projection_check),
+    Family("johnson", 4, ("f1", "f2", "r1"), base="f1", default="f1", reset="r1",
+           box1=0b0000, box5=0b1111, hypersink=0b1001, gadget_anchor=0b1011,
+           gadget_external=0b0010, tie_pattern="+1,+2,+3,+4,-1,-2,-3,-4",
+           rule=JohnsonState, frame_suite=validate_johnson,
+           trace_checks=johnson_trace_checks),
+    Family("zadeh", 6, ("a0", "f1", "f2", "f3"), base="a0", default="f3", reset=None,
+           box1=0b000010, box5=None, hypersink=None, gadget_anchor=0b000111,
+           gadget_external=0b111000, tie_pattern="+1,-2,+3,-1,+4,-3,+5,-4,+6,-5,+2,-6",
+           rule=ZadehState, frame_suite=validate_zadeh, trace_checks=zadeh_trace_checks),
+)}
 
 
-def tie_pattern_zadeh(bundle: int) -> list[Direction]:
-    return _dirs(bundle, "+1,-2,+3,-1,+4,-3,+5,-4,+6,-5,+2,-6", 6)
-
-
-def tie_pattern_cunningham(bundle: int) -> list[Direction]:
-    return _dirs(bundle, "+1,-2,+3,-1,+4,-3,+2,-4", 4)
-
-
-_VALIDATORS = {
-    "cunningham": validate_cunningham,
-    "johnson": validate_johnson,
-    "zadeh": validate_zadeh,
-}
+def johnson_tie_order(bundles: int) -> list[Direction]:
+    """Johnson's lexicographic tie order over `bundles` bundles: per bundle
+    positives then negatives, smaller index first, smaller bundle first."""
+    return FAMILY["johnson"].tie_order(bundles - 1)
 
 
 def validate_family(family: str, frames_dir=None, frames=None) -> VerificationReport:
@@ -466,11 +501,11 @@ def validate_family(family: str, frames_dir=None, frames=None) -> VerificationRe
     frames load_family reads from `frames_dir` when none are given."""
     if frames is None:
         frames = load_family(family, frames_dir)
-    return _VALIDATORS[family](frames)
+    return FAMILY[family].frame_suite(FAMILY[family], frames)
 
 
 def validate_all(frames_dir=None) -> VerificationReport:
     report = VerificationReport("validate_frames")
-    for family in FAMILIES:
+    for family in FAMILY:
         report = report.merge(validate_family(family, frames_dir))
     return report

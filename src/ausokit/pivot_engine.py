@@ -96,6 +96,10 @@ class CunninghamState:
     def settle(self, v: int) -> None:
         """Bookkeeping at the sink: none."""
 
+    def snapshot(self, bundle_size: int, arrival: int | None = None) -> dict:
+        """The history record: the marker."""
+        return {"mu": self.marker}
+
 
 @dataclass
 class JohnsonState:
@@ -172,6 +176,12 @@ class JohnsonState:
         """Bookkeeping at the sink: the update phase with the same step number."""
         self.updated = (v, self.step_counter)
 
+    def snapshot(self, bundle_size: int, arrival: int | None = None) -> dict:
+        """The history record: h, read as of an update at `arrival`, the
+        vertex just entered, when arrival_update is on."""
+        h = self.table(arrival if self.arrival_update else None)
+        return {direction_text(d, bundle_size): c for d, c in h.items()}
+
 
 @dataclass
 class ZadehState:
@@ -243,6 +253,10 @@ class ZadehState:
     def settle(self, v: int) -> None:
         """Bookkeeping at the sink: none."""
 
+    def snapshot(self, bundle_size: int, arrival: int | None = None) -> dict:
+        """The history record: the usage counts."""
+        return {direction_text(d, bundle_size): c for d, c in self.usage.items()}
+
 
 def balance_of(st: ZadehState, d: Direction) -> int:
     """Usage deficit of d against the most used direction."""
@@ -290,16 +304,6 @@ class Trace:
         return [v for v, _ in self.walk()]
 
 
-def _snapshot(rule: str, st, bundle_size: int, arrival: int | None = None):
-    """The history record; Johnson's h is read as of an update at `arrival`,
-    the vertex just entered, when arrival_update is on."""
-    if rule == "cunningham":
-        return {"mu": st.marker}
-    counts = st.usage if rule == "zadeh" else st.table(
-        arrival if st.arrival_update else None)
-    return {direction_text(d, bundle_size): c for d, c in counts.items()}
-
-
 def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
                 step_limit: int | None = None, bundle_size: int = 4,
                 record_history: bool | None = None, after_step=None) -> Trace:
@@ -325,7 +329,8 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
 
     trace = Trace(rule, n, bundle_size, start, start,
                   history=[] if record_history else None)
-    evaluate, choose, record = oracle.evaluate, state.choose, state.record
+    evaluate, choose, record, snapshot = (oracle.evaluate, state.choose, state.record,
+                                          state.snapshot)
     moves, history = trace.moves, trace.history
     v = start
     crossed = 0  # bit of the edge the last move crossed into v
@@ -340,7 +345,7 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
             # Johnson's final update at the sink: the last displayed row of a run.
             state.settle(v)
             if history is not None:
-                trace.final_history = _snapshot(rule, state, bundle_size)
+                trace.final_history = snapshot(bundle_size)
             trace.end = v
             return trace
         if len(moves) >= step_limit:
@@ -354,7 +359,7 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
         v_next = v ^ crossed  # b is outgoing at v, so the move is legal
         moves.append(b)
         if history is not None:
-            history.append(_snapshot(rule, state, bundle_size, v_next))
+            history.append(snapshot(bundle_size, v_next))
         if after_step is not None:
             after_step(DIRECTIONS[b], v_next)
         v = v_next

@@ -423,24 +423,19 @@ def check_uso_sampled(oracle: OrientationOracle, samples: int, max_face_dim: int
 def check_trace_properties(level, trace, lower_trace=None) -> VerificationReport:
     """Family behavioral suite for a realized level's trace.
 
-    level is a ConstructionLevel (duck-typed); lower_trace is the realizing
-    trace of the previous level, required for the projection checks at
-    level >= 1.
+    level is a ConstructionLevel (duck-typed), whose family record's
+    trace_checks(report, level, trace, lower_trace) adds the checks;
+    lower_trace is the realizing trace of the previous level, required for
+    the projection checks at level >= 1.
     """
-    family = level.family
-    report = VerificationReport(f"trace_properties_{family}_{level.level}")
+    report = VerificationReport(f"trace_properties_{level.family}_{level.level}")
     started = time.perf_counter()
-    if family == "zadeh":
-        _zadeh_trace_checks(report, level, trace, lower_trace)
-    elif family == "johnson":
-        _johnson_trace_checks(report, level, trace)
-    else:
-        _projection_check(report, level, trace, lower_trace)
+    level.spec.trace_checks(report, level, trace, lower_trace)
     report.elapsed = time.perf_counter() - started
     return report
 
 
-def _projection_check(report, level, trace, lower_trace):
+def projection_check(report, level, trace, lower_trace):
     """The inner-direction subsequence is the lower path, then the gadget
     return walk, then the lower path again.  The inner moves are compared
     as move bytes; one walk over the trace checks that every move is legal
@@ -506,7 +501,7 @@ def _zadeh_replay(level, trace):
     return sat, tops, escapes, st
 
 
-def _zadeh_trace_checks(report, level, trace, lower_trace):
+def zadeh_trace_checks(report, level, trace, lower_trace):
     size = level.bundle_size
     sat, tops, escapes, final_state = _zadeh_replay(level, trace)
     # Between consecutive saturated vertices: the newest
@@ -540,12 +535,12 @@ def _zadeh_trace_checks(report, level, trace, lower_trace):
         ok = bool(interior) and len(trace) - max(interior) >= 2
         report.add("interior_saturated_vertex", ok, None if ok else {"saturated": sat})
     else:
-        _projection_check(report, level, trace, lower_trace)
+        projection_check(report, level, trace, lower_trace)
         report.add("saturated_escape_moves", escapes)
 
 
-def _johnson_trace_checks(report, level, trace):
-    size = level.bundle_size
+def johnson_trace_checks(report, level, trace, lower_trace):
+    size, sink = level.bundle_size, level.spec.hypersink  # {c^1, c^4}, each bundle's sink
     bundles = level.level + 1
     vertices = trace.vertices()
     dirs = trace.directions()
@@ -564,7 +559,7 @@ def _johnson_trace_checks(report, level, trace):
             continue
         b = d.coord // size
         bundle_mask = ((1 << size) - 1) << (b * size)
-        lower_sink = _johnson_sink_pattern(b, size)
+        lower_sink = sum(sink << j * size for j in range(b))
         lower_mask = (1 << (b * size)) - 1
         if (vertices[i] & bundle_mask) == bundle_mask \
                 and (vertices[i] & lower_mask) != lower_sink:
@@ -614,19 +609,11 @@ def _johnson_trace_checks(report, level, trace):
                    None if count == 1 else {"count": count})
 
 
-def _johnson_sink_pattern(bundles: int, size: int) -> int:
-    """{c^1, c^4} of every bundle below `bundles`."""
-    out = 0
-    for j in range(bundles):
-        out |= (1 << (j * size)) | (1 << (j * size + 3))
-    return out
-
-
 def _johnson_resettable_check(level, trace) -> bool:
-    size = level.bundle_size
+    size, sink = level.bundle_size, level.spec.hypersink
     bundles = level.level + 1
     # Per prefix t_j: its sink pattern, its mask and the next bundle's mask.
-    prefixes = [(_johnson_sink_pattern(j + 1, size), (1 << ((j + 1) * size)) - 1,
+    prefixes = [(sum(sink << i * size for i in range(j + 1)), (1 << ((j + 1) * size)) - 1,
                  ((1 << size) - 1) << ((j + 1) * size)) for j in range(bundles - 1)]
     st = level.rule_state()
     positions = replay(trace, st)

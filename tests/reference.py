@@ -13,23 +13,16 @@
   state or cache check is involved.
 - `compare_with_reference` names every way a realized chain differs from
   these tables.
+- `lexicographic_order` is Johnson's tie order, written out.
 """
 
 import json
 
 import numpy as np
 
-from ausokit.constructions import (
-    BASE_FRAME,
-    BUNDLE_SIZE,
-    GADGET_ANCHOR,
-    GADGET_EXTERNAL,
-    cache_path,
-    starting_vertex,
-    tie_list,
-)
+from ausokit.constructions import cache_path
 from ausokit.cube_core import Direction, OrientationOracle, direction_bit, parse_vertex
-from ausokit.frame_store import johnson_tie_order
+from ausokit.frame_store import FAMILY
 from ausokit.pivot_engine import Trace
 from test_pivot_engine import _reference_choice
 
@@ -100,12 +93,14 @@ def reset_table(level, r1):
 
 def level_tables(family, top, cache_dir, frames, anchor=None):
     """Outmap tables of levels 0..top of the family, from the cache records
-    in cache_dir.  `anchor` replaces the family's local gadget anchor."""
-    size = BUNDLE_SIZE[family]
-    anchor = sum(1 << k for k in (anchor or GADGET_ANCHOR[family]))
-    external = np.uint64(sum(1 << k for k in GADGET_EXTERNAL[family]))
+    in cache_dir.  `anchor` (bundle-local bits) replaces the family's gadget
+    anchor."""
+    spec = FAMILY[family]
+    size = spec.bundle_size
+    anchor = spec.gadget_anchor if anchor is None else anchor
+    external = np.uint64(spec.gadget_external)
     tables = {name: frame_table(frame) for name, frame in frames.items()}
-    out = [tables[BASE_FRAME[family]]]
+    out = [tables[spec.base]]
     for level in range(1, top + 1):
         record = json.loads(cache_path(cache_dir, family, level).read_text())
         m = level * size
@@ -119,11 +114,18 @@ def level_tables(family, top, cache_dir, frames, anchor=None):
         if family == "johnson":
             replacement = reset_table(level, tables["r1"])
         else:
-            lower_start = starting_vertex(family, level - 1)
+            lower_start = spec.start(level - 1)
             replacement = np.arange(1 << m, dtype=np.uint64) ^ np.uint64(lower_start)
         table[anchor << m:(anchor + 1) << m] = replacement | external << np.uint64(m)
         out.append(table)
     return out
+
+
+def lexicographic_order(bundles, bundle_size=4):
+    """Johnson's tie order: per bundle the positive directions, then the
+    negative ones, smaller index first, smaller bundle first."""
+    return [Direction(j * bundle_size + k, positive) for j in range(bundles)
+            for positive in (True, False) for k in range(bundle_size)]
 
 
 def reference_run(table, start, family, level, limit):
@@ -131,8 +133,8 @@ def reference_run(table, start, family, level, limit):
     direction: round-robin from the marker, Johnson's least stamp and
     Zadeh's least usage (ties by rank), as `_reference_choice` states them;
     at most `limit` moves."""
-    order = (tuple(johnson_tie_order(level + 1)) if family == "johnson"
-             else tuple(tie_list(family, level)))
+    order = (tuple(lexicographic_order(level + 1)) if family == "johnson"
+             else tuple(FAMILY[family].tie_order(level)))
     counts = {d: 0 for d in order}
     marker, v, moves = 0, start, bytearray()
     while (out := int(table[v])) and len(moves) < limit:
@@ -161,7 +163,7 @@ def compare_with_reference(chain, tables, samples=256):
     failed = []
     for (level, trace), table in zip(chain, tables):
         name = f"{level.family} level {level.level}"
-        start = starting_vertex(level.family, level.level)
+        start = FAMILY[level.family].start(level.level)
         moves, end = reference_run(table, start, level.family, level.level, len(trace) + 1)
         for check, ok in (("start", trace.start == level.start == start),
                           ("sink", trace.end == level.expected_sink == end),

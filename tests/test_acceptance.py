@@ -9,9 +9,9 @@ import time
 import pytest
 
 from ausokit.combinators import ProductOracle, ReorientedOracle
-from ausokit.constructions import BUNDLE_SIZE, realize_range, rule_state
+from ausokit.constructions import realize_range, rule_state
 from ausokit.cube_core import Direction, UniformOracle, vertex_text
-from ausokit.frame_store import johnson_tie_order, load_family, validate_all
+from ausokit.frame_store import FAMILY, load_family, validate_all
 from ausokit.pivot_engine import (
     CunninghamState,
     JohnsonState,
@@ -75,7 +75,7 @@ def test_criterion_1_johnson_example_table():
 
     def run():
         return run_to_sink(f1, 0, "johnson",
-                           JohnsonState(tuple(johnson_tie_order(1))), bundle_size=4)
+                           JohnsonState(tuple(FAMILY["johnson"].tie_order(0))), bundle_size=4)
 
     trace, elapsed = _best_time(run)
     ok = len(trace) == 6
@@ -92,12 +92,11 @@ def test_criterion_1_johnson_example_table():
 
 
 def test_criterion_2_cunningham_base_case():
-    from ausokit.constructions import tie_list
     _, f3 = load_family("cunningham")["f3"]
 
     def run():
         return run_to_sink(f3, 0b0010, "cunningham",
-                           CunninghamState(tuple(tie_list("cunningham", 0))),
+                           CunninghamState(tuple(FAMILY["cunningham"].tie_order(0))),
                            bundle_size=4)
 
     trace, elapsed = _best_time(run)
@@ -110,11 +109,10 @@ def test_criterion_2_cunningham_base_case():
 
 
 def test_criterion_3_zadeh_base_case():
-    from ausokit.constructions import tie_list
     spec, a0 = load_family("zadeh")["a0"]
 
     def run():
-        st = ZadehState(tuple(tie_list("zadeh", 0)))
+        st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
         return run_to_sink(a0, spec.labels["box1"], "zadeh", st, bundle_size=6), st
 
     (trace, state), elapsed = _best_time(run)
@@ -133,7 +131,7 @@ def test_criterion_4_growth_recursions(chains):
     for family, top in LEVEL_RANGES:
         lengths = [(lv.level, lv.dimension, lv.path_length)
                    for lv, _ in chains[family]]
-        report = check_growth(lengths, BUNDLE_SIZE[family])
+        report = check_growth(lengths, FAMILY[family].bundle_size)
         ok = ok and report.passed
         detail.append(f"{family}:{[p for _, _, p in lengths]}")
     elapsed = time.perf_counter() - t0
@@ -223,10 +221,10 @@ def test_criterion_7_determinism_and_replay(chains, tmp_path):
     for oracle, start, bundles in ((base, 0, 1), (lvl1.oracle, lvl1.start, 2)):
         with_update = run_to_sink(
             oracle, start, "johnson",
-            JohnsonState(tuple(johnson_tie_order(bundles))), bundle_size=4)
+            JohnsonState(tuple(FAMILY["johnson"].tie_order(bundles - 1))), bundle_size=4)
         without = run_to_sink(
             oracle, start, "johnson",
-            JohnsonState(tuple(johnson_tie_order(bundles)), arrival_update=False),
+            JohnsonState(tuple(FAMILY["johnson"].tie_order(bundles - 1)), arrival_update=False),
             bundle_size=4)
         ok = ok and with_update.directions() == without.directions()
     _verdict("7 (determinism / replay)", ok)

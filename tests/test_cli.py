@@ -228,6 +228,33 @@ def test_commands_refuse_frames_that_fail_validation(tmp_path, capsys):
     assert not (tmp_path / "c2.jsonl").exists()
 
 
+@pytest.mark.parametrize("frame, edge, check", [
+    ("cunningham_f3", "back 1110 4", "f3_base_case_run"),  # cyclic: the run hits its limit
+    ("zadeh_a0", "back 100000 2", "a0_walk_boxes_1_to_21"),  # a short a0 walk
+], ids=["cunningham-f3", "zadeh-a0"])
+def test_frames_on_which_a_suite_raised_exit_1(tmp_path, capsys, frame, edge, check):
+    """One edge flipped, by adding or removing its `back` line, on which the
+    frame suite once raised (exit 3, or a traceback): build and verify
+    --mode traces exit 1 with `frame validation failed:` lines, and verify
+    --all-frames exits 1 naming the check in its report's failure lines."""
+    frames = tmp_path / "frames"
+    shutil.copytree(Path(ausokit.__file__).parent / "frames", frames)
+    path = frames / f"{frame}.frame"
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join([x for x in lines if x != edge] if edge in lines
+                              else [*lines, edge]) + "\n")
+    family = frame.split("_")[0]
+    common = ["--frames-dir", str(frames), "--cache-dir", str(tmp_path / "c")]
+    for argv in (["build", "--family", family, "--levels", "0..1"],
+                 ["verify", "--family", family, "--level", "1", "--mode", "traces"],
+                 ["verify", "--all-frames"]):
+        code = main([*argv, *common])
+        err = capsys.readouterr().err
+        want = f"  {check}: " if "--all-frames" in argv else f"frame validation failed: {check} "
+        assert code == 1 and want in err and "Traceback" not in err, (argv, err)
+    assert not (tmp_path / "c").exists()
+
+
 def test_frame_of_another_dimension_is_refused_before_its_table(tmp_path, capsys,
                                                                 monkeypatch):
     """A family frame file whose dim is not its family's frame dimension,
@@ -447,10 +474,10 @@ def test_unusable_path_fails_before_any_level_is_realized(tmp_path, monkeypatch,
 def test_unverifiable_request_fails_before_any_level_is_realized(monkeypatch, capsys,
                                                                  built_levels, argv):
     """verify refuses a mode above its cap, or sampled options outside their
-    range, from the dimension the level will have: BUNDLE_SIZE * (level + 1)."""
+    range, from the dimension the level will have: bundle_size * (level + 1)."""
     for family, chain in built_levels.items():
         for level, _ in chain:
-            assert level.dimension == cli.BUNDLE_SIZE[family] * (level.level + 1)
+            assert level.dimension == cli.FAMILY[family].bundle_size * (level.level + 1)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a level was realized before the request was checked")

@@ -4,6 +4,7 @@ import random
 import shutil
 import tempfile
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,13 +15,6 @@ from hypothesis import strategies as st
 from ausokit import constructions, frame_store
 from ausokit.combinators import MemoOracle, ProductOracle
 from ausokit.constructions import (
-    BOX1_POSITION,
-    BOX5_POSITION,
-    BUNDLE_SIZE,
-    DEFAULT_FRAME,
-    GADGET_ANCHOR,
-    GADGET_EXTERNAL,
-    HYPERSINK_POSITION,
     ConstructionError,
     ConstructionLevel,
     FrameConflictError,
@@ -33,20 +27,19 @@ from ausokit.constructions import (
     realize_level,
     realize_range,
     rule_state,
-    starting_vertex,
-    tie_list,
 )
 from ausokit.cube_core import Direction, TableOracle, UniformOracle, vertex_text
 from ausokit.frame_store import (
-    FAMILY_FRAMES,
+    FAMILY,
     frame_file_sha256,
     load_family,
     packaged_frames_dir,
     resolve_frames_dir,
+    validate_family,
 )
 from ausokit.pivot_engine import is_saturated, replay, run_to_sink, write_trace_jsonl
 from ausokit.verifier import check_acyclic, check_uso_exhaustive, outmap_table
-from reference import record
+from reference import lexicographic_order, record
 
 
 def _d(bundle, k, positive, size=4):
@@ -56,32 +49,32 @@ def _d(bundle, k, positive, size=4):
 def test_tie_list_cunningham_level0():
     want = [_d(0, 1, True), _d(0, 2, False), _d(0, 3, True), _d(0, 1, False),
             _d(0, 4, True), _d(0, 3, False), _d(0, 2, True), _d(0, 4, False)]
-    assert tie_list("cunningham", 0) == want
+    assert FAMILY["cunningham"].tie_order(0) == want
 
 
 def test_tie_list_zadeh():
-    t0 = tie_list("zadeh", 0)
+    t0 = FAMILY["zadeh"].tie_order(0)
     want = [_d(0, 1, True, 6), _d(0, 2, False, 6), _d(0, 3, True, 6),
             _d(0, 1, False, 6), _d(0, 4, True, 6), _d(0, 3, False, 6),
             _d(0, 5, True, 6), _d(0, 4, False, 6), _d(0, 6, True, 6),
             _d(0, 5, False, 6), _d(0, 2, True, 6), _d(0, 6, False, 6)]
     assert t0 == want
-    t1 = tie_list("zadeh", 1)
+    t1 = FAMILY["zadeh"].tie_order(1)
     assert len(t1) == 24
     assert t1[:12] == t0
     assert all(d.coord >= 6 for d in t1[12:])
 
 
-def test_tie_list_rejects_johnson():
-    with pytest.raises(ConstructionError):
-        tie_list("johnson", 1)
+def test_johnson_tie_order_is_lexicographic():
+    for level in range(4):
+        assert FAMILY["johnson"].tie_order(level) == lexicographic_order(level + 1)
 
 
 def test_starting_vertices():
-    assert starting_vertex("johnson", 0) == 0
-    assert starting_vertex("johnson", 4) == 0
-    assert starting_vertex("cunningham", 1) == (1 << 1) | (1 << 5)
-    assert starting_vertex("zadeh", 0) == 1 << 1
+    assert FAMILY["johnson"].start(0) == 0
+    assert FAMILY["johnson"].start(4) == 0
+    assert FAMILY["cunningham"].start(1) == (1 << 1) | (1 << 5)
+    assert FAMILY["zadeh"].start(0) == 1 << 1
 
 
 def test_build_reset_r1_matches_transcription(johnson_frames):
@@ -176,7 +169,7 @@ def test_level_cache_roundtrip(tmp_path, family, top):
     assert files == [f"{family}_level{i}.json" for i in range(top + 1)]
     payload = json.loads((cache / f"{family}_level1.json").read_text())
     assert payload["path_length"] == first[1][0].path_length
-    assert set(payload["frame_files"]) == set(FAMILY_FRAMES[family])
+    assert set(payload["frame_files"]) == set(FAMILY[family].stems)
     assert all(len(h) == 64 for h in payload["frame_files"].values())
     before = {p.name: p.read_bytes() for p in cache.glob("*.json")}
     second = realize_range(family, top, cache_dir=cache)
@@ -249,7 +242,7 @@ def test_one_frame_read_per_realize_range(monkeypatch):
     for module in (frame_store, constructions):
         monkeypatch.setattr(module, "load_family", counting_load)
         monkeypatch.setattr(module, "validate_family", counting_gate)
-    for family in sorted(BUNDLE_SIZE):
+    for family in sorted(FAMILY):
         reads.clear()
         gates.clear()
         realize_range(family, 1)
@@ -301,7 +294,7 @@ def test_cache_write_is_atomic(tmp_path, monkeypatch):
 
 
 def _reference_cache_record(level, hashes):
-    inner_dim = level.dimension - BUNDLE_SIZE[level.family]
+    inner_dim = level.dimension - FAMILY[level.family].bundle_size
     return {
         "family": level.family,
         "level": level.level,
@@ -325,7 +318,7 @@ def test_cache_writer_matches_json_dumps(built_levels, tmp_path):
         realize_range(family, len(chain) - 1, cache_dir=tmp_path)
         frames_dir = resolve_frames_dir(None)
         hashes = {stem: frame_file_sha256(frames_dir / f"{family}_{stem}.frame")
-                  for stem in FAMILY_FRAMES[family]}
+                  for stem in FAMILY[family].stems}
         for level, _ in chain:
             record = _reference_cache_record(level, hashes)
             assert bool(record["assignments"]) == (level.level > 0)
@@ -445,7 +438,7 @@ def test_flipped_assignment_is_refused_by_name(cunningham_johnson_records, data)
     lines = cunningham_johnson_records[family, level].splitlines(keepends=True)
     i = data.draw(st.integers(2, lines.index("  },\n") - 1))  # an assignment line
     vertex, frame = json.loads("{" + lines[i].rstrip(",\n") + "}").popitem()
-    other = data.draw(st.sampled_from([f for f in FAMILY_FRAMES[family] if f != frame]))
+    other = data.draw(st.sampled_from([f for f in FAMILY[family].stems if f != frame]))
     lines[i] = lines[i].replace(f'"{frame}"', f'"{other}"')
     with tempfile.TemporaryDirectory() as cache:
         cache_path(Path(cache), family, level).write_text("".join(lines))
@@ -475,8 +468,13 @@ def test_unknown_family_rejected():
 def test_unassigned_frame_demand_fails_closed(monkeypatch):
     """With box-1 entries skipped by the adversary, the run demands the frame
     of an inner vertex that holds none: the build stops, it does not fall
-    back to the default frame."""
-    monkeypatch.setitem(HYPERSINK_POSITION, "cunningham", BOX1_POSITION["cunningham"])
+    back to the default frame.  The frame gate, which reads the hypersink
+    from the same record, refuses it, so the builder is given the gate's
+    verdict on the packaged record."""
+    spec, gate = FAMILY["cunningham"], validate_family("cunningham")
+    monkeypatch.setitem(FAMILY, "cunningham", replace(spec, hypersink=spec.box1))
+    assert not validate_family("cunningham").passed
+    monkeypatch.setattr(constructions, "validate_family", lambda *args, **kwargs: gate)
     with pytest.raises(ConstructionError, match="unassigned"):
         realize_level("cunningham", 2)
 
@@ -515,22 +513,31 @@ def test_frames_that_fail_validation_build_nothing(tmp_path):
     assert not cache.exists()
 
 
-@pytest.mark.parametrize("family", sorted(BUNDLE_SIZE))
+@pytest.mark.parametrize("family", sorted(FAMILY))
 def test_builder_geometry_matches_frame_labels(family):
-    """The positions and the gadget outmap the builder takes on trust agree
-    with the gated frame data."""
+    """Every fact the family's record gives the builder and the rule agrees
+    with the gated frame data: its frames, their dimension, the positions
+    against the labels of f1, the gadget's external outmap, the start, and
+    the tie order, which lists each direction of a bundle once."""
+    spec = FAMILY[family]
     frames = load_family(family)
+    assert spec.name == family
+    assert set(frames) == set(spec.stems) >= {spec.base, spec.default, "f1", "f2"}
+    assert {s.dim for s, _ in frames.values()} == {spec.bundle_size}
     labels = frames["f1"][0].labels
-    anchor = sum(1 << k for k in GADGET_ANCHOR[family])
-    assert anchor == labels["R" if family == "johnson" else "B"]
-    external = sum(1 << k for k in GADGET_EXTERNAL[family])
-    for name in {"f1", "f2", DEFAULT_FRAME[family]}:
-        assert frames[name][1].evaluate(anchor) == external, name
-    for table, label in ((BOX1_POSITION, "box1"), (BOX5_POSITION, "box5"),
-                         (HYPERSINK_POSITION, "H")):
-        if table[family] is not None:
-            assert table[family] == labels[label]
-    assert starting_vertex(family, 0) == labels["box1"]
+    assert spec.gadget_anchor == labels["R" if spec.reset else "B"]
+    for name in {"f1", "f2", spec.default}:
+        assert frames[name][1].evaluate(spec.gadget_anchor) == spec.gadget_external, name
+    for bits, label in ((spec.box1, "box1"), (spec.box5, "box5"), (spec.hypersink, "H")):
+        if bits is not None:
+            assert bits == labels[label]
+    assert (spec.box5 is None) == (spec.hypersink is None) == (family == "zadeh")
+    assert spec.reset is None or frames[spec.reset][0].labels["box1"] == spec.hypersink
+    assert spec.start(0) == labels["box1"] == spec.box1
+    assert sorted(spec.tie_order(0)) == sorted(
+        Direction(k, s) for k in range(spec.bundle_size) for s in (True, False))
+    assert isinstance(spec.rule_state(1), spec.rule)
+    assert validate_family(family, frames=frames).passed
 
 
 def test_cached_off_path_assignment_is_refused(tmp_path):

@@ -13,6 +13,7 @@ PACKAGE_DIR = Path(ausokit.__file__).parent
 # Each module imports only modules listed before it.
 ORDER = ("cube_core", "combinators", "pivot_engine", "verifier", "frame_store",
          "constructions", "cli")
+FAMILY_NAMES = {"cunningham", "johnson", "zadeh"}
 # Import one module first, with the package's __init__ (which imports them
 # all in its own order) replaced by an empty package.
 FIRST_IMPORT = """
@@ -72,3 +73,21 @@ def test_no_module_imports_a_private_name_of_another():
                    if isinstance(n, ast.ImportFrom) and n.level
                    for a in n.names if a.name.startswith("_")]
         assert not private, f"{path.name} imports private names {private}"
+
+
+def test_no_module_branches_on_a_family_name():
+    """Family facts live in frame_store.FAMILY, one record per family: no
+    module compares with a family name, or with a collection that holds
+    one, nor keys a dict literal by one."""
+    def names_a_family(node):
+        return any(isinstance(n, ast.Constant) and n.value in FAMILY_NAMES
+                   for n in ast.walk(node))
+
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Compare)
+                 and any(map(names_a_family, [n.left, *n.comparators]))
+                 or isinstance(n, ast.Dict)
+                 and any(names_a_family(k) for k in n.keys if k is not None)]
+        assert not found, f"{path.name}: family names at lines {found}"

@@ -22,7 +22,7 @@ from ausokit.cube_core import (
     is_available,
     vertex_text,
 )
-from ausokit.frame_store import johnson_tie_order, tie_pattern_zadeh
+from ausokit.frame_store import FAMILY
 from ausokit.pivot_engine import (
     CunninghamState,
     JohnsonState,
@@ -37,7 +37,7 @@ from ausokit.pivot_engine import (
     run_to_sink,
     write_trace_jsonl,
 )
-from ausokit.constructions import realize_level, realize_range, tie_list
+from ausokit.constructions import realize_level, realize_range
 from ausokit.verifier import outmap_table
 
 
@@ -46,6 +46,11 @@ def _dirs(pattern, bundle=0, size=4):
     for item in pattern.split(","):
         out.append(Direction(bundle * size + int(item[1:]) - 1, item[0] == "+"))
     return out
+
+
+def _lexicographic(n):
+    """Johnson's tie order on one bundle of n coordinates."""
+    return [Direction(c, positive) for positive in (True, False) for c in range(n)]
 
 
 def _chosen(state, v, out):
@@ -63,7 +68,7 @@ def _step(oracle, v, state):
 
 def test_cunningham_base_case_run(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
-    st = CunninghamState(tuple(tie_list("cunningham", 0)))
+    st = CunninghamState(tuple(FAMILY["cunningham"].tie_order(0)))
     trace = run_to_sink(f3, 0b0010, "cunningham", st, bundle_size=4)
     assert trace.directions() == _dirs("+1,+3,-1,+4,+1")
     assert len(trace) == 5
@@ -72,7 +77,7 @@ def test_cunningham_base_case_run(cunningham_frames):
 
 def test_cunningham_first_steps_skip_unavailable(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
-    st = CunninghamState(tuple(tie_list("cunningham", 0)))
+    st = CunninghamState(tuple(FAMILY["cunningham"].tie_order(0)))
     d, v = _step(f3, 0b0010, st)
     assert d == Direction(0, True)
     d, v = _step(f3, v, st)
@@ -81,7 +86,7 @@ def test_cunningham_first_steps_skip_unavailable(cunningham_frames):
 
 def test_cunningham_marker_tracks_used_direction(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
-    st = CunninghamState(tuple(tie_list("cunningham", 0)))
+    st = CunninghamState(tuple(FAMILY["cunningham"].tie_order(0)))
     v = 0b0010
     while f3.evaluate(v):
         d, v = _step(f3, v, st)
@@ -91,7 +96,7 @@ def test_cunningham_marker_tracks_used_direction(cunningham_frames):
 def test_cunningham_step_at_sink_raises(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
     assert f3.evaluate(0b1111) == 0
-    st = CunninghamState(tuple(tie_list("cunningham", 0)))
+    st = CunninghamState(tuple(FAMILY["cunningham"].tie_order(0)))
     assert st.choose(0b1111, 0) is None
 
 
@@ -110,7 +115,7 @@ JOHNSON_FINAL = ("1001", (7, 6, 5, 7), (1, 7, 7, 4))
 def test_johnson_example_table(johnson_frames):
     from ausokit.cube_core import parse_vertex, vertex_text
     _, f1 = johnson_frames["f1"]
-    st = JohnsonState(tuple(johnson_tie_order(1)))
+    st = JohnsonState(tuple(FAMILY["johnson"].tie_order(0)))
     trace = run_to_sink(f1, 0, "johnson", st, bundle_size=4)
     assert len(trace) == 6
     for v, direction, history, (bits, d, pos, neg) in zip(
@@ -130,10 +135,10 @@ def test_johnson_example_table(johnson_frames):
 
 def test_johnson_dual_mode_same_directions(johnson_frames):
     _, f1 = johnson_frames["f1"]
-    a = run_to_sink(f1, 0, "johnson", JohnsonState(tuple(johnson_tie_order(1))),
+    a = run_to_sink(f1, 0, "johnson", JohnsonState(tuple(FAMILY["johnson"].tie_order(0))),
                     bundle_size=4)
     b = run_to_sink(f1, 0, "johnson",
-                    JohnsonState(tuple(johnson_tie_order(1)), arrival_update=False),
+                    JohnsonState(tuple(FAMILY["johnson"].tie_order(0)), arrival_update=False),
                     bundle_size=4)
     assert a.directions() == b.directions()
     # the recorded snapshots differ, the choices never do
@@ -142,7 +147,7 @@ def test_johnson_dual_mode_same_directions(johnson_frames):
 
 def test_zadeh_base_case_walk(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
-    st = ZadehState(tuple(tie_pattern_zadeh(0)))
+    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
     trace = run_to_sink(a0, spec.labels["box1"], "zadeh", st, bundle_size=6)
     assert len(trace) == 20
     assert trace.vertices() == [spec.labels[f"box{i}"] for i in range(1, 22)]
@@ -165,7 +170,7 @@ def test_zadeh_two_cube_tie_break():
 
 def test_zadeh_usage_conservation(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
-    st = ZadehState(tuple(tie_pattern_zadeh(0)))
+    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
     v = spec.labels["box1"]
     steps = 0
     while a0.evaluate(v):
@@ -183,7 +188,7 @@ def test_all_rules_take_n_steps_from_antisink(tmp_path):
         anti = (1 << n) - 1
         o = UniformOracle(n, 0)
         pairs = tuple(d for c in range(n) for d in (Direction(c, True), Direction(c, False)))
-        john = JohnsonState(tuple(johnson_tie_order(1, bundle_size=n)))
+        john = JohnsonState(tuple(_lexicographic(n)))
         for rule, state in (("cunningham", CunninghamState(pairs)), ("johnson", john),
                             ("zadeh", ZadehState(pairs))):
             trace = run_to_sink(o, anti, rule, state, bundle_size=n)
@@ -196,7 +201,7 @@ def test_all_rules_take_n_steps_from_antisink(tmp_path):
 def test_determinism_identical_traces(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
     runs = [run_to_sink(a0, spec.labels["box1"], "zadeh",
-                        ZadehState(tuple(tie_pattern_zadeh(0))), bundle_size=6)
+                        ZadehState(tuple(FAMILY["zadeh"].tie_order(0))), bundle_size=6)
             for _ in range(2)]
     assert runs[0].directions() == runs[1].directions()
     assert runs[0].history == runs[1].history
@@ -300,7 +305,7 @@ def test_lower_levels_computed_once_per_path_vertex(tmp_path, monkeypatch, famil
 
 
 def test_balance_of_fresh_and_scoped():
-    st = ZadehState(tuple(tie_pattern_zadeh(0)))
+    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
     for d in st.tie_list:
         assert balance_of(st, d) == 0
     for d in [Direction(0, True)] * 3 + [Direction(1, True)]:
@@ -311,13 +316,13 @@ def test_balance_of_fresh_and_scoped():
 
 def test_is_saturated_fresh_state(zadeh_frames):
     _, a0 = zadeh_frames["a0"]
-    st = ZadehState(tuple(tie_pattern_zadeh(0)))
+    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
     assert is_saturated(a0, 0b000010, st, 0b111111)
 
 
 def test_is_saturated_at_box12_not_at_box2(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
-    st = ZadehState(tuple(tie_pattern_zadeh(0)))
+    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
     v = spec.labels["box1"]
     for i in range(11):
         _, v = _step(a0, v, st)
@@ -477,7 +482,7 @@ def test_johnson_state_matches_its_definition(order, moves, queries):
 ])
 def test_trace_jsonl_tampering_is_caught(tmp_path, johnson_frames, line, key, value):
     _, f1 = johnson_frames["f1"]
-    trace = run_to_sink(f1, 0, "johnson", JohnsonState(tuple(johnson_tie_order(1))),
+    trace = run_to_sink(f1, 0, "johnson", JohnsonState(tuple(FAMILY["johnson"].tie_order(0))),
                         bundle_size=4)
     path = tmp_path / "t.jsonl"
     write_trace_jsonl(trace, path)
@@ -551,7 +556,7 @@ def test_rules_terminate_within_2n_from_every_start(cunningham_frames,
             order = tuple(d for d, _ in pairs)
             for rule, state in (
                     ("cunningham", CunninghamState(order)),
-                    ("johnson", JohnsonState(tuple(johnson_tie_order(1, bundle_size=n)))),
+                    ("johnson", JohnsonState(tuple(_lexicographic(n)))),
                     ("zadeh", ZadehState(order))):
                 trace = run_to_sink(oracle, start, rule, state,
                                     step_limit=1 << n, bundle_size=n,

@@ -1,10 +1,13 @@
 """Realized chains against the independent table reference of
 tests/reference.py, at every level with n <= 20."""
 
+from dataclasses import replace
+
 import pytest
 
-from ausokit.constructions import GADGET_ANCHOR, realize_range
-from ausokit.frame_store import load_family
+from ausokit import constructions
+from ausokit.constructions import realize_range
+from ausokit.frame_store import FAMILY, load_family, validate_family
 from ausokit.verifier import USO_EXHAUSTIVE_CAP, check_acyclic, check_uso_exhaustive
 from reference import ArrayOracle, compare_with_reference, level_tables
 
@@ -53,13 +56,19 @@ def test_swapped_frame_row_fails_the_reference(chains, family):
     assert failed == [f"{family} level {len(chain) - 1} outmaps"]
 
 
+def _moved(anchor):
+    """The gadget anchor (bundle-local bits) with its lowest coordinate c
+    swapped for c ^ 1: both bits flip."""
+    low = anchor & -anchor
+    return anchor ^ low ^ 1 << ((low.bit_length() - 1) ^ 1)
+
+
 @pytest.mark.parametrize("family", ["cunningham", "johnson", "zadeh"])
 def test_reference_with_moved_gadget_anchor_fails(chains, family):
     """The reference tables built with the gadget anchor one bit off: every
     level above the base differs from them in its run or its outmaps."""
     chain, frames, cache, _ = chains[family]
-    anchor = GADGET_ANCHOR[family]
-    moved = tuple(sorted(set(anchor) ^ {anchor[0], anchor[0] ^ 1}))
+    moved = _moved(FAMILY[family].gadget_anchor)
     tables = level_tables(family, len(chain) - 1, cache, frames, anchor=moved)
     failed = compare_with_reference(chain, tables)
     for level in range(1, len(chain)):
@@ -71,11 +80,14 @@ def test_reference_with_moved_gadget_anchor_fails(chains, family):
 def test_builder_with_moved_gadget_anchor_fails_the_reference(chains, monkeypatch, family):
     """The builder with its gadget anchor one bit off (zadeh's run then finds
     no sink): every level above the base differs from the reference tables
-    in its run and its outmaps; the base does not."""
+    in its run and its outmaps; the base does not.  The frame gate, which
+    reads the anchor from the same record, refuses it, so the builder is
+    given the gate's verdict on the packaged record."""
     _, _, _, tables = chains[family]
-    anchor = GADGET_ANCHOR[family]
-    monkeypatch.setitem(GADGET_ANCHOR, family,
-                        tuple(sorted(set(anchor) ^ {anchor[0], anchor[0] ^ 1})))
+    spec, gate = FAMILY[family], validate_family(family)
+    monkeypatch.setitem(FAMILY, family, replace(spec, gadget_anchor=_moved(spec.gadget_anchor)))
+    assert not validate_family(family).passed
+    monkeypatch.setattr(constructions, "validate_family", lambda *args, **kwargs: gate)
     failed = compare_with_reference(realize_range(family, len(tables) - 1), tables)
     for level in range(1, len(tables)):
         for check in ("moves", "outmaps"):
