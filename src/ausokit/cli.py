@@ -4,11 +4,12 @@ Only `build` writes cache files; `run`, `verify` and `report` realize a
 level whose cache file is missing in memory.
 
 Exit codes: 0 success, 1 property violation (frame files that fail their
-family's validation, or a cached level that differs from its rebuild, count
-as one), 2 usage or configuration error (a frame file that is missing,
-unparsable or not of its family's dimension, a cache file the cache writer
-could not have written, a negative level, a verify mode or option the level
-cannot take, or a path that cannot be read or written), 3 resource limit.
+family's validation, a cached level that differs from its rebuild, or a
+chain that `build` or `report` finds failing check_growth count as one), 2
+usage or configuration error (a frame file that is missing, unparsable or
+not of its family's dimension, a cache file the cache writer could not have
+written, a negative level, a verify mode or option the level cannot take,
+or a path that cannot be read or written), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from pathlib import Path
 from .constructions import (
     ConstructionError,
     FrameValidationError,
-    cache_path,
     realize_range,
 )
 from .cube_core import CubeError
@@ -79,18 +79,23 @@ def cmd_build(args) -> int:
     chain = realize_range(args.family, hi, args.frames_dir, args.cache_dir)
     for level, _ in chain[lo:]:
         print(f"level {level.level}: n={level.dimension} path_length={level.path_length}")
+    return _growth_exit(chain, args.family)
+
+
+def _growth_exit(chain, family: str) -> int:
+    """EXIT_VIOLATION, with one stderr line, when the chain's path lengths
+    fail check_growth, else EXIT_OK."""
+    lengths = [(level.level, level.dimension, level.path_length) for level, _ in chain]
+    if not check_growth(lengths, FAMILY[family].bundle_size).passed:
+        print("growth recursion violated", file=sys.stderr)
+        return EXIT_VIOLATION
     return EXIT_OK
 
 
 def cmd_run(args) -> int:
-    cache_dir = Path(args.cache_dir)
-    if not cache_path(cache_dir, args.family, args.level).exists():
-        print(f"no cache for {args.family} level {args.level}; run build first",
-              file=sys.stderr)
-        return EXIT_USAGE
     out = Path(args.trace) if args.trace else Path(f"{args.family}_level{args.level}.jsonl")
     out.parent.mkdir(parents=True, exist_ok=True)
-    chain = realize_range(args.family, args.level, args.frames_dir, cache_dir,
+    chain = realize_range(args.family, args.level, args.frames_dir, args.cache_dir,
                           write=False)
     level, trace = chain[-1]
     write_trace_jsonl(trace, out)
@@ -175,10 +180,7 @@ def cmd_report(args) -> int:
         writer.writerows(rows)
         if out:
             stream.close()
-    if not check_growth(lengths, size).passed:
-        print("growth recursion violated", file=sys.stderr)
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return _growth_exit(chain, args.family)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -111,8 +111,6 @@ class ConstructionLevel:
     path_length: int
     product: ProductOracle | None = None  # None at the base level
     frame_names: dict[OrientationOracle, str] = field(default_factory=dict)
-    default_frame: str = ""
-    gadget_anchor: int = 0  # absolute bits; 0 for the base level
 
     @property
     def spec(self) -> Family:
@@ -154,7 +152,7 @@ def _realize_base(spec: Family, frame_oracles) -> tuple[ConstructionLevel, Trace
     trace = run_to_sink(oracle, spec.start(0), spec.name, spec.rule_state(0),
                         bundle_size=spec.bundle_size)
     level = ConstructionLevel(spec.name, 0, oracle.dimension, oracle, spec.start(0),
-                              trace.end, len(trace), default_frame=spec.default)
+                              trace.end, len(trace))
     return level, trace
 
 
@@ -225,7 +223,7 @@ def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frame_oracl
     if not top:
         oracle.bind(trace)
     built = ConstructionLevel(spec.name, level, oracle.dimension, oracle, start, trace.end,
-                              len(trace), product, frame_names, spec.default, anchor)
+                              len(trace), product, frame_names)
     return built, trace
 
 
@@ -362,6 +360,7 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     assigned.  So an inner dimension above 56 raises ConstructionError."""
     product = level.product
     inner_dim = level.dimension - level.bundle_size
+    anchor = 0 if product is None else level.spec.gadget_anchor << inner_dim
     if product is not None and inner_dim > 56:
         raise ConstructionError(f"cannot key {inner_dim}-bit vertex texts in 56 bits")
     rest = json.dumps({
@@ -371,8 +370,8 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
         "start": vertex_text(level.start, level.dimension),
         "sink": vertex_text(level.expected_sink, level.dimension),
         "path_length": level.path_length,
-        "default_frame": level.default_frame,
-        "gadget_anchor": vertex_text(level.gadget_anchor, level.dimension),
+        "default_frame": level.spec.default,
+        "gadget_anchor": vertex_text(anchor, level.dimension),
         "frame_files": hashes,
     }, indent=2, sort_keys=True)
     yield '{\n  "assignments": {'

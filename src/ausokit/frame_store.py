@@ -5,7 +5,8 @@ orientation minus an explicit list of backward edges.  A transcription is
 trusted only after validate_family passes every structural and scripted-walk
 constraint for its family; any failure means the data is wrong, not the code.
 Each family's facts (its frames, the positions the builder keys on, its tie
-order, rule and suites) are one `Family` record in FAMILY.
+order, rule and suites) are one `Family` record in FAMILY, and both of its
+suites, the frame suite and the trace suite, read them from that record.
 
 File format (UTF-8, line based):
     dim <n>               first non-comment line
@@ -25,11 +26,14 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cube_core import (
+    DIRECTIONS,
     CubeError,
     Direction,
     Face,
+    IllegalMoveError,
     TableOracle,
     apply_direction,
+    direction_text,
     face_sink,
     is_available,
     parse_vertex,
@@ -44,14 +48,7 @@ from .pivot_engine import (
     replay,
     run_to_sink,
 )
-from .verifier import (
-    VerificationReport,
-    check_acyclic,
-    check_uso_exhaustive,
-    johnson_trace_checks,
-    projection_check,
-    zadeh_trace_checks,
-)
+from .verifier import VerificationReport, check_acyclic, check_uso_exhaustive
 
 ENV_FRAMES_DIR = "AUSOKIT_FRAMES_DIR"
 
@@ -84,6 +81,7 @@ class Family:
     gadget_anchor: int  # ... nor here: the low face a level replaces
     gadget_external: int  # that face's external outmap in every connecting frame
     tie_pattern: str  # one bundle's tie order, "+k" / "-k" with k 1-based
+    deficits: str | None  # Zadeh: one bundle's directions that lag one use at the sink
     rule: type  # the pivot rule's state class
     frame_suite: object  # frame_suite(family, frames) -> VerificationReport
     trace_checks: object  # trace_checks(report, level, trace, lower_trace)
@@ -104,22 +102,13 @@ class Family:
 @dataclass
 class FrameSpec:
     name: str
-    family: str
     dim: int
     backward_edges: list[tuple[int, int]] = field(default_factory=list)  # (bits, k 1-based)
     labels: dict[str, int] = field(default_factory=dict)
     sha256: str = ""  # of the file bytes it was parsed from; set by load_family
 
-    def to_text(self) -> str:
-        lines = [f"# {self.family} frame {self.name}", f"dim {self.dim}"]
-        for bits, k in self.backward_edges:
-            lines.append(f"back {vertex_text(bits, self.dim)} {k}")
-        for name, bits in sorted(self.labels.items()):
-            lines.append(f"label {name} {vertex_text(bits, self.dim)}")
-        return "\n".join(lines) + "\n"
 
-
-def parse_frame(text: str, name: str = "", family: str = "") -> FrameSpec:
+def parse_frame(text: str, name: str = "") -> FrameSpec:
     dim = None
     backs: list[tuple[int, int]] = []
     labels: dict[str, int] = {}
@@ -168,7 +157,7 @@ def parse_frame(text: str, name: str = "", family: str = "") -> FrameSpec:
             raise FrameParseError(f"unknown directive {parts[0]!r}", line_no)
     if dim is None:
         raise FrameParseError("missing 'dim' line", 1)
-    return FrameSpec(name, family, dim, backs, labels)
+    return FrameSpec(name, dim, backs, labels)
 
 
 def _decimal(word: str) -> bool:
@@ -221,7 +210,7 @@ def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, Tabl
             raise CubeError(f"missing frame transcription {path}")
         data = path.read_bytes()
         try:
-            spec = parse_frame(data.decode("utf-8"), name=stem, family=family)
+            spec = parse_frame(data.decode("utf-8"), name=stem)
         except (FrameParseError, UnicodeError) as exc:
             raise CubeError(f"frame file {path}: {exc}") from exc
         if spec.dim != size:  # before its 2^dim table is built
@@ -268,7 +257,9 @@ def _require_label(report, spec, name, expected_bits: int):
                None if ok else {"expected": expected_bits, "labels": sorted(spec.labels)})
 
 
-def _structural(report, name, oracle, sink):
+def _structural(report, name, oracle, sink) -> int | None:
+    """The frame's USO, acyclicity and sink checks; returns its sink, None
+    when it has no unique one."""
     uso = check_uso_exhaustive(oracle)
     report.add(f"{name}_uso", uso.passed, None if uso.passed else uso.failures()[0].witness)
     acyc = check_acyclic(oracle)
@@ -280,6 +271,7 @@ def _structural(report, name, oracle, sink):
         report.add(f"{name}_sink", actual == sink,
                    None if actual == sink else {"expected": vertex_text(sink, n),
                                                 "actual": vertex_text(actual, n)})
+        return actual
     except CubeError as exc:
         report.add(f"{name}_sink", False, {"error": str(exc)})
 
@@ -314,29 +306,23 @@ def validate_cunningham(family: Family, frames) -> VerificationReport:
         # hypersink) in every connecting frame.
         _outmap_is(report, f"{name}_B_outmap", oracle, boxB, family.gadget_external)
         _outmap_is(report, f"{name}_H_hypersink", oracle, H, 0)
-    # F1: a fresh scan of the new-bundle block walks box1 -> box5 and
-    # exhausts the block there.
-    _, oracle1 = frames["f1"]
-    positions, used = _scan_walk(oracle1, box1, out_block)
-    ok = positions and positions[-1] == box5 and used == _dirs(0, "+1,-2,+3,+2", 4)
-    report.add("f1_scan_box1_to_box5", ok,
-               None if ok else {"positions": [vertex_text(p, 4) for p in positions]})
-    # F2: the scan continues box5 -> ... -> box1 and ends exactly at the
-    # block boundary.
-    _, oracle2 = frames["f2"]
-    positions, used = _scan_walk(oracle2, box5, out_block)
-    ok = positions and positions[-1] == box1 and used == _dirs(0, "-2,-1,+4,-3,+2,-4", 4)
-    report.add("f2_scan_box5_to_box1", ok,
-               None if ok else {"positions": [vertex_text(p, 4) for p in positions]})
-    # F3: once the inner block is exhausted at box1 or box5, the scan must
-    # deliver the token to B and exhaust the block there.
-    _, oracle3 = frames["f3"]
-    for start, label in ((box1, "box1"), (box5, "box5")):
-        positions, _ = _scan_walk(oracle3, start, out_block)
-        ok = positions and positions[-1] == boxB
-        report.add(f"f3_scan_{label}_to_B", ok,
+    # Fresh scans of the new-bundle block: on F1 it walks box1 -> box5 and
+    # exhausts the block there; on F2 it continues box5 -> ... -> box1 and
+    # ends exactly at the block boundary; on F3, once the inner block is
+    # exhausted at box1 or box5, it delivers the token to B and exhausts the
+    # block there.
+    for check, stem, start, end, pattern in (
+            ("f1_scan_box1_to_box5", "f1", box1, box5, "+1,-2,+3,+2"),
+            ("f2_scan_box5_to_box1", "f2", box5, box1, "-2,-1,+4,-3,+2,-4"),
+            ("f3_scan_box1_to_B", "f3", box1, boxB, None),
+            ("f3_scan_box5_to_B", "f3", box5, boxB, None)):
+        positions, used = _scan_walk(frames[stem][1], start, out_block)
+        ok = bool(positions) and positions[-1] == end \
+            and (pattern is None or used == _dirs(0, pattern, 4))
+        report.add(check, ok,
                    None if ok else {"positions": [vertex_text(p, 4) for p in positions]})
     # F3 doubles as the base case: the documented 5-step run.
+    oracle3 = frames["f3"][1]
     trace = _example_run(report, "f3_base_case_run", oracle3, family, family.rule_state(0))
     if trace is not None:
         ok = trace.directions() == _dirs(0, "+1,+3,-1,+4,+1", 4) and trace.end == H
@@ -353,14 +339,18 @@ def validate_johnson(family: Family, frames) -> VerificationReport:
     sink = family.hypersink  # {c1, c4}
     boxR = family.gadget_anchor  # {c1, c2, c4}
     full = 0b1111
+    sinks = {}
     for name in ("f1", "f2"):
         spec, oracle = frames[name]
-        _structural(report, name, oracle, sink)
+        sinks[name] = _structural(report, name, oracle, sink)
         # The reset face R has a single outgoing edge, on c2, toward the
         # hypersink; both frames agree, so the face can be reoriented.
         _outmap_is(report, f"{name}_R_outmap", oracle, boxR, family.gadget_external)
         _outmap_is(report, f"{name}_H_hypersink", oracle, sink, 0)
-    report.add("f1_f2_same_sink", True, details="both sinks asserted at {c1,c4}")
+    ok = sinks["f1"] is not None and sinks["f1"] == sinks["f2"]
+    report.add("f1_f2_same_sink", ok, None if ok else
+               {name: s if s is None else vertex_text(s, 4) for name, s in sinks.items()},
+               details="both sinks asserted at {c1,c4}" if ok else "")
     _, f1 = frames["f1"]
     # Positive chain structure of F1: +2 available only after +1, +3 only
     # after +1 and +2.
@@ -384,12 +374,12 @@ def validate_johnson(family: Family, frames) -> VerificationReport:
         ok = ok and bool(f2.evaluate(v) & (1 << d.coord))
         v ^= 1 << d.coord
     report.add("f2_negative_chain", ok and v == 0)
-    # Reset AUSO R1: one-outgoing-edge path {c1,c4} -> {c4} -> empty, sink at
-    # the empty vertex.
+    # Reset AUSO R1: a one-outgoing-edge path from the hypersink to the sink
+    # at the empty vertex, dropping the hypersink's coordinates lowest first.
     spec_r, r1 = frames[family.reset]
     _structural(report, "r1", r1, 0)
-    _outmap_is(report, "r1_reset_step1", r1, 0b1001, 0b0001)
-    _outmap_is(report, "r1_reset_step2", r1, 0b1000, 0b1000)
+    for step, c in enumerate(_coords(sink), 1):  # at the hypersink less its coordinates below c
+        _outmap_is(report, f"r1_reset_step{step}", r1, sink >> c << c, 1 << c)
     spec1 = frames["f1"][0]
     for label, bits in (("box1", family.box1), ("box5", family.box5), ("R", boxR),
                         ("H", sink)):
@@ -399,38 +389,33 @@ def validate_johnson(family: Family, frames) -> VerificationReport:
 
 def validate_zadeh(family: Family, frames) -> VerificationReport:
     report = VerificationReport("validate_zadeh")
-    box1, box12 = family.box1, 0b100010  # {c2}, {c2,c6}
+    box1 = family.box1  # {c2}
     boxB = family.gadget_anchor  # {c1,c2,c3}
     circ1, circ12 = 0b111010, 0b111110  # {c2,c4,c5,c6}, {c2,c3,c4,c5,c6}
     full = 0b111111
     # Base case A0: the tie-list walk visits box1..box21 in order and leaves
-    # balance 1 on exactly -3,-4,-5,-6.
+    # balance 1 on exactly the family's deficits.
     spec0, a0 = frames["a0"]
     _structural(report, "a0", a0, circ12)
-    st = family.rule_state(0)
-    trace = _example_run(report, "a0_walk_boxes_1_to_21", a0, family, st)
+    trace = _example_run(report, "a0_walk_boxes_1_to_21", a0, family, family.rule_state(0))
     if trace is not None:
         visited = trace.vertices()
         boxes = [spec0.labels.get(f"box{i}") for i in range(1, 22)]
         ok = None not in boxes and visited == boxes and len(trace) == 20
         report.add("a0_walk_boxes_1_to_21", ok,
                    None if ok else {"visited": [vertex_text(v, 6) for v in visited]})
+        sat, _, _, st = _zadeh_replay(family, 0, a0, trace)
         imbalanced = {d for d in st.tie_list if balance_of(st, d) == 1}
-        expected_im = set(_dirs(0, "-3,-4,-5,-6", 6))
-        other_zero = all(balance_of(st, d) == 0 for d in st.tie_list if d not in expected_im)
-        report.add("a0_final_balances", imbalanced == expected_im and other_zero,
-                   None if imbalanced == expected_im else
+        report.add("a0_final_balances", _deficits_ok(family, 0, st),
+                   None if imbalanced == set(_dirs(0, family.deficits, 6)) else
                    {"imbalanced": sorted(str(d) for d in imbalanced)})
         # box12 is saturated mid-run, and the sink lies at least two vertices
         # beyond the last saturated path vertex.
-        st2 = family.rule_state(0)
-        sat_positions = [i for i, (v, d) in enumerate(replay(trace, st2))
-                         if d is not None and is_saturated(a0, v, st2, full)]
-        interior = [i for i in sat_positions if i > 0]
+        interior = [i for i in sat[:-1] if i > 0]
         ok = len(visited) > 11 and spec0.labels.get("box12") == visited[11] \
             and 11 in interior and len(trace) - max(interior) >= 2
         report.add("a0_interior_saturation", ok,
-                   None if ok else {"saturated_at": sat_positions})
+                   None if ok else {"saturated_at": sat[:-1]})
     for name in ("f1", "f2", "f3"):
         spec, oracle = frames[name]
         # F1 and F2 sink at the full vertex (every backward edge sits below
@@ -470,30 +455,240 @@ def _path_oriented(oracle, path: list[int]) -> bool:
     return True
 
 
+# ---------------------------------------------------------------------------
+# Trace suites: the behavioural checks on a built level's run, one per
+# family, called by verifier.check_trace_properties.  `level` is a
+# ConstructionLevel (duck-typed); the family's facts come from level.spec.
+
+def _coords(bits: int) -> list[int]:
+    """The coordinates of a bundle-local bit set, lowest first."""
+    return [c for c in range(bits.bit_length()) if bits >> c & 1]
+
+
+def projection_check(report, level, trace, lower_trace):
+    """The inner-direction subsequence is the lower path, then the gadget
+    return walk, then the lower path again.  The inner moves are compared
+    as move bytes; one walk over the trace checks that every move is legal
+    where it is taken, as Trace.walk() does, and follows the gadget walk."""
+    if level.level == 0:
+        report.add("projection", True, details="base level, vacuous")
+        return
+    if lower_trace is None:
+        report.add("projection", False, {"error": "lower trace required"})
+        return
+    inner_dim = level.dimension - level.bundle_size
+    inner_mask = (1 << inner_dim) - 1
+    anchor = level.spec.gadget_anchor << inner_dim
+    # The moves on an inner coordinate, in order.
+    inner = trace.moves.translate(None, bytes(b for b in range(256) if b & 63 >= inner_dim))
+    lower = lower_trace.moves
+    k, m = len(lower), len(inner)
+    ok = m >= 2 * k and inner[:k] == lower and inner[m - k:] == lower
+    # The gadget walk, inner moves k..m - k - 1, starts at the lower sink,
+    # ends at the lower start, and every move happens inside the gadget face.
+    first, last = (k, m - k - 1) if ok else (m, -1)
+    i, v = 0, trace.start
+    for b in trace.moves:
+        bit = 1 << (b & 63)
+        if (v & bit) != (bit if b >> 6 else 0):
+            raise IllegalMoveError(f"{direction_text(DIRECTIONS[b], trace.bundle_size)} "
+                                   f"at vertex {vertex_text(v, trace.dimension)}")
+        if bit <= inner_mask:
+            if first <= i <= last:
+                ok = ok and (v & ~inner_mask) == anchor
+                ok = ok and (i != first or v & inner_mask == lower_trace.end)
+                ok = ok and (i != last or (v ^ bit) & inner_mask == lower_trace.start)
+            i += 1
+        v ^= bit
+    report.add("projection_twice", ok,
+               None if ok else {"inner_steps": m, "lower": k})
+
+
+def _zadeh_replay(family: Family, level: int, oracle, trace):
+    """One replay of the family's rule at `level` along the run on `oracle`.
+    Returns the saturated indices (index i is saturated when the vertex
+    before step i is D+-saturated, balance against the most used direction
+    overall; the sink always is, and comes last), the top usage count at
+    each of them, whether every saturated vertex whose inner part is still
+    active escapes through the innermost bundle to a vertex that is not
+    inner-saturated and still inner-active, and the final state."""
+    size = family.bundle_size
+    inner_mask = (1 << (oracle.dimension - size)) - 1
+    full_mask = (1 << oracle.dimension) - 1
+    st = family.rule_state(level)
+    sat, tops = [], []
+    escapes = True
+    escaping = False  # the previous vertex was saturated and inner-active
+    for i, (v, d) in enumerate(replay(trace, st)):
+        if escaping:
+            escapes = escapes and not is_saturated(oracle, v, st, inner_mask)
+            escapes = escapes and bool(oracle.evaluate(v) & inner_mask)
+        escaping = False
+        if d is None or is_saturated(oracle, v, st, full_mask):
+            sat.append(i)
+            tops.append(st.top)
+            escaping = d is not None and bool(oracle.evaluate(v) & inner_mask)
+            escapes = escapes and (not escaping or d.coord < size)
+    return sat, tops, escapes, st
+
+
+def _deficits_ok(family: Family, level: int, st) -> bool:
+    """At the sink exactly the family's deficits, in every bundle up to
+    `level`, lag one use behind the most used direction; the rest balance."""
+    lagging = {d for j in range(level + 1) for d in _dirs(j, family.deficits, family.bundle_size)}
+    return all(balance_of(st, d) == (1 if d in lagging else 0) for d in st.tie_list)
+
+
+def zadeh_trace_checks(report, level, trace, lower_trace):
+    size = level.bundle_size
+    sat, tops, escapes, final_state = _zadeh_replay(level.spec, level.level, level.oracle,
+                                                    trace)
+    # Between consecutive saturated vertices: the newest
+    # bundle's directions are each used at most once (inner bundles satisfy
+    # this recursively at their own level), fewer than 2n distinct
+    # directions are touched, and the top usage count grows by at most one
+    # (the start, where nothing is used yet, is always saturated).
+    top = {Direction(level.level * size + k, s)
+           for k in range(size) for s in (True, False)}
+    ok = all(after <= before + 1 for before, after in zip(tops, tops[1:]))
+    dirs = trace.directions()
+    for a, b in zip(sat, sat[1:]):
+        segment = dirs[a:b]
+        new_bundle = [d for d in segment if d in top]
+        ok = ok and len(set(new_bundle)) == len(new_bundle)
+        ok = ok and len(set(segment)) <= 2 * level.dimension - 1
+    report.add("saturated_segment_usage", ok, None if ok else {"saturated": sat})
+    ok = _deficits_ok(level.spec, level.level, final_state)
+    report.add("final_balance_deficits", ok,
+               None if ok else {"balances": {str(d): balance_of(final_state, d)
+                                             for d in final_state.tie_list}})
+    if level.level == 0:
+        # An interior saturated vertex exists and the sink is at least two
+        # steps past the last one.
+        interior = [i for i in sat[:-1] if i > 0]
+        ok = bool(interior) and len(trace) - max(interior) >= 2
+        report.add("interior_saturated_vertex", ok, None if ok else {"saturated": sat})
+    else:
+        projection_check(report, level, trace, lower_trace)
+        report.add("saturated_escape_moves", escapes)
+
+
+def johnson_trace_checks(report, level, trace, lower_trace):
+    size, sink = level.bundle_size, level.spec.hypersink  # each bundle's sink
+    bundles = level.level + 1
+    vertices = trace.vertices()
+    dirs = trace.directions()
+    # +c_b^k with k >= 2 immediately follows +c_b^{k-1}: the positives of
+    # a bundle always run as one consecutive block.
+    ok = all(
+        not (d.positive and d.coord % size)
+        or (i > 0 and dirs[i - 1] == Direction(d.coord - 1, True))
+        for i, d in enumerate(dirs))
+    report.add("positive_blocks_consecutive", ok)
+    # From a full bundle whose lower subtoken is not yet at its sink, the
+    # bundle's negatives run consecutively as -1,-2,-3,-4.
+    ok = True
+    for i, d in enumerate(dirs):
+        if d.positive or d.coord % size or d.coord < size:
+            continue
+        b = d.coord // size
+        bundle_mask = ((1 << size) - 1) << (b * size)
+        lower_sink = sum(sink << j * size for j in range(b))
+        lower_mask = (1 << (b * size)) - 1
+        if (vertices[i] & bundle_mask) == bundle_mask \
+                and (vertices[i] & lower_mask) != lower_sink:
+            block = dirs[i:i + size]
+            want = [Direction(b * size + k, False) for k in range(size)]
+            ok = ok and block == want
+    report.add("negative_blocks_consecutive", ok)
+    # From any point where the token misses a whole coordinate prefix, the
+    # next uses of those positive directions come in lexicographic order.
+    ok = True
+    for j in range(bundles):
+        mask = (1 << ((j + 1) * size)) - 1
+        positives = [Direction(c, True) for c in range((j + 1) * size)]
+        for i, v in enumerate(vertices):
+            if v & mask:
+                continue
+            nxt = {}
+            for t in range(i, len(dirs)):
+                if dirs[t].positive and dirs[t].coord < (j + 1) * size \
+                        and dirs[t] not in nxt:
+                    nxt[dirs[t]] = t
+                    if len(nxt) == len(positives):
+                        break  # every later use is a reuse
+            if len(nxt) < len(positives):
+                ok = False
+                break
+            order = [nxt[d] for d in positives]
+            if order != sorted(order):
+                ok = False
+                break
+        if not ok:
+            break
+    report.add("positive_reuse_lexicographic", ok)
+    ok = _johnson_resettable_check(level, trace)
+    report.add("reset_history_ordering", ok)
+    # Exactly one top-level reset: the hypersink's negatives in every lower
+    # bundle, lowest coordinate first, as build_reset's path walks them.
+    if level.level >= 1:
+        reset = [Direction(j * size + c, False) for j in range(bundles - 1)
+                 for c in _coords(sink)]
+        count = sum(1 for i in range(len(dirs) - len(reset) + 1)
+                    if dirs[i:i + len(reset)] == reset)
+        report.add("single_reset_in_order", count == 1,
+                   None if count == 1 else {"count": count})
+
+
+def _johnson_resettable_check(level, trace) -> bool:
+    """Whenever a subtoken reaches its sink while the next bundle is active,
+    every prefix bundle's hypersink negatives, lowest coordinate first, and
+    then the next bundle's gadget-external negative were last stepped in
+    that strict order: h(-c_j^1) < h(-c_j^4) < h(-c_{j+1}^2)."""
+    family = level.spec
+    size, sink = family.bundle_size, family.hypersink
+    bundles = level.level + 1
+    ordered = _coords(sink) + [size + c for c in _coords(family.gadget_external)]
+    # Per prefix t_j: its sink pattern, its mask and the next bundle's mask.
+    prefixes = [(sum(sink << i * size for i in range(j + 1)), (1 << ((j + 1) * size)) - 1,
+                 ((1 << size) - 1) << ((j + 1) * size)) for j in range(bundles - 1)]
+    st = level.rule_state()
+    positions = replay(trace, st)
+    prev, _ = next(positions)
+    for v, _ in positions:
+        for j, (pattern, mask, next_bundle) in enumerate(prefixes):
+            if (v & mask) != pattern or (prev & mask) == pattern:
+                continue  # not a fresh arrival at t_j's sink
+            if not level.oracle.evaluate(v) & next_bundle:
+                continue  # next bundle inactive: condition does not apply
+            h = st.last_step
+            for jp in range(j + 1):
+                stamps = [h[Direction(jp * size + c, False)] for c in ordered]
+                if any(a >= b for a, b in zip(stamps, stamps[1:])):
+                    return False
+        prev = v
+    return True
+
+
 # The paper's three families.  Bit k - 1 of a position is coordinate k, which
 # a frame file's vertex text writes k-th from the left: box1 0b0010 is `0100`.
 FAMILY = {family.name: family for family in (
     Family("cunningham", 4, ("f1", "f2", "f3"), base="f3", default="f3", reset=None,
            box1=0b0010, box5=0b0111, hypersink=0b1111, gadget_anchor=0b1110,
            gadget_external=0b0001, tie_pattern="+1,-2,+3,-1,+4,-3,+2,-4",
-           rule=CunninghamState, frame_suite=validate_cunningham,
+           deficits=None, rule=CunninghamState, frame_suite=validate_cunningham,
            trace_checks=projection_check),
     Family("johnson", 4, ("f1", "f2", "r1"), base="f1", default="f1", reset="r1",
            box1=0b0000, box5=0b1111, hypersink=0b1001, gadget_anchor=0b1011,
            gadget_external=0b0010, tie_pattern="+1,+2,+3,+4,-1,-2,-3,-4",
-           rule=JohnsonState, frame_suite=validate_johnson,
+           deficits=None, rule=JohnsonState, frame_suite=validate_johnson,
            trace_checks=johnson_trace_checks),
     Family("zadeh", 6, ("a0", "f1", "f2", "f3"), base="a0", default="f3", reset=None,
            box1=0b000010, box5=None, hypersink=None, gadget_anchor=0b000111,
            gadget_external=0b111000, tie_pattern="+1,-2,+3,-1,+4,-3,+5,-4,+6,-5,+2,-6",
-           rule=ZadehState, frame_suite=validate_zadeh, trace_checks=zadeh_trace_checks),
+           deficits="-3,-4,-5,-6", rule=ZadehState, frame_suite=validate_zadeh,
+           trace_checks=zadeh_trace_checks),
 )}
-
-
-def johnson_tie_order(bundles: int) -> list[Direction]:
-    """Johnson's lexicographic tie order over `bundles` bundles: per bundle
-    positives then negatives, smaller index first, smaller bundle first."""
-    return FAMILY["johnson"].tie_order(bundles - 1)
 
 
 def validate_family(family: str, frames_dir=None, frames=None) -> VerificationReport:

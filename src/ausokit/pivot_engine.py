@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 from .cube_core import (
     DIRECTIONS,
@@ -33,7 +34,6 @@ from .cube_core import (
 )
 
 HISTORY_SNAPSHOT_MAX_DIM = 16
-RULES = ("cunningham", "johnson", "zadeh")
 
 
 class StepLimitExceeded(CubeError):
@@ -65,6 +65,7 @@ class CunninghamState:
     """List L of all 2n directions and marker mu (1-based index of the last
     direction used; 2n initially so the first check is L[1])."""
 
+    rule: ClassVar[str] = "cunningham"
     order: tuple[Direction, ...]
     marker: int = field(init=False)
 
@@ -116,6 +117,7 @@ class JohnsonState:
     never depend on this flag.
     """
 
+    rule: ClassVar[str] = "johnson"
     tie_order: tuple[Direction, ...]
     key: list[int] = field(init=False, repr=False)
     updated: tuple[int, int] = field(init=False, default=(0, 0))
@@ -194,6 +196,7 @@ class ZadehState:
     nonempty mask.
     """
 
+    rule: ClassVar[str] = "zadeh"
     tie_list: tuple[Direction, ...]
     count: list[int] = field(init=False, repr=False)
     top: int = field(init=False, default=0)
@@ -307,7 +310,8 @@ class Trace:
 def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
                 step_limit: int | None = None, bundle_size: int = 4,
                 record_history: bool | None = None, after_step=None) -> Trace:
-    """Drive a rule state from `start` until the global sink.
+    """Drive a rule state from `start` until the global sink; `rule`, the
+    name the trace records, must be the one the state's class names.
 
     Each visited vertex's outmap is read once; the state chooses the move
     from it.  Arriving over an edge that the new vertex also lists as
@@ -317,8 +321,8 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
     after_step(direction, v_after) once per move, before v_after is
     evaluated; the recursive builders use it to drive the adversary.
     """
-    if rule not in RULES:
-        raise CubeError(f"unknown rule {rule!r}")
+    if rule != state.rule:
+        raise CubeError(f"rule {rule!r} given for a {state.rule} state")
     n = oracle.dimension
     if step_limit is None:
         step_limit = 4 << n

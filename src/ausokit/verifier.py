@@ -1,5 +1,7 @@
-"""Structural checkers (unique sink per face, acyclicity) and behavioral
-checkers for traces and growth.
+"""Structural checkers (unique sink per face, acyclicity), the growth
+check, and the runner of a family's trace suite.  They read orientations,
+traces and path lengths only: the family suites, which read the family's
+facts, live beside its `Family` record in frame_store.
 
 The definitional face-sink count is the ground truth.  The pairwise outmap
 criterion ((s(u) xor s(v)) & (u xor v) != 0 for all pairs) scales better
@@ -30,17 +32,12 @@ from itertools import chain
 import numpy as np
 
 from .cube_core import (
-    DIRECTIONS,
     CubeError,
-    Direction,
     Face,
-    IllegalMoveError,
     OrientationOracle,
-    direction_text,
     tabulate,
     vertex_text,
 )
-from .pivot_engine import balance_of, is_saturated, replay
 
 USO_EXHAUSTIVE_CAP = 14
 ACYCLIC_CAP = 20
@@ -433,206 +430,6 @@ def check_trace_properties(level, trace, lower_trace=None) -> VerificationReport
     level.spec.trace_checks(report, level, trace, lower_trace)
     report.elapsed = time.perf_counter() - started
     return report
-
-
-def projection_check(report, level, trace, lower_trace):
-    """The inner-direction subsequence is the lower path, then the gadget
-    return walk, then the lower path again.  The inner moves are compared
-    as move bytes; one walk over the trace checks that every move is legal
-    where it is taken, as Trace.walk() does, and follows the gadget walk."""
-    if level.level == 0:
-        report.add("projection", True, details="base level, vacuous")
-        return
-    if lower_trace is None:
-        report.add("projection", False, {"error": "lower trace required"})
-        return
-    inner_dim = level.dimension - level.bundle_size
-    inner_mask = (1 << inner_dim) - 1
-    # The moves on an inner coordinate, in order.
-    inner = trace.moves.translate(None, bytes(b for b in range(256) if b & 63 >= inner_dim))
-    lower = lower_trace.moves
-    k, m = len(lower), len(inner)
-    ok = m >= 2 * k and inner[:k] == lower and inner[m - k:] == lower
-    # The gadget walk, inner moves k..m - k - 1, starts at the lower sink,
-    # ends at the lower start, and every move happens inside the gadget face.
-    first, last = (k, m - k - 1) if ok else (m, -1)
-    i, v = 0, trace.start
-    for b in trace.moves:
-        bit = 1 << (b & 63)
-        if (v & bit) != (bit if b >> 6 else 0):
-            raise IllegalMoveError(f"{direction_text(DIRECTIONS[b], trace.bundle_size)} "
-                                   f"at vertex {vertex_text(v, trace.dimension)}")
-        if bit <= inner_mask:
-            if first <= i <= last:
-                ok = ok and (v & ~inner_mask) == level.gadget_anchor
-                ok = ok and (i != first or v & inner_mask == lower_trace.end)
-                ok = ok and (i != last or (v ^ bit) & inner_mask == lower_trace.start)
-            i += 1
-        v ^= bit
-    report.add("projection_twice", ok,
-               None if ok else {"inner_steps": m, "lower": k})
-
-
-def _zadeh_replay(level, trace):
-    """One replay of the run.  Returns the saturated indices (index i is
-    saturated when the vertex before step i is D+-saturated, balance against
-    the most used direction overall), the top usage count at each of them,
-    whether every saturated vertex whose inner part is still active escapes
-    through the innermost bundle to a vertex that is not inner-saturated and
-    still inner-active, and the final state."""
-    size = level.bundle_size
-    inner_mask = (1 << (level.dimension - size)) - 1
-    full_mask = (1 << level.dimension) - 1
-    st = level.rule_state()
-    sat, tops = [], []
-    escapes = True
-    escaping = False  # the previous vertex was saturated and inner-active
-    for i, (v, d) in enumerate(replay(trace, st)):
-        if escaping:
-            escapes = escapes and not is_saturated(level.oracle, v, st, inner_mask)
-            escapes = escapes and bool(level.oracle.evaluate(v) & inner_mask)
-        escaping = False
-        # The sink is trivially saturated.
-        if d is None or is_saturated(level.oracle, v, st, full_mask):
-            sat.append(i)
-            tops.append(st.top)
-            escaping = d is not None and bool(level.oracle.evaluate(v) & inner_mask)
-            escapes = escapes and (not escaping or d.coord < size)
-    return sat, tops, escapes, st
-
-
-def zadeh_trace_checks(report, level, trace, lower_trace):
-    size = level.bundle_size
-    sat, tops, escapes, final_state = _zadeh_replay(level, trace)
-    # Between consecutive saturated vertices: the newest
-    # bundle's directions are each used at most once (inner bundles satisfy
-    # this recursively at their own level), fewer than 2n distinct
-    # directions are touched, and the top usage count grows by at most one
-    # (the start, where nothing is used yet, is always saturated).
-    top = {Direction(level.level * size + k, s)
-           for k in range(size) for s in (True, False)}
-    ok = all(after <= before + 1 for before, after in zip(tops, tops[1:]))
-    dirs = trace.directions()
-    for a, b in zip(sat, sat[1:]):
-        segment = dirs[a:b]
-        new_bundle = [d for d in segment if d in top]
-        ok = ok and len(set(new_bundle)) == len(new_bundle)
-        ok = ok and len(set(segment)) <= 2 * level.dimension - 1
-    report.add("saturated_segment_usage", ok, None if ok else {"saturated": sat})
-    # At the sink, exactly the -c^3..-c^6 of every bundle lag one use
-    # behind; everything else is balanced.
-    im = {Direction(j * size + k, False)
-          for j in range(level.level + 1) for k in range(2, size)}
-    ok = all(balance_of(final_state, d) == (1 if d in im else 0)
-             for d in final_state.tie_list)
-    report.add("final_balance_deficits", ok,
-               None if ok else {"balances": {str(d): balance_of(final_state, d)
-                                             for d in final_state.tie_list}})
-    if level.level == 0:
-        # An interior saturated vertex exists and the sink is at least two
-        # steps past the last one.
-        interior = [i for i in sat[:-1] if i > 0]
-        ok = bool(interior) and len(trace) - max(interior) >= 2
-        report.add("interior_saturated_vertex", ok, None if ok else {"saturated": sat})
-    else:
-        projection_check(report, level, trace, lower_trace)
-        report.add("saturated_escape_moves", escapes)
-
-
-def johnson_trace_checks(report, level, trace, lower_trace):
-    size, sink = level.bundle_size, level.spec.hypersink  # {c^1, c^4}, each bundle's sink
-    bundles = level.level + 1
-    vertices = trace.vertices()
-    dirs = trace.directions()
-    # +c_b^k with k >= 2 immediately follows +c_b^{k-1}: the positives of
-    # a bundle always run as one consecutive block.
-    ok = all(
-        not (d.positive and d.coord % size)
-        or (i > 0 and dirs[i - 1] == Direction(d.coord - 1, True))
-        for i, d in enumerate(dirs))
-    report.add("positive_blocks_consecutive", ok)
-    # From a full bundle whose lower subtoken is not yet at its sink, the
-    # bundle's negatives run consecutively as -1,-2,-3,-4.
-    ok = True
-    for i, d in enumerate(dirs):
-        if d.positive or d.coord % size or d.coord < size:
-            continue
-        b = d.coord // size
-        bundle_mask = ((1 << size) - 1) << (b * size)
-        lower_sink = sum(sink << j * size for j in range(b))
-        lower_mask = (1 << (b * size)) - 1
-        if (vertices[i] & bundle_mask) == bundle_mask \
-                and (vertices[i] & lower_mask) != lower_sink:
-            block = dirs[i:i + size]
-            want = [Direction(b * size + k, False) for k in range(size)]
-            ok = ok and block == want
-    report.add("negative_blocks_consecutive", ok)
-    # From any point where the token misses a whole coordinate prefix, the
-    # next uses of those positive directions come in lexicographic order.
-    ok = True
-    for j in range(bundles):
-        mask = (1 << ((j + 1) * size)) - 1
-        positives = [Direction(c, True) for c in range((j + 1) * size)]
-        for i, v in enumerate(vertices):
-            if v & mask:
-                continue
-            nxt = {}
-            for t in range(i, len(dirs)):
-                if dirs[t].positive and dirs[t].coord < (j + 1) * size \
-                        and dirs[t] not in nxt:
-                    nxt[dirs[t]] = t
-                    if len(nxt) == len(positives):
-                        break  # every later use is a reuse
-            if len(nxt) < len(positives):
-                ok = False
-                break
-            order = [nxt[d] for d in positives]
-            if order != sorted(order):
-                ok = False
-                break
-        if not ok:
-            break
-    report.add("positive_reuse_lexicographic", ok)
-    # Whenever a subtoken reaches its sink while the next bundle is active,
-    # h(-c_j'^1) < h(-c_j'^4) < h(-c_{j'+1}^2) holds for every prefix bundle.
-    ok = _johnson_resettable_check(level, trace)
-    report.add("reset_history_ordering", ok)
-    # Exactly one top-level reset, walking -c_0^1,-c_0^4,...,-c^1,-c^4.
-    if level.level >= 1:
-        reset = []
-        for j in range(bundles - 1):
-            reset.append(Direction(j * size, False))
-            reset.append(Direction(j * size + 3, False))
-        count = sum(1 for i in range(len(dirs) - len(reset) + 1)
-                    if dirs[i:i + len(reset)] == reset)
-        report.add("single_reset_in_order", count == 1,
-                   None if count == 1 else {"count": count})
-
-
-def _johnson_resettable_check(level, trace) -> bool:
-    size, sink = level.bundle_size, level.spec.hypersink
-    bundles = level.level + 1
-    # Per prefix t_j: its sink pattern, its mask and the next bundle's mask.
-    prefixes = [(sum(sink << i * size for i in range(j + 1)), (1 << ((j + 1) * size)) - 1,
-                 ((1 << size) - 1) << ((j + 1) * size)) for j in range(bundles - 1)]
-    st = level.rule_state()
-    positions = replay(trace, st)
-    prev, _ = next(positions)
-    for v, _ in positions:
-        for j, (pattern, mask, next_bundle) in enumerate(prefixes):
-            if (v & mask) != pattern or (prev & mask) == pattern:
-                continue  # not a fresh arrival at t_j's sink
-            if not level.oracle.evaluate(v) & next_bundle:
-                continue  # next bundle inactive: condition does not apply
-            h = st.last_step
-            for jp in range(j + 1):
-                a = h[Direction(jp * size, False)]
-                b = h[Direction(jp * size + 3, False)]
-                c = h[Direction((jp + 1) * size + 1, False)]
-                if not a < b < c:
-                    return False
-        prev = v
-    return True
 
 
 def check_growth(lengths: list[tuple[int, int, int]], bundle_size: int) -> VerificationReport:

@@ -56,11 +56,35 @@ def test_verify_all_frames(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_run_without_cache_is_usage_error(tmp_path, capsys):
-    code = main(["run", "--family", "zadeh", "--level", "0",
-                 "--cache-dir", str(tmp_path / "none")])
-    assert code == 2
-    capsys.readouterr()
+def test_run_into_an_empty_cache_dir_realizes_in_memory(tmp_path, capsys):
+    """run needs no cache: into an empty cache dir it builds the level in
+    memory, writes the trace and writes no cache file."""
+    cache, trace = tmp_path / "caches", tmp_path / "z1.jsonl"
+    cache.mkdir()
+    assert main(["run", "--family", "zadeh", "--level", "1",
+                 "--cache-dir", str(cache), "--trace", str(trace)]) == 0
+    assert json.loads(capsys.readouterr().out)["path_length"] == 88
+    assert len(trace.read_text().splitlines()) == 89
+    assert list(cache.iterdir()) == []
+
+
+def test_build_exits_1_on_a_chain_that_fails_growth(tmp_path, capsys):
+    """With zadeh f3's edge (100000, c2) flipped, the frames pass their
+    checks but the paths only add 20 a level: build prints the levels it
+    built and exits 1 with `growth recursion violated`, as report does."""
+    frames = tmp_path / "frames"
+    shutil.copytree(Path(ausokit.__file__).parent / "frames", frames)
+    with open(frames / "zadeh_f3.frame", "a", encoding="utf-8") as f:
+        f.write("back 100000 2\n")
+    common = ["--family", "zadeh", "--levels", "0..3", "--frames-dir", str(frames),
+              "--cache-dir", str(tmp_path / "c")]
+    assert main(["build", *common]) == 1
+    out, err = capsys.readouterr()
+    assert [line.split("path_length=")[1] for line in out.splitlines()] == \
+        ["20", "40", "60", "80"]
+    assert err == "growth recursion violated\n"
+    assert main(["report", *common]) == 1
+    assert capsys.readouterr().err == "growth recursion violated\n"
 
 
 def test_bad_level_range_is_usage_error(tmp_path, capsys):
@@ -214,17 +238,9 @@ def test_commands_refuse_frames_that_fail_validation(tmp_path, capsys):
     assert refused(["report", "--levels", "0..2", "--out", str(tmp_path / "g.csv")])
     assert refused(["verify", "--level", "2", "--mode", "traces",
                     "--report", str(tmp_path / "r.json")])
+    assert refused(["run", "--level", "2", "--trace", str(tmp_path / "c2.jsonl")])
     assert not cache.exists()
     assert not (tmp_path / "g.csv").exists() and not (tmp_path / "r.json").exists()
-    # A level-2 cache built from the packaged frames takes run past its
-    # usage check.
-    assert main(["build", "--family", "cunningham", "--levels", "2",
-                 "--cache-dir", str(tmp_path / "packaged")]) == 0
-    cache.mkdir()
-    shutil.copy(tmp_path / "packaged" / "cunningham_level2.json", cache)
-    capsys.readouterr()
-    assert refused(["run", "--level", "2", "--trace", str(tmp_path / "c2.jsonl")])
-    assert [p.name for p in cache.iterdir()] == ["cunningham_level2.json"]
     assert not (tmp_path / "c2.jsonl").exists()
 
 

@@ -63,7 +63,8 @@ def test_external_outmap_uniform_gadget_faces(built_levels):
         product = level1.oracle.base.base  # MemoOracle -> ReorientedOracle -> product
         assert isinstance(product, ProductOracle)
         inner_dim = level1.dimension - level1.bundle_size
-        face = np.arange(1 << inner_dim, dtype=np.uint64) | np.uint64(level1.gadget_anchor)
+        anchor = FAMILY[family].gadget_anchor << inner_dim
+        face = np.arange(1 << inner_dim, dtype=np.uint64) | np.uint64(anchor)
         external = product.evaluate_many(face) >> np.uint64(inner_dim)
         assert set(external.tolist()) == {sum(1 << k for k in want_bits)}
         assert sum(1 << k for k in want_bits) == FAMILY[family].gadget_external
@@ -409,7 +410,8 @@ def levels_and_references(tmp_path_factory):
             gadget = level.oracle.base
             refs.append(ReorientedOracle(
                 DictProduct(refs[-1], frames[record["default_frame"]], overrides),
-                level.gadget_anchor, gadget.replacement, gadget.shared_external))
+                parse_vertex(record["gadget_anchor"]), gadget.replacement,
+                gadget.shared_external))
         out[family] = chain, refs
     return out
 

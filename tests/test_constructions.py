@@ -267,7 +267,7 @@ def test_wide_cache_record_roundtrip(tmp_path, cunningham_frames):
     product = ProductOracle(inner, frames["f3"], overrides)
     level = ConstructionLevel("cunningham", 14, 60, oracle=product, start=1 << 59,
                               expected_sink=0, path_length=7, product=product,
-                              frame_names=names, default_frame="f3")
+                              frame_names=names)
     path = tmp_path / "cunningham_level14.json"
     path.write_text("".join(_cache_chunks(level, hashes)), encoding="utf-8")
     text = path.read_text(encoding="utf-8")
@@ -304,8 +304,9 @@ def _reference_cache_record(level, hashes):
         "path_length": level.path_length,
         "assignments": {vertex_text(v, inner_dim): name
                         for v, name in level.assignments.items()},
-        "default_frame": level.default_frame,
-        "gadget_anchor": vertex_text(level.gadget_anchor, level.dimension),
+        "default_frame": FAMILY[level.family].default,
+        "gadget_anchor": vertex_text(FAMILY[level.family].gadget_anchor << inner_dim
+                                     if level.level else 0, level.dimension),
         "frame_files": hashes,
     }
 
@@ -359,7 +360,7 @@ def test_cache_keys_refuse_inner_dimension_above_56(tmp_path, cunningham_frames)
     product = ProductOracle(UniformOracle(57, 0), frames["f3"], {1 << 56: frames["f1"]})
     level = ConstructionLevel("cunningham", 14, 61, oracle=product, start=0,
                               expected_sink=0, path_length=0, product=product,
-                              frame_names=names, default_frame="f3")
+                              frame_names=names)
     with pytest.raises(ConstructionError, match="56 bits"):
         next(_cache_chunks(level, hashes))
     path = tmp_path / "cunningham_level14.json"

@@ -89,14 +89,6 @@ def test_repeated_label_is_refused():
     assert exc.value.line == 3
 
 
-def test_roundtrip_through_text(johnson_frames):
-    spec, oracle = johnson_frames["f2"]
-    again = parse_frame(spec.to_text(), name=spec.name, family=spec.family)
-    assert again.backward_edges == spec.backward_edges
-    assert again.labels == spec.labels
-    assert oracle_from_spec(again).table == oracle.table
-
-
 def test_johnson_f1_sink_position(johnson_frames):
     _, f1 = johnson_frames["f1"]
     # inactive exactly at {c^1, c^4}
@@ -122,7 +114,7 @@ def test_fake_frame_fails_b_outmap(cunningham_frames):
             if not v >> k & 1:
                 bits = "".join("1" if v >> i & 1 else "0" for i in range(4))
                 lines.append(f"back {bits} {k + 1}")
-    fake_spec = parse_frame("\n".join(lines), name="f1", family="cunningham")
+    fake_spec = parse_frame("\n".join(lines), name="f1")
     fake = {"f1": (fake_spec, oracle_from_spec(fake_spec)),
             "f2": cunningham_frames["f2"],
             "f3": cunningham_frames["f3"]}
@@ -149,6 +141,22 @@ def test_johnson_frames_share_sink(johnson_frames):
     for name in ("f1", "f2"):
         _, oracle = johnson_frames[name]
         assert face_sink(oracle, Face(0, 0b1111)) == 0b1001
+
+
+def test_johnson_frames_with_other_sinks_fail_same_sink(johnson_frames):
+    """f1_f2_same_sink compares the two frames' sinks: it passes on the
+    packaged frames and fails, naming both sinks, when f2's edge (1001, c2)
+    is reversed and its sink moves to {c1, c2, c4}."""
+    def same_sink(frames):
+        report = validate_family("johnson", frames=frames)
+        return next(c for c in report.checks if c.name == "f1_f2_same_sink")
+
+    check = same_sink(johnson_frames)
+    assert check.passed and check.details == "both sinks asserted at {c1,c4}"
+    spec, _ = johnson_frames["f2"]
+    flipped = replace(spec, backward_edges=sorted(set(spec.backward_edges) ^ {(0b1001, 2)}))
+    check = same_sink({**johnson_frames, "f2": (flipped, oracle_from_spec(flipped))})
+    assert not check.passed and check.witness == {"f1": "1001", "f2": "1101"}
 
 
 def test_validate_family_via_dir(tmp_path):

@@ -12,7 +12,7 @@ import hashlib
 import pytest
 
 from ausokit.constructions import realize_range
-from ausokit.frame_store import johnson_tie_order
+from ausokit.frame_store import FAMILY
 from ausokit.pivot_engine import JohnsonState, run_to_sink, write_trace_jsonl
 
 TRACE_DIGESTS = {
@@ -65,7 +65,7 @@ def test_cache_digest(family, built_levels, tmp_path):
 
 def test_johnson_non_arrival_digest(built_levels, tmp_path):
     traces = [run_to_sink(level.oracle, level.start, "johnson",
-                          JohnsonState(tuple(johnson_tie_order(level.level + 1)),
+                          JohnsonState(tuple(FAMILY["johnson"].tie_order(level.level)),
                                        arrival_update=False), bundle_size=4)
               for level, _ in built_levels["johnson"]]
     assert all(trace.history is not None and len(trace.history) == len(trace)

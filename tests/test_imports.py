@@ -33,6 +33,14 @@ def test_module_imports_first_in_fresh_interpreter(module):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_verifier_imports_from_cube_core_only():
+    """The structural checkers read orientations and traces only: they stay
+    independent of the rules, the builders and the families."""
+    tree = ast.parse((PACKAGE_DIR / "verifier.py").read_text(encoding="utf-8"))
+    package = {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom) and n.level}
+    assert package == {"cube_core"}
+
+
 def test_every_module_is_in_the_order():
     modules = {path.stem for path in PACKAGE_DIR.glob("*.py")} - {"__init__"}
     assert modules == set(ORDER), f"not in ORDER: {sorted(modules - set(ORDER))}"

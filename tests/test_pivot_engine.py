@@ -207,6 +207,16 @@ def test_determinism_identical_traces(zadeh_frames):
     assert runs[0].history == runs[1].history
 
 
+def test_run_refuses_a_rule_name_that_is_not_the_states(zadeh_frames):
+    """The trace records the rule name run_to_sink is given, so a name
+    other than the one the state's class names is refused before any step,
+    not written into a trace."""
+    _, a0 = zadeh_frames["a0"]
+    spec = FAMILY["zadeh"]
+    with pytest.raises(CubeError, match="rule 'cunningham' given for a zadeh state"):
+        run_to_sink(a0, spec.start(0), "cunningham", spec.rule_state(0), bundle_size=6)
+
+
 def test_step_limit_flags_cycle():
     cyclic = TableOracle(2, [0b01, 0b10, 0b10, 0b01])
     st = CunninghamState((Direction(0, True), Direction(1, True),

@@ -530,7 +530,8 @@ def _projection_reference(level, trace, lower_trace):
     middle = inner[k:len(inner) - k]
     if ok and middle:
         ok = (middle[0][0] & inner_mask) == lower_trace.end
-        ok = ok and all((v & ~inner_mask) == level.gadget_anchor for v, _ in middle)
+        anchor = level.spec.gadget_anchor << inner_dim
+        ok = ok and all((v & ~inner_mask) == anchor for v, _ in middle)
         v, d = middle[-1]
         ok = ok and (v ^ 1 << d.coord) & inner_mask == lower_trace.start
     return ok
