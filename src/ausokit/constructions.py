@@ -204,8 +204,8 @@ def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frame_oracl
             raise FrameConflictError(f"inner vertex {vi:b} demanded frame "
                                      f"{frame_names[frame]} but holds {frame_names[held]}")
 
-    def hook(d, v_after):
-        if d.coord < inner_dim and v_after >> inner_dim not in skipped:
+    def hook(b, v_after):
+        if b & 63 < inner_dim and v_after >> inner_dim not in skipped:
             assign(v_after)
 
     # A run never revisits a vertex (the orientation is acyclic), so it

@@ -26,14 +26,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cube_core import (
-    DIRECTIONS,
     CubeError,
     Direction,
     Face,
-    IllegalMoveError,
     TableOracle,
     apply_direction,
-    direction_text,
     face_sink,
     is_available,
     parse_vertex,
@@ -468,8 +465,7 @@ def _coords(bits: int) -> list[int]:
 def projection_check(report, level, trace, lower_trace):
     """The inner-direction subsequence is the lower path, then the gadget
     return walk, then the lower path again.  The inner moves are compared
-    as move bytes; one walk over the trace checks that every move is legal
-    where it is taken, as Trace.walk() does, and follows the gadget walk."""
+    as move bytes, and the gadget walk is followed along Trace.walk()."""
     if level.level == 0:
         report.add("projection", True, details="base level, vacuous")
         return
@@ -487,19 +483,14 @@ def projection_check(report, level, trace, lower_trace):
     # The gadget walk, inner moves k..m - k - 1, starts at the lower sink,
     # ends at the lower start, and every move happens inside the gadget face.
     first, last = (k, m - k - 1) if ok else (m, -1)
-    i, v = 0, trace.start
-    for b in trace.moves:
-        bit = 1 << (b & 63)
-        if (v & bit) != (bit if b >> 6 else 0):
-            raise IllegalMoveError(f"{direction_text(DIRECTIONS[b], trace.bundle_size)} "
-                                   f"at vertex {vertex_text(v, trace.dimension)}")
-        if bit <= inner_mask:
+    i = 0
+    for v, b in trace.walk():
+        if b is not None and b & 63 < inner_dim:
             if first <= i <= last:
                 ok = ok and (v & ~inner_mask) == anchor
                 ok = ok and (i != first or v & inner_mask == lower_trace.end)
-                ok = ok and (i != last or (v ^ bit) & inner_mask == lower_trace.start)
+                ok = ok and (i != last or (v ^ 1 << (b & 63)) & inner_mask == lower_trace.start)
             i += 1
-        v ^= bit
     report.add("projection_twice", ok,
                None if ok else {"inner_steps": m, "lower": k})
 
@@ -519,16 +510,16 @@ def _zadeh_replay(family: Family, level: int, oracle, trace):
     sat, tops = [], []
     escapes = True
     escaping = False  # the previous vertex was saturated and inner-active
-    for i, (v, d) in enumerate(replay(trace, st)):
+    for i, (v, b) in enumerate(replay(trace, st)):
         if escaping:
             escapes = escapes and not is_saturated(oracle, v, st, inner_mask)
             escapes = escapes and bool(oracle.evaluate(v) & inner_mask)
         escaping = False
-        if d is None or is_saturated(oracle, v, st, full_mask):
+        if b is None or is_saturated(oracle, v, st, full_mask):
             sat.append(i)
             tops.append(st.top)
-            escaping = d is not None and bool(oracle.evaluate(v) & inner_mask)
-            escapes = escapes and (not escaping or d.coord < size)
+            escaping = b is not None and bool(oracle.evaluate(v) & inner_mask)
+            escapes = escapes and (not escaping or b & 63 < size)
     return sat, tops, escapes, st
 
 
@@ -548,13 +539,10 @@ def zadeh_trace_checks(report, level, trace, lower_trace):
     # this recursively at their own level), fewer than 2n distinct
     # directions are touched, and the top usage count grows by at most one
     # (the start, where nothing is used yet, is always saturated).
-    top = {Direction(level.level * size + k, s)
-           for k in range(size) for s in (True, False)}
     ok = all(after <= before + 1 for before, after in zip(tops, tops[1:]))
-    dirs = trace.directions()
-    for a, b in zip(sat, sat[1:]):
-        segment = dirs[a:b]
-        new_bundle = [d for d in segment if d in top]
+    for a, z in zip(sat, sat[1:]):
+        segment = trace.moves[a:z]
+        new_bundle = [b for b in segment if b & 63 >= level.level * size]
         ok = ok and len(set(new_bundle)) == len(new_bundle)
         ok = ok and len(set(segment)) <= 2 * level.dimension - 1
     report.add("saturated_segment_usage", ok, None if ok else {"saturated": sat})
@@ -576,52 +564,45 @@ def zadeh_trace_checks(report, level, trace, lower_trace):
 def johnson_trace_checks(report, level, trace, lower_trace):
     size, sink = level.bundle_size, level.spec.hypersink  # each bundle's sink
     bundles = level.level + 1
-    vertices = trace.vertices()
-    dirs = trace.directions()
+    vertices, moves = trace.vertices(), trace.moves
     # +c_b^k with k >= 2 immediately follows +c_b^{k-1}: the positives of
-    # a bundle always run as one consecutive block.
-    ok = all(
-        not (d.positive and d.coord % size)
-        or (i > 0 and dirs[i - 1] == Direction(d.coord - 1, True))
-        for i, d in enumerate(dirs))
+    # a bundle always run as one consecutive block.  A move byte below 64
+    # is a positive direction, its coordinate.
+    ok = all(b >= 64 or not b % size or (i > 0 and moves[i - 1] == b - 1)
+             for i, b in enumerate(moves))
     report.add("positive_blocks_consecutive", ok)
     # From a full bundle whose lower subtoken is not yet at its sink, the
     # bundle's negatives run consecutively as -1,-2,-3,-4.
     ok = True
-    for i, d in enumerate(dirs):
-        if d.positive or d.coord % size or d.coord < size:
+    for i, b in enumerate(moves):
+        c = b - 64  # the coordinate of a negative direction
+        if c < size or c % size:
             continue
-        b = d.coord // size
-        bundle_mask = ((1 << size) - 1) << (b * size)
-        lower_sink = sum(sink << j * size for j in range(b))
-        lower_mask = (1 << (b * size)) - 1
+        bundle_mask = ((1 << size) - 1) << c
+        lower_sink = sum(sink << j * size for j in range(c // size))
+        lower_mask = (1 << c) - 1
         if (vertices[i] & bundle_mask) == bundle_mask \
                 and (vertices[i] & lower_mask) != lower_sink:
-            block = dirs[i:i + size]
-            want = [Direction(b * size + k, False) for k in range(size)]
-            ok = ok and block == want
+            ok = ok and moves[i:i + size] == bytes(range(b, b + size))
     report.add("negative_blocks_consecutive", ok)
     # From any point where the token misses a whole coordinate prefix, the
-    # next uses of those positive directions come in lexicographic order.
+    # next uses of those positive directions come in lexicographic order:
+    # the bits below the prefix width are first used as 0, 1, 2, ...
     ok = True
     for j in range(bundles):
-        mask = (1 << ((j + 1) * size)) - 1
-        positives = [Direction(c, True) for c in range((j + 1) * size)]
+        width = (j + 1) * size
         for i, v in enumerate(vertices):
-            if v & mask:
+            if v & ((1 << width) - 1):
                 continue
-            nxt = {}
-            for t in range(i, len(dirs)):
-                if dirs[t].positive and dirs[t].coord < (j + 1) * size \
-                        and dirs[t] not in nxt:
-                    nxt[dirs[t]] = t
-                    if len(nxt) == len(positives):
+            due = 0  # the bit whose first use comes next
+            for b in moves[i:]:
+                if b == due:
+                    due += 1
+                    if due == width:
                         break  # every later use is a reuse
-            if len(nxt) < len(positives):
-                ok = False
-                break
-            order = [nxt[d] for d in positives]
-            if order != sorted(order):
+                elif due < b < width:
+                    break  # a later bit is used first
+            if due < width:
                 ok = False
                 break
         if not ok:
@@ -632,10 +613,9 @@ def johnson_trace_checks(report, level, trace, lower_trace):
     # Exactly one top-level reset: the hypersink's negatives in every lower
     # bundle, lowest coordinate first, as build_reset's path walks them.
     if level.level >= 1:
-        reset = [Direction(j * size + c, False) for j in range(bundles - 1)
-                 for c in _coords(sink)]
-        count = sum(1 for i in range(len(dirs) - len(reset) + 1)
-                    if dirs[i:i + len(reset)] == reset)
+        # The reset's bytes are distinct, so its occurrences never overlap.
+        count = moves.count(bytes(64 + j * size + c for j in range(bundles - 1)
+                                  for c in _coords(sink)))
         report.add("single_reset_in_order", count == 1,
                    None if count == 1 else {"count": count})
 

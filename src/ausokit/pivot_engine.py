@@ -276,15 +276,16 @@ def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, mask: int) -
 
 @dataclass
 class Trace:
-    """A run: step t is moves[t - 1], taken where the earlier moves lead
-    from the start; history, when recorded, the snapshot after each step."""
+    """A run: step t is moves[t - 1], the bit of its direction, taken where
+    the earlier moves lead from the start; history, when recorded, the
+    snapshot after each step."""
 
     rule: str
     dimension: int
     bundle_size: int
     start: int
     end: int
-    moves: bytearray = field(default_factory=bytearray)
+    moves: bytes | bytearray = field(default_factory=bytearray)
     history: list[dict] | None = None
     final_history: dict | None = None
 
@@ -295,11 +296,19 @@ class Trace:
         return [DIRECTIONS[b] for b in self.moves]
 
     def walk(self):
-        """(vertex, direction) before each move, then (last vertex, None)."""
-        v = self.start
-        for d in map(DIRECTIONS.__getitem__, self.moves):
-            yield v, d
-            v = apply_direction(v, d)
+        """(vertex, move bit) before each move, then (last vertex, None).
+        A move that is no direction of the cube, or that is not legal where
+        it is taken, raises IllegalMoveError."""
+        v, n = self.start, self.dimension
+        for b in self.moves:
+            c = b & 63
+            if c >= n or b >> 7:
+                raise IllegalMoveError(f"move {b} is no direction of the {n}-cube")
+            if v >> c & 1 != b >> 6:
+                raise IllegalMoveError(f"{direction_text(DIRECTIONS[b], self.bundle_size)} "
+                                       f"at vertex {vertex_text(v, n)}")
+            yield v, b
+            v ^= 1 << c
         yield v, None
 
     def vertices(self) -> list[int]:
@@ -318,8 +327,9 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
     outgoing raises OracleInconsistencyError.  Per-step history snapshots
     are recorded when record_history is true (defaults to dimension <=
     HISTORY_SNAPSHOT_MAX_DIM).  after_step, when given, is called as
-    after_step(direction, v_after) once per move, before v_after is
-    evaluated; the recursive builders use it to drive the adversary.
+    after_step(b, v_after) once per move, with b the move's bit, before
+    v_after is evaluated; the recursive builders use it to drive the
+    adversary.  The trace returned holds its moves as bytes.
     """
     if rule != state.rule:
         raise CubeError(f"rule {rule!r} given for a {state.rule} state")
@@ -341,16 +351,15 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
     while True:
         out = evaluate(v)
         if out & crossed:
-            d = DIRECTIONS[moves[-1]]
             raise OracleInconsistencyError(
-                f"both ends of the {direction_text(d, bundle_size)} edge into "
-                f"{vertex_text(v, n)} claim it as outgoing")
+                f"both ends of the {direction_text(DIRECTIONS[moves[-1]], bundle_size)} "
+                f"edge into {vertex_text(v, n)} claim it as outgoing")
         if out == 0:
             # Johnson's final update at the sink: the last displayed row of a run.
             state.settle(v)
             if history is not None:
                 trace.final_history = snapshot(bundle_size)
-            trace.end = v
+            trace.end, trace.moves = v, bytes(moves)
             return trace
         if len(moves) >= step_limit:
             raise StepLimitExceeded(step_limit, trace)
@@ -365,23 +374,23 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
         if history is not None:
             history.append(snapshot(bundle_size, v_next))
         if after_step is not None:
-            after_step(DIRECTIONS[b], v_next)
+            after_step(b, v_next)
         v = v_next
 
 
 def replay(trace: Trace, state):
     """Re-apply a trace's moves to a rule state with its own bookkeeping.
 
-    Yields (vertex, direction) before each move, with the state holding
-    every earlier move, and (sink, None) last.  Once the generator is
-    exhausted the state is the one run_to_sink left at the sink.
+    Yields Trace.walk()'s (vertex, move bit) before each move, with the
+    state holding every earlier move, and (sink, None) last.  Once the
+    generator is exhausted the state is the one run_to_sink left at the sink.
     """
-    for v, d in trace.walk():
-        yield v, d
-        if d is None:
+    for v, b in trace.walk():
+        yield v, b
+        if b is None:
             state.settle(v)
         else:
-            state.record(v, direction_bit(d))
+            state.record(v, b)
 
 
 def write_trace_jsonl(trace: Trace, path) -> None:

@@ -14,6 +14,10 @@
 - `compare_with_reference` names every way a realized chain differs from
   these tables.
 - `lexicographic_order` is Johnson's tie order, written out.
+- `trace_checks_reference` is the Johnson and Zadeh trace suites as they
+  were written on `Direction`s: a walk that applies each move's
+  `Direction`, direction lists and sets, and sublist matches, against
+  which the move-byte suites are compared.
 """
 
 import json
@@ -21,9 +25,17 @@ import json
 import numpy as np
 
 from ausokit.constructions import cache_path
-from ausokit.cube_core import Direction, OrientationOracle, direction_bit, parse_vertex
-from ausokit.frame_store import FAMILY
-from ausokit.pivot_engine import Trace
+from ausokit.cube_core import (
+    DIRECTIONS,
+    Direction,
+    OrientationOracle,
+    apply_direction,
+    direction_bit,
+    parse_vertex,
+)
+from ausokit.frame_store import FAMILY, _coords, _deficits_ok, projection_check
+from ausokit.pivot_engine import Trace, balance_of, is_saturated
+from ausokit.verifier import VerificationReport
 from test_pivot_engine import _reference_choice
 
 
@@ -179,3 +191,162 @@ def compare_with_reference(chain, tables, samples=256):
         if [oracle.evaluate(v) for v in vs] != table[vs].tolist():
             failed.append(f"{name} outmaps")
     return failed
+
+
+def walk_directions(trace):
+    """(vertex, Direction) before each move, then (last vertex, None); a
+    move that is not legal where it is taken raises IllegalMoveError."""
+    v = trace.start
+    for d in map(DIRECTIONS.__getitem__, trace.moves):
+        yield v, d
+        v = apply_direction(v, d)
+    yield v, None
+
+
+def replay_directions(trace, state):
+    """walk_directions, with the state holding every earlier move."""
+    for v, d in walk_directions(trace):
+        yield v, d
+        if d is None:
+            state.settle(v)
+        else:
+            state.record(v, direction_bit(d))
+
+
+def trace_checks_reference(level, trace, lower_trace):
+    """The report of the level's Johnson or Zadeh trace suite, on Directions."""
+    report = VerificationReport("reference")
+    suite = _johnson_reference if level.family == "johnson" else _zadeh_reference
+    suite(report, level, trace, lower_trace)
+    return report
+
+
+def _zadeh_replay_reference(family, level, oracle, trace):
+    size = family.bundle_size
+    inner_mask = (1 << (oracle.dimension - size)) - 1
+    full_mask = (1 << oracle.dimension) - 1
+    st = family.rule_state(level)
+    sat, tops = [], []
+    escapes = True
+    escaping = False
+    for i, (v, d) in enumerate(replay_directions(trace, st)):
+        if escaping:
+            escapes = escapes and not is_saturated(oracle, v, st, inner_mask)
+            escapes = escapes and bool(oracle.evaluate(v) & inner_mask)
+        escaping = False
+        if d is None or is_saturated(oracle, v, st, full_mask):
+            sat.append(i)
+            tops.append(st.top)
+            escaping = d is not None and bool(oracle.evaluate(v) & inner_mask)
+            escapes = escapes and (not escaping or d.coord < size)
+    return sat, tops, escapes, st
+
+
+def _zadeh_reference(report, level, trace, lower_trace):
+    size = level.bundle_size
+    sat, tops, escapes, final_state = _zadeh_replay_reference(
+        level.spec, level.level, level.oracle, trace)
+    top = {Direction(level.level * size + k, s)
+           for k in range(size) for s in (True, False)}
+    ok = all(after <= before + 1 for before, after in zip(tops, tops[1:]))
+    dirs = trace.directions()
+    for a, b in zip(sat, sat[1:]):
+        segment = dirs[a:b]
+        new_bundle = [d for d in segment if d in top]
+        ok = ok and len(set(new_bundle)) == len(new_bundle)
+        ok = ok and len(set(segment)) <= 2 * level.dimension - 1
+    report.add("saturated_segment_usage", ok, None if ok else {"saturated": sat})
+    ok = _deficits_ok(level.spec, level.level, final_state)
+    report.add("final_balance_deficits", ok,
+               None if ok else {"balances": {str(d): balance_of(final_state, d)
+                                             for d in final_state.tie_list}})
+    if level.level == 0:
+        interior = [i for i in sat[:-1] if i > 0]
+        ok = bool(interior) and len(trace) - max(interior) >= 2
+        report.add("interior_saturated_vertex", ok, None if ok else {"saturated": sat})
+    else:
+        projection_check(report, level, trace, lower_trace)
+        report.add("saturated_escape_moves", escapes)
+
+
+def _johnson_reference(report, level, trace, lower_trace):
+    size, sink = level.bundle_size, level.spec.hypersink
+    bundles = level.level + 1
+    vertices = [v for v, _ in walk_directions(trace)]
+    dirs = trace.directions()
+    ok = all(
+        not (d.positive and d.coord % size)
+        or (i > 0 and dirs[i - 1] == Direction(d.coord - 1, True))
+        for i, d in enumerate(dirs))
+    report.add("positive_blocks_consecutive", ok)
+    ok = True
+    for i, d in enumerate(dirs):
+        if d.positive or d.coord % size or d.coord < size:
+            continue
+        b = d.coord // size
+        bundle_mask = ((1 << size) - 1) << (b * size)
+        lower_sink = sum(sink << j * size for j in range(b))
+        lower_mask = (1 << (b * size)) - 1
+        if (vertices[i] & bundle_mask) == bundle_mask \
+                and (vertices[i] & lower_mask) != lower_sink:
+            block = dirs[i:i + size]
+            want = [Direction(b * size + k, False) for k in range(size)]
+            ok = ok and block == want
+    report.add("negative_blocks_consecutive", ok)
+    ok = True
+    for j in range(bundles):
+        mask = (1 << ((j + 1) * size)) - 1
+        positives = [Direction(c, True) for c in range((j + 1) * size)]
+        for i, v in enumerate(vertices):
+            if v & mask:
+                continue
+            nxt = {}
+            for t in range(i, len(dirs)):
+                if dirs[t].positive and dirs[t].coord < (j + 1) * size \
+                        and dirs[t] not in nxt:
+                    nxt[dirs[t]] = t
+                    if len(nxt) == len(positives):
+                        break
+            if len(nxt) < len(positives):
+                ok = False
+                break
+            order = [nxt[d] for d in positives]
+            if order != sorted(order):
+                ok = False
+                break
+        if not ok:
+            break
+    report.add("positive_reuse_lexicographic", ok)
+    report.add("reset_history_ordering", _johnson_resettable_reference(level, trace))
+    if level.level >= 1:
+        reset = [Direction(j * size + c, False) for j in range(bundles - 1)
+                 for c in _coords(sink)]
+        count = sum(1 for i in range(len(dirs) - len(reset) + 1)
+                    if dirs[i:i + len(reset)] == reset)
+        report.add("single_reset_in_order", count == 1,
+                   None if count == 1 else {"count": count})
+
+
+def _johnson_resettable_reference(level, trace) -> bool:
+    family = level.spec
+    size, sink = family.bundle_size, family.hypersink
+    bundles = level.level + 1
+    ordered = _coords(sink) + [size + c for c in _coords(family.gadget_external)]
+    prefixes = [(sum(sink << i * size for i in range(j + 1)), (1 << ((j + 1) * size)) - 1,
+                 ((1 << size) - 1) << ((j + 1) * size)) for j in range(bundles - 1)]
+    st = level.rule_state()
+    positions = replay_directions(trace, st)
+    prev, _ = next(positions)
+    for v, _ in positions:
+        for j, (pattern, mask, next_bundle) in enumerate(prefixes):
+            if (v & mask) != pattern or (prev & mask) == pattern:
+                continue
+            if not level.oracle.evaluate(v) & next_bundle:
+                continue
+            h = st.last_step
+            for jp in range(j + 1):
+                stamps = [h[Direction(jp * size + c, False)] for c in ordered]
+                if any(a >= b for a, b in zip(stamps, stamps[1:])):
+                    return False
+        prev = v
+    return True

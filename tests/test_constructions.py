@@ -201,6 +201,36 @@ def test_one_run_per_level(tmp_path, monkeypatch, family, top):
 
 
 @pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
+def test_the_hook_receives_each_moves_bit(monkeypatch, family, top):
+    """The adversary's hook, which every level above the base gives its
+    run, is called once per move, with the move's bit and the vertex it
+    enters."""
+    calls = []
+
+    def recording(oracle, start, *args, after_step=None, **kwargs):
+        def hook(b, v_after):
+            calls[-1].append((b, v_after))
+            after_step(b, v_after)
+        if after_step is None:
+            return run_to_sink(oracle, start, *args, **kwargs)
+        calls.append([])
+        return run_to_sink(oracle, start, *args, after_step=hook, **kwargs)
+
+    monkeypatch.setattr(constructions, "run_to_sink", recording)
+    chain = realize_range(family, top)
+    assert len(calls) == top
+    for got, (_, trace) in zip(calls, chain[1:]):
+        assert got == list(zip(trace.moves, trace.vertices()[1:]))
+
+
+@pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
+def test_bound_memos_share_their_runs_moves(family, top):
+    """A level's memo, bound to its run, holds the trace's moves, not a copy."""
+    for level, trace in realize_range(family, top)[1:-1]:
+        assert level.oracle.moves is trace.moves
+
+
+@pytest.mark.parametrize("family, top", FIXTURE_CHAINS)
 @pytest.mark.parametrize("cached", [False, True], ids=["build", "reload"])
 def test_levels_below_the_top_pair_are_frozen(tmp_path, family, top, cached):
     """After realize_range, with or without cache files to check, every memo below

@@ -538,6 +538,29 @@ def test_trace_writer_refuses_illegal_moves(tmp_path, start, moves):
         write_trace_jsonl(trace, tmp_path / "t.jsonl")
 
 
+@pytest.mark.parametrize("start,moves", [
+    (0b001, [0]),  # +c1 where the vertex has c1
+    (0b010, [65, 64]),  # -c2, then -c1 where the vertex lacks c1
+    (0b000, [3]),  # +c4 outside the 3-cube
+    (0b000, [1, 67]),  # -c4 outside the 3-cube
+    (0b000, [128]),  # no direction's bit
+], ids=["plus", "minus-later", "off-cube-plus", "off-cube-minus", "no-direction"])
+def test_walk_refuses_illegal_moves_and_moves_off_the_cube(start, moves):
+    trace = Trace("zadeh", 3, 3, start, start, moves=bytearray(moves))
+    with pytest.raises(IllegalMoveError):
+        trace.vertices()
+
+
+@pytest.mark.parametrize("family, top", [("cunningham", 3), ("johnson", 3), ("zadeh", 2)])
+def test_walk_and_replay_yield_the_move_bits(family, top):
+    """walk() and replay() yield each vertex of the run with the bit of the
+    move taken there, then the sink with None."""
+    for level, trace in realize_range(family, top):
+        want = [*zip(trace.vertices(), trace.moves), (trace.end, None)]
+        assert list(trace.walk()) == want
+        assert list(replay(trace, level.rule_state())) == want
+
+
 @pytest.mark.parametrize("history", [True, False], ids=["history", "no-history"])
 def test_trace_writer_flips_one_character_per_move(tmp_path, history):
     """A hand-made walk over every coordinate of a 5-cube and back, with and

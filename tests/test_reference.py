@@ -1,15 +1,24 @@
 """Realized chains against the independent table reference of
-tests/reference.py, at every level with n <= 20."""
+tests/reference.py, at every level with n <= 20, and the move-byte trace
+suites against their Direction-level reference there."""
 
+import itertools
+import random
 from dataclasses import replace
 
 import pytest
 
 from ausokit import constructions
 from ausokit.constructions import realize_range
+from ausokit.cube_core import IllegalMoveError
 from ausokit.frame_store import FAMILY, load_family, validate_family
-from ausokit.verifier import USO_EXHAUSTIVE_CAP, check_acyclic, check_uso_exhaustive
-from reference import ArrayOracle, compare_with_reference, level_tables
+from ausokit.verifier import (
+    USO_EXHAUSTIVE_CAP,
+    check_acyclic,
+    check_trace_properties,
+    check_uso_exhaustive,
+)
+from reference import ArrayOracle, compare_with_reference, level_tables, trace_checks_reference
 
 CHAINS = [("cunningham", 4), ("johnson", 4), ("zadeh", 2)]
 
@@ -93,3 +102,61 @@ def test_builder_with_moved_gadget_anchor_fails_the_reference(chains, monkeypatc
         for check in ("moves", "outmaps"):
             assert f"{family} level {level} {check}" in failed, failed
     assert not any(name.startswith(f"{family} level 0 ") for name in failed)
+
+
+def _transposed(trace, a, b):
+    """The trace with coordinates a and b exchanged in its start, its end and
+    every move."""
+    swap = {a: b, b: a}
+    start, end = [v ^ (v >> a ^ v >> b) % 2 * (1 << a | 1 << b) for v in (trace.start, trace.end)]
+    return replace(trace, start=start, end=end,
+                   moves=bytes(m & 64 | swap.get(m & 63, m & 63) for m in trace.moves))
+
+
+def _tampered(trace, level, rng):
+    """The trace, and copies of it with two neighbouring moves swapped, with
+    one move's sign flipped, or with two coordinates transposed: a sample of
+    each, and every transposition up to level 2."""
+    out = [trace]
+    for _ in range(8):
+        bad = replace(trace, moves=bytearray(trace.moves))
+        i = rng.randrange(len(bad) - 1)
+        bad.moves[i], bad.moves[i + 1] = bad.moves[i + 1], bad.moves[i]
+        out.append(bad)
+    for _ in range(3):
+        bad = replace(trace, moves=bytearray(trace.moves))
+        bad.moves[rng.randrange(len(bad))] ^= 64
+        out.append(bad)
+    n = trace.dimension
+    pairs = (itertools.combinations(range(n), 2) if level <= 2
+             else (rng.sample(range(n), 2) for _ in range(4)))
+    return out + [_transposed(trace, a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("family, top", [("johnson", 5), ("zadeh", 3)])
+def test_trace_suites_match_direction_reference(family, top):
+    """On every level's trace and on its tampered copies, the move-byte
+    suite gives the Direction-level reference's check names, verdicts and
+    witnesses, and raises IllegalMoveError where the reference does.  Each
+    check fails on some copy, but Zadeh's level-0 interior check."""
+    rng = random.Random(3)
+    seen, names, failed = set(), set(), set()
+    lower = None
+    for level, trace in realize_range(family, top):
+        for t in _tampered(trace, level.level, rng):
+            try:
+                want = trace_checks_reference(level, t, lower)
+            except IllegalMoveError:
+                with pytest.raises(IllegalMoveError):
+                    check_trace_properties(level, t, lower)
+                seen.add("illegal")
+                continue
+            got = check_trace_properties(level, t, lower)
+            assert [(c.name, c.passed, c.witness) for c in got.checks] == \
+                [(c.name, c.passed, c.witness) for c in want.checks], (level.level, t.moves)
+            seen.add(got.passed)
+            names |= {c.name for c in got.checks}
+            failed |= {c.name for c in got.failures()}
+        lower = trace
+    assert seen == {True, False, "illegal"}
+    assert failed == names - {"interior_saturated_vertex"}

@@ -10,6 +10,7 @@ from ausokit import verifier
 from ausokit.combinators import ProductOracle, ReorientedOracle
 from ausokit.constructions import realize_range
 from ausokit.cube_core import (
+    DIRECTIONS,
     Face,
     IllegalMoveError,
     TableOracle,
@@ -511,17 +512,19 @@ def test_trace_properties_detect_tampering(built_levels):
     level, trace = built_levels["zadeh"][1]
     import copy
     bad = copy.deepcopy(trace)
+    bad.moves = bytearray(bad.moves)
     bad.moves[5], bad.moves[6] = bad.moves[6], bad.moves[5]
     report = check_trace_properties(level, bad, built_levels["zadeh"][0][1])
     assert not report.passed
 
 
 def _projection_reference(level, trace, lower_trace):
-    """The projection check on (vertex, direction) pairs, as Trace.walk()
-    gives them."""
+    """The projection check on (vertex, direction) pairs, the directions of
+    the bits Trace.walk() gives."""
     inner_dim = level.dimension - level.bundle_size
     inner_mask = (1 << inner_dim) - 1
-    inner = [(v, d) for v, d in trace.walk() if d is not None and d.coord < inner_dim]
+    inner = [(v, DIRECTIONS[b]) for v, b in trace.walk()
+             if b is not None and b & 63 < inner_dim]
     lower_dirs = lower_trace.directions()
     k = len(lower_dirs)
     ok = len(inner) >= 2 * k
@@ -550,11 +553,13 @@ def test_projection_check_matches_walk_reference(built_levels, family):
         cases = [(trace, lower)]
         for t in (trace,) * 60 + (lower,) * 20:
             bad = copy.deepcopy(t)
+            bad.moves = bytearray(bad.moves)
             i = rng.randrange(len(bad) - 1)
             bad.moves[i], bad.moves[i + 1] = bad.moves[i + 1], bad.moves[i]
             cases.append((bad, lower) if t is trace else (trace, bad))
         for i in rng.sample(range(len(trace)), 5):
             bad = copy.deepcopy(trace)
+            bad.moves = bytearray(bad.moves)
             bad.moves[i] ^= 64
             cases.append((bad, lower))
         for end in ("start", "end"):  # where the gadget walk must end or start
