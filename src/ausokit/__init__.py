@@ -7,14 +7,11 @@ desk scale.
 """
 
 from .cube_core import (
-    Direction,
     Face,
     OrientationOracle,
     TableOracle,
     UniformOracle,
-    apply_direction,
     face_sink,
-    is_available,
 )
 from .combinators import ProductOracle
 from .pivot_engine import (

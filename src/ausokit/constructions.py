@@ -85,18 +85,19 @@ def rule_state(family: str, level: int):
     return FAMILY[family].rule_state(level)
 
 
-def build_reset(level: int, r1: OrientationOracle) -> OrientationOracle:
-    """Reset orientation R_level of dimension 4*level.
+def build_reset(level: int, r1: OrientationOracle, hypersink: int) -> OrientationOracle:
+    """Reset orientation R_level of dimension level * r1.dimension.
 
-    R_0 is a point; R_{i+1} takes 16 copies of R_i, connects the sink of R_i
-    by another copy of R_1 and every other vertex by the uniform 4-cube with
-    sink {c1, c4}.  The sink stays at the empty vertex throughout, and the
-    reset path walks (-c_0^1, -c_0^4, ..., -c^1, -c^4) one outgoing edge at
-    a time.  r1 is the transcribed reset frame R_1.
+    R_0 is a point; R_{i+1} takes a copy of R_i per vertex of r1, connects
+    the sink of R_i by another copy of R_1 and every other vertex by the
+    uniform cube with sink `hypersink`.  The sink stays at the empty vertex
+    throughout, and the reset path walks the hypersink's negatives of each
+    bundle, lowest first, one outgoing edge at a time.  r1 is the
+    transcribed reset frame R_1.
     """
     oracle: OrientationOracle = TableOracle(0, [0])
     for j in range(level):
-        oracle = ProductOracle(oracle, UniformOracle(4, 0b1001), {0: r1})
+        oracle = ProductOracle(oracle, UniformOracle(r1.dimension, hypersink), {0: r1})
     return oracle
 
 
@@ -173,7 +174,7 @@ def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frame_oracl
     skipped = (spec.gadget_anchor, spec.hypersink)
     state = spec.rule_state(level)
     if spec.reset:
-        replacement = build_reset(level, frame_oracles[spec.reset])
+        replacement = build_reset(level, frame_oracles[spec.reset], spec.hypersink)
     else:
         replacement = UniformOracle(inner_dim, prev.start)
     default = frame_oracles[spec.default]

@@ -4,13 +4,14 @@ Vertices are plain ints used as bit sets: bit i set means coordinate with
 global id i is present.  Global id 0 is the leftmost character of the text
 form.  Everything downstream (oracles, pivot rules, verifiers) works on
 these ints directly; batch evaluation takes the same bit sets as a numpy
-uint64 array.
+uint64 array.  A direction is its move bit, c for +c and 64 + c for -c (its
+place in the packed set (out & ~v) | (out & v) << 64 of the directions
+available at v), or its text.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -22,7 +23,7 @@ class CubeError(Exception):
 
 
 class IllegalMoveError(CubeError):
-    """Raised when a direction is applied at a vertex that lacks/has the coordinate."""
+    """Raised when a move is taken at a vertex that lacks/has its coordinate."""
 
 
 class FaceSinkError(CubeError):
@@ -39,34 +40,22 @@ class FaceSinkError(CubeError):
         self.witnesses = witnesses
 
 
-class Direction(NamedTuple):
-    """A signed coordinate as a tuple: `coord` the global id, `positive` the sign."""
-
-    coord: int
-    positive: bool
-
-
-def direction_text(d: Direction, bundle_size: int) -> str:
-    sign = "+" if d.positive else "-"
-    return f"{sign}{d.coord // bundle_size}.{d.coord % bundle_size + 1}"
+def direction_text(b: int, bundle_size: int) -> str:
+    """The text of move bit b (c for +c, 64 + c for -c): its sign, then
+    bundle.index with the index 1-based, as +0.1 for +c0."""
+    c = b & 63
+    return f"{'-' if b >> 6 else '+'}{c // bundle_size}.{c % bundle_size + 1}"
 
 
-def parse_direction(text: str, bundle_size: int) -> Direction:
+def parse_direction(text: str, bundle_size: int) -> int:
+    """The move bit of a direction's text; a coordinate outside 0..63 has none."""
     if not text or text[0] not in "+-":
         raise CubeError(f"bad direction text {text!r}")
     bundle, _, index = text[1:].partition(".")
     coord = int(bundle) * bundle_size + int(index) - 1
-    return Direction(coord, text[0] == "+")
-
-
-def direction_bit(d: Direction) -> int:
-    """d's integer form, its bit in the packed set of the directions available
-    at v, (out & ~v) | (out & v) << 64: coord for +c, 64 + coord for -c."""
-    return d.coord if d.positive else 64 + d.coord
-
-
-# The Direction of each bit: DIRECTIONS[direction_bit(d)] == d.
-DIRECTIONS = tuple(Direction(b & 63, b < 64) for b in range(128))
+    if not 0 <= coord < 64:
+        raise CubeError(f"direction text {text!r} names coordinate {coord}, outside 0..63")
+    return coord if text[0] == "+" else 64 + coord
 
 
 def vertex_text(v: int, n: int) -> str:
@@ -175,23 +164,6 @@ def tabulate(oracle: OrientationOracle, dtype, block: int) -> np.ndarray:
         hi = min(lo + block, size)
         table[lo:hi] = oracle.evaluate_many(np.arange(lo, hi, dtype=np.uint64))
     return table
-
-
-def is_available(oracle: OrientationOracle, v: int, d: Direction) -> bool:
-    """True iff d leaves v (+c where v lacks c, -c where v has it) and the
-    outmap of v lists its edge."""
-    bit = 1 << d.coord
-    return bool(oracle.evaluate(v) & bit) and bool(v & bit) != d.positive
-
-
-def apply_direction(v: int, d: Direction) -> int:
-    bit = 1 << d.coord
-    if d.positive:
-        if v & bit:
-            raise IllegalMoveError(f"+{d.coord} at vertex already containing coordinate")
-    elif not v & bit:
-        raise IllegalMoveError(f"-{d.coord} at vertex missing coordinate")
-    return v ^ bit
 
 
 def face_sink(oracle: OrientationOracle, face: Face) -> int:

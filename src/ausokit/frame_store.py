@@ -27,12 +27,11 @@ from pathlib import Path
 
 from .cube_core import (
     CubeError,
-    Direction,
     Face,
     TableOracle,
-    apply_direction,
+    direction_text,
     face_sink,
-    is_available,
+    parse_direction,
     parse_vertex,
     vertex_text,
 )
@@ -83,9 +82,10 @@ class Family:
     frame_suite: object  # frame_suite(family, frames) -> VerificationReport
     trace_checks: object  # trace_checks(report, level, trace, lower_trace)
 
-    def tie_order(self, level: int) -> list[Direction]:
-        """The tie pattern of each bundle up to `level`, earlier bundles first."""
-        return [d for j in range(level + 1) for d in _dirs(j, self.tie_pattern, self.bundle_size)]
+    def tie_order(self, level: int) -> bytes:
+        """The move bits of the tie pattern of each bundle up to `level`,
+        earlier bundles first."""
+        return b"".join(_moves(j, self.tie_pattern, self.bundle_size) for j in range(level + 1))
 
     def start(self, level: int) -> int:
         """The run's start at `level`: box1 in each of its bundles."""
@@ -93,7 +93,7 @@ class Family:
 
     def rule_state(self, level: int):
         """A fresh state of the family's pivot rule at `level`."""
-        return self.rule(tuple(self.tie_order(level)))
+        return self.rule(self.tie_order(level))
 
 
 @dataclass
@@ -227,24 +227,23 @@ def _edge_backward(oracle: TableOracle, low: int, c: int) -> bool:
     return bool(oracle.evaluate(low | (1 << c)) & (1 << c))
 
 
-def _dirs(bundle: int, pattern: str, bundle_size: int) -> list[Direction]:
-    out = []
-    for item in pattern.split(","):
-        sign, k = item[0], int(item[1:])
-        out.append(Direction(bundle * bundle_size + k - 1, sign == "+"))
-    return out
+def _moves(bundle: int, pattern: str, bundle_size: int) -> bytes:
+    """The move bits of a pattern of "+k" / "-k" (k 1-based) in `bundle`."""
+    return bytes(parse_direction(f"{item[0]}{bundle}.{item[1:]}", bundle_size)
+                 for item in pattern.split(","))
 
 
-def _scan_walk(oracle, start: int, order: list[Direction]):
-    """Single pass over `order`: follow each direction if available.  Returns
-    (positions visited after each move, directions used)."""
+def _scan_walk(oracle, start: int, order: bytes):
+    """Single pass over `order`: follow each move if available.  Returns
+    (positions visited after each move, moves taken)."""
     v = start
-    positions, used = [], []
-    for d in order:
-        if is_available(oracle, v, d):
-            v = apply_direction(v, d)
+    positions, used = [], bytearray()
+    for b in order:
+        out = oracle.evaluate(v)
+        if ((out & ~v) | (out & v) << 64) >> b & 1:
+            v ^= 1 << (b & 63)
             positions.append(v)
-            used.append(d)
+            used.append(b)
     return positions, used
 
 
@@ -315,16 +314,16 @@ def validate_cunningham(family: Family, frames) -> VerificationReport:
             ("f3_scan_box5_to_B", "f3", box5, boxB, None)):
         positions, used = _scan_walk(frames[stem][1], start, out_block)
         ok = bool(positions) and positions[-1] == end \
-            and (pattern is None or used == _dirs(0, pattern, 4))
+            and (pattern is None or used == _moves(0, pattern, 4))
         report.add(check, ok,
                    None if ok else {"positions": [vertex_text(p, 4) for p in positions]})
     # F3 doubles as the base case: the documented 5-step run.
     oracle3 = frames["f3"][1]
     trace = _example_run(report, "f3_base_case_run", oracle3, family, family.rule_state(0))
     if trace is not None:
-        ok = trace.directions() == _dirs(0, "+1,+3,-1,+4,+1", 4) and trace.end == H
+        ok = trace.moves == _moves(0, "+1,+3,-1,+4,+1", 4) and trace.end == H
         report.add("f3_base_case_run", ok,
-                   None if ok else {"dirs": [str(d) for d in trace.directions()]})
+                   None if ok else {"dirs": [direction_text(b, 4) for b in trace.moves]})
     spec1 = frames["f1"][0]
     for label, bits in (("box1", box1), ("box5", box5), ("B", boxB), ("H", H)):
         _require_label(report, spec1, label, bits)
@@ -360,16 +359,16 @@ def validate_johnson(family: Family, frames) -> VerificationReport:
     # The documented example run on F1 from box1, the empty vertex.
     trace = _example_run(report, "f1_example_run", f1, family, family.rule_state(0))
     if trace is not None:
-        ok = trace.directions() == _dirs(0, "+1,+2,+3,+4,-3,-2", 4) and trace.end == sink
+        ok = trace.moves == _moves(0, "+1,+2,+3,+4,-3,-2", 4) and trace.end == sink
         report.add("f1_example_run", ok,
-                   None if ok else {"dirs": [str(d) for d in trace.directions()]})
+                   None if ok else {"dirs": [direction_text(b, 4) for b in trace.moves]})
     # F2 lets the negative directions run consecutively from the full vertex.
     _, f2 = frames["f2"]
     v = full
     ok = True
-    for d in _dirs(0, "-1,-2,-3,-4", 4):
-        ok = ok and bool(f2.evaluate(v) & (1 << d.coord))
-        v ^= 1 << d.coord
+    for c in range(4):  # -1, -2, -3, -4
+        ok = ok and bool(f2.evaluate(v) & (1 << c))
+        v ^= 1 << c
     report.add("f2_negative_chain", ok and v == 0)
     # Reset AUSO R1: a one-outgoing-edge path from the hypersink to the sink
     # at the empty vertex, dropping the hypersink's coordinates lowest first.
@@ -402,10 +401,10 @@ def validate_zadeh(family: Family, frames) -> VerificationReport:
         report.add("a0_walk_boxes_1_to_21", ok,
                    None if ok else {"visited": [vertex_text(v, 6) for v in visited]})
         sat, _, _, st = _zadeh_replay(family, 0, a0, trace)
-        imbalanced = {d for d in st.tie_list if balance_of(st, d) == 1}
+        imbalanced = {b for b in st.tie_list if balance_of(st, b) == 1}
         report.add("a0_final_balances", _deficits_ok(family, 0, st),
-                   None if imbalanced == set(_dirs(0, family.deficits, 6)) else
-                   {"imbalanced": sorted(str(d) for d in imbalanced)})
+                   None if imbalanced == set(_moves(0, family.deficits, 6)) else
+                   {"imbalanced": sorted(direction_text(b, 6) for b in imbalanced)})
         # box12 is saturated mid-run, and the sink lies at least two vertices
         # beyond the last saturated path vertex.
         interior = [i for i in sat[:-1] if i > 0]
@@ -467,6 +466,7 @@ def projection_check(report, level, trace, lower_trace):
     return walk, then the lower path again.  The inner moves are compared
     as move bytes, and the gadget walk is followed along Trace.walk()."""
     if level.level == 0:
+        trace.vertices()  # a move that is not legal raises IllegalMoveError
         report.add("projection", True, details="base level, vacuous")
         return
     if lower_trace is None:
@@ -526,8 +526,8 @@ def _zadeh_replay(family: Family, level: int, oracle, trace):
 def _deficits_ok(family: Family, level: int, st) -> bool:
     """At the sink exactly the family's deficits, in every bundle up to
     `level`, lag one use behind the most used direction; the rest balance."""
-    lagging = {d for j in range(level + 1) for d in _dirs(j, family.deficits, family.bundle_size)}
-    return all(balance_of(st, d) == (1 if d in lagging else 0) for d in st.tie_list)
+    lagging = b"".join(_moves(j, family.deficits, family.bundle_size) for j in range(level + 1))
+    return all(balance_of(st, b) == (1 if b in lagging else 0) for b in st.tie_list)
 
 
 def zadeh_trace_checks(report, level, trace, lower_trace):
@@ -548,8 +548,8 @@ def zadeh_trace_checks(report, level, trace, lower_trace):
     report.add("saturated_segment_usage", ok, None if ok else {"saturated": sat})
     ok = _deficits_ok(level.spec, level.level, final_state)
     report.add("final_balance_deficits", ok,
-               None if ok else {"balances": {str(d): balance_of(final_state, d)
-                                             for d in final_state.tie_list}})
+               None if ok else {"balances": {direction_text(b, size): balance_of(final_state, b)
+                                             for b in final_state.tie_list}})
     if level.level == 0:
         # An interior saturated vertex exists and the sink is at least two
         # steps past the last one.
@@ -618,6 +618,7 @@ def johnson_trace_checks(report, level, trace, lower_trace):
                                   for c in _coords(sink)))
         report.add("single_reset_in_order", count == 1,
                    None if count == 1 else {"count": count})
+        projection_check(report, level, trace, lower_trace)
 
 
 def _johnson_resettable_check(level, trace) -> bool:
@@ -641,9 +642,9 @@ def _johnson_resettable_check(level, trace) -> bool:
                 continue  # not a fresh arrival at t_j's sink
             if not level.oracle.evaluate(v) & next_bundle:
                 continue  # next bundle inactive: condition does not apply
-            h = st.last_step
+            h = st.table()
             for jp in range(j + 1):
-                stamps = [h[Direction(jp * size + c, False)] for c in ordered]
+                stamps = [h[64 + jp * size + c] for c in ordered]
                 if any(a >= b for a, b in zip(stamps, stamps[1:])):
                     return False
         prev = v

@@ -19,14 +19,10 @@ from dataclasses import dataclass, field
 from typing import ClassVar
 
 from .cube_core import (
-    DIRECTIONS,
     MAX_DIMENSION,
     CubeError,
-    Direction,
     IllegalMoveError,
     OrientationOracle,
-    apply_direction,
-    direction_bit,
     direction_text,
     parse_direction,
     parse_vertex,
@@ -51,12 +47,13 @@ class OracleInconsistencyError(CubeError):
     just crossed claim it, or a nonempty outmap offers the rule nothing."""
 
 
-# The states speak each direction as its bit (cube_core.direction_bit):
-# choose(v, out) returns the bit of its pick or None, record(v, b) takes
-# one.  A table that a walk over set bits indexes with low.bit_length()
-# holds bit b at b + 1.  Johnson's key[b + 1] is stamp * len(order) + tie
-# rank, and _NEVER for a bit outside the order: no key reaches it (a stamp
-# stays below the step limit 4 << MAX_DIMENSION and len(order) below 2^7).
+# The states speak each direction as its move bit (c for +c, 64 + c for
+# -c), their order included: choose(v, out) returns the bit of its pick or
+# None, record(v, b) takes one, and the dict views are keyed by bit.  A
+# table that a walk over set bits indexes with low.bit_length() holds bit b
+# at b + 1.  Johnson's key[b + 1] is stamp * len(order) + tie rank, and
+# _NEVER for a bit outside the order: no key reaches it (a stamp stays
+# below the step limit 4 << MAX_DIMENSION and len(order) below 2^7).
 _NEVER = 1 << 96
 
 
@@ -66,7 +63,7 @@ class CunninghamState:
     direction used; 2n initially so the first check is L[1])."""
 
     rule: ClassVar[str] = "cunningham"
-    order: tuple[Direction, ...]
+    order: bytes
     marker: int = field(init=False)
 
     def __post_init__(self):
@@ -74,9 +71,9 @@ class CunninghamState:
         # _rank[b] is bit b's position in L (-1 outside L).  The test masks
         # hold L's bits in order, doubled so the scan never wraps.
         self._rank = [-1] * 128
-        for i, d in enumerate(self.order):
-            self._rank[direction_bit(d)] = i
-        self._tests = [1 << direction_bit(d) for d in self.order] * 2
+        for i, b in enumerate(self.order):
+            self._rank[b] = i
+        self._tests = [1 << b for b in self.order] * 2
 
     def choose(self, v: int, out: int) -> int | None:
         """Scan L cyclically from the marker; the first outgoing direction."""
@@ -91,7 +88,7 @@ class CunninghamState:
         """Bookkeeping of the move b from v: the marker points at it."""
         rank = self._rank[b]
         if rank < 0:
-            raise CubeError(f"direction {DIRECTIONS[b]} is not in the order")
+            raise CubeError(f"direction {direction_text(b, 64)} is not in the order")
         self.marker = rank + 1
 
     def settle(self, v: int) -> None:
@@ -118,7 +115,7 @@ class JohnsonState:
     """
 
     rule: ClassVar[str] = "johnson"
-    tie_order: tuple[Direction, ...]
+    tie_order: bytes
     key: list[int] = field(init=False, repr=False)
     updated: tuple[int, int] = field(init=False, default=(0, 0))
     step_counter: int = field(init=False, default=1)
@@ -128,25 +125,20 @@ class JohnsonState:
         # Stamp 0 and the tie rank for each direction of the order, _NEVER
         # for every other bit.
         self.key = [_NEVER] * 129
-        for rank, d in enumerate(self.tie_order):
-            self.key[direction_bit(d) + 1] = rank
-        self._bits = [direction_bit(d) for d in self.tie_order]
+        for rank, b in enumerate(self.tie_order):
+            self.key[b + 1] = rank
 
     @property
-    def stamp(self) -> dict[Direction, int]:
+    def stamp(self) -> dict[int, int]:
         size = len(self.tie_order)
-        return {d: self.key[direction_bit(d) + 1] // size for d in self.tie_order}
+        return {b: self.key[b + 1] // size for b in self.tie_order}
 
-    def table(self, u: int | None = None) -> dict[Direction, int]:
-        """h after the latest update phase, or as if it had been at u."""
+    def table(self, u: int | None = None) -> dict[int, int]:
+        """h after the latest update phase, or as if it had been at u: s
+        where the move is not legal at u."""
         v, s = self.updated
         u = v if u is None else u
-        return {d: s if bool(u >> d.coord & 1) == d.positive else c
-                for d, c in self.stamp.items()}
-
-    @property
-    def last_step(self) -> dict[Direction, int]:
-        return self.table()
+        return {b: s if u >> (b & 63) & 1 != b >> 6 else c for b, c in self.stamp.items()}
 
     def choose(self, v: int, out: int) -> int | None:
         """The outgoing direction with the smallest h, ties by the tie order.
@@ -161,7 +153,7 @@ class JohnsonState:
             if k < best:
                 best = k
             available ^= low
-        return None if best == _NEVER else self._bits[best % len(self.tie_order)]
+        return None if best == _NEVER else self.tie_order[best % len(self.tie_order)]
 
     def record(self, v: int, b: int) -> None:
         """Bookkeeping of the move b from v: update h at v (the stamp of b's
@@ -182,7 +174,7 @@ class JohnsonState:
         """The history record: h, read as of an update at `arrival`, the
         vertex just entered, when arrival_update is on."""
         h = self.table(arrival if self.arrival_update else None)
-        return {direction_text(d, bundle_size): c for d, c in h.items()}
+        return {direction_text(b, bundle_size): c for b, c in h.items()}
 
 
 @dataclass
@@ -190,14 +182,14 @@ class ZadehState:
     """Usage counts h, the tie list T (all 2n directions, fixed order) and
     the top usage count.
 
-    Direction sets are packed as bits: count[b] is the usage of the
+    Sets of directions are packed as bits: count[b] is the usage of the
     direction of bit b (-1 outside the tie list), masks[k] the set of
     directions used k times for k <= top, and bottom the least k with a
     nonempty mask.
     """
 
     rule: ClassVar[str] = "zadeh"
-    tie_list: tuple[Direction, ...]
+    tie_list: bytes
     count: list[int] = field(init=False, repr=False)
     top: int = field(init=False, default=0)
     masks: list[int] = field(init=False, repr=False, compare=False)
@@ -207,16 +199,15 @@ class ZadehState:
         self.count = [-1] * 128
         # rank[b + 1] is the tie rank of the direction of bit b.
         self._rank = [len(self.tie_list)] * 129
-        self._bits = [direction_bit(d) for d in self.tie_list]
-        for rank, b in enumerate(self._bits):
+        for rank, b in enumerate(self.tie_list):
             self.count[b] = 0
             self._rank[b + 1] = rank
-        self._listed = sum(1 << b for b in self._bits)
+        self._listed = sum(1 << b for b in self.tie_list)
         self.masks = [self._listed]
 
     @property
-    def usage(self) -> dict[Direction, int]:
-        return {d: self.count[b] for d, b in zip(self.tie_list, self._bits)}
+    def usage(self) -> dict[int, int]:
+        return {b: self.count[b] for b in self.tie_list}
 
     def choose(self, v: int, out: int) -> int | None:
         """The least-used outgoing direction; ties go by the tie list: the
@@ -235,13 +226,13 @@ class ZadehState:
             if rank[low.bit_length()] < best:
                 best = rank[low.bit_length()]
             ties ^= low
-        return self._bits[best]
+        return self.tie_list[best]
 
     def record(self, v: int, b: int) -> None:
         """Bookkeeping of the move b from v: one more use of it."""
         k = self.count[b]
         if k < 0:
-            raise CubeError(f"direction {DIRECTIONS[b]} is not in the tie list")
+            raise CubeError(f"direction {direction_text(b, 64)} is not in the tie list")
         self.count[b] = k + 1
         bit, masks = 1 << b, self.masks
         masks[k] ^= bit
@@ -258,12 +249,12 @@ class ZadehState:
 
     def snapshot(self, bundle_size: int, arrival: int | None = None) -> dict:
         """The history record: the usage counts."""
-        return {direction_text(d, bundle_size): c for d, c in self.usage.items()}
+        return {direction_text(b, bundle_size): c for b, c in self.usage.items()}
 
 
-def balance_of(st: ZadehState, d: Direction) -> int:
-    """Usage deficit of d against the most used direction."""
-    return st.top - st.count[direction_bit(d)]
+def balance_of(st: ZadehState, b: int) -> int:
+    """Usage deficit of the direction of bit b against the most used direction."""
+    return st.top - st.count[b]
 
 
 def is_saturated(oracle: OrientationOracle, v: int, st: ZadehState, mask: int) -> bool:
@@ -292,9 +283,6 @@ class Trace:
     def __len__(self) -> int:
         return len(self.moves)
 
-    def directions(self) -> list[Direction]:
-        return [DIRECTIONS[b] for b in self.moves]
-
     def walk(self):
         """(vertex, move bit) before each move, then (last vertex, None).
         A move that is no direction of the cube, or that is not legal where
@@ -305,7 +293,7 @@ class Trace:
             if c >= n or b >> 7:
                 raise IllegalMoveError(f"move {b} is no direction of the {n}-cube")
             if v >> c & 1 != b >> 6:
-                raise IllegalMoveError(f"{direction_text(DIRECTIONS[b], self.bundle_size)} "
+                raise IllegalMoveError(f"{direction_text(b, self.bundle_size)} "
                                        f"at vertex {vertex_text(v, n)}")
             yield v, b
             v ^= 1 << c
@@ -352,7 +340,7 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
         out = evaluate(v)
         if out & crossed:
             raise OracleInconsistencyError(
-                f"both ends of the {direction_text(DIRECTIONS[moves[-1]], bundle_size)} "
+                f"both ends of the {direction_text(moves[-1], bundle_size)} "
                 f"edge into {vertex_text(v, n)} claim it as outgoing")
         if out == 0:
             # Johnson's final update at the sink: the last displayed row of a run.
@@ -402,10 +390,9 @@ def write_trace_jsonl(trace: Trace, path) -> None:
     n, history = trace.dimension, trace.history
     texts = {}
     for b in set(trace.moves):
-        d = DIRECTIONS[b]
-        if not 0 <= d.coord < n:
-            raise IllegalMoveError(f"move {b} leaves the {n}-cube")
-        texts[b] = direction_text(d, trace.bundle_size)
+        if b & 63 >= n or b >> 7:
+            raise IllegalMoveError(f"move {b} is no direction of the {n}-cube")
+        texts[b] = direction_text(b, trace.bundle_size)
     vertex = bytearray(vertex_text(trace.start, n), "ascii")
     with open(path, "w", encoding="utf-8") as fh:
         for t, b in enumerate(trace.moves, 1):
@@ -463,12 +450,18 @@ def read_trace_jsonl(path, bundle_size: int) -> Trace:
                                     f"reach {vertex_text(v, n)}")
                 b = bits.get(rec["dir"])
                 if b is None:
-                    d = parse_direction(rec["dir"], bundle_size)
-                    if (not 0 <= d.coord < min(n, MAX_DIMENSION)
-                            or direction_text(d, bundle_size) != rec["dir"]):
+                    try:
+                        b = parse_direction(rec["dir"], bundle_size)
+                    except CubeError as exc:
+                        raise CubeError(f'"dir": {exc}') from exc
+                    if (b & 63 >= min(n, MAX_DIMENSION)
+                            or direction_text(b, bundle_size) != rec["dir"]):
                         raise CubeError(f'"dir" {rec["dir"]!r} names no direction')
-                    b = bits[rec["dir"]] = direction_bit(d)
-                v = apply_direction(v, DIRECTIONS[b])
+                    bits[rec["dir"]] = b
+                c = b & 63
+                if v >> c & 1 != b >> 6:  # Trace.walk()'s test
+                    raise IllegalMoveError(f"{rec['dir']} at vertex {vertex_text(v, n)}")
+                v ^= 1 << c
                 trace.moves.append(b)
                 if ("h" in rec) != (trace.history is not None):
                     raise CubeError('"h" on some records only')

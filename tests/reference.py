@@ -15,9 +15,9 @@
   these tables.
 - `lexicographic_order` is Johnson's tie order, written out.
 - `trace_checks_reference` is the Johnson and Zadeh trace suites as they
-  were written on `Direction`s: a walk that applies each move's
-  `Direction`, direction lists and sets, and sublist matches, against
-  which the move-byte suites are compared.
+  were written on `Direction`s (tests/directions.py): a walk that applies
+  each move's `Direction`, direction lists and sets, and sublist matches,
+  against which the move-byte suites are compared.
 """
 
 import json
@@ -25,17 +25,11 @@ import json
 import numpy as np
 
 from ausokit.constructions import cache_path
-from ausokit.cube_core import (
-    DIRECTIONS,
-    Direction,
-    OrientationOracle,
-    apply_direction,
-    direction_bit,
-    parse_vertex,
-)
+from ausokit.cube_core import OrientationOracle, direction_text, parse_vertex
 from ausokit.frame_store import FAMILY, _coords, _deficits_ok, projection_check
 from ausokit.pivot_engine import Trace, balance_of, is_saturated
 from ausokit.verifier import VerificationReport
+from directions import DIRECTIONS, Direction, apply_direction, direction_bit, directions, keyed
 from test_pivot_engine import _reference_choice
 
 
@@ -146,7 +140,7 @@ def reference_run(table, start, family, level, limit):
     Zadeh's least usage (ties by rank), as `_reference_choice` states them;
     at most `limit` moves."""
     order = (tuple(lexicographic_order(level + 1)) if family == "johnson"
-             else tuple(FAMILY[family].tie_order(level)))
+             else tuple(DIRECTIONS[b] for b in FAMILY[family].tie_order(level)))
     counts = {d: 0 for d in order}
     marker, v, moves = 0, start, bytearray()
     while (out := int(table[v])) and len(moves) < limit:
@@ -249,7 +243,7 @@ def _zadeh_reference(report, level, trace, lower_trace):
     top = {Direction(level.level * size + k, s)
            for k in range(size) for s in (True, False)}
     ok = all(after <= before + 1 for before, after in zip(tops, tops[1:]))
-    dirs = trace.directions()
+    dirs = directions(trace)
     for a, b in zip(sat, sat[1:]):
         segment = dirs[a:b]
         new_bundle = [d for d in segment if d in top]
@@ -258,8 +252,8 @@ def _zadeh_reference(report, level, trace, lower_trace):
     report.add("saturated_segment_usage", ok, None if ok else {"saturated": sat})
     ok = _deficits_ok(level.spec, level.level, final_state)
     report.add("final_balance_deficits", ok,
-               None if ok else {"balances": {str(d): balance_of(final_state, d)
-                                             for d in final_state.tie_list}})
+               None if ok else {"balances": {direction_text(b, size): balance_of(final_state, b)
+                                             for b in final_state.tie_list}})
     if level.level == 0:
         interior = [i for i in sat[:-1] if i > 0]
         ok = bool(interior) and len(trace) - max(interior) >= 2
@@ -273,7 +267,7 @@ def _johnson_reference(report, level, trace, lower_trace):
     size, sink = level.bundle_size, level.spec.hypersink
     bundles = level.level + 1
     vertices = [v for v, _ in walk_directions(trace)]
-    dirs = trace.directions()
+    dirs = directions(trace)
     ok = all(
         not (d.positive and d.coord % size)
         or (i > 0 and dirs[i - 1] == Direction(d.coord - 1, True))
@@ -325,6 +319,7 @@ def _johnson_reference(report, level, trace, lower_trace):
                     if dirs[i:i + len(reset)] == reset)
         report.add("single_reset_in_order", count == 1,
                    None if count == 1 else {"count": count})
+        projection_check(report, level, trace, lower_trace)
 
 
 def _johnson_resettable_reference(level, trace) -> bool:
@@ -343,7 +338,7 @@ def _johnson_resettable_reference(level, trace) -> bool:
                 continue
             if not level.oracle.evaluate(v) & next_bundle:
                 continue
-            h = st.last_step
+            h = keyed(st.table())
             for jp in range(j + 1):
                 stamps = [h[Direction(jp * size + c, False)] for c in ordered]
                 if any(a >= b for a, b in zip(stamps, stamps[1:])):

@@ -10,7 +10,7 @@ import pytest
 
 from ausokit.combinators import ProductOracle, ReorientedOracle
 from ausokit.constructions import realize_range, rule_state
-from ausokit.cube_core import Direction, UniformOracle, vertex_text
+from ausokit.cube_core import UniformOracle, direction_text, vertex_text
 from ausokit.frame_store import FAMILY, load_family, validate_all
 from ausokit.pivot_engine import (
     CunninghamState,
@@ -27,6 +27,7 @@ from ausokit.verifier import (
     check_uso_exhaustive,
     check_uso_sampled,
 )
+from directions import DIRECTIONS, Direction, directions
 
 LEVEL_RANGES = (("cunningham", 5), ("johnson", 5), ("zadeh", 3))
 
@@ -75,15 +76,14 @@ def test_criterion_1_johnson_example_table():
 
     def run():
         return run_to_sink(f1, 0, "johnson",
-                           JohnsonState(tuple(FAMILY["johnson"].tie_order(0))), bundle_size=4)
+                           JohnsonState(FAMILY["johnson"].tie_order(0)), bundle_size=4)
 
     trace, elapsed = _best_time(run)
     ok = len(trace) == 6
-    for v, direction, history, (bits, d, hist) in zip(
-            trace.vertices(), trace.directions(), trace.history, JOHNSON_TABLE):
-        from ausokit.cube_core import direction_text
+    for v, b, history, (bits, d, hist) in zip(
+            trace.vertices(), trace.moves, trace.history, JOHNSON_TABLE):
         ok = ok and vertex_text(v, 4) == bits
-        ok = ok and direction_text(direction, 4) == d
+        ok = ok and direction_text(b, 4) == d
         ok = ok and history == hist
     ok = ok and vertex_text(trace.end, 4) == JOHNSON_FINAL[0]
     ok = ok and trace.final_history == JOHNSON_FINAL[1]
@@ -96,13 +96,13 @@ def test_criterion_2_cunningham_base_case():
 
     def run():
         return run_to_sink(f3, 0b0010, "cunningham",
-                           CunninghamState(tuple(FAMILY["cunningham"].tie_order(0))),
+                           CunninghamState(FAMILY["cunningham"].tie_order(0)),
                            bundle_size=4)
 
     trace, elapsed = _best_time(run)
     want = [Direction(0, True), Direction(2, True), Direction(0, False),
             Direction(3, True), Direction(0, True)]
-    ok = trace.directions() == want and len(trace) == 5
+    ok = directions(trace) == want and len(trace) == 5
     ok = ok and trace.end == 0b1111 and not f3.evaluate(trace.end)
     ok = ok and elapsed < 1e-3
     _verdict("2 (cunningham base case)", ok, f"runtime {elapsed*1e6:.0f}us")
@@ -112,14 +112,14 @@ def test_criterion_3_zadeh_base_case():
     spec, a0 = load_family("zadeh")["a0"]
 
     def run():
-        st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
+        st = ZadehState(FAMILY["zadeh"].tie_order(0))
         return run_to_sink(a0, spec.labels["box1"], "zadeh", st, bundle_size=6), st
 
     (trace, state), elapsed = _best_time(run)
     ok = trace.vertices() == [spec.labels[f"box{i}"] for i in range(1, 22)]
     im = {Direction(k, False) for k in (2, 3, 4, 5)}
-    ok = ok and all(balance_of(state, d) == (1 if d in im else 0)
-                    for d in state.tie_list)
+    ok = ok and all(balance_of(state, b) == (1 if DIRECTIONS[b] in im else 0)
+                    for b in state.tie_list)
     ok = ok and elapsed < 1e-3
     _verdict("3 (zadeh base case)", ok, f"runtime {elapsed*1e6:.0f}us")
 
@@ -221,12 +221,12 @@ def test_criterion_7_determinism_and_replay(chains, tmp_path):
     for oracle, start, bundles in ((base, 0, 1), (lvl1.oracle, lvl1.start, 2)):
         with_update = run_to_sink(
             oracle, start, "johnson",
-            JohnsonState(tuple(FAMILY["johnson"].tie_order(bundles - 1))), bundle_size=4)
+            JohnsonState(FAMILY["johnson"].tie_order(bundles - 1)), bundle_size=4)
         without = run_to_sink(
             oracle, start, "johnson",
-            JohnsonState(tuple(FAMILY["johnson"].tie_order(bundles - 1)), arrival_update=False),
+            JohnsonState(FAMILY["johnson"].tie_order(bundles - 1), arrival_update=False),
             bundle_size=4)
-        ok = ok and with_update.directions() == without.directions()
+        ok = ok and with_update.moves == without.moves
     _verdict("7 (determinism / replay)", ok)
 
 

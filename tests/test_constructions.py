@@ -28,7 +28,7 @@ from ausokit.constructions import (
     realize_range,
     rule_state,
 )
-from ausokit.cube_core import Direction, TableOracle, UniformOracle, vertex_text
+from ausokit.cube_core import TableOracle, UniformOracle, vertex_text
 from ausokit.frame_store import (
     FAMILY,
     frame_file_sha256,
@@ -39,6 +39,7 @@ from ausokit.frame_store import (
 )
 from ausokit.pivot_engine import is_saturated, replay, run_to_sink, write_trace_jsonl
 from ausokit.verifier import check_acyclic, check_uso_exhaustive, outmap_table
+from directions import DIRECTIONS, Direction, bits, direction_bit, directions
 from reference import lexicographic_order, record
 
 
@@ -49,7 +50,7 @@ def _d(bundle, k, positive, size=4):
 def test_tie_list_cunningham_level0():
     want = [_d(0, 1, True), _d(0, 2, False), _d(0, 3, True), _d(0, 1, False),
             _d(0, 4, True), _d(0, 3, False), _d(0, 2, True), _d(0, 4, False)]
-    assert FAMILY["cunningham"].tie_order(0) == want
+    assert FAMILY["cunningham"].tie_order(0) == bits(want)
 
 
 def test_tie_list_zadeh():
@@ -58,16 +59,16 @@ def test_tie_list_zadeh():
             _d(0, 1, False, 6), _d(0, 4, True, 6), _d(0, 3, False, 6),
             _d(0, 5, True, 6), _d(0, 4, False, 6), _d(0, 6, True, 6),
             _d(0, 5, False, 6), _d(0, 2, True, 6), _d(0, 6, False, 6)]
-    assert t0 == want
+    assert t0 == bits(want)
     t1 = FAMILY["zadeh"].tie_order(1)
     assert len(t1) == 24
     assert t1[:12] == t0
-    assert all(d.coord >= 6 for d in t1[12:])
+    assert all(d.coord >= 6 for d in map(DIRECTIONS.__getitem__, t1[12:]))
 
 
 def test_johnson_tie_order_is_lexicographic():
     for level in range(4):
-        assert FAMILY["johnson"].tie_order(level) == lexicographic_order(level + 1)
+        assert FAMILY["johnson"].tie_order(level) == bits(lexicographic_order(level + 1))
 
 
 def test_starting_vertices():
@@ -79,12 +80,12 @@ def test_starting_vertices():
 
 def test_build_reset_r1_matches_transcription(johnson_frames):
     _, r1 = johnson_frames["r1"]
-    built = build_reset(1, r1)
+    built = build_reset(1, r1, FAMILY["johnson"].hypersink)
     assert outmap_table(built).tolist() == r1.table
 
 
 def test_build_reset_r2_walk_and_structure(johnson_frames):
-    r2 = build_reset(2, johnson_frames["r1"][1])
+    r2 = build_reset(2, johnson_frames["r1"][1], FAMILY["johnson"].hypersink)
     assert r2.dimension == 8
     v = 0b1001 | (0b1001 << 4)  # {c_0^1, c_0^4, c_1^1, c_1^4}
     used = []
@@ -100,7 +101,7 @@ def test_build_reset_r2_walk_and_structure(johnson_frames):
 
 def test_build_reset_evaluate_many(johnson_frames):
     for level in range(4):
-        oracle = build_reset(level, johnson_frames["r1"][1])
+        oracle = build_reset(level, johnson_frames["r1"][1], FAMILY["johnson"].hypersink)
         size = 1 << oracle.dimension
         got = oracle.evaluate_many(np.arange(size, dtype=np.uint64))
         assert got.tolist() == [oracle.evaluate(v) for v in range(size)]
@@ -131,9 +132,9 @@ def test_johnson_level1_projection_and_growth(built_levels):
     level1, trace1 = built_levels["johnson"][1]
     assert level1.dimension == 8
     assert len(trace1) > 2 * len(trace0)
-    inner = [d for d in trace1.directions() if d.coord < 4]
-    assert inner[:len(trace0)] == trace0.directions()
-    assert inner[-len(trace0):] == trace0.directions()
+    inner = [d for d in directions(trace1) if d.coord < 4]
+    assert inner[:len(trace0)] == directions(trace0)
+    assert inner[-len(trace0):] == directions(trace0)
 
 
 def test_zadeh_level1_imbalanced_set(built_levels):
@@ -144,8 +145,8 @@ def test_zadeh_level1_imbalanced_set(built_levels):
     for _ in replay(trace1, state):
         pass
     im = {Direction(j * 6 + k, False) for j in (0, 1) for k in (2, 3, 4, 5)}
-    for d in state.tie_list:
-        assert balance_of(state, d) == (1 if d in im else 0)
+    for b in state.tie_list:
+        assert balance_of(state, b) == (1 if DIRECTIONS[b] in im else 0)
 
 
 def test_replay_fixpoint(built_levels):
@@ -154,7 +155,7 @@ def test_replay_fixpoint(built_levels):
             again = run_to_sink(level.oracle, level.start, family,
                                 rule_state(family, level.level),
                                 bundle_size=level.bundle_size)
-            assert again.directions() == trace.directions()
+            assert again.moves == trace.moves
             assert again.end == trace.end == level.expected_sink
 
 
@@ -566,7 +567,7 @@ def test_builder_geometry_matches_frame_labels(family):
     assert spec.reset is None or frames[spec.reset][0].labels["box1"] == spec.hypersink
     assert spec.start(0) == labels["box1"] == spec.box1
     assert sorted(spec.tie_order(0)) == sorted(
-        Direction(k, s) for k in range(spec.bundle_size) for s in (True, False))
+        direction_bit(Direction(k, s)) for k in range(spec.bundle_size) for s in (True, False))
     assert isinstance(spec.rule_state(1), spec.rule)
     assert validate_family(family, frames=frames).passed
 

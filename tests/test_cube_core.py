@@ -3,24 +3,24 @@ import random
 import pytest
 
 from ausokit.cube_core import (
-    DIRECTIONS,
     CubeError,
-    Direction,
     Face,
     FaceSinkError,
     IllegalMoveError,
     TableOracle,
     UniformOracle,
-    apply_direction,
-    direction_bit,
     direction_text,
     face_sink,
-    is_available,
     parse_direction,
     parse_vertex,
     vertex_text,
 )
 from ausokit.verifier import check_acyclic, check_uso_exhaustive
+from directions import DIRECTIONS, Direction, apply_direction, direction_bit, is_available
+
+# The apply_direction, is_available and direction_bit tests check the tests'
+# own per-direction encoding (tests/directions.py), on which the references
+# state the rules.
 
 
 def test_apply_direction_basics():
@@ -78,6 +78,9 @@ def test_exactly_one_sign_available():
                 assert plus != minus
             else:
                 assert not plus and not minus
+            # The packed availability the rules test holds the same two bits.
+            available = (out & ~v) | (out & v) << 64
+            assert (available >> c & 1, available >> (64 + c) & 1) == (plus, minus)
 
 
 def test_available_moves_change_one_coordinate():
@@ -149,12 +152,16 @@ def test_vertex_text_roundtrip():
 
 
 def test_direction_text_roundtrip():
-    d = Direction(4, True)  # c_1^1 with bundle size 4
-    assert direction_text(d, 4) == "+1.1"
-    assert parse_direction("+1.1", 4) == d
-    assert parse_direction("-0.3", 6) == Direction(2, False)
-    with pytest.raises(CubeError):
-        parse_direction("0.3", 4)
+    assert direction_text(4, 4) == "+1.1"  # +c_1^1 with bundle size 4
+    assert parse_direction("+1.1", 4) == 4
+    assert parse_direction("-0.3", 6) == 64 + 2
+    for size in (1, 4, 6, 64):
+        for b in range(128):
+            assert parse_direction(direction_text(b, size), size) == b
+    # A coordinate outside 0..63 has no move bit.
+    for bad, size in (("0.3", 4), ("+16.1", 4), ("-0.0", 4), ("+0.65", 64)):
+        with pytest.raises(CubeError):
+            parse_direction(bad, size)
 
 
 def test_direction_bit_roundtrip():

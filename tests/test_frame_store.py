@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from ausokit.cube_core import CubeError, Face, face_sink, vertex_text
+from ausokit.cube_core import CubeError, Face, TableOracle, face_sink, vertex_text
 from ausokit.frame_store import (
     FAMILY,
     FrameParseError,
@@ -157,6 +157,23 @@ def test_johnson_frames_with_other_sinks_fail_same_sink(johnson_frames):
     flipped = replace(spec, backward_edges=sorted(set(spec.backward_edges) ^ {(0b1001, 2)}))
     check = same_sink({**johnson_frames, "f2": (flipped, oracle_from_spec(flipped))})
     assert not check.passed and check.witness == {"f1": "1001", "f2": "1101"}
+
+
+@pytest.mark.parametrize("family, stem, sink, check, witness", [
+    ("cunningham", "f3", 0b1111, "f3_base_case_run", {"dirs": ["+0.1", "+0.3", "+0.4"]}),
+    ("johnson", "f1", 0b1001, "f1_example_run", {"dirs": ["+0.1", "+0.4"]}),
+    ("zadeh", "a0", 0b111110, "a0_final_balances",
+     {"imbalanced": ["+0.1", "+0.2", "-0.1", "-0.2", "-0.3", "-0.4", "-0.5", "-0.6"]}),
+])
+def test_scripted_runs_name_their_directions_by_text(family, stem, sink, check, witness):
+    """With the run's frame replaced by a uniform cube, the scripted run
+    goes astray, and its witness names the directions by their text."""
+    frames = dict(load_family(family))
+    spec, oracle = frames[stem]
+    n = oracle.dimension
+    frames[stem] = (spec, TableOracle(n, [v ^ sink for v in range(1 << n)]))
+    report = validate_family(family, frames=frames)
+    assert [c.witness for c in report.failures() if c.name == check] == [witness]
 
 
 def test_validate_family_via_dir(tmp_path):

@@ -14,13 +14,11 @@ PACKAGE_DIR = Path(ausokit.__file__).parent
 ORDER = ("cube_core", "combinators", "pivot_engine", "verifier", "frame_store",
          "constructions", "cli")
 FAMILY_NAMES = {"cunningham", "johnson", "zadeh"}
-# The readers of a trace's moves, per module: they read move bits.
-MOVE_READERS = {
-    "pivot_engine": ("Trace.walk", "replay"),
-    "frame_store": ("projection_check", "johnson_trace_checks", "zadeh_trace_checks",
-                    "_zadeh_replay"),
-    "constructions": ("_realize_step",),
-}
+# The per-direction form of a move, which lives in the tests only
+# (tests/directions.py): `ausokit` speaks a direction as its move bit or
+# its text.
+DIRECTION_NAMES = {"Direction", "DIRECTIONS", "direction_bit", "apply_direction",
+                   "is_available", "directions"}
 # Import one module first, with the package's __init__ (which imports them
 # all in its own order) replaced by an empty package.
 FIRST_IMPORT = """
@@ -108,19 +106,14 @@ def test_no_module_branches_on_a_family_name():
         assert not found, f"{path.name}: family names at lines {found}"
 
 
-def test_move_readers_build_no_direction():
-    """The walk, the replay, the trace suites and the adversary's hook read
-    each move as its bit: outside a raise statement, none of them names
-    Direction or DIRECTIONS."""
-    for module, names in MOVE_READERS.items():
-        tree = ast.parse((PACKAGE_DIR / f"{module}.py").read_text(encoding="utf-8"))
-        functions = {f"{c.name}.{f.name}" if c is not tree else f.name: f
-                     for c in [tree, *tree.body] if isinstance(c, (ast.Module, ast.ClassDef))
-                     for f in c.body if isinstance(f, ast.FunctionDef)}
-        for name in names:
-            raised = {id(n) for r in ast.walk(functions[name]) if isinstance(r, ast.Raise)
-                      for n in ast.walk(r)}
-            found = [n.lineno for n in ast.walk(functions[name]) if id(n) not in raised
-                     and (n.id if isinstance(n, ast.Name) else getattr(n, "attr", None))
-                     in ("Direction", "DIRECTIONS")]
-            assert not found, f"{module}.{name} names a Direction at lines {found}"
+def test_no_module_names_a_direction():
+    """No module defines, imports, reads or calls the per-direction form:
+    no name, attribute, import or definition in DIRECTION_NAMES."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [getattr(n, "lineno", None) for n in ast.walk(tree)
+                 if (n.id if isinstance(n, ast.Name)
+                     else n.attr if isinstance(n, ast.Attribute)
+                     else n.name if isinstance(n, (ast.alias, ast.FunctionDef, ast.ClassDef))
+                     else None) in DIRECTION_NAMES]
+        assert not found, f"{path.name} names a Direction at lines {found}"

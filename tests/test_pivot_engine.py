@@ -8,18 +8,13 @@ from hypothesis import strategies as hst
 
 from ausokit.combinators import ProductOracle, ReorientedOracle
 from ausokit.cube_core import (
-    DIRECTIONS,
     MAX_DIMENSION,
     CubeError,
-    Direction,
     IllegalMoveError,
     OrientationOracle,
     TableOracle,
     UniformOracle,
-    apply_direction,
-    direction_bit,
     direction_text,
-    is_available,
     vertex_text,
 )
 from ausokit.frame_store import FAMILY
@@ -39,6 +34,16 @@ from ausokit.pivot_engine import (
 )
 from ausokit.constructions import realize_level, realize_range
 from ausokit.verifier import outmap_table
+from directions import (
+    DIRECTIONS,
+    Direction,
+    apply_direction,
+    bits,
+    direction_bit,
+    directions,
+    is_available,
+    keyed,
+)
 
 
 def _dirs(pattern, bundle=0, size=4):
@@ -68,16 +73,16 @@ def _step(oracle, v, state):
 
 def test_cunningham_base_case_run(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
-    st = CunninghamState(tuple(FAMILY["cunningham"].tie_order(0)))
+    st = CunninghamState(FAMILY["cunningham"].tie_order(0))
     trace = run_to_sink(f3, 0b0010, "cunningham", st, bundle_size=4)
-    assert trace.directions() == _dirs("+1,+3,-1,+4,+1")
+    assert directions(trace) == _dirs("+1,+3,-1,+4,+1")
     assert len(trace) == 5
     assert trace.end == 0b1111
 
 
 def test_cunningham_first_steps_skip_unavailable(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
-    st = CunninghamState(tuple(FAMILY["cunningham"].tie_order(0)))
+    st = CunninghamState(FAMILY["cunningham"].tie_order(0))
     d, v = _step(f3, 0b0010, st)
     assert d == Direction(0, True)
     d, v = _step(f3, v, st)
@@ -86,17 +91,17 @@ def test_cunningham_first_steps_skip_unavailable(cunningham_frames):
 
 def test_cunningham_marker_tracks_used_direction(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
-    st = CunninghamState(tuple(FAMILY["cunningham"].tie_order(0)))
+    st = CunninghamState(FAMILY["cunningham"].tie_order(0))
     v = 0b0010
     while f3.evaluate(v):
         d, v = _step(f3, v, st)
-        assert st.order[st.marker - 1] == d
+        assert st.order[st.marker - 1] == direction_bit(d)
 
 
 def test_cunningham_step_at_sink_raises(cunningham_frames):
     _, f3 = cunningham_frames["f3"]
     assert f3.evaluate(0b1111) == 0
-    st = CunninghamState(tuple(FAMILY["cunningham"].tie_order(0)))
+    st = CunninghamState(FAMILY["cunningham"].tie_order(0))
     assert st.choose(0b1111, 0) is None
 
 
@@ -115,11 +120,11 @@ JOHNSON_FINAL = ("1001", (7, 6, 5, 7), (1, 7, 7, 4))
 def test_johnson_example_table(johnson_frames):
     from ausokit.cube_core import parse_vertex, vertex_text
     _, f1 = johnson_frames["f1"]
-    st = JohnsonState(tuple(FAMILY["johnson"].tie_order(0)))
+    st = JohnsonState(FAMILY["johnson"].tie_order(0))
     trace = run_to_sink(f1, 0, "johnson", st, bundle_size=4)
     assert len(trace) == 6
     for v, direction, history, (bits, d, pos, neg) in zip(
-            trace.vertices(), trace.directions(), trace.history, JOHNSON_TABLE):
+            trace.vertices(), directions(trace), trace.history, JOHNSON_TABLE):
         assert vertex_text(v, 4) == bits
         sign, k = d[0], int(d[1])
         assert direction == Direction(k - 1, sign == "+")
@@ -135,27 +140,28 @@ def test_johnson_example_table(johnson_frames):
 
 def test_johnson_dual_mode_same_directions(johnson_frames):
     _, f1 = johnson_frames["f1"]
-    a = run_to_sink(f1, 0, "johnson", JohnsonState(tuple(FAMILY["johnson"].tie_order(0))),
+    a = run_to_sink(f1, 0, "johnson", JohnsonState(FAMILY["johnson"].tie_order(0)),
                     bundle_size=4)
     b = run_to_sink(f1, 0, "johnson",
-                    JohnsonState(tuple(FAMILY["johnson"].tie_order(0)), arrival_update=False),
+                    JohnsonState(FAMILY["johnson"].tie_order(0), arrival_update=False),
                     bundle_size=4)
-    assert a.directions() == b.directions()
+    assert a.moves == b.moves
     # the recorded snapshots differ, the choices never do
     assert a.history[0] != b.history[0]
 
 
 def test_zadeh_base_case_walk(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
-    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
+    st = ZadehState(FAMILY["zadeh"].tie_order(0))
     trace = run_to_sink(a0, spec.labels["box1"], "zadeh", st, bundle_size=6)
     assert len(trace) == 20
     assert trace.vertices() == [spec.labels[f"box{i}"] for i in range(1, 22)]
     for k in (2, 3, 4, 5):  # -c^3 .. -c^6
-        assert balance_of(st, Direction(k, False)) == 1
-    for d in st.tie_list:
+        assert balance_of(st, direction_bit(Direction(k, False))) == 1
+    for b in st.tie_list:
+        d = DIRECTIONS[b]
         if not (not d.positive and d.coord >= 2):
-            assert balance_of(st, d) == 0
+            assert balance_of(st, b) == 0
 
 
 def test_zadeh_two_cube_tie_break():
@@ -163,14 +169,14 @@ def test_zadeh_two_cube_tie_break():
     o = UniformOracle(2, 0)
     tie = (Direction(0, True), Direction(0, False), Direction(1, True),
            Direction(1, False))
-    st = ZadehState(tie)
+    st = ZadehState(bits(tie))
     trace = run_to_sink(o, 0b11, "zadeh", st, bundle_size=2)
-    assert trace.directions() == [Direction(0, False), Direction(1, False)]
+    assert directions(trace) == [Direction(0, False), Direction(1, False)]
 
 
 def test_zadeh_usage_conservation(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
-    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
+    st = ZadehState(FAMILY["zadeh"].tie_order(0))
     v = spec.labels["box1"]
     steps = 0
     while a0.evaluate(v):
@@ -187,8 +193,8 @@ def test_all_rules_take_n_steps_from_antisink(tmp_path):
     for n in (3, 5, MAX_DIMENSION):
         anti = (1 << n) - 1
         o = UniformOracle(n, 0)
-        pairs = tuple(d for c in range(n) for d in (Direction(c, True), Direction(c, False)))
-        john = JohnsonState(tuple(_lexicographic(n)))
+        pairs = bits(d for c in range(n) for d in (Direction(c, True), Direction(c, False)))
+        john = JohnsonState(bits(_lexicographic(n)))
         for rule, state in (("cunningham", CunninghamState(pairs)), ("johnson", john),
                             ("zadeh", ZadehState(pairs))):
             trace = run_to_sink(o, anti, rule, state, bundle_size=n)
@@ -201,9 +207,9 @@ def test_all_rules_take_n_steps_from_antisink(tmp_path):
 def test_determinism_identical_traces(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
     runs = [run_to_sink(a0, spec.labels["box1"], "zadeh",
-                        ZadehState(tuple(FAMILY["zadeh"].tie_order(0))), bundle_size=6)
+                        ZadehState(FAMILY["zadeh"].tie_order(0)), bundle_size=6)
             for _ in range(2)]
-    assert runs[0].directions() == runs[1].directions()
+    assert runs[0].moves == runs[1].moves
     assert runs[0].history == runs[1].history
 
 
@@ -219,14 +225,16 @@ def test_run_refuses_a_rule_name_that_is_not_the_states(zadeh_frames):
 
 def test_step_limit_flags_cycle():
     cyclic = TableOracle(2, [0b01, 0b10, 0b10, 0b01])
-    st = CunninghamState((Direction(0, True), Direction(1, True),
-                          Direction(0, False), Direction(1, False)))
+    st = CunninghamState(bits((Direction(0, True), Direction(1, True),
+                               Direction(0, False), Direction(1, False))))
     with pytest.raises(StepLimitExceeded) as exc:
         run_to_sink(cyclic, 0, "cunningham", st, step_limit=50, bundle_size=2)
     assert len(exc.value.partial) == 50
 
 
 def _states(order):
+    """A fresh state of each rule on an order of Directions."""
+    order = bits(order)
     return {"cunningham": CunninghamState(order), "johnson": JohnsonState(order),
             "zadeh": ZadehState(order)}
 
@@ -284,7 +292,7 @@ def test_built_level_memo_starts_cold(tmp_path, realizations):
     level.oracle.base = counting
     again = run_to_sink(level.oracle, level.start, "cunningham", level.rule_state(),
                         bundle_size=level.bundle_size)
-    assert again.directions() == trace.directions()
+    assert again.moves == trace.moves
     assert counting.calls == len(trace) + 1
 
 
@@ -315,24 +323,24 @@ def test_lower_levels_computed_once_per_path_vertex(tmp_path, monkeypatch, famil
 
 
 def test_balance_of_fresh_and_scoped():
-    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
+    st = ZadehState(FAMILY["zadeh"].tie_order(0))
     for d in st.tie_list:
         assert balance_of(st, d) == 0
     for d in [Direction(0, True)] * 3 + [Direction(1, True)]:
         st.record(0, direction_bit(d))
-    assert balance_of(st, Direction(1, True)) == 2
+    assert balance_of(st, direction_bit(Direction(1, True))) == 2
     assert st.top == 3
 
 
 def test_is_saturated_fresh_state(zadeh_frames):
     _, a0 = zadeh_frames["a0"]
-    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
+    st = ZadehState(FAMILY["zadeh"].tie_order(0))
     assert is_saturated(a0, 0b000010, st, 0b111111)
 
 
 def test_is_saturated_at_box12_not_at_box2(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
-    st = ZadehState(tuple(FAMILY["zadeh"].tie_order(0)))
+    st = ZadehState(FAMILY["zadeh"].tie_order(0))
     v = spec.labels["box1"]
     for i in range(11):
         _, v = _step(a0, v, st)
@@ -393,7 +401,7 @@ def test_zadeh_state_matches_its_definition(order, moves, queries):
     saturated when no available direction on the mask is used fewer times
     than the most used one; record refuses a direction outside the list."""
     order = tuple(order)
-    state = ZadehState(order)
+    state = ZadehState(bits(order))
     usage = {d: 0 for d in order}
     for pick, d in moves:
         if order and pick % 2:
@@ -405,9 +413,9 @@ def test_zadeh_state_matches_its_definition(order, moves, queries):
             with pytest.raises(CubeError):
                 state.record(0, direction_bit(d))
         top = max(usage.values(), default=0)
-        assert state.usage == usage and list(state.usage) == list(order)
+        assert keyed(state.usage) == usage and list(keyed(state.usage)) == list(order)
         assert state.top == top
-        assert all(balance_of(state, x) == top - c for x, c in usage.items())
+        assert all(balance_of(state, direction_bit(x)) == top - c for x, c in usage.items())
         for v, out, mask in queries:
             # Half the outmaps keep only coordinates of the order.
             if pick % 2:
@@ -418,7 +426,7 @@ def test_zadeh_state_matches_its_definition(order, moves, queries):
                                 and bool(v >> x.coord & 1) != x.positive)
             assert is_saturated(_FixedOutmap(out), v, state, mask) == saturated
     # Equality compares the counts, not the order the moves came in.
-    again = ZadehState(order)
+    again = ZadehState(bits(order))
     for d, c in reversed(usage.items()):
         for _ in range(c):
             again.record(0, direction_bit(d))
@@ -450,7 +458,7 @@ def test_johnson_state_matches_its_definition(order, moves, queries):
     (0 before one); table(u) is h after an update at u with the latest step
     number; equality compares the key lists."""
     order = tuple(order)
-    state = JohnsonState(order)
+    state = JohnsonState(bits(order))
     stamp = {d: 0 for d in order}
     taken = []
     for step, (pick, d, u) in enumerate(moves, 1):
@@ -461,17 +469,17 @@ def test_johnson_state_matches_its_definition(order, moves, queries):
         opposite = Direction(d.coord, not d.positive)
         if opposite in stamp:
             stamp[opposite] = step
-        assert state.stamp == stamp and list(state.stamp) == list(order)
-        assert state.table() == _johnson_reference_table(stamp, step, u)
+        assert keyed(state.stamp) == stamp and list(keyed(state.stamp)) == list(order)
+        assert keyed(state.table()) == _johnson_reference_table(stamp, step, u)
         for v, out in queries:
             # Half the outmaps keep only coordinates of the order.
             if pick % 2:
                 out &= sum(1 << x.coord for x in order)
             assert _chosen(state, v, out) == _reference_choice(stamp, order, v, out)
-            assert state.table(v) == _johnson_reference_table(stamp, step, v)
+            assert keyed(state.table(v)) == _johnson_reference_table(stamp, step, v)
     # The same moves give an equal state; the moves in reverse order, taken
     # at the same vertices, one that is equal exactly when the stamps are.
-    same, reordered = JohnsonState(order), JohnsonState(order)
+    same, reordered = JohnsonState(bits(order)), JohnsonState(bits(order))
     for (u, b), (_, b_back) in zip(taken, reversed(taken)):
         same.record(u, b)
         reordered.record(u, b_back)
@@ -492,7 +500,7 @@ def test_johnson_state_matches_its_definition(order, moves, queries):
 ])
 def test_trace_jsonl_tampering_is_caught(tmp_path, johnson_frames, line, key, value):
     _, f1 = johnson_frames["f1"]
-    trace = run_to_sink(f1, 0, "johnson", JohnsonState(tuple(FAMILY["johnson"].tie_order(0))),
+    trace = run_to_sink(f1, 0, "johnson", JohnsonState(FAMILY["johnson"].tie_order(0)),
                         bundle_size=4)
     path = tmp_path / "t.jsonl"
     write_trace_jsonl(trace, path)
@@ -584,12 +592,10 @@ def test_rules_terminate_within_2n_from_every_start(cunningham_frames,
     for oracle in frames:
         n = oracle.dimension
         for start in range(1 << n):
-            pairs = [(Direction(c, s), None) for c in range(n)
-                     for s in (True, False)]
-            order = tuple(d for d, _ in pairs)
+            order = bits(Direction(c, s) for c in range(n) for s in (True, False))
             for rule, state in (
                     ("cunningham", CunninghamState(order)),
-                    ("johnson", JohnsonState(tuple(_lexicographic(n)))),
+                    ("johnson", JohnsonState(bits(_lexicographic(n)))),
                     ("zadeh", ZadehState(order))):
                 trace = run_to_sink(oracle, start, rule, state,
                                     step_limit=1 << n, bundle_size=n,
@@ -619,9 +625,9 @@ def test_replay_ends_in_the_steppers_final_state(family, top):
         if family == "cunningham":
             assert trace.final_history == {"mu": replayed.marker}
         else:
-            counts = replayed.last_step if family == "johnson" else replayed.usage
-            assert trace.final_history == {direction_text(d, level.bundle_size): c
-                                           for d, c in counts.items()}
+            counts = replayed.table() if family == "johnson" else replayed.usage
+            assert trace.final_history == {direction_text(b, level.bundle_size): c
+                                           for b, c in counts.items()}
 
 
 # The rules as the per-direction steppers stated them, one is_available
@@ -671,31 +677,31 @@ def _reference_run(oracle, start, rule, order, limit):
 
 
 def _views_match_reference(got, rule, order, books):
-    """Replaying a run, the Direction-keyed views after every move equal the
+    """Replaying a run, the views after every move, keyed by Direction, equal the
     reference bookkeeping (Zadeh's usage, Johnson's stamps); Zadeh's running
     top count is the top usage."""
     state = _states(order)[rule]
     for moves, _ in enumerate(replay(got, state)):
         if moves:
             book = books[moves - 1]
-            assert (state.usage if rule == "zadeh" else state.stamp) == book
+            assert keyed(state.usage if rule == "zadeh" else state.stamp) == book
             if rule == "zadeh":
                 assert state.top == max(book.values())
     assert moves == len(books)
 
 
 def _johnson_matches_reference(oracle, start, order, limit, bundle_size):
-    """Snapshots, final history and replayed last_step against the reference,
+    """Snapshots, final history and replayed h tables against the reference,
     in both arrival conventions."""
     _, tables, final, _ = _reference_run(oracle, start, "johnson", order, limit)
 
     def text(table):
-        return {direction_text(d, bundle_size): c for d, c in table.items()}
+        return {direction_text(direction_bit(d), bundle_size): c for d, c in table.items()}
 
     for arrival in (True, False):
         try:
             got = run_to_sink(oracle, start, "johnson",
-                              JohnsonState(order, arrival_update=arrival),
+                              JohnsonState(bits(order), arrival_update=arrival),
                               step_limit=limit, bundle_size=bundle_size,
                               record_history=True)
         except StepLimitExceeded as exc:
@@ -703,11 +709,11 @@ def _johnson_matches_reference(oracle, start, order, limit, bundle_size):
         assert got.history == [text(pair[0 if arrival else 1]) for pair in tables]
         if got.final_history is not None:
             assert got.final_history == text(final)
-    state = JohnsonState(order)
+    state = JohnsonState(bits(order))
     before = [{d: 0 for d in order}] + [non_arrival for _, non_arrival in tables]
     for _, want in zip(replay(got, state), before, strict=True):
-        assert state.last_step == want
-    assert state.last_step == final
+        assert keyed(state.table()) == want
+    assert keyed(state.table()) == final
 
 
 @hst.composite
@@ -757,7 +763,7 @@ def test_rules_match_per_direction_reference(cunningham_frames, johnson_frames,
             except StepLimitExceeded as exc:
                 got = exc.partial
             dirs, _, _, books = _reference_run(oracle, start, rule, order, limit)
-            assert got.directions() == dirs
+            assert directions(got) == dirs
             if rule != "cunningham":
                 _views_match_reference(got, rule, order, books)
         _johnson_matches_reference(oracle, start, order, limit, max(n, 1))
@@ -766,11 +772,11 @@ def test_rules_match_per_direction_reference(cunningham_frames, johnson_frames,
 def test_johnson_h_keys_stay_the_tie_order():
     # The tie order lacks -c1; the run takes +c1 first, whose opposite it is.
     order = (Direction(0, True), Direction(1, True), Direction(1, False))
-    state = JohnsonState(order)
+    state = JohnsonState(bits(order))
     trace = run_to_sink(UniformOracle(2, 0b11), 0, "johnson", state, bundle_size=2)
-    assert trace.directions() == [Direction(0, True), Direction(1, True)]
-    assert list(state.last_step) == list(state.stamp) == list(order)
-    keys = [direction_text(d, 2) for d in order]
+    assert directions(trace) == [Direction(0, True), Direction(1, True)]
+    assert list(state.table()) == list(state.stamp) == list(bits(order))
+    keys = [direction_text(direction_bit(d), 2) for d in order]
     assert all(list(h) == keys for h in trace.history)
     assert list(trace.final_history) == keys
     _johnson_matches_reference(UniformOracle(2, 0b11), 0, order, 8, 2)
@@ -779,12 +785,12 @@ def test_johnson_h_keys_stay_the_tie_order():
 def test_zadeh_usage_keys_stay_the_tie_list():
     # The tie list lacks -c1; the run never needs it.
     order = (Direction(0, True), Direction(1, True), Direction(1, False))
-    state = ZadehState(order)
+    state = ZadehState(bits(order))
     trace = run_to_sink(UniformOracle(2, 0b11), 0, "zadeh", state, bundle_size=2)
-    assert trace.directions() == [Direction(0, True), Direction(1, True)]
-    assert list(state.usage) == list(order)
-    assert [balance_of(state, d) for d in order] == [0, 0, 1]
-    keys = [direction_text(d, 2) for d in order]
+    assert directions(trace) == [Direction(0, True), Direction(1, True)]
+    assert list(state.usage) == list(bits(order))
+    assert [balance_of(state, b) for b in bits(order)] == [0, 0, 1]
+    keys = [direction_text(direction_bit(d), 2) for d in order]
     assert all(list(h) == keys for h in trace.history)
     assert trace.final_history == dict(zip(keys, (1, 1, 0)))
 
@@ -808,9 +814,9 @@ def _reference_jsonl(trace) -> list[str]:
     """The lines of a trace file as one json.dumps per record."""
     records = []
     history = trace.history or [None] * len(trace)
-    for t, (v, d, h) in enumerate(zip(trace.vertices(), trace.directions(), history), 1):
+    for t, (v, d, h) in enumerate(zip(trace.vertices(), directions(trace), history), 1):
         rec = {"t": t, "vertex": vertex_text(v, trace.dimension),
-               "dir": direction_text(d, trace.bundle_size)}
+               "dir": direction_text(direction_bit(d), trace.bundle_size)}
         if h is not None:
             rec["h"] = h
         records.append(rec)

@@ -10,7 +10,6 @@ from ausokit import verifier
 from ausokit.combinators import ProductOracle, ReorientedOracle
 from ausokit.constructions import realize_range
 from ausokit.cube_core import (
-    DIRECTIONS,
     Face,
     IllegalMoveError,
     TableOracle,
@@ -33,6 +32,7 @@ from ausokit.verifier import (
     outmap_table,
     sample_faces,
 )
+from directions import DIRECTIONS, directions
 
 
 class _Counting:
@@ -525,7 +525,7 @@ def _projection_reference(level, trace, lower_trace):
     inner_mask = (1 << inner_dim) - 1
     inner = [(v, DIRECTIONS[b]) for v, b in trace.walk()
              if b is not None and b & 63 < inner_dim]
-    lower_dirs = lower_trace.directions()
+    lower_dirs = directions(lower_trace)
     k = len(lower_dirs)
     ok = len(inner) >= 2 * k
     ok = ok and [d for _, d in inner[:k]] == lower_dirs
@@ -540,7 +540,7 @@ def _projection_reference(level, trace, lower_trace):
     return ok
 
 
-@pytest.mark.parametrize("family", ["cunningham", "zadeh"])
+@pytest.mark.parametrize("family", ["cunningham", "johnson", "zadeh"])
 def test_projection_check_matches_walk_reference(built_levels, family):
     """On each level's trace and on copies with two neighbouring moves
     swapped, in the trace or in the lower trace, with one move's sign
@@ -578,6 +578,47 @@ def test_projection_check_matches_walk_reference(built_levels, family):
             assert [c.passed for c in report.checks if c.name == "projection_twice"] == [want]
             seen.add(want)
     assert seen == {True, False, "illegal"}
+
+
+def test_johnson_suite_ties_each_level_to_the_one_below():
+    """The Johnson suite runs the projection check above level 0: the
+    packaged levels 1..8 pass it, and every copy of the trace of a level
+    0..5, with two neighbouring moves swapped or one move's sign flipped,
+    fails it as the lower trace of the next level or raises IllegalMoveError."""
+    rng = random.Random(29)
+    chain = realize_range("johnson", 8)
+    for (_, lower), (level, trace) in zip(chain, chain[1:]):
+        report = check_trace_properties(level, trace, lower)
+        assert report.passed and "projection_twice" in [c.name for c in report.checks]
+        if level.level > 6:
+            continue
+        for i in rng.sample(range(len(lower) - 1), min(len(lower) - 1, 15)):
+            for flip in (False, True):
+                bad = copy.deepcopy(lower)
+                bad.moves = bytearray(bad.moves)
+                if flip:
+                    bad.moves[i] ^= 64
+                else:
+                    bad.moves[i], bad.moves[i + 1] = bad.moves[i + 1], bad.moves[i]
+                try:
+                    report = check_trace_properties(level, trace, bad)
+                except IllegalMoveError:
+                    continue
+                assert [c.passed for c in report.checks
+                        if c.name == "projection_twice"] == [False]
+
+
+def test_cunningham_level0_suite_walks_the_trace(built_levels):
+    """Cunningham's level-0 suite has no lower level to project on, but it
+    walks the trace: each copy with one move's sign flipped raises."""
+    level, trace = built_levels["cunningham"][0]
+    assert check_trace_properties(level, trace).passed
+    for i in range(len(trace)):
+        bad = copy.deepcopy(trace)
+        bad.moves = bytearray(bad.moves)
+        bad.moves[i] ^= 64
+        with pytest.raises(IllegalMoveError):
+            check_trace_properties(level, bad)
 
 
 def test_report_merge_and_json():
