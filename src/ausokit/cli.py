@@ -8,8 +8,9 @@ family's validation, a cached level that differs from its rebuild, or a
 chain that `build` or `report` finds failing check_growth count as one), 2
 usage or configuration error (a frame file that is missing, unparsable or
 not of its family's dimension, a cache file the cache writer could not have
-written, a negative level, a verify mode or option the level cannot take,
-or a path that cannot be read or written), 3 resource limit.
+written, a negative level or one wider than the 63-dimension cube, a verify
+mode or option the level cannot take, or a path that cannot be read or
+written), 3 resource limit.
 """
 
 from __future__ import annotations
@@ -46,22 +47,24 @@ EXIT_USAGE = 2
 EXIT_LIMIT = 3
 
 
-def _parse_levels(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo_i, hi_i = int(lo), int(hi)
-    else:
-        lo_i = hi_i = int(text)
-    if lo_i < 0 or hi_i < lo_i:
-        raise ValueError(f"bad level range {text!r}")
-    return lo_i, hi_i
-
-
 def _level(text: str) -> int:
+    """A level: ASCII decimal digits only (int() also reads '1_0', '٣' and '+1')."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdecimal()):
+        raise argparse.ArgumentTypeError(f"bad level {text!r}")
     level = int(text)
     if level < 0:
         raise argparse.ArgumentTypeError(f"negative level {level}")
     return level
+
+
+def _levels(text: str) -> tuple[int, int]:
+    """A level range like 0..5, or a single level, each end read by _level."""
+    parts = text.split("..", 1)
+    lo, hi = _level(parts[0]), _level(parts[-1])
+    if hi < lo:
+        raise argparse.ArgumentTypeError(f"bad level range {text!r}")
+    return lo, hi
 
 
 def _check_out_dir(path) -> None:
@@ -72,7 +75,7 @@ def _check_out_dir(path) -> None:
 
 
 def cmd_build(args) -> int:
-    lo, hi = _parse_levels(args.levels)
+    lo, hi = args.levels
     report = validate_all(args.frames_dir)  # every family, not only the one built
     if not report.passed:
         raise FrameValidationError(report)
@@ -154,7 +157,7 @@ def _emit_report(report, path) -> None:
 
 def cmd_report(args) -> int:
     _check_out_dir(args.out)
-    lo, hi = _parse_levels(args.levels)
+    lo, hi = args.levels
     chain = realize_range(args.family, hi, args.frames_dir, args.cache_dir, write=False)
     size = FAMILY[args.family].bundle_size
     lengths = [(level.level, level.dimension, level.path_length) for level, _ in chain]
@@ -196,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", parents=[common],
                        help="realize levels bottom-up and cache them")
     p.add_argument("--family", required=True, choices=sorted(FAMILY))
-    p.add_argument("--levels", required=True, help="like 0..5 or a single level")
+    p.add_argument("--levels", required=True, type=_levels,
+                   help="like 0..5 or a single level")
     p.add_argument("--cache-dir", default="caches")
     p.set_defaults(func=cmd_build)
 
@@ -226,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", parents=[common],
                        help="growth table (CSV or JSON)")
     p.add_argument("--family", required=True, choices=sorted(FAMILY))
-    p.add_argument("--levels", required=True, help="like 0..5")
+    p.add_argument("--levels", required=True, type=_levels, help="like 0..5")
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--out", default=None)
     p.add_argument("--cache-dir", default="caches")

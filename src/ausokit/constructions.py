@@ -33,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .cube_core import (
+    MAX_DIMENSION,
     CubeError,
     OrientationOracle,
     TableOracle,
@@ -400,6 +401,7 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     """Levels 0..max_level with their traces, built strictly bottom-up from
     frame files that pass validate_family, the frame gate; if it fails,
     FrameValidationError is raised before any level is built or file written.
+    A max_level whose cube is wider than MAX_DIMENSION raises CubeError first.
 
     Each level is built by its one adversarial run.  A level with a cache
     file in `cache_dir` is then checked against it: the file must hold the
@@ -413,8 +415,12 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     if family not in FAMILY:
         raise ConstructionError(f"unknown family {family!r}")
     spec = FAMILY[family]
+    n = spec.bundle_size * (max_level + 1)
+    if n > MAX_DIMENSION:
+        raise CubeError(f"{family} level {max_level} has n={n}, above the "
+                        f"{MAX_DIMENSION}-dimension cube")
     frames = load_family(family, frames_dir)
-    report = validate_family(family, frames=frames)  # the frames built from
+    report = validate_family(family, frames)  # the frames built from
     if not report.passed:
         raise FrameValidationError(report)
     frame_oracles = {name: oracle for name, (_, oracle) in frames.items()}

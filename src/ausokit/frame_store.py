@@ -98,14 +98,13 @@ class Family:
 
 @dataclass
 class FrameSpec:
-    name: str
     dim: int
     backward_edges: list[tuple[int, int]] = field(default_factory=list)  # (bits, k 1-based)
     labels: dict[str, int] = field(default_factory=dict)
     sha256: str = ""  # of the file bytes it was parsed from; set by load_family
 
 
-def parse_frame(text: str, name: str = "") -> FrameSpec:
+def parse_frame(text: str) -> FrameSpec:
     dim = None
     backs: list[tuple[int, int]] = []
     labels: dict[str, int] = {}
@@ -154,7 +153,7 @@ def parse_frame(text: str, name: str = "") -> FrameSpec:
             raise FrameParseError(f"unknown directive {parts[0]!r}", line_no)
     if dim is None:
         raise FrameParseError("missing 'dim' line", 1)
-    return FrameSpec(name, dim, backs, labels)
+    return FrameSpec(dim, backs, labels)
 
 
 def _decimal(word: str) -> bool:
@@ -207,7 +206,7 @@ def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, Tabl
             raise CubeError(f"missing frame transcription {path}")
         data = path.read_bytes()
         try:
-            spec = parse_frame(data.decode("utf-8"), name=stem)
+            spec = parse_frame(data.decode("utf-8"))
         except (FrameParseError, UnicodeError) as exc:
             raise CubeError(f"frame file {path}: {exc}") from exc
         if spec.dim != size:  # before its 2^dim table is built
@@ -672,16 +671,13 @@ FAMILY = {family.name: family for family in (
 )}
 
 
-def validate_family(family: str, frames_dir=None, frames=None) -> VerificationReport:
-    """The family's checks on `frames`, a load_family result, or on the
-    frames load_family reads from `frames_dir` when none are given."""
-    if frames is None:
-        frames = load_family(family, frames_dir)
+def validate_family(family: str, frames) -> VerificationReport:
+    """The family's checks on `frames`, a load_family result."""
     return FAMILY[family].frame_suite(FAMILY[family], frames)
 
 
 def validate_all(frames_dir=None) -> VerificationReport:
     report = VerificationReport("validate_frames")
     for family in FAMILY:
-        report = report.merge(validate_family(family, frames_dir))
+        report = report.merge(validate_family(family, load_family(family, frames_dir)))
     return report

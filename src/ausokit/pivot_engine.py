@@ -107,11 +107,10 @@ class JohnsonState:
     outgoing-side at u (+c with c present, -c with c absent); any other d
     keeps stamp[d], the step whose move took d's opposite (0 before one).
     The state keeps the stamps, as the counts of its key list, and the
-    latest update `updated` = (u, s).  arrival_update controls only the
-    recorded snapshots: when True (the reporting convention) a step's
-    snapshot is h as of an update at the arrival vertex with the same step
-    number.  Those are exactly the unavailable directions there, so choices
-    never depend on this flag.
+    latest update `updated` = (u, s).  A step's recorded snapshot is h as
+    of an update at the arrival vertex with the same step number (the
+    reporting convention); the directions it stamps are exactly the
+    unavailable ones there, so no choice reads it.
     """
 
     rule: ClassVar[str] = "johnson"
@@ -119,7 +118,6 @@ class JohnsonState:
     key: list[int] = field(init=False, repr=False)
     updated: tuple[int, int] = field(init=False, default=(0, 0))
     step_counter: int = field(init=False, default=1)
-    arrival_update: bool = True
 
     def __post_init__(self):
         # Stamp 0 and the tie rank for each direction of the order, _NEVER
@@ -171,10 +169,8 @@ class JohnsonState:
         self.updated = (v, self.step_counter)
 
     def snapshot(self, bundle_size: int, arrival: int | None = None) -> dict:
-        """The history record: h, read as of an update at `arrival`, the
-        vertex just entered, when arrival_update is on."""
-        h = self.table(arrival if self.arrival_update else None)
-        return {direction_text(b, bundle_size): c for b, c in h.items()}
+        """The history record: h as of an update at `arrival`, the vertex entered."""
+        return {direction_text(b, bundle_size): c for b, c in self.table(arrival).items()}
 
 
 @dataclass
@@ -305,14 +301,15 @@ class Trace:
 
 
 def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
-                step_limit: int | None = None, bundle_size: int = 4,
-                record_history: bool | None = None, after_step=None) -> Trace:
+                bundle_size: int = 4, record_history: bool | None = None,
+                after_step=None) -> Trace:
     """Drive a rule state from `start` until the global sink; `rule`, the
     name the trace records, must be the one the state's class names.
 
     Each visited vertex's outmap is read once; the state chooses the move
     from it.  Arriving over an edge that the new vertex also lists as
-    outgoing raises OracleInconsistencyError.  Per-step history snapshots
+    outgoing raises OracleInconsistencyError, and a run still short of the
+    sink after 4 << n moves StepLimitExceeded.  Per-step history snapshots
     are recorded when record_history is true (defaults to dimension <=
     HISTORY_SNAPSHOT_MAX_DIM).  after_step, when given, is called as
     after_step(b, v_after) once per move, with b the move's bit, before
@@ -322,10 +319,7 @@ def run_to_sink(oracle: OrientationOracle, start: int, rule: str, state,
     if rule != state.rule:
         raise CubeError(f"rule {rule!r} given for a {state.rule} state")
     n = oracle.dimension
-    if step_limit is None:
-        step_limit = 4 << n
-    if step_limit <= 0:
-        raise CubeError("step_limit must be positive")
+    step_limit = 4 << n
     if record_history is None:
         record_history = n <= HISTORY_SNAPSHOT_MAX_DIM
 

@@ -75,9 +75,8 @@ class VerificationReport:
         self.checks.append(CheckResult(name, passed, witness, details))
 
     def merge(self, other: "VerificationReport") -> "VerificationReport":
-        merged = VerificationReport(self.mode, self.checks + other.checks,
-                                    self.elapsed + other.elapsed)
-        return merged
+        return VerificationReport(self.mode, self.checks + other.checks,
+                                  self.elapsed + other.elapsed)
 
     def to_json(self) -> str:
         return json.dumps({
@@ -164,13 +163,10 @@ def _pairwise_uso(table: np.ndarray, n: int):
     return True, None
 
 
-def check_uso_exhaustive(oracle: OrientationOracle, mode: str = "auto") -> VerificationReport:
-    """Exhaustive USO check.
-
-    mode "ground" runs the face-sink count, "pairwise" the outmap criterion,
-    "auto" the pairwise check cross-validated against ground truth when the
-    cube is small enough.
-    """
+def check_uso_exhaustive(oracle: OrientationOracle) -> VerificationReport:
+    """Exhaustive USO check: the pairwise criterion, cross-validated against
+    the face-sink count when the cube has at most CROSS_VALIDATE_CAP
+    dimensions."""
     n = oracle.dimension
     report = VerificationReport("uso_exhaustive")
     started = time.perf_counter()
@@ -178,14 +174,11 @@ def check_uso_exhaustive(oracle: OrientationOracle, mode: str = "auto") -> Verif
         raise VerifierError(f"dimension {n} above exhaustive cap "
                             f"{USO_EXHAUSTIVE_CAP}; use check_uso_sampled")
     table = outmap_table(oracle)
-    if mode in ("ground", "auto") and (mode == "ground" or n <= CROSS_VALIDATE_CAP):
-        ok, witness = _face_count_uso(table, n)
-        report.add("face_sink_count", ok, witness)
-    if mode in ("pairwise", "auto"):
-        ok, witness = _pairwise_uso(table, n)
-        report.add("pairwise_outmap", ok, witness)
-    if mode == "auto" and n <= CROSS_VALIDATE_CAP:
-        a, b = report.checks[-2].passed, report.checks[-1].passed
+    if n <= CROSS_VALIDATE_CAP:
+        report.add("face_sink_count", *_face_count_uso(table, n))
+    report.add("pairwise_outmap", *_pairwise_uso(table, n))
+    if n <= CROSS_VALIDATE_CAP:
+        a, b = report.checks[0].passed, report.checks[1].passed
         report.add("cross_validation", a == b,
                    None if a == b else {"ground": a, "pairwise": b})
     report.elapsed = time.perf_counter() - started

@@ -21,11 +21,13 @@ from ausokit.pivot_engine import (
     write_trace_jsonl,
 )
 from ausokit.verifier import (
+    _face_count_uso,
+    _pairwise_uso,
     check_acyclic,
     check_growth,
     check_trace_properties,
-    check_uso_exhaustive,
     check_uso_sampled,
+    outmap_table,
 )
 from directions import DIRECTIONS, Direction, directions
 
@@ -147,8 +149,7 @@ def test_criterion_5_structural_verification(chains):
             n = level.dimension
             if n <= 12:
                 # definitional face-sink count is the ground truth
-                rep = check_uso_exhaustive(level.oracle, mode="ground")
-                ok = ok and rep.passed
+                ok = ok and _face_count_uso(outmap_table(level.oracle), n)[0]
             if n <= 20:
                 ok = ok and check_acyclic(level.oracle).passed
             rep = check_uso_sampled(level.oracle, 10000, 8, seed=7)
@@ -171,7 +172,7 @@ def test_criterion_6_property_suites(chains):
         inner = rng.choice(frames)
         overrides = {v: rng.choice(four_dim) for v in range(1 << inner.dimension)}
         combined = ProductOracle(inner, rng.choice(four_dim), overrides)
-        ok = ok and check_uso_exhaustive(combined, mode="pairwise").passed
+        ok = ok and _pairwise_uso(outmap_table(combined), combined.dimension)[0]
         ok = ok and check_acyclic(combined).passed
     # Uniform bases with a random sink, the low 4-face at a random anchor
     # reoriented: a coordinate permutation maps a uniform orientation to a
@@ -182,7 +183,7 @@ def test_criterion_6_property_suites(chains):
         anchor = rng.getrandbits(n) & ~0b1111
         out = ReorientedOracle(base, anchor, rng.choice(four_dim),
                                base.evaluate(anchor) & ~0b1111)
-        ok = ok and check_uso_exhaustive(out, mode="pairwise").passed
+        ok = ok and _pairwise_uso(outmap_table(out), n)[0]
         ok = ok and check_acyclic(out).passed
     _verdict("6a (combinator preservation, 1000 compositions)", ok)
     # family behavioral suites on every built level
@@ -215,18 +216,15 @@ def test_criterion_7_determinism_and_replay(chains, tmp_path):
             write_trace_jsonl(trace, a)
             write_trace_jsonl(again, b)
             ok = ok and a.read_bytes() == b.read_bytes()
-    # johnson dual mode: base case and level-1 construction
+    # johnson: a run with history recorded and one without take the same
+    # moves, on the base case and the level-1 construction
     base = load_family("johnson")["f1"][1]
     lvl1 = chains["johnson"][1][0]
     for oracle, start, bundles in ((base, 0, 1), (lvl1.oracle, lvl1.start, 2)):
-        with_update = run_to_sink(
-            oracle, start, "johnson",
-            JohnsonState(FAMILY["johnson"].tie_order(bundles - 1)), bundle_size=4)
-        without = run_to_sink(
-            oracle, start, "johnson",
-            JohnsonState(FAMILY["johnson"].tie_order(bundles - 1), arrival_update=False),
-            bundle_size=4)
-        ok = ok and with_update.moves == without.moves
+        recorded, unrecorded = (run_to_sink(
+            oracle, start, "johnson", JohnsonState(FAMILY["johnson"].tie_order(bundles - 1)),
+            bundle_size=4, record_history=record) for record in (True, False))
+        ok = ok and recorded.history is not None and recorded.moves == unrecorded.moves
     _verdict("7 (determinism / replay)", ok)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import ausokit
-from ausokit import cli, frame_store
+from ausokit import cli, constructions, frame_store
 from ausokit.cli import main
 from ausokit.constructions import realize_range
 from ausokit.cube_core import CubeError
@@ -88,13 +88,43 @@ def test_build_exits_1_on_a_chain_that_fails_growth(tmp_path, capsys):
 
 
 def test_bad_level_range_is_usage_error(tmp_path, capsys):
-    code = main(["build", "--family", "zadeh", "--levels", "3..1",
-                 "--cache-dir", str(tmp_path)])
-    assert code == 2
-    code = main(["report", "--family", "zadeh", "--levels", "oops",
-                 "--cache-dir", str(tmp_path)])
-    assert code == 2
-    capsys.readouterr()
+    """A level is ASCII decimal digits: int() would read 0..1_0 as 0..10."""
+    for command in ("build", "report"):
+        for levels in ("3..1", "oops", "0..1_0", "٣", "+1", "1..", "0..1..2"):
+            code = main([command, "--family", "zadeh", f"--levels={levels}",
+                         "--cache-dir", str(tmp_path)])
+            assert code == 2, (command, levels)
+            assert "level" in capsys.readouterr().err
+        assert main([command, "--family", "zadeh", "--levels=-1..1",
+                     "--cache-dir", str(tmp_path)]) == 2
+        assert "negative level -1" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_level_above_the_cube_is_refused_before_any_build(tmp_path, monkeypatch, capsys):
+    """A level whose cube has more than 63 dimensions exits 2 at once, in
+    every command, naming the family, level, n and the cap: no level is
+    built and no file written."""
+    def no_build(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(constructions, "_realize_base", no_build)
+    monkeypatch.setattr(constructions, "_realize_step", no_build)
+    cache = ["--cache-dir", str(tmp_path / "c")]
+    for argv, what in (
+            (["build", "--family", "cunningham", "--levels", "15..15"],
+             "cunningham level 15 has n=64"),
+            (["run", "--family", "cunningham", "--level", "15",
+              "--trace", str(tmp_path / "t.jsonl")], "cunningham level 15 has n=64"),
+            (["verify", "--family", "zadeh", "--level", "10", "--mode", "sampled"],
+             "zadeh level 10 has n=66"),
+            (["verify", "--family", "zadeh", "--level", "10", "--mode", "traces"],
+             "zadeh level 10 has n=66"),
+            (["report", "--family", "zadeh", "--levels", "0..10"], "zadeh level 10 has n=66")):
+        assert main([*argv, *cache]) == 2, argv
+        assert capsys.readouterr().err == \
+            f"configuration error: {what}, above the 63-dimension cube\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_unknown_family_is_usage_error(capsys):
@@ -427,10 +457,13 @@ def _cli(tmp_path, argv):
 
 @pytest.mark.parametrize("command", ["verify", "run"])
 def test_negative_level_is_usage_error(tmp_path, command):
-    proc = _cli(tmp_path, [command, "--family", "johnson", "--level", "-1",
-                           "--cache-dir", str(tmp_path / "c")])
-    assert proc.returncode == 2, proc.stderr
-    assert "negative level -1" in proc.stderr and "Traceback" not in proc.stderr
+    for level, error in (("-1", "negative level -1"), ("1_0", "bad level '1_0'"),
+                         ("٣", "bad level '٣'"), ("+1", "bad level '+1'")):
+        proc = _cli(tmp_path, [command, "--family", "johnson", "--level", level,
+                               "--cache-dir", str(tmp_path / "c")])
+        assert proc.returncode == 2, proc.stderr
+        assert error in proc.stderr and "Traceback" not in proc.stderr
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv,path", [

@@ -23,7 +23,7 @@ from ausokit.constructions import (
 from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
 from ausokit.frame_store import FAMILY, load_family
 from ausokit.pivot_engine import run_to_sink
-from ausokit.verifier import check_acyclic, check_uso_exhaustive
+from ausokit.verifier import _pairwise_uso, check_acyclic, check_uso_exhaustive, outmap_table
 from reference import DictProduct, record
 from test_verifier import _Counting
 
@@ -51,7 +51,7 @@ def test_product_random_frame_pairs(cunningham_frames, johnson_frames):
     for _ in range(500):
         overrides = {v: rng.choice(pool) for v in range(16)}
         combined = ProductOracle(inner, rng.choice(pool), overrides)
-        assert check_uso_exhaustive(combined, mode="pairwise").passed
+        assert _pairwise_uso(outmap_table(combined), 8)[0]
         assert check_acyclic(combined).passed
 
 
@@ -118,7 +118,7 @@ def test_reorient_preserves_uso_randomized(cunningham_frames, johnson_frames):
     for _ in range(100):
         base = UniformOracle(8, rng.getrandbits(8))
         out, _, _ = _low_face_reorientation(rng, base, rng.choice(pool))
-        assert check_uso_exhaustive(out, mode="pairwise").passed
+        assert _pairwise_uso(outmap_table(out), 8)[0]
 
 
 def test_memo_oracle_consistency():

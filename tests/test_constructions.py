@@ -503,9 +503,9 @@ def test_unassigned_frame_demand_fails_closed(monkeypatch):
     back to the default frame.  The frame gate, which reads the hypersink
     from the same record, refuses it, so the builder is given the gate's
     verdict on the packaged record."""
-    spec, gate = FAMILY["cunningham"], validate_family("cunningham")
+    spec, gate = FAMILY["cunningham"], validate_family("cunningham", load_family("cunningham"))
     monkeypatch.setitem(FAMILY, "cunningham", replace(spec, hypersink=spec.box1))
-    assert not validate_family("cunningham").passed
+    assert not validate_family("cunningham", load_family("cunningham")).passed
     monkeypatch.setattr(constructions, "validate_family", lambda *args, **kwargs: gate)
     with pytest.raises(ConstructionError, match="unassigned"):
         realize_level("cunningham", 2)

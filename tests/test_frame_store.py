@@ -114,7 +114,7 @@ def test_fake_frame_fails_b_outmap(cunningham_frames):
             if not v >> k & 1:
                 bits = "".join("1" if v >> i & 1 else "0" for i in range(4))
                 lines.append(f"back {bits} {k + 1}")
-    fake_spec = parse_frame("\n".join(lines), name="f1")
+    fake_spec = parse_frame("\n".join(lines))
     fake = {"f1": (fake_spec, oracle_from_spec(fake_spec)),
             "f2": cunningham_frames["f2"],
             "f3": cunningham_frames["f3"]}
@@ -181,7 +181,7 @@ def test_validate_family_via_dir(tmp_path):
     from ausokit.frame_store import packaged_frames_dir
     for path in packaged_frames_dir().glob("*.frame"):
         (tmp_path / path.name).write_text(path.read_text())
-    assert validate_family("zadeh", tmp_path).passed
+    assert validate_family("zadeh", load_family("zadeh", tmp_path)).passed
 
 
 def test_frames_dir_env_override(tmp_path, monkeypatch):
@@ -190,7 +190,7 @@ def test_frames_dir_env_override(tmp_path, monkeypatch):
         (tmp_path / path.name).write_text(path.read_text())
     monkeypatch.setenv("AUSOKIT_FRAMES_DIR", str(tmp_path))
     assert resolve_frames_dir() == tmp_path
-    assert validate_family("cunningham").passed
+    assert validate_family("cunningham", load_family("cunningham")).passed
 
 
 def test_frame_hashes_equal_hashlib_sha256():

@@ -3,17 +3,19 @@
 Criterion 7 compares the code against itself; these digests pin the bytes
 of every level's trace (per-step history snapshots included, since every
 level here has n <= 16), of Johnson's traces in the non-arrival convention
-and of the level cache files, so a rework of the rule states or of the
-builders cannot change them unnoticed.
+(h as JohnsonState.table() reads it after replay) and of the level cache
+files, so a rework of the rule states or of the builders cannot change them
+unnoticed.
 """
 
 import hashlib
+from dataclasses import replace
 
 import pytest
 
 from ausokit.constructions import realize_range
-from ausokit.frame_store import FAMILY
-from ausokit.pivot_engine import JohnsonState, run_to_sink, write_trace_jsonl
+from ausokit.cube_core import direction_text
+from ausokit.pivot_engine import replay, write_trace_jsonl
 
 TRACE_DIGESTS = {
     "cunningham":
@@ -64,10 +66,16 @@ def test_cache_digest(family, built_levels, tmp_path):
 
 
 def test_johnson_non_arrival_digest(built_levels, tmp_path):
-    traces = [run_to_sink(level.oracle, level.start, "johnson",
-                          JohnsonState(tuple(FAMILY["johnson"].tie_order(level.level)),
-                                       arrival_update=False), bundle_size=4)
-              for level, _ in built_levels["johnson"]]
+    """Each step's h after the update phase at the vertex it leaves, as
+    table() reads it, not at the vertex it enters."""
+    traces = []
+    for level, trace in built_levels["johnson"]:
+        state = level.rule_state()
+        # replay yields before each move and at the sink, holding the earlier
+        # moves; once exhausted, the state has settled at the sink.
+        rows = [state.table() for _ in replay(trace, state)][1:] + [state.table()]
+        rows = [{direction_text(b, 4): c for b, c in h.items()} for h in rows]
+        traces.append(replace(trace, history=rows[:-1], final_history=rows[-1]))
     assert all(trace.history is not None and len(trace.history) == len(trace)
                for trace in traces)
     assert _digest(_write_traces(traces, tmp_path)) == JOHNSON_NON_ARRIVAL_DIGEST

@@ -138,18 +138,6 @@ def test_johnson_example_table(johnson_frames):
         assert trace.final_history[f"-0.{k+1}"] == neg[k]
 
 
-def test_johnson_dual_mode_same_directions(johnson_frames):
-    _, f1 = johnson_frames["f1"]
-    a = run_to_sink(f1, 0, "johnson", JohnsonState(FAMILY["johnson"].tie_order(0)),
-                    bundle_size=4)
-    b = run_to_sink(f1, 0, "johnson",
-                    JohnsonState(FAMILY["johnson"].tie_order(0), arrival_update=False),
-                    bundle_size=4)
-    assert a.moves == b.moves
-    # the recorded snapshots differ, the choices never do
-    assert a.history[0] != b.history[0]
-
-
 def test_zadeh_base_case_walk(zadeh_frames):
     spec, a0 = zadeh_frames["a0"]
     st = ZadehState(FAMILY["zadeh"].tie_order(0))
@@ -228,8 +216,8 @@ def test_step_limit_flags_cycle():
     st = CunninghamState(bits((Direction(0, True), Direction(1, True),
                                Direction(0, False), Direction(1, False))))
     with pytest.raises(StepLimitExceeded) as exc:
-        run_to_sink(cyclic, 0, "cunningham", st, step_limit=50, bundle_size=2)
-    assert len(exc.value.partial) == 50
+        run_to_sink(cyclic, 0, "cunningham", st, bundle_size=2)
+    assert exc.value.limit == len(exc.value.partial) == 4 << 2
 
 
 def _states(order):
@@ -597,8 +585,7 @@ def test_rules_terminate_within_2n_from_every_start(cunningham_frames,
                     ("cunningham", CunninghamState(order)),
                     ("johnson", JohnsonState(bits(_lexicographic(n)))),
                     ("zadeh", ZadehState(order))):
-                trace = run_to_sink(oracle, start, rule, state,
-                                    step_limit=1 << n, bundle_size=n,
+                trace = run_to_sink(oracle, start, rule, state, bundle_size=n,
                                     record_history=False)
                 assert len(trace) <= 1 << n
 
@@ -690,25 +677,24 @@ def _views_match_reference(got, rule, order, books):
     assert moves == len(books)
 
 
-def _johnson_matches_reference(oracle, start, order, limit, bundle_size):
-    """Snapshots, final history and replayed h tables against the reference,
-    in both arrival conventions."""
-    _, tables, final, _ = _reference_run(oracle, start, "johnson", order, limit)
+def _johnson_matches_reference(oracle, start, order, bundle_size):
+    """Snapshots (h at the vertex entered), final history and replayed h
+    tables (h at the vertex left, as table() reads it) against the
+    reference, which stops at run_to_sink's step limit."""
+    _, tables, final, _ = _reference_run(oracle, start, "johnson", order,
+                                         4 << oracle.dimension)
 
     def text(table):
         return {direction_text(direction_bit(d), bundle_size): c for d, c in table.items()}
 
-    for arrival in (True, False):
-        try:
-            got = run_to_sink(oracle, start, "johnson",
-                              JohnsonState(bits(order), arrival_update=arrival),
-                              step_limit=limit, bundle_size=bundle_size,
-                              record_history=True)
-        except StepLimitExceeded as exc:
-            got = exc.partial
-        assert got.history == [text(pair[0 if arrival else 1]) for pair in tables]
-        if got.final_history is not None:
-            assert got.final_history == text(final)
+    try:
+        got = run_to_sink(oracle, start, "johnson", JohnsonState(bits(order)),
+                          bundle_size=bundle_size, record_history=True)
+    except StepLimitExceeded as exc:
+        got = exc.partial
+    assert got.history == [text(arrival) for arrival, _ in tables]
+    if got.final_history is not None:
+        assert got.final_history == text(final)
     state = JohnsonState(bits(order))
     before = [{d: 0 for d in order}] + [non_arrival for _, non_arrival in tables]
     for _, want in zip(replay(got, state), before, strict=True):
@@ -754,19 +740,19 @@ def test_rules_match_per_direction_reference(cunningham_frames, johnson_frames,
     n = oracle.dimension
     order = tuple(data.draw(hst.permutations(
         [Direction(c, s) for c in range(n) for s in (True, False)])))
-    limit = 4 << n
+    limit = 4 << n  # run_to_sink's step limit
     for start in range(1 << n):
         for rule, state in _states(order).items():
             try:
-                got = run_to_sink(oracle, start, rule, state, step_limit=limit,
-                                  bundle_size=max(n, 1), record_history=False)
+                got = run_to_sink(oracle, start, rule, state, bundle_size=max(n, 1),
+                                  record_history=False)
             except StepLimitExceeded as exc:
                 got = exc.partial
             dirs, _, _, books = _reference_run(oracle, start, rule, order, limit)
             assert directions(got) == dirs
             if rule != "cunningham":
                 _views_match_reference(got, rule, order, books)
-        _johnson_matches_reference(oracle, start, order, limit, max(n, 1))
+        _johnson_matches_reference(oracle, start, order, max(n, 1))
 
 
 def test_johnson_h_keys_stay_the_tie_order():
@@ -779,7 +765,7 @@ def test_johnson_h_keys_stay_the_tie_order():
     keys = [direction_text(direction_bit(d), 2) for d in order]
     assert all(list(h) == keys for h in trace.history)
     assert list(trace.final_history) == keys
-    _johnson_matches_reference(UniformOracle(2, 0b11), 0, order, 8, 2)
+    _johnson_matches_reference(UniformOracle(2, 0b11), 0, order, 2)
 
 
 def test_zadeh_usage_keys_stay_the_tie_list():

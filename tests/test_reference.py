@@ -93,9 +93,9 @@ def test_builder_with_moved_gadget_anchor_fails_the_reference(chains, monkeypatc
     reads the anchor from the same record, refuses it, so the builder is
     given the gate's verdict on the packaged record."""
     _, _, _, tables = chains[family]
-    spec, gate = FAMILY[family], validate_family(family)
+    spec, gate = FAMILY[family], validate_family(family, load_family(family))
     monkeypatch.setitem(FAMILY, family, replace(spec, gadget_anchor=_moved(spec.gadget_anchor)))
-    assert not validate_family(family).passed
+    assert not validate_family(family, load_family(family)).passed
     monkeypatch.setattr(constructions, "validate_family", lambda *args, **kwargs: gate)
     failed = compare_with_reference(realize_range(family, len(tables) - 1), tables)
     for level in range(1, len(tables)):

@@ -48,10 +48,20 @@ class _Counting:
         return self.oracle.evaluate_many(vs)
 
 
+def _ground(oracle):
+    """The face-sink count's verdict and witness on the whole cube."""
+    return _face_count_uso(outmap_table(oracle), oracle.dimension)
+
+
+def _pairwise(oracle):
+    """The pairwise outmap criterion's verdict and witness on the whole cube."""
+    return _pairwise_uso(outmap_table(oracle), oracle.dimension)
+
+
 def test_uniform_4cube_passes_both_modes():
     o = UniformOracle(4, 0b0101)
-    for mode in ("ground", "pairwise", "auto"):
-        assert check_uso_exhaustive(o, mode=mode).passed
+    assert _ground(o)[0] and _pairwise(o)[0]
+    assert check_uso_exhaustive(o).passed
 
 
 def _corrupt_edge(table, v, c):
@@ -65,15 +75,14 @@ def test_corrupted_edge_next_to_sink_fails_with_witness():
     o = UniformOracle(4, 0)
     table = [o.evaluate(v) for v in range(16)]
     broken = TableOracle(4, _corrupt_edge(table, 0, 2))
-    report = check_uso_exhaustive(broken, mode="ground")
-    assert not report.passed
-    witness = report.failures()[0].witness
+    passed, witness = _ground(broken)
+    assert not passed
     # the witness face re-fails when checked in isolation
     face = Face(parse_vertex(witness["anchor"]), parse_vertex(witness["free"]))
     sinks = [v for v in face.vertices() if not broken.evaluate(v) & face.free]
     assert len(sinks) != 1
     # the pairwise criterion agrees the oracle is broken
-    assert not check_uso_exhaustive(broken, mode="pairwise").passed
+    assert not _pairwise(broken)[0]
 
 
 def test_ground_truth_and_pairwise_agree_on_random_tables():
@@ -90,9 +99,7 @@ def test_ground_truth_and_pairwise_agree_on_random_tables():
                     if bool(table[v] & bit) == bool(table[w] & bit):
                         table[w] ^= bit
         o = TableOracle(4, table)
-        ground = check_uso_exhaustive(o, mode="ground").passed
-        pairwise = check_uso_exhaustive(o, mode="pairwise").passed
-        assert ground == pairwise
+        assert _ground(o)[0] == _pairwise(o)[0]
         agree += 1
     assert agree == 1000
 
@@ -106,7 +113,7 @@ def test_sampled_full_coverage_matches_exhaustive():
         ok = TableOracle(3, list(table))
         bad = TableOracle(3, _corrupt_edge(list(table), 0b010, 0))
         for oracle in (ok, bad):
-            exhaustive = check_uso_exhaustive(oracle, mode="ground").passed
+            exhaustive = _ground(oracle)[0]
             sampled = check_uso_sampled(oracle, samples=3 ** 3 * 20,
                                         max_face_dim=3, seed=13).passed
             assert exhaustive == sampled
@@ -635,7 +642,7 @@ def test_sampled_full_coverage_n4():
     good = TableOracle(4, list(table))
     bad = TableOracle(4, _corrupt_edge(list(table), 0b0011, 3))
     for oracle in (good, bad):
-        exhaustive = check_uso_exhaustive(oracle, mode="ground").passed
+        exhaustive = _ground(oracle)[0]
         sampled = check_uso_sampled(oracle, samples=3 ** 4 * 20,
                                     max_face_dim=4, seed=9).passed
         assert exhaustive == sampled
