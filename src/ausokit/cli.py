@@ -97,7 +97,7 @@ def _growth_exit(chain, family: str) -> int:
 
 def cmd_run(args) -> int:
     out = Path(args.trace) if args.trace else Path(f"{args.family}_level{args.level}.jsonl")
-    out.parent.mkdir(parents=True, exist_ok=True)
+    _check_out_dir(out)
     chain = realize_range(args.family, args.level, args.frames_dir, args.cache_dir,
                           write=False)
     level, trace = chain[-1]
@@ -192,8 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="History-based pivot rules on recursive AUSO families.")
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--frames-dir", default=None,
-                        help="frame transcriptions directory (default: packaged, "
-                             "or AUSOKIT_FRAMES_DIR)")
+                        help="frame transcriptions directory (default: packaged)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("build", parents=[common],

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import or_, xor
 from pathlib import Path
@@ -48,6 +48,7 @@ from .combinators import (
 from .frame_store import (
     FAMILY,
     Family,
+    Frame,
     load_family,
     validate_family,
 )
@@ -112,7 +113,6 @@ class ConstructionLevel:
     expected_sink: int
     path_length: int
     product: ProductOracle | None = None  # None at the base level
-    frame_names: dict[OrientationOracle, str] = field(default_factory=dict)
 
     @property
     def spec(self) -> Family:
@@ -129,7 +129,7 @@ class ConstructionLevel:
         vertex order (empty at the base level)."""
         if self.product is None:
             return {}
-        return {v: self.frame_names[f] for v, f in self.product.items()}
+        return {v: f.name for v, f in self.product.items()}
 
     def rule_state(self):
         """A fresh state of the family's pivot rule at this level."""
@@ -149,8 +149,8 @@ class _Unassigned(OrientationOracle):
     evaluate_many = evaluate
 
 
-def _realize_base(spec: Family, frame_oracles) -> tuple[ConstructionLevel, Trace]:
-    oracle = frame_oracles[spec.base]
+def _realize_base(spec: Family, frames: dict[str, Frame]) -> tuple[ConstructionLevel, Trace]:
+    oracle = frames[spec.base]
     trace = run_to_sink(oracle, spec.start(0), spec.name, spec.rule_state(0),
                         bundle_size=spec.bundle_size)
     level = ConstructionLevel(spec.name, 0, oracle.dimension, oracle, spec.start(0),
@@ -158,8 +158,8 @@ def _realize_base(spec: Family, frame_oracles) -> tuple[ConstructionLevel, Trace
     return level, trace
 
 
-def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frame_oracles,
-                  frame_names, top: bool) -> tuple[ConstructionLevel, Trace]:
+def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frames: dict[str, Frame],
+                  top: bool) -> tuple[ConstructionLevel, Trace]:
     """Level `level` on top of `prev`, with the trace of its one run.
 
     The level has one product and one oracle chain.  The rule runs on it
@@ -175,10 +175,10 @@ def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frame_oracl
     skipped = (spec.gadget_anchor, spec.hypersink)
     state = spec.rule_state(level)
     if spec.reset:
-        replacement = build_reset(level, frame_oracles[spec.reset], spec.hypersink)
+        replacement = build_reset(level, frames[spec.reset], spec.hypersink)
     else:
         replacement = UniformOracle(inner_dim, prev.start)
-    default = frame_oracles[spec.default]
+    default = frames[spec.default]
     # The product of the previous level with one frame per inner vertex,
     # with the gadget face reoriented to `replacement`.
     product = ProductOracle(prev.oracle, _Unassigned(default.dimension))
@@ -200,11 +200,11 @@ def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frame_oracl
 
     def assign(v: int) -> None:
         vi = v & inner_mask
-        frame = frame_oracles[decide(vi, v >> inner_dim)]
+        frame = frames[decide(vi, v >> inner_dim)]
         held = product.assign(vi, frame)
         if held is not frame:
             raise FrameConflictError(f"inner vertex {vi:b} demanded frame "
-                                     f"{frame_names[frame]} but holds {frame_names[held]}")
+                                     f"{frame.name} but holds {held.name}")
 
     def hook(b, v_after):
         if b & 63 < inner_dim and v_after >> inner_dim not in skipped:
@@ -225,7 +225,7 @@ def _realize_step(spec: Family, level: int, prev: ConstructionLevel, frame_oracl
     if not top:
         oracle.bind(trace)
     built = ConstructionLevel(spec.name, level, oracle.dimension, oracle, start, trace.end,
-                              len(trace), product, frame_names)
+                              len(trace), product)
     return built, trace
 
 
@@ -268,7 +268,7 @@ def _check_cache(path: Path, level: ConstructionLevel, hashes: dict[str, str]) -
         return m and (m[1], m[2], m[5], m[3] is None, m[4] is None)
 
     family, inner_dim = level.family, level.dimension - level.bundle_size
-    names = {json.dumps(name).encode() for name in level.frame_names.values()}
+    names = {json.dumps(name).encode() for name in level.spec.stems}
     with open(path, "rb") as f:
         if all(f.read(len(data)) == data for data in
                map(str.encode, _cache_chunks(level, hashes))) and not f.read(1):
@@ -379,7 +379,7 @@ def _cache_chunks(level: ConstructionLevel, hashes: dict[str, str]):
     yield '{\n  "assignments": {'
     close = "}"
     if product is not None:
-        names = [json.dumps(level.frame_names[frame]) for frame in product.frames]
+        names = [json.dumps(frame.name) for frame in product.frames]
         keys = np.fromiter(map(or_, _text_numbers(product, 8),
                                chain(product.rows, product.side.values())),
                            np.uint64, len(product.rows) + len(product.side))
@@ -423,16 +423,13 @@ def realize_range(family: str, max_level: int, frames_dir=None, cache_dir=None,
     report = validate_family(family, frames)  # the frames built from
     if not report.passed:
         raise FrameValidationError(report)
-    frame_oracles = {name: oracle for name, (_, oracle) in frames.items()}
-    frame_names = {oracle: name for name, oracle in frame_oracles.items()}
-    hashes = {name: spec.sha256 for name, (spec, _) in frames.items()}
+    hashes = {name: frame.sha256 for name, frame in frames.items()}
     chain: list[tuple[ConstructionLevel, Trace]] = []
     for i in range(max_level + 1):
         if i == 0:
-            built, trace = _realize_base(spec, frame_oracles)
+            built, trace = _realize_base(spec, frames)
         else:
-            built, trace = _realize_step(spec, i, chain[-1][0], frame_oracles,
-                                         frame_names, top=i == max_level)
+            built, trace = _realize_step(spec, i, chain[-1][0], frames, top=i == max_level)
         path = None if cache_dir is None else cache_path(Path(cache_dir), family, i)
         if path is not None and path.exists():
             _check_cache(path, built, hashes)

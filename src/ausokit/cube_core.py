@@ -1,4 +1,4 @@
-"""Vertices, directions, faces and orientation oracles on the n-cube.
+"""Vertices, directions and orientation oracles on the n-cube.
 
 Vertices are plain ints used as bit sets: bit i set means coordinate with
 global id i is present.  Global id 0 is the leftmost character of the text
@@ -11,8 +11,6 @@ available at v), or its text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 MAX_DIMENSION = 63
@@ -24,20 +22,6 @@ class CubeError(Exception):
 
 class IllegalMoveError(CubeError):
     """Raised when a move is taken at a vertex that lacks/has its coordinate."""
-
-
-class FaceSinkError(CubeError):
-    """A face of a supposed USO has no sink or more than one.
-
-    kind is "no sink" or "multiple sinks"; witnesses lists the offending
-    vertices (empty for "no sink").
-    """
-
-    def __init__(self, kind: str, face: "Face", witnesses: list[int]):
-        super().__init__(f"{kind} in face anchor={face.anchor:b} free={face.free:b}: {witnesses}")
-        self.kind = kind
-        self.face = face
-        self.witnesses = witnesses
 
 
 def direction_text(b: int, bundle_size: int) -> str:
@@ -67,31 +51,6 @@ def parse_vertex(text: str) -> int:
     if text.strip("01"):
         raise CubeError(f"bad vertex text {text!r}")
     return int(text[::-1], 2) if text else 0
-
-
-@dataclass(frozen=True)
-class Face:
-    """Face F(C, v): all vertices agreeing with anchor outside the free set."""
-
-    anchor: int
-    free: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "anchor", self.anchor & ~self.free)
-
-    @property
-    def dimension(self) -> int:
-        return self.free.bit_count()
-
-    def vertices(self):
-        """Iterate the 2^dim vertices of the face."""
-        free = self.free
-        sub = 0
-        while True:
-            yield self.anchor | sub
-            if sub == free:
-                return
-            sub = (sub - free) & free  # next subset of free
 
 
 class OrientationOracle:
@@ -164,18 +123,3 @@ def tabulate(oracle: OrientationOracle, dtype, block: int) -> np.ndarray:
         hi = min(lo + block, size)
         table[lo:hi] = oracle.evaluate_many(np.arange(lo, hi, dtype=np.uint64))
     return table
-
-
-def face_sink(oracle: OrientationOracle, face: Face) -> int:
-    """The unique vertex of the face with no outgoing edge inside it.
-
-    Raises FaceSinkError when the face has no sink or several; the witness
-    list makes the violation reproducible.
-    """
-    sinks = [v for v in face.vertices() if not oracle.evaluate(v) & face.free]
-    if len(sinks) == 1:
-        return sinks[0]
-    if not sinks:
-        raise FaceSinkError("no sink", face, [])
-    raise FaceSinkError("multiple sinks", face, sinks)
-

@@ -20,17 +20,14 @@ File format (UTF-8, line based):
 from __future__ import annotations
 
 import importlib
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .cube_core import (
     CubeError,
-    Face,
     TableOracle,
     direction_text,
-    face_sink,
     parse_direction,
     parse_vertex,
     vertex_text,
@@ -45,8 +42,6 @@ from .pivot_engine import (
     run_to_sink,
 )
 from .verifier import VerificationReport, check_acyclic, check_uso_exhaustive
-
-ENV_FRAMES_DIR = "AUSOKIT_FRAMES_DIR"
 
 # CPython's own SHA-256, the one hashlib falls back to without OpenSSL:
 # hashlib.sha256 sets OpenSSL up on its first call, some 1 MB resident.
@@ -101,7 +96,6 @@ class FrameSpec:
     dim: int
     backward_edges: list[tuple[int, int]] = field(default_factory=list)  # (bits, k 1-based)
     labels: dict[str, int] = field(default_factory=dict)
-    sha256: str = ""  # of the file bytes it was parsed from; set by load_family
 
 
 def parse_frame(text: str) -> FrameSpec:
@@ -161,44 +155,33 @@ def _decimal(word: str) -> bool:
     return word.isascii() and word.isdecimal()
 
 
-def oracle_from_spec(spec: FrameSpec) -> TableOracle:
-    """Forward default minus listed backward edges, as an eager table."""
-    n = spec.dim
-    back_set = {(bits, k - 1) for bits, k in spec.backward_edges}
-    table = []
-    for v in range(1 << n):
-        out = 0
-        for c in range(n):
-            bit = 1 << c
-            if v & bit:
-                if (v ^ bit, c) in back_set:  # backward edge points away from v
-                    out |= bit
-            else:
-                if (v, c) not in back_set:  # forward edge points away from v
-                    out |= bit
-        table.append(out)
-    return TableOracle(n, table)
+class Frame(TableOracle):
+    """One frame file as an eager table: the all-forward orientation, sink at
+    the full vertex, with the spec's backward edges reversed.  `name` is the
+    file's stem and `sha256` the hash of the bytes the spec was parsed from."""
+
+    def __init__(self, name: str, spec: FrameSpec, sha256: str):
+        mask = (1 << spec.dim) - 1
+        table = [~v & mask for v in range(1 << spec.dim)]
+        for bits, k in spec.backward_edges:  # the parser refuses a repeated edge
+            table[bits] ^= 1 << k - 1
+            table[bits | 1 << k - 1] ^= 1 << k - 1
+        super().__init__(spec.dim, table)
+        self.name, self.spec, self.sha256 = name, spec, sha256
 
 
 def packaged_frames_dir() -> Path:
     return Path(__file__).parent / "frames"
 
 
-def resolve_frames_dir(explicit=None) -> Path:
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(ENV_FRAMES_DIR)
-    if env:
-        return Path(env)
-    return packaged_frames_dir()
-
-
 def frame_file_sha256(path) -> str:
     return _sha256(Path(path).read_bytes()).hexdigest()
 
 
-def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, TableOracle]]:
-    frames_dir, size = resolve_frames_dir(frames_dir), FAMILY[family].bundle_size
+def load_family(family: str, frames_dir=None) -> dict[str, Frame]:
+    """The family's frames by stem, from `frames_dir` or the packaged ones."""
+    frames_dir = Path(frames_dir) if frames_dir else packaged_frames_dir()
+    size = FAMILY[family].bundle_size
     out = {}
     for stem in FAMILY[family].stems:
         path = frames_dir / f"{family}_{stem}.frame"
@@ -211,8 +194,7 @@ def load_family(family: str, frames_dir=None) -> dict[str, tuple[FrameSpec, Tabl
             raise CubeError(f"frame file {path}: {exc}") from exc
         if spec.dim != size:  # before its 2^dim table is built
             raise CubeError(f"frame file {path} has dim {spec.dim}, not {size}")
-        spec.sha256 = _sha256(data).hexdigest()
-        out[stem] = (spec, oracle_from_spec(spec))
+        out[stem] = Frame(stem, spec, _sha256(data).hexdigest())
     return out
 
 
@@ -252,23 +234,21 @@ def _require_label(report, spec, name, expected_bits: int):
                None if ok else {"expected": expected_bits, "labels": sorted(spec.labels)})
 
 
-def _structural(report, name, oracle, sink) -> int | None:
+def _structural(report, name, frame: Frame, sink: int) -> int | None:
     """The frame's USO, acyclicity and sink checks; returns its sink, None
     when it has no unique one."""
-    uso = check_uso_exhaustive(oracle)
+    uso = check_uso_exhaustive(frame)
     report.add(f"{name}_uso", uso.passed, None if uso.passed else uso.failures()[0].witness)
-    acyc = check_acyclic(oracle)
+    acyc = check_acyclic(frame)
     report.add(f"{name}_acyclic", acyc.passed,
                None if acyc.passed else acyc.failures()[0].witness)
-    n = oracle.dimension
-    try:
-        actual = face_sink(oracle, Face(0, (1 << n) - 1))
-        report.add(f"{name}_sink", actual == sink,
-                   None if actual == sink else {"expected": vertex_text(sink, n),
-                                                "actual": vertex_text(actual, n)})
-        return actual
-    except CubeError as exc:
-        report.add(f"{name}_sink", False, {"error": str(exc)})
+    n = frame.dimension
+    sinks = [v for v, out in enumerate(frame.table) if not out]
+    texts = [vertex_text(v, n) for v in sinks]
+    witness = {"expected": vertex_text(sink, n)}
+    witness.update({"actual": texts[0]} if len(sinks) == 1 else {"sinks": texts})
+    report.add(f"{name}_sink", sinks == [sink], None if sinks == [sink] else witness)
+    return sinks[0] if len(sinks) == 1 else None
 
 
 def _outmap_is(report, name, oracle, vertex, expected):
@@ -295,12 +275,12 @@ def validate_cunningham(family: Family, frames) -> VerificationReport:
     report = VerificationReport("validate_cunningham")
     box1, box5, boxB, H = family.box1, family.box5, family.gadget_anchor, family.hypersink
     out_block = family.tie_order(0)
-    for name, (spec, oracle) in frames.items():
-        _structural(report, name, oracle, H)
+    for name, frame in frames.items():
+        _structural(report, name, frame, H)
         # The balance face B shows only coordinate c1 outgoing (to the
         # hypersink) in every connecting frame.
-        _outmap_is(report, f"{name}_B_outmap", oracle, boxB, family.gadget_external)
-        _outmap_is(report, f"{name}_H_hypersink", oracle, H, 0)
+        _outmap_is(report, f"{name}_B_outmap", frame, boxB, family.gadget_external)
+        _outmap_is(report, f"{name}_H_hypersink", frame, H, 0)
     # Fresh scans of the new-bundle block: on F1 it walks box1 -> box5 and
     # exhausts the block there; on F2 it continues box5 -> ... -> box1 and
     # ends exactly at the block boundary; on F3, once the inner block is
@@ -311,21 +291,20 @@ def validate_cunningham(family: Family, frames) -> VerificationReport:
             ("f2_scan_box5_to_box1", "f2", box5, box1, "-2,-1,+4,-3,+2,-4"),
             ("f3_scan_box1_to_B", "f3", box1, boxB, None),
             ("f3_scan_box5_to_B", "f3", box5, boxB, None)):
-        positions, used = _scan_walk(frames[stem][1], start, out_block)
+        positions, used = _scan_walk(frames[stem], start, out_block)
         ok = bool(positions) and positions[-1] == end \
             and (pattern is None or used == _moves(0, pattern, 4))
         report.add(check, ok,
                    None if ok else {"positions": [vertex_text(p, 4) for p in positions]})
     # F3 doubles as the base case: the documented 5-step run.
-    oracle3 = frames["f3"][1]
-    trace = _example_run(report, "f3_base_case_run", oracle3, family, family.rule_state(0))
+    trace = _example_run(report, "f3_base_case_run", frames["f3"], family,
+                         family.rule_state(0))
     if trace is not None:
         ok = trace.moves == _moves(0, "+1,+3,-1,+4,+1", 4) and trace.end == H
         report.add("f3_base_case_run", ok,
                    None if ok else {"dirs": [direction_text(b, 4) for b in trace.moves]})
-    spec1 = frames["f1"][0]
     for label, bits in (("box1", box1), ("box5", box5), ("B", boxB), ("H", H)):
-        _require_label(report, spec1, label, bits)
+        _require_label(report, frames["f1"].spec, label, bits)
     return report
 
 
@@ -336,17 +315,17 @@ def validate_johnson(family: Family, frames) -> VerificationReport:
     full = 0b1111
     sinks = {}
     for name in ("f1", "f2"):
-        spec, oracle = frames[name]
-        sinks[name] = _structural(report, name, oracle, sink)
+        frame = frames[name]
+        sinks[name] = _structural(report, name, frame, sink)
         # The reset face R has a single outgoing edge, on c2, toward the
         # hypersink; both frames agree, so the face can be reoriented.
-        _outmap_is(report, f"{name}_R_outmap", oracle, boxR, family.gadget_external)
-        _outmap_is(report, f"{name}_H_hypersink", oracle, sink, 0)
+        _outmap_is(report, f"{name}_R_outmap", frame, boxR, family.gadget_external)
+        _outmap_is(report, f"{name}_H_hypersink", frame, sink, 0)
     ok = sinks["f1"] is not None and sinks["f1"] == sinks["f2"]
     report.add("f1_f2_same_sink", ok, None if ok else
                {name: s if s is None else vertex_text(s, 4) for name, s in sinks.items()},
                details="both sinks asserted at {c1,c4}" if ok else "")
-    _, f1 = frames["f1"]
+    f1 = frames["f1"]
     # Positive chain structure of F1: +2 available only after +1, +3 only
     # after +1 and +2.
     chain_ok = (
@@ -362,7 +341,7 @@ def validate_johnson(family: Family, frames) -> VerificationReport:
         report.add("f1_example_run", ok,
                    None if ok else {"dirs": [direction_text(b, 4) for b in trace.moves]})
     # F2 lets the negative directions run consecutively from the full vertex.
-    _, f2 = frames["f2"]
+    f2 = frames["f2"]
     v = full
     ok = True
     for c in range(4):  # -1, -2, -3, -4
@@ -371,14 +350,13 @@ def validate_johnson(family: Family, frames) -> VerificationReport:
     report.add("f2_negative_chain", ok and v == 0)
     # Reset AUSO R1: a one-outgoing-edge path from the hypersink to the sink
     # at the empty vertex, dropping the hypersink's coordinates lowest first.
-    spec_r, r1 = frames[family.reset]
+    r1 = frames[family.reset]
     _structural(report, "r1", r1, 0)
     for step, c in enumerate(_coords(sink), 1):  # at the hypersink less its coordinates below c
         _outmap_is(report, f"r1_reset_step{step}", r1, sink >> c << c, 1 << c)
-    spec1 = frames["f1"][0]
     for label, bits in (("box1", family.box1), ("box5", family.box5), ("R", boxR),
                         ("H", sink)):
-        _require_label(report, spec1, label, bits)
+        _require_label(report, f1.spec, label, bits)
     return report
 
 
@@ -390,12 +368,12 @@ def validate_zadeh(family: Family, frames) -> VerificationReport:
     full = 0b111111
     # Base case A0: the tie-list walk visits box1..box21 in order and leaves
     # balance 1 on exactly the family's deficits.
-    spec0, a0 = frames["a0"]
+    a0 = frames["a0"]
     _structural(report, "a0", a0, circ12)
     trace = _example_run(report, "a0_walk_boxes_1_to_21", a0, family, family.rule_state(0))
     if trace is not None:
         visited = trace.vertices()
-        boxes = [spec0.labels.get(f"box{i}") for i in range(1, 22)]
+        boxes = [a0.spec.labels.get(f"box{i}") for i in range(1, 22)]
         ok = None not in boxes and visited == boxes and len(trace) == 20
         report.add("a0_walk_boxes_1_to_21", ok,
                    None if ok else {"visited": [vertex_text(v, 6) for v in visited]})
@@ -407,37 +385,33 @@ def validate_zadeh(family: Family, frames) -> VerificationReport:
         # box12 is saturated mid-run, and the sink lies at least two vertices
         # beyond the last saturated path vertex.
         interior = [i for i in sat[:-1] if i > 0]
-        ok = len(visited) > 11 and spec0.labels.get("box12") == visited[11] \
+        ok = len(visited) > 11 and a0.spec.labels.get("box12") == visited[11] \
             and 11 in interior and len(trace) - max(interior) >= 2
         report.add("a0_interior_saturation", ok,
                    None if ok else {"saturated_at": sat[:-1]})
     for name in ("f1", "f2", "f3"):
-        spec, oracle = frames[name]
         # F1 and F2 sink at the full vertex (every backward edge sits below
         # it); F3 pulls the sink down to circ12, where the global sink lands.
-        _structural(report, name, oracle, circ12 if name == "f3" else full)
+        _structural(report, name, frames[name], circ12 if name == "f3" else full)
         # Gadget face B keeps only forward incident edges: outmap {c4,c5,c6}.
-        _outmap_is(report, f"{name}_B_outmap", oracle, boxB, family.gadget_external)
+        _outmap_is(report, f"{name}_B_outmap", frames[name], boxB, family.gadget_external)
     # The dashed edges (backward in F1, forward in F2): box12->box1 on c6 and
     # circ12->circ1 on c3.
-    _, f1 = frames["f1"]
-    _, f2 = frames["f2"]
-    _, f3 = frames["f3"]
+    f1, f2, f3 = frames["f1"], frames["f2"], frames["f3"]
     dash_ok = (_edge_backward(f1, box1, 5) and not _edge_backward(f2, box1, 5)
                and _edge_backward(f1, circ1, 2) and not _edge_backward(f2, circ1, 2))
     report.add("dashed_edges_f1_only", dash_ok)
     # Square walk of F2 (box1 -> box12, eleven distinct directions).
-    specs = {n: frames[n][0] for n in ("f1", "f2", "f3")}
-    sq = [specs["f2"].labels.get(f"box{i}") for i in range(1, 13)]
+    sq = [f2.spec.labels.get(f"box{i}") for i in range(1, 13)]
     report.add("f2_square_path", None not in sq and _path_oriented(f2, sq))
     # Circle walk: F3 shares the circ1 -> circ12 path edge set with F2.  (F1
     # reverses the circ12 -> circ1 closing edge instead, so it stays acyclic.)
-    circ = [specs["f2"].labels.get(f"circ{i}") for i in range(1, 13)]
+    circ = [f2.spec.labels.get(f"circ{i}") for i in range(1, 13)]
     ok = None not in circ and all(_path_oriented(fr, circ) for fr in (f2, f3))
     report.add("circle_path_f2_f3", ok)
     # F3: only forward edges at box1; sink at circ12.
     report.add("f3_box1_all_forward", f3.evaluate(box1) == full & ~box1)
-    report.add("f3_sink_at_circ12", specs["f3"].labels.get("circ12") == circ12)
+    report.add("f3_sink_at_circ12", f3.spec.labels.get("circ12") == circ12)
     return report
 
 

@@ -12,11 +12,12 @@ a cycle it finds is still reported by the search.  The structural checks
 evaluate oracles in batches (`evaluate_many`), never one vertex at a time,
 and every batch is bounded whatever the cube size: the outmap table, 4
 bytes a vertex, is filled VERTEX_BLOCK vertices at a time, the sampled
-faces go to the oracle at most VERTEX_BLOCK vertices at a time, the
-face-sink count takes VERTEX_BLOCK (mask, vertex) cells at a time, the
-pairwise criterion scans PAIRWISE_ROWS rows at a time and Kahn peeling
-takes KAHN_BLOCK vertices of a layer at a time.  A level answers a batch
-from its memo's table when it has at most 2^16 vertices (combinators).
+faces are drawn FACE_BLOCK at a time and go to the oracle at most
+VERTEX_BLOCK vertices at a time, the face-sink count takes VERTEX_BLOCK
+(mask, vertex) cells at a time, the pairwise criterion scans
+PAIRWISE_ROWS rows at a time and Kahn peeling takes KAHN_BLOCK vertices
+of a layer at a time.  A level answers a batch from its memo's table when
+it has at most 2^16 vertices (combinators).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import numpy as np
 
 from .cube_core import (
     CubeError,
-    Face,
     OrientationOracle,
     tabulate,
     vertex_text,
@@ -46,6 +46,7 @@ SAMPLED_MAX_FACE_DIM = 10
 VERTEX_BLOCK = 1 << 14  # vertices per oracle batch, cells per face-count block
 PAIRWISE_ROWS = 1 << 6  # rows per block of the pairwise criterion
 WORD_BLOCK = 1 << 12  # generator words drawn at once by sample_faces
+FACE_BLOCK = 1 << 14  # faces sample_faces yields at once
 KAHN_BLOCK = 1 << 10  # layer vertices peeled at once by the Kahn check
 
 
@@ -128,8 +129,7 @@ def _face_count_uso(table: np.ndarray, n: int):
         if bad.size:
             row, anchor = divmod(int(bad[0]), size)
             free = lo + row
-            face = Face(anchor, free)
-            wit = [v for v in face.vertices() if not int(table[v]) & free]
+            wit = [v for v in range(size) if v & ~free == anchor and not int(table[v]) & free]
             return False, {"anchor": vertex_text(anchor, n), "free": vertex_text(free, n),
                            "sinks": [vertex_text(v, n) for v in wit]}
     return True, None
@@ -291,11 +291,11 @@ def _word_blocks(rng: random.Random):
         yield np.frombuffer(block, dtype="<u4").tolist()
 
 
-def sample_faces(n: int, samples: int, max_face_dim: int,
-                 seed: int) -> tuple[np.ndarray, np.ndarray]:
+def sample_faces(n: int, samples: int, max_face_dim: int, seed: int):
     """Deterministic face sample: dimension uniform in [1..max_face_dim],
-    then free coordinates and anchor uniform.  Returns (anchors, frees) as
-    uint64 arrays in sample order.
+    then free coordinates and anchor uniform.  Yields (anchors, frees) as
+    uint64 arrays in sample order, FACE_BLOCK faces at a time (the last
+    block holds the rest), so the sample is never held whole.
 
     The faces are those that random.Random(seed) draws with, per face,
     randint(1, min(max_face_dim, n)), sample(range(n), k) and
@@ -320,34 +320,35 @@ def sample_faces(n: int, samples: int, max_face_dim: int,
     pool_bounds = [[(i, shift[i]) for i in range(n, n - k, -1)] for k in range(m + 1)]
     anchor_words = [(32 * i, max(0, 32 * (i + 1) - n)) for i in range((n + 31) // 32)]
     shift_m, shift_n = shift[m], shift[n]
-    anchors, frees = array("Q"), array("Q")
-    for _ in range(samples):
-        k = word() >> shift_m
-        while k >= m:
+    for lo in range(0, samples, FACE_BLOCK):
+        anchors, frees = array("Q"), array("Q")
+        for _ in range(min(FACE_BLOCK, samples - lo)):
             k = word() >> shift_m
-        k += 1
-        free = 0
-        if use_pool[k]:
-            pool = coords[:]
-            for i, cut in pool_bounds[k]:  # the last undrawn one fills the gap
-                j = word() >> cut
-                while j >= i:
+            while k >= m:
+                k = word() >> shift_m
+            k += 1
+            free = 0
+            if use_pool[k]:
+                pool = coords[:]
+                for i, cut in pool_bounds[k]:  # the last undrawn one fills the gap
                     j = word() >> cut
-                free |= 1 << pool[j]
-                pool[j] = pool[i - 1]
-        else:
-            for _ in range(k):
-                j = word() >> shift_n
-                while j >= n or free >> j & 1:  # out of range or drawn before
+                    while j >= i:
+                        j = word() >> cut
+                    free |= 1 << pool[j]
+                    pool[j] = pool[i - 1]
+            else:
+                for _ in range(k):
                     j = word() >> shift_n
-                free |= 1 << j
-        anchor = 0
-        for pos, cut in anchor_words:
-            anchor |= word() >> cut << pos
-        anchors.append(anchor)
-        frees.append(free)
-    frees = np.frombuffer(frees, dtype=np.uint64)
-    return np.frombuffer(anchors, dtype=np.uint64) & ~frees, frees
+                    while j >= n or free >> j & 1:  # out of range or drawn before
+                        j = word() >> shift_n
+                    free |= 1 << j
+            anchor = 0
+            for pos, cut in anchor_words:
+                anchor |= word() >> cut << pos
+            anchors.append(anchor)
+            frees.append(free)
+        frees = np.frombuffer(frees, dtype=np.uint64)
+        yield np.frombuffer(anchors, dtype=np.uint64) & ~frees, frees
 
 
 def _sink_counts(oracle: OrientationOracle, anchors: np.ndarray,
@@ -365,14 +366,40 @@ def _sink_counts(oracle: OrientationOracle, anchors: np.ndarray,
     return ((out.reshape(subsets.shape) & frees[:, None]) == 0).sum(axis=1)
 
 
+def _first_failing_face(oracle: OrientationOracle, anchors: np.ndarray,
+                        frees: np.ndarray) -> tuple[int, int] | None:
+    """(index, sink count) of the block's first face whose sink count is
+    not one, or None.  The faces of each dimension go to the oracle in
+    batches, in sample order.  The temporaries die with the call, so none
+    is held while the next block is drawn."""
+    dims = np.unpackbits(frees.view(np.uint8).reshape(-1, 8), axis=1).sum(
+        axis=1, dtype=np.intp)
+    bad = None
+    for k in np.flatnonzero(np.bincount(dims)).tolist():
+        index = np.flatnonzero(dims == k)
+        step = max(1, VERTEX_BLOCK >> k)
+        for lo in range(0, len(index), step):
+            rows = index[lo:lo + step]
+            counts = _sink_counts(oracle, anchors[rows], frees[rows], k)
+            wrong = np.flatnonzero(counts != 1)
+            if wrong.size:  # later batches of this dimension come later
+                first = int(rows[wrong[0]])
+                if bad is None or first < bad[0]:
+                    bad = first, int(counts[wrong[0]])
+                break
+    return bad
+
+
 def check_uso_sampled(oracle: OrientationOracle, samples: int, max_face_dim: int,
                       seed: int) -> VerificationReport:
     """Unique-sink check on a seeded random sample of small faces.
 
-    The faces of dimension k go to the oracle max(1, VERTEX_BLOCK >> k) at
-    a time, so no batch holds more than VERTEX_BLOCK vertices whatever the
-    sample size.  The witness is the first face in sample order whose sink
-    count is not one.  An empty sample is refused, not passed.
+    The faces are checked one sample_faces block at a time, and those of
+    dimension k in a block go to the oracle max(1, VERTEX_BLOCK >> k) at a
+    time, so neither the faces held nor a batch grows with the sample size.
+    The check stops at the first block that holds a failing face, and the
+    witness is the first such face in sample order.  An empty sample is
+    refused, not passed.
     """
     if samples < 1:
         raise VerifierError(f"samples must be at least 1, got {samples}")
@@ -382,27 +409,14 @@ def check_uso_sampled(oracle: OrientationOracle, samples: int, max_face_dim: int
     n = oracle.dimension
     report = VerificationReport("uso_sampled")
     started = time.perf_counter()
-    anchors, frees = sample_faces(n, samples, max_face_dim, seed)
-    dims = np.unpackbits(frees.view(np.uint8).reshape(-1, 8), axis=1).sum(
-        axis=1, dtype=np.intp)
-    bad = None  # (sample index, sink count) of the first failing face
-    for k in np.flatnonzero(np.bincount(dims)).tolist():
-        index = np.flatnonzero(dims == k)
-        step = max(1, VERTEX_BLOCK >> k)
-        for lo in range(0, len(index), step):
-            rows = index[lo:lo + step]
-            counts = _sink_counts(oracle, anchors[rows], frees[rows], k)
-            wrong = np.flatnonzero(counts != 1)
-            if wrong.size:  # later blocks of this dimension come later
-                first = int(rows[wrong[0]])
-                if bad is None or first < bad[0]:
-                    bad = first, int(counts[wrong[0]])
-                break
-    if bad is not None:
-        anchor, free = int(anchors[bad[0]]), int(frees[bad[0]])
-        report.add("sampled_unique_sink", False,
-                   {"anchor": vertex_text(anchor, n),
-                    "free": vertex_text(free, n), "sink_count": bad[1]})
+    for anchors, frees in sample_faces(n, samples, max_face_dim, seed):
+        bad = _first_failing_face(oracle, anchors, frees)
+        if bad is not None:
+            anchor, free = int(anchors[bad[0]]), int(frees[bad[0]])
+            report.add("sampled_unique_sink", False,
+                       {"anchor": vertex_text(anchor, n),
+                        "free": vertex_text(free, n), "sink_count": bad[1]})
+            break
     else:
         report.add("sampled_unique_sink", True,
                    details=f"{samples} faces, dim<={max_face_dim}, seed={seed}")

@@ -14,6 +14,8 @@
 - `compare_with_reference` names every way a realized chain differs from
   these tables.
 - `lexicographic_order` is Johnson's tie order, written out.
+- `face_vertices` lists a face's vertices, for the checks that count a
+  face's sinks one vertex at a time.
 - `trace_checks_reference` is the Johnson and Zadeh trace suites as they
   were written on `Direction`s (tests/directions.py): a walk that applies
   each move's `Direction`, direction lists and sets, and sublist matches,
@@ -125,6 +127,16 @@ def level_tables(family, top, cache_dir, frames, anchor=None):
         table[anchor << m:(anchor + 1) << m] = replacement | external << np.uint64(m)
         out.append(table)
     return out
+
+
+def face_vertices(anchor, free):
+    """The 2^|free| vertices that agree with `anchor` outside `free`, in
+    ascending order: each free bit, lowest first, doubles the subsets."""
+    subsets = [0]
+    for c in range(free.bit_length()):
+        if free >> c & 1:
+            subsets += [s | 1 << c for s in subsets]
+    return [anchor & ~free | s for s in subsets]
 
 
 def lexicographic_order(bundles, bundle_size=4):

@@ -74,7 +74,7 @@ JOHNSON_FINAL = ("1001", {"+0.1": 7, "+0.2": 6, "+0.3": 5, "+0.4": 7,
 
 
 def test_criterion_1_johnson_example_table():
-    _, f1 = load_family("johnson")["f1"]
+    f1 = load_family("johnson")["f1"]
 
     def run():
         return run_to_sink(f1, 0, "johnson",
@@ -94,7 +94,7 @@ def test_criterion_1_johnson_example_table():
 
 
 def test_criterion_2_cunningham_base_case():
-    _, f3 = load_family("cunningham")["f3"]
+    f3 = load_family("cunningham")["f3"]
 
     def run():
         return run_to_sink(f3, 0b0010, "cunningham",
@@ -111,14 +111,14 @@ def test_criterion_2_cunningham_base_case():
 
 
 def test_criterion_3_zadeh_base_case():
-    spec, a0 = load_family("zadeh")["a0"]
+    a0 = load_family("zadeh")["a0"]
 
     def run():
         st = ZadehState(FAMILY["zadeh"].tie_order(0))
-        return run_to_sink(a0, spec.labels["box1"], "zadeh", st, bundle_size=6), st
+        return run_to_sink(a0, a0.spec.labels["box1"], "zadeh", st, bundle_size=6), st
 
     (trace, state), elapsed = _best_time(run)
-    ok = trace.vertices() == [spec.labels[f"box{i}"] for i in range(1, 22)]
+    ok = trace.vertices() == [a0.spec.labels[f"box{i}"] for i in range(1, 22)]
     im = {Direction(k, False) for k in (2, 3, 4, 5)}
     ok = ok and all(balance_of(state, b) == (1 if DIRECTIONS[b] in im else 0)
                     for b in state.tie_list)
@@ -163,8 +163,7 @@ def test_criterion_6_property_suites(chains):
     rng = random.Random(2024)
     frames = []
     for family in ("cunningham", "johnson", "zadeh"):
-        for name, (spec, oracle) in load_family(family).items():
-            frames.append(oracle)
+        frames.extend(load_family(family).values())
     four_dim = [f for f in frames if f.dimension == 4]
     ok = True
     # 1000 randomized compositions at total dimension <= 10
@@ -218,7 +217,7 @@ def test_criterion_7_determinism_and_replay(chains, tmp_path):
             ok = ok and a.read_bytes() == b.read_bytes()
     # johnson: a run with history recorded and one without take the same
     # moves, on the base case and the level-1 construction
-    base = load_family("johnson")["f1"][1]
+    base = load_family("johnson")["f1"]
     lvl1 = chains["johnson"][1][0]
     for oracle, start, bundles in ((base, 0, 1), (lvl1.oracle, lvl1.start, 2)):
         recorded, unrecorded = (run_to_sink(

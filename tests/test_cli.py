@@ -13,7 +13,6 @@ from ausokit import cli, constructions, frame_store
 from ausokit.cli import main
 from ausokit.constructions import realize_range
 from ausokit.cube_core import CubeError
-from ausokit.frame_store import oracle_from_spec
 
 
 def test_build_run_report_verify_flow(tmp_path, capsys):
@@ -311,13 +310,13 @@ def test_frame_of_another_dimension_is_refused_before_its_table(tmp_path, capsys
     shutil.copytree(Path(ausokit.__file__).parent / "frames", frames)
     f1 = frames / "cunningham_f1.frame"
     f1.write_text("dim 12\n")
-    tabulated = []
+    tabulated, frame = [], frame_store.Frame
 
-    def tabulating(spec):
+    def tabulating(name, spec, sha256):
         tabulated.append(spec.dim)
-        return oracle_from_spec(spec)
+        return frame(name, spec, sha256)
 
-    monkeypatch.setattr(frame_store, "oracle_from_spec", tabulating)
+    monkeypatch.setattr(frame_store, "Frame", tabulating)
     named = f"frame file {f1} has dim 12, not 4"
     for argv in (["build", "--family", "cunningham", "--levels", "0..1"],
                  ["verify", "--all-frames"],
@@ -466,6 +465,17 @@ def test_negative_level_is_usage_error(tmp_path, command):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_refused_run_creates_nothing(tmp_path, monkeypatch, capsys):
+    """A run whose trace directory is missing is refused before anything is
+    made: no trace directory, no cache directory, no file."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--family", "cunningham", "--level", "15",
+                 "--trace", "sub/deeper/t.jsonl"]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "'sub/deeper/t.jsonl'" in err, err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv,path", [
     (["report", "--family", "johnson", "--levels", "0..1", "--out", "missing/x.csv"],
      "missing/x.csv"),
@@ -473,7 +483,8 @@ def test_negative_level_is_usage_error(tmp_path, command):
       "--report", "missing/r.json"], "missing/r.json"),
     (["build", "--family", "johnson", "--levels", "0..1", "--cache-dir", "file/c"],
      "file/c"),
-    (["run", "--family", "johnson", "--level", "0", "--trace", "file/t.jsonl"], "file"),
+    (["run", "--family", "johnson", "--level", "0", "--trace", "file/t.jsonl"],
+     "file/t.jsonl"),
 ], ids=["report-out", "verify-report", "build-cache-dir", "run-trace"])
 def test_unusable_path_is_usage_error(tmp_path, argv, path):
     (tmp_path / "file").write_text("")
@@ -492,7 +503,8 @@ def test_unusable_path_is_usage_error(tmp_path, argv, path):
      "missing/x.csv"),
     (["verify", "--family", "johnson", "--level", "0", "--mode", "traces",
       "--report", "missing/r.json"], "missing/r.json"),
-    (["run", "--family", "johnson", "--level", "0", "--trace", "file/t.jsonl"], "file"),
+    (["run", "--family", "johnson", "--level", "0", "--trace", "file/t.jsonl"],
+     "file/t.jsonl"),
 ], ids=["report-out", "verify-report", "run-trace"])
 def test_unusable_path_fails_before_any_level_is_realized(tmp_path, monkeypatch, capsys,
                                                           argv, path):

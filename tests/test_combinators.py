@@ -20,11 +20,11 @@ from ausokit.constructions import (
     cache_path,
     realize_range,
 )
-from ausokit.cube_core import Face, TableOracle, UniformOracle, parse_vertex
+from ausokit.cube_core import TableOracle, UniformOracle, parse_vertex
 from ausokit.frame_store import FAMILY, load_family
 from ausokit.pivot_engine import run_to_sink
 from ausokit.verifier import _pairwise_uso, check_acyclic, check_uso_exhaustive, outmap_table
-from reference import DictProduct, record
+from reference import DictProduct, face_vertices, record
 from test_verifier import _Counting
 
 
@@ -44,9 +44,9 @@ def test_product_dimension_mismatch():
 def test_product_random_frame_pairs(cunningham_frames, johnson_frames):
     """500 random assignments of transcribed 4-frames over inner F1: the
     8-cube product must stay an acyclic USO."""
-    pool = [cunningham_frames[n][1] for n in ("f1", "f2", "f3")]
-    pool += [johnson_frames[n][1] for n in ("f1", "f2", "r1")]
-    inner = cunningham_frames["f1"][1]
+    pool = [cunningham_frames[n] for n in ("f1", "f2", "f3")]
+    pool += [johnson_frames[n] for n in ("f1", "f2", "r1")]
+    inner = cunningham_frames["f1"]
     rng = random.Random(99)
     for _ in range(500):
         overrides = {v: rng.choice(pool) for v in range(16)}
@@ -87,8 +87,7 @@ def test_reorient_flips_single_edge_of_2cube():
     out = ReorientedOracle(base, 0b10, replacement, base.evaluate(0b10) & ~0b01)
     for v in range(4):
         for c in range(2):
-            sinks = [u for u in Face(v & ~(1 << c), 1 << c).vertices()
-                     if not out.evaluate(u) & (1 << c)]
+            sinks = [u for u in face_vertices(v, 1 << c) if not out.evaluate(u) & (1 << c)]
             assert len(sinks) == 1
     assert out.evaluate(0b10) & 0b01  # flipped edge now leaves the face vertex
     assert check_uso_exhaustive(out).passed
@@ -112,8 +111,8 @@ def test_reorient_locality():
 def test_reorient_preserves_uso_randomized(cunningham_frames, johnson_frames):
     """100 uniform 8-cubes with a random sink, each with the low 4-face at
     a random anchor reoriented to a random transcribed 4-frame."""
-    pool = [cunningham_frames[n][1] for n in ("f1", "f2", "f3")]
-    pool += [johnson_frames[n][1] for n in ("f1", "f2", "r1")]
+    pool = [cunningham_frames[n] for n in ("f1", "f2", "f3")]
+    pool += [johnson_frames[n] for n in ("f1", "f2", "r1")]
     rng = random.Random(23)
     for _ in range(100):
         base = UniformOracle(8, rng.getrandbits(8))
@@ -259,7 +258,7 @@ def test_filled_level_table_keeps_its_product_frozen(cunningham_frames):
     (lower, trace), (level, _) = realize_range("cunningham", 2)[1:]
     level.oracle.evaluate_many(np.arange(1 << level.dimension, dtype=np.uint64))
     assert "_table" in vars(level.oracle)
-    f2 = cunningham_frames["f2"][1]
+    f2 = cunningham_frames["f2"]
     path, held = trace.vertices(), dict(level.product.items())
     assert [level.product.assign(v, f2) for v in path] == [held[v] for v in path]
     with pytest.raises(TypeError):
@@ -401,7 +400,7 @@ def levels_and_references(tmp_path_factory):
     for family, top in (("cunningham", 3), ("johnson", 3), ("zadeh", 2)):
         cache = tmp_path_factory.mktemp(family)
         chain = realize_range(family, top, cache_dir=cache)
-        frames = {name: oracle for name, (_, oracle) in load_family(family).items()}
+        frames = load_family(family)
         refs = [chain[0][0].oracle]
         for level, _ in chain[1:]:
             record = json.loads(cache_path(cache, family, level.level).read_text())
@@ -445,7 +444,7 @@ def test_frozen_keys_above_2_to_the_53_stay_exact(cunningham_frames):
     """Inner vertices at and above 2^53 (float64 would round them) stay
     exact on a memo's path (frame bytes, the sorted column) and off it (the
     side dict), through the interval map and the memos' lookups."""
-    f1, f2, f3 = (cunningham_frames[name][1] for name in ("f1", "f2", "f3"))
+    f1, f2, f3 = (cunningham_frames[name] for name in ("f1", "f2", "f3"))
     inner = MemoOracle(UniformOracle(56, 0))
     walk = [(1 << 53) + 1, (1 << 53) + 3, (1 << 54) + (1 << 53) + 3, (1 << 55) + (1 << 54)
             + (1 << 53) + 3]
@@ -471,9 +470,9 @@ def test_frozen_keys_above_2_to_the_53_stay_exact(cunningham_frames):
 
 
 def test_memo_evaluate_many_leaves_the_memo_alone(cunningham_frames):
-    inner = cunningham_frames["f1"][1]
-    memo = MemoOracle(ProductOracle(inner, cunningham_frames["f3"][1],
-                                    {0: cunningham_frames["f2"][1]}))
+    inner = cunningham_frames["f1"]
+    memo = MemoOracle(ProductOracle(inner, cunningham_frames["f3"],
+                                    {0: cunningham_frames["f2"]}))
     warm = [memo.evaluate(v) for v in range(0, 256, 3)]
     before = len(memo.entries())
     got = memo.evaluate_many(np.arange(256, dtype=np.uint64))
@@ -488,11 +487,11 @@ def test_frame_map_empty_batch():
 
 
 def test_frame_map_shared_frame_objects(cunningham_frames):
-    default = cunningham_frames["f1"][1]
-    shared = cunningham_frames["f2"][1]
+    default = cunningham_frames["f1"]
+    shared = cunningham_frames["f2"]
     overrides = {v: shared for v in range(1, 64, 3)}
     overrides.update({v: default for v in range(2, 64, 5)})  # the default, again
-    overrides[63] = cunningham_frames["f3"][1]
+    overrides[63] = cunningham_frames["f3"]
     inner = UniformOracle(6, 0)
     product = ProductOracle(inner, default, overrides)
     vs = np.arange(1 << 10, dtype=np.uint64)
@@ -518,7 +517,7 @@ def test_frame_map_intervals(cunningham_frames, keys):
     """Override keys k and k + 1 with different frames or the same one, key
     0, key 2^m - 1 and overrides that hold the default object: each batch
     equals evaluate, vertex by vertex."""
-    frames = {name: cunningham_frames[name][1] for name in ("f1", "f2", "f3")}
+    frames = {name: cunningham_frames[name] for name in ("f1", "f2", "f3")}
     inner = UniformOracle(6, 0b101)
     product = ProductOracle(inner, frames["f1"],
                             {k: frames[name] for k, name in keys.items()})

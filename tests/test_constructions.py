@@ -34,7 +34,6 @@ from ausokit.frame_store import (
     frame_file_sha256,
     load_family,
     packaged_frames_dir,
-    resolve_frames_dir,
     validate_family,
 )
 from ausokit.pivot_engine import is_saturated, replay, run_to_sink, write_trace_jsonl
@@ -79,13 +78,13 @@ def test_starting_vertices():
 
 
 def test_build_reset_r1_matches_transcription(johnson_frames):
-    _, r1 = johnson_frames["r1"]
+    r1 = johnson_frames["r1"]
     built = build_reset(1, r1, FAMILY["johnson"].hypersink)
     assert outmap_table(built).tolist() == r1.table
 
 
 def test_build_reset_r2_walk_and_structure(johnson_frames):
-    r2 = build_reset(2, johnson_frames["r1"][1], FAMILY["johnson"].hypersink)
+    r2 = build_reset(2, johnson_frames["r1"], FAMILY["johnson"].hypersink)
     assert r2.dimension == 8
     v = 0b1001 | (0b1001 << 4)  # {c_0^1, c_0^4, c_1^1, c_1^4}
     used = []
@@ -101,7 +100,7 @@ def test_build_reset_r2_walk_and_structure(johnson_frames):
 
 def test_build_reset_evaluate_many(johnson_frames):
     for level in range(4):
-        oracle = build_reset(level, johnson_frames["r1"][1], FAMILY["johnson"].hypersink)
+        oracle = build_reset(level, johnson_frames["r1"], FAMILY["johnson"].hypersink)
         size = 1 << oracle.dimension
         got = oracle.evaluate_many(np.arange(size, dtype=np.uint64))
         assert got.tolist() == [oracle.evaluate(v) for v in range(size)]
@@ -286,9 +285,8 @@ def test_wide_cache_record_roundtrip(tmp_path, cunningham_frames):
     and the file is the receipt of the same level: unchanged, it passes the
     check, and a line flipped to another frame at such a key is named
     exactly."""
-    frames = {name: oracle for name, (_, oracle) in cunningham_frames.items()}
-    names = {oracle: name for name, oracle in frames.items()}
-    hashes = {name: spec.sha256 for name, (spec, _) in cunningham_frames.items()}
+    frames = cunningham_frames
+    hashes = {name: frame.sha256 for name, frame in frames.items()}
     inner = MemoOracle(UniformOracle(56, 0))
     walk = [(1 << 53) + 1, (1 << 53) + 3, 3, 2, (1 << 55) | 2]
     record(inner, walk)
@@ -297,16 +295,15 @@ def test_wide_cache_record_roundtrip(tmp_path, cunningham_frames):
                  (1 << 55) | 2: frames["f3"]}
     product = ProductOracle(inner, frames["f3"], overrides)
     level = ConstructionLevel("cunningham", 14, 60, oracle=product, start=1 << 59,
-                              expected_sink=0, path_length=7, product=product,
-                              frame_names=names)
+                              expected_sink=0, path_length=7, product=product)
     path = tmp_path / "cunningham_level14.json"
     path.write_text("".join(_cache_chunks(level, hashes)), encoding="utf-8")
     text = path.read_text(encoding="utf-8")
-    assert json.loads(text)["assignments"] == {vertex_text(v, 56): names[f]
+    assert json.loads(text)["assignments"] == {vertex_text(v, 56): f.name
                                                for v, f in overrides.items()}
     _check_cache(path, level, hashes)
     for v in ((1 << 53) + 1, (1 << 55) | 5):  # on the path and off it
-        line = f'    "{vertex_text(v, 56)}": "{names[overrides[v]]}"'
+        line = f'    "{vertex_text(v, 56)}": "{overrides[v].name}"'
         assert text.count(line) == 1
         path.write_text(text.replace(line, line.replace('"f1"', '"f3"')
                                                  .replace('"f2"', '"f1"')))
@@ -348,7 +345,7 @@ def test_cache_writer_matches_json_dumps(built_levels, tmp_path):
     record rebuilt from the level."""
     for family, chain in built_levels.items():
         realize_range(family, len(chain) - 1, cache_dir=tmp_path)
-        frames_dir = resolve_frames_dir(None)
+        frames_dir = packaged_frames_dir()
         hashes = {stem: frame_file_sha256(frames_dir / f"{family}_{stem}.frame")
                   for stem in FAMILY[family].stems}
         for level, _ in chain:
@@ -366,7 +363,7 @@ def test_cache_chunks_hold_at_most_a_block(built_levels, tmp_path, monkeypatch, 
     holds more than CACHE_WRITE_BLOCK lines, and the files read back."""
     monkeypatch.setattr(constructions, "CACHE_WRITE_BLOCK", block)
     for family, chain in built_levels.items():
-        hashes = {stem: spec.sha256 for stem, (spec, _) in load_family(family).items()}
+        hashes = {stem: frame.sha256 for stem, frame in load_family(family).items()}
         for level, _ in chain:
             chunks = list(_cache_chunks(level, hashes))
             assert "".join(chunks) == json.dumps(
@@ -385,13 +382,11 @@ def test_cache_keys_refuse_inner_dimension_above_56(tmp_path, cunningham_frames)
     a 64-bit key: the write raises instead of writing wrong bytes, and leaves
     no file.  (No realizable level gets there: the widest, at n = 60, has
     an inner dimension of at most 56.)"""
-    frames = {name: oracle for name, (_, oracle) in cunningham_frames.items()}
-    names = {oracle: name for name, oracle in frames.items()}
-    hashes = {name: spec.sha256 for name, (spec, _) in cunningham_frames.items()}
+    frames = cunningham_frames
+    hashes = {name: frame.sha256 for name, frame in frames.items()}
     product = ProductOracle(UniformOracle(57, 0), frames["f3"], {1 << 56: frames["f1"]})
     level = ConstructionLevel("cunningham", 14, 61, oracle=product, start=0,
-                              expected_sink=0, path_length=0, product=product,
-                              frame_names=names)
+                              expected_sink=0, path_length=0, product=product)
     with pytest.raises(ConstructionError, match="56 bits"):
         next(_cache_chunks(level, hashes))
     path = tmp_path / "cunningham_level14.json"
@@ -407,7 +402,7 @@ def test_cache_write_heap_grows_by_a_key_per_assignment():
     12 bytes per key, where level-sized index arrays and 2^12-line chunks
     took about 47."""
     chain = realize_range("cunningham", 9)
-    hashes = {stem: spec.sha256 for stem, (spec, _) in load_family("cunningham").items()}
+    hashes = {stem: frame.sha256 for stem, frame in load_family("cunningham").items()}
 
     def peak(level):
         tracemalloc.start()
@@ -555,16 +550,16 @@ def test_builder_geometry_matches_frame_labels(family):
     frames = load_family(family)
     assert spec.name == family
     assert set(frames) == set(spec.stems) >= {spec.base, spec.default, "f1", "f2"}
-    assert {s.dim for s, _ in frames.values()} == {spec.bundle_size}
-    labels = frames["f1"][0].labels
+    assert {frame.dimension for frame in frames.values()} == {spec.bundle_size}
+    labels = frames["f1"].spec.labels
     assert spec.gadget_anchor == labels["R" if spec.reset else "B"]
     for name in {"f1", "f2", spec.default}:
-        assert frames[name][1].evaluate(spec.gadget_anchor) == spec.gadget_external, name
+        assert frames[name].evaluate(spec.gadget_anchor) == spec.gadget_external, name
     for bits, label in ((spec.box1, "box1"), (spec.box5, "box5"), (spec.hypersink, "H")):
         if bits is not None:
             assert bits == labels[label]
     assert (spec.box5 is None) == (spec.hypersink is None) == (family == "zadeh")
-    assert spec.reset is None or frames[spec.reset][0].labels["box1"] == spec.hypersink
+    assert spec.reset is None or frames[spec.reset].spec.labels["box1"] == spec.hypersink
     assert spec.start(0) == labels["box1"] == spec.box1
     assert sorted(spec.tie_order(0)) == sorted(
         direction_bit(Direction(k, s)) for k in range(spec.bundle_size) for s in (True, False))
@@ -620,7 +615,7 @@ def test_second_walk_demanding_another_frame_conflicts_at_a_path_position(monkey
 def test_path_bytes_keep_their_first_frame(cunningham_frames):
     """assign() on a bound memo's path vertex, at the cursor or away from
     it, and off the path: the first frame stays and is returned."""
-    f1, f2, f3 = (cunningham_frames[name][1] for name in ("f1", "f2", "f3"))
+    f1, f2, f3 = (cunningham_frames[name] for name in ("f1", "f2", "f3"))
     inner = MemoOracle(UniformOracle(4, 0))
     walk = [0, 1, 3, 7, 15]
     record(inner, walk)

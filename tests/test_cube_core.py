@@ -4,13 +4,9 @@ import pytest
 
 from ausokit.cube_core import (
     CubeError,
-    Face,
-    FaceSinkError,
     IllegalMoveError,
-    TableOracle,
     UniformOracle,
     direction_text,
-    face_sink,
     parse_direction,
     parse_vertex,
     vertex_text,
@@ -61,7 +57,7 @@ def test_is_available_uniform():
 
 
 def test_is_available_johnson_frame_start(johnson_frames):
-    _, f1 = johnson_frames["f1"]
+    f1 = johnson_frames["f1"]
     assert is_available(f1, 0, Direction(0, True))
 
 
@@ -94,43 +90,6 @@ def test_available_moves_change_one_coordinate():
                 if is_available(o, v, d):
                     u = apply_direction(v, d)
                     assert bin(u ^ v).count("1") == 1
-
-
-def test_face_sink_uniform_whole_cube():
-    o = UniformOracle(3, 0)
-    assert face_sink(o, Face(0, 0b111)) == 0
-
-
-def test_face_sink_johnson_base(johnson_frames):
-    _, f1 = johnson_frames["f1"]
-    assert face_sink(f1, Face(0, 0b1111)) == 0b1001  # {c^1, c^4}
-
-
-def test_face_sink_random_2faces(johnson_frames):
-    # brute force over each sampled face is the oracle here
-    _, f1 = johnson_frames["f1"]
-    rng = random.Random(3)
-    for _ in range(1000):
-        coords = rng.sample(range(4), 2)
-        free = (1 << coords[0]) | (1 << coords[1])
-        face = Face(rng.getrandbits(4) & ~free, free)
-        sinks = [v for v in face.vertices() if not f1.evaluate(v) & free]
-        assert len(sinks) == 1
-        assert face_sink(f1, face) == sinks[0]
-
-
-def test_face_sink_errors_carry_witnesses():
-    # cyclic 2-face: no sink
-    cyclic = TableOracle(2, [0b01, 0b10, 0b10, 0b01])
-    with pytest.raises(FaceSinkError) as exc:
-        face_sink(cyclic, Face(0, 0b11))
-    assert exc.value.kind == "no sink"
-    # two sinks
-    double = TableOracle(2, [0b00, 0b11, 0b11, 0b00])
-    with pytest.raises(FaceSinkError) as exc:
-        face_sink(double, Face(0, 0b11))
-    assert exc.value.kind == "multiple sinks"
-    assert sorted(exc.value.witnesses) == [0b00, 0b11]
 
 
 def test_vertex_text_roundtrip():

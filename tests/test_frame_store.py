@@ -4,13 +4,14 @@ from dataclasses import replace
 
 import pytest
 
-from ausokit.cube_core import CubeError, Face, TableOracle, face_sink, vertex_text
+from ausokit.cube_core import CubeError, vertex_text
 from ausokit.frame_store import (
     FAMILY,
+    Frame,
     FrameParseError,
+    FrameSpec,
     frame_file_sha256,
     load_family,
-    oracle_from_spec,
     packaged_frames_dir,
     parse_frame,
     validate_all,
@@ -18,13 +19,32 @@ from ausokit.frame_store import (
 )
 
 
+def _sinks(frame):
+    """The vertices of the frame with no outgoing edge."""
+    return [v for v in range(1 << frame.dimension) if not frame.evaluate(v)]
+
+
 def test_parse_all_forward_is_uniform_to_full():
     spec = parse_frame("dim 2\n")
-    oracle = oracle_from_spec(spec)
+    oracle = Frame("f", spec, "")
     # every edge forward: sink at the full vertex
     assert oracle.evaluate(0b11) == 0
     assert oracle.evaluate(0) == 0b11
-    assert face_sink(oracle, Face(0, 0b11)) == 0b11
+    assert _sinks(oracle) == [0b11]
+
+
+def test_frame_table_is_forward_minus_backward():
+    """Each vertex's outmap: its forward edges (coordinate absent), less
+    those listed backward, plus the backward edges it heads (coordinate
+    present), whatever the order of the listed edges."""
+    edges = [(0b000, 1), (0b100, 2), (0b010, 3), (0b001, 2)]
+    for order in (edges, edges[::-1]):
+        frame = Frame("f", FrameSpec(3, order), "")
+        back = {(bits, k - 1) for bits, k in order}
+        for v in range(8):
+            want = sum(1 << c for c in range(3)
+                       if ((v ^ 1 << c, c) in back if v >> c & 1 else (v, c) not in back))
+            assert frame.evaluate(v) == want, (order, v)
 
 
 def test_parse_comments_and_labels():
@@ -90,14 +110,13 @@ def test_repeated_label_is_refused():
 
 
 def test_johnson_f1_sink_position(johnson_frames):
-    _, f1 = johnson_frames["f1"]
     # inactive exactly at {c^1, c^4}
-    assert face_sink(f1, Face(0, 0b1111)) == 0b1001
+    assert _sinks(johnson_frames["f1"]) == [0b1001]
 
 
 def test_zadeh_f3_sink_at_circ12(zadeh_frames):
-    spec, f3 = zadeh_frames["f3"]
-    assert face_sink(f3, Face(0, 0b111111)) == spec.labels["circ12"]
+    f3 = zadeh_frames["f3"]
+    assert _sinks(f3) == [f3.spec.labels["circ12"]]
 
 
 def test_all_transcriptions_validate():
@@ -115,7 +134,7 @@ def test_fake_frame_fails_b_outmap(cunningham_frames):
                 bits = "".join("1" if v >> i & 1 else "0" for i in range(4))
                 lines.append(f"back {bits} {k + 1}")
     fake_spec = parse_frame("\n".join(lines))
-    fake = {"f1": (fake_spec, oracle_from_spec(fake_spec)),
+    fake = {"f1": Frame("f1", fake_spec, ""),
             "f2": cunningham_frames["f2"],
             "f3": cunningham_frames["f3"]}
     report = validate_family("cunningham", frames=fake)
@@ -124,7 +143,7 @@ def test_fake_frame_fails_b_outmap(cunningham_frames):
 
 
 def test_r1_single_outgoing_reset_path(johnson_frames):
-    _, r1 = johnson_frames["r1"]
+    r1 = johnson_frames["r1"]
     v = 0b1001  # {c^1, c^4}
     dirs = []
     while v:
@@ -139,8 +158,7 @@ def test_r1_single_outgoing_reset_path(johnson_frames):
 
 def test_johnson_frames_share_sink(johnson_frames):
     for name in ("f1", "f2"):
-        _, oracle = johnson_frames[name]
-        assert face_sink(oracle, Face(0, 0b1111)) == 0b1001
+        assert _sinks(johnson_frames[name]) == [0b1001]
 
 
 def test_johnson_frames_with_other_sinks_fail_same_sink(johnson_frames):
@@ -153,10 +171,34 @@ def test_johnson_frames_with_other_sinks_fail_same_sink(johnson_frames):
 
     check = same_sink(johnson_frames)
     assert check.passed and check.details == "both sinks asserted at {c1,c4}"
-    spec, _ = johnson_frames["f2"]
+    spec = johnson_frames["f2"].spec
     flipped = replace(spec, backward_edges=sorted(set(spec.backward_edges) ^ {(0b1001, 2)}))
-    check = same_sink({**johnson_frames, "f2": (flipped, oracle_from_spec(flipped))})
+    check = same_sink({**johnson_frames, "f2": Frame("f2", flipped, "")})
     assert not check.passed and check.witness == {"f1": "1001", "f2": "1101"}
+
+
+def _sink_witness(frames, spec):
+    """The witness of johnson's f1_sink check with f1 built from `spec`."""
+    report = validate_family("johnson", frames={**frames, "f1": Frame("f1", spec, "")})
+    return next(c.witness for c in report.checks if c.name == "f1_sink")
+
+
+def test_sink_witness_lists_every_sink(johnson_frames):
+    """The gate reads a frame's sinks from its table.  Johnson's f1 replaced
+    by a 4-cube with no sink (a directed 4-cycle on c1, c2 in every
+    {c1, c2} face) and by one with two sinks ({c1, c2} faces that sink at
+    both ends of their diagonal where c3 and c4 are set) names every sink
+    it has; one sink in the wrong place is named as the actual sink."""
+    labels = johnson_frames["f1"].spec.labels
+    high = (0b0000, 0b0100, 0b1000, 0b1100)
+    cyclic = [(h | 0b10, 1) for h in high] + [(h, 2) for h in high]
+    assert _sink_witness(johnson_frames, FrameSpec(4, cyclic, labels)) == \
+        {"expected": "1001", "sinks": []}
+    two = [(0b1100, 1), (0b1100, 2)]
+    assert _sink_witness(johnson_frames, FrameSpec(4, two, labels)) == \
+        {"expected": "1001", "sinks": ["0011", "1111"]}
+    assert _sink_witness(johnson_frames, FrameSpec(4, [], labels)) == \
+        {"expected": "1001", "actual": "1111"}
 
 
 @pytest.mark.parametrize("family, stem, sink, check, witness", [
@@ -169,28 +211,21 @@ def test_scripted_runs_name_their_directions_by_text(family, stem, sink, check, 
     """With the run's frame replaced by a uniform cube, the scripted run
     goes astray, and its witness names the directions by their text."""
     frames = dict(load_family(family))
-    spec, oracle = frames[stem]
-    n = oracle.dimension
-    frames[stem] = (spec, TableOracle(n, [v ^ sink for v in range(1 << n)]))
+    spec = frames[stem].spec
+    n = spec.dim
+    # Every edge toward `sink`: backward on the coordinates sink lacks.
+    uniform = [(v, c + 1) for v in range(1 << n) for c in range(n) if not (v | sink) >> c & 1]
+    frames[stem] = Frame(stem, replace(spec, backward_edges=uniform), "")
+    assert all(frames[stem].evaluate(v) == v ^ sink for v in range(1 << n))
     report = validate_family(family, frames=frames)
     assert [c.witness for c in report.failures() if c.name == check] == [witness]
 
 
 def test_validate_family_via_dir(tmp_path):
     # copies validate the same as the packaged set
-    from ausokit.frame_store import packaged_frames_dir
     for path in packaged_frames_dir().glob("*.frame"):
         (tmp_path / path.name).write_text(path.read_text())
     assert validate_family("zadeh", load_family("zadeh", tmp_path)).passed
-
-
-def test_frames_dir_env_override(tmp_path, monkeypatch):
-    from ausokit.frame_store import packaged_frames_dir, resolve_frames_dir
-    for path in packaged_frames_dir().glob("*.frame"):
-        (tmp_path / path.name).write_text(path.read_text())
-    monkeypatch.setenv("AUSOKIT_FRAMES_DIR", str(tmp_path))
-    assert resolve_frames_dir() == tmp_path
-    assert validate_family("cunningham", load_family("cunningham")).passed
 
 
 def test_frame_hashes_equal_hashlib_sha256():
@@ -201,9 +236,10 @@ def test_frame_hashes_equal_hashlib_sha256():
     for path in paths:
         assert frame_file_sha256(path) == hashlib.sha256(path.read_bytes()).hexdigest()
     for family in FAMILY:
-        for stem, (spec, _) in load_family(family).items():
+        for stem, frame in load_family(family).items():
             data = (packaged_frames_dir() / f"{family}_{stem}.frame").read_bytes()
-            assert spec.sha256 == hashlib.sha256(data).hexdigest()
+            assert frame.name == stem
+            assert frame.sha256 == hashlib.sha256(data).hexdigest()
 
 
 # The one-edge flips of the packaged frames on which the suites raised
@@ -227,15 +263,15 @@ def test_suites_report_on_every_one_edge_flip():
     failed = set()
     for family in FAMILY:
         frames = load_family(family)
-        for stem, (spec, _) in frames.items():
-            n = spec.dim
+        for stem, frame in frames.items():
+            spec, n = frame.spec, frame.dimension
             for v in range(1 << n):
                 for k in range(1, n + 1):
                     if v >> (k - 1) & 1:
                         continue
                     edges = set(spec.backward_edges) ^ {(v, k)}
                     flipped = replace(spec, backward_edges=sorted(edges))
-                    variant = {**frames, stem: (flipped, oracle_from_spec(flipped))}
+                    variant = {**frames, stem: Frame(stem, flipped, "")}
                     if not validate_family(family, frames=variant).passed:
                         failed.add((family, stem, vertex_text(v, n), k))
     assert RAISED_ON <= failed

@@ -85,6 +85,17 @@ def test_no_module_imports_a_private_name_of_another():
         assert not private, f"{path.name} imports private names {private}"
 
 
+def test_no_module_reads_the_environment():
+    """A command's inputs are its arguments: no module reads os.environ or
+    calls os.getenv."""
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found = [n.lineno for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and n.attr in ("environ", "getenv")
+                 or isinstance(n, ast.alias) and n.name in ("environ", "getenv")]
+        assert not found, f"{path.name} reads the environment at lines {found}"
+
+
 def test_no_module_branches_on_a_family_name():
     """Family facts live in frame_store.FAMILY, one record per family: no
     module compares with a family name, or with a collection that holds

@@ -72,7 +72,7 @@ def _step(oracle, v, state):
 
 
 def test_cunningham_base_case_run(cunningham_frames):
-    _, f3 = cunningham_frames["f3"]
+    f3 = cunningham_frames["f3"]
     st = CunninghamState(FAMILY["cunningham"].tie_order(0))
     trace = run_to_sink(f3, 0b0010, "cunningham", st, bundle_size=4)
     assert directions(trace) == _dirs("+1,+3,-1,+4,+1")
@@ -81,7 +81,7 @@ def test_cunningham_base_case_run(cunningham_frames):
 
 
 def test_cunningham_first_steps_skip_unavailable(cunningham_frames):
-    _, f3 = cunningham_frames["f3"]
+    f3 = cunningham_frames["f3"]
     st = CunninghamState(FAMILY["cunningham"].tie_order(0))
     d, v = _step(f3, 0b0010, st)
     assert d == Direction(0, True)
@@ -90,7 +90,7 @@ def test_cunningham_first_steps_skip_unavailable(cunningham_frames):
 
 
 def test_cunningham_marker_tracks_used_direction(cunningham_frames):
-    _, f3 = cunningham_frames["f3"]
+    f3 = cunningham_frames["f3"]
     st = CunninghamState(FAMILY["cunningham"].tie_order(0))
     v = 0b0010
     while f3.evaluate(v):
@@ -99,7 +99,7 @@ def test_cunningham_marker_tracks_used_direction(cunningham_frames):
 
 
 def test_cunningham_step_at_sink_raises(cunningham_frames):
-    _, f3 = cunningham_frames["f3"]
+    f3 = cunningham_frames["f3"]
     assert f3.evaluate(0b1111) == 0
     st = CunninghamState(FAMILY["cunningham"].tie_order(0))
     assert st.choose(0b1111, 0) is None
@@ -119,7 +119,7 @@ JOHNSON_FINAL = ("1001", (7, 6, 5, 7), (1, 7, 7, 4))
 
 def test_johnson_example_table(johnson_frames):
     from ausokit.cube_core import parse_vertex, vertex_text
-    _, f1 = johnson_frames["f1"]
+    f1 = johnson_frames["f1"]
     st = JohnsonState(FAMILY["johnson"].tie_order(0))
     trace = run_to_sink(f1, 0, "johnson", st, bundle_size=4)
     assert len(trace) == 6
@@ -139,11 +139,11 @@ def test_johnson_example_table(johnson_frames):
 
 
 def test_zadeh_base_case_walk(zadeh_frames):
-    spec, a0 = zadeh_frames["a0"]
+    a0 = zadeh_frames["a0"]
     st = ZadehState(FAMILY["zadeh"].tie_order(0))
-    trace = run_to_sink(a0, spec.labels["box1"], "zadeh", st, bundle_size=6)
+    trace = run_to_sink(a0, a0.spec.labels["box1"], "zadeh", st, bundle_size=6)
     assert len(trace) == 20
-    assert trace.vertices() == [spec.labels[f"box{i}"] for i in range(1, 22)]
+    assert trace.vertices() == [a0.spec.labels[f"box{i}"] for i in range(1, 22)]
     for k in (2, 3, 4, 5):  # -c^3 .. -c^6
         assert balance_of(st, direction_bit(Direction(k, False))) == 1
     for b in st.tie_list:
@@ -163,9 +163,9 @@ def test_zadeh_two_cube_tie_break():
 
 
 def test_zadeh_usage_conservation(zadeh_frames):
-    spec, a0 = zadeh_frames["a0"]
+    a0 = zadeh_frames["a0"]
     st = ZadehState(FAMILY["zadeh"].tie_order(0))
-    v = spec.labels["box1"]
+    v = a0.spec.labels["box1"]
     steps = 0
     while a0.evaluate(v):
         _, v = _step(a0, v, st)
@@ -193,8 +193,8 @@ def test_all_rules_take_n_steps_from_antisink(tmp_path):
 
 
 def test_determinism_identical_traces(zadeh_frames):
-    spec, a0 = zadeh_frames["a0"]
-    runs = [run_to_sink(a0, spec.labels["box1"], "zadeh",
+    a0 = zadeh_frames["a0"]
+    runs = [run_to_sink(a0, a0.spec.labels["box1"], "zadeh",
                         ZadehState(FAMILY["zadeh"].tie_order(0)), bundle_size=6)
             for _ in range(2)]
     assert runs[0].moves == runs[1].moves
@@ -205,7 +205,7 @@ def test_run_refuses_a_rule_name_that_is_not_the_states(zadeh_frames):
     """The trace records the rule name run_to_sink is given, so a name
     other than the one the state's class names is refused before any step,
     not written into a trace."""
-    _, a0 = zadeh_frames["a0"]
+    a0 = zadeh_frames["a0"]
     spec = FAMILY["zadeh"]
     with pytest.raises(CubeError, match="rule 'cunningham' given for a zadeh state"):
         run_to_sink(a0, spec.start(0), "cunningham", spec.rule_state(0), bundle_size=6)
@@ -321,15 +321,15 @@ def test_balance_of_fresh_and_scoped():
 
 
 def test_is_saturated_fresh_state(zadeh_frames):
-    _, a0 = zadeh_frames["a0"]
+    a0 = zadeh_frames["a0"]
     st = ZadehState(FAMILY["zadeh"].tie_order(0))
     assert is_saturated(a0, 0b000010, st, 0b111111)
 
 
 def test_is_saturated_at_box12_not_at_box2(zadeh_frames):
-    spec, a0 = zadeh_frames["a0"]
+    a0 = zadeh_frames["a0"]
     st = ZadehState(FAMILY["zadeh"].tie_order(0))
-    v = spec.labels["box1"]
+    v = a0.spec.labels["box1"]
     for i in range(11):
         _, v = _step(a0, v, st)
         if i == 0:
@@ -337,7 +337,7 @@ def test_is_saturated_at_box12_not_at_box2(zadeh_frames):
             # not on c1, the only coordinate of the narrower mask
             assert not is_saturated(a0, v, st, 0b111111)
             assert is_saturated(a0, v, st, 0b000001)
-    assert v == spec.labels["box12"]
+    assert v == a0.spec.labels["box12"]
     assert is_saturated(a0, v, st, 0b111111)
 
 
@@ -487,7 +487,7 @@ def test_johnson_state_matches_its_definition(order, moves, queries):
     (7, "sink", "1000"),
 ])
 def test_trace_jsonl_tampering_is_caught(tmp_path, johnson_frames, line, key, value):
-    _, f1 = johnson_frames["f1"]
+    f1 = johnson_frames["f1"]
     trace = run_to_sink(f1, 0, "johnson", JohnsonState(FAMILY["johnson"].tie_order(0)),
                         bundle_size=4)
     path = tmp_path / "t.jsonl"
@@ -575,8 +575,8 @@ def test_trace_writer_flips_one_character_per_move(tmp_path, history):
 def test_rules_terminate_within_2n_from_every_start(cunningham_frames,
                                                     johnson_frames, zadeh_frames):
     # acyclic oracles: every start reaches the sink within 2^n steps
-    frames = [cunningham_frames["f3"][1], johnson_frames["f1"][1],
-              zadeh_frames["a0"][1]]
+    frames = [cunningham_frames["f3"], johnson_frames["f1"],
+              zadeh_frames["a0"]]
     for oracle in frames:
         n = oracle.dimension
         for start in range(1 << n):
@@ -734,7 +734,7 @@ def _rule_oracles(draw, frames):
 def test_rules_match_per_direction_reference(cunningham_frames, johnson_frames,
                                              zadeh_frames, data):
     frames = [oracle for family in (cunningham_frames, johnson_frames, zadeh_frames)
-              for _, oracle in family.values()]
+              for oracle in family.values()]
     drawn = data.draw(_rule_oracles(frames))
     oracle = TableOracle(drawn.dimension, outmap_table(drawn).tolist())
     n = oracle.dimension

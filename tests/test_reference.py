@@ -30,7 +30,7 @@ def chains(tmp_path_factory):
     for family, top in CHAINS:
         cache = tmp_path_factory.mktemp(family)
         chain = realize_range(family, top, cache_dir=cache)
-        frames = {name: oracle for name, (_, oracle) in load_family(family).items()}
+        frames = load_family(family)
         out[family] = chain, frames, cache, level_tables(family, top, cache, frames)
     return out
 

@@ -10,7 +10,6 @@ from ausokit import verifier
 from ausokit.combinators import ProductOracle, ReorientedOracle
 from ausokit.constructions import realize_range
 from ausokit.cube_core import (
-    Face,
     IllegalMoveError,
     TableOracle,
     UniformOracle,
@@ -33,6 +32,7 @@ from ausokit.verifier import (
     sample_faces,
 )
 from directions import DIRECTIONS, directions
+from reference import face_vertices
 
 
 class _Counting:
@@ -78,8 +78,9 @@ def test_corrupted_edge_next_to_sink_fails_with_witness():
     passed, witness = _ground(broken)
     assert not passed
     # the witness face re-fails when checked in isolation
-    face = Face(parse_vertex(witness["anchor"]), parse_vertex(witness["free"]))
-    sinks = [v for v in face.vertices() if not broken.evaluate(v) & face.free]
+    free = parse_vertex(witness["free"])
+    sinks = [v for v in face_vertices(parse_vertex(witness["anchor"]), free)
+             if not broken.evaluate(v) & free]
     assert len(sinks) != 1
     # the pairwise criterion agrees the oracle is broken
     assert not _pairwise(broken)[0]
@@ -268,6 +269,12 @@ def test_sampled_targeted_corruption():
     assert report.failures()[0].witness["sink_count"] != 1
 
 
+def _sample(n, samples, max_face_dim, seed):
+    """The whole sample, its sample_faces blocks joined in order."""
+    anchors, frees = zip(*sample_faces(n, samples, max_face_dim, seed))
+    return np.concatenate(anchors), np.concatenate(frees)
+
+
 def test_sample_faces_digest():
     # Pins the sample itself.  The grid reaches both branches of
     # random.sample (pool below 22 coordinates or from k = 6 on, a set of
@@ -277,7 +284,7 @@ def test_sample_faces_digest():
     for n in (1, 4, 12, 21, 22, 24, 33, 48, 63):
         for max_face_dim in (1, 5, 6, 8, 10):
             for seed in (0, 7, 42):
-                anchors, frees = sample_faces(n, 2000, max_face_dim, seed)
+                anchors, frees = _sample(n, 2000, max_face_dim, seed)
                 h.update(f"{n},{max_face_dim},{seed}:".encode())
                 h.update("".join(f"{a:x},{f:x};" for a, f in
                                  zip(anchors.tolist(), frees.tolist())).encode())
@@ -300,7 +307,7 @@ def test_sample_faces_replays_random():
     for n in range(1, 64):
         for max_face_dim in range(1, 11):
             for seed in (0, 1, 99):
-                anchors, frees = sample_faces(n, 50, max_face_dim, seed)
+                anchors, frees = _sample(n, 50, max_face_dim, seed)
                 assert list(zip(anchors.tolist(), frees.tolist())) == \
                     _reference_faces(n, 50, max_face_dim, seed), (n, max_face_dim, seed)
 
@@ -315,27 +322,26 @@ def _broken_12_cube():
 
 
 def test_sampled_deterministic_under_seed():
-    anchors_a, frees_a = sample_faces(12, 500, 8, seed=42)
-    anchors_b, frees_b = sample_faces(12, 500, 8, seed=42)
+    anchors_a, frees_a = _sample(12, 500, 8, seed=42)
+    anchors_b, frees_b = _sample(12, 500, 8, seed=42)
     assert anchors_a.dtype == frees_a.dtype == np.uint64
     assert (anchors_a == anchors_b).all() and (frees_a == frees_b).all()
-    anchors_c, frees_c = sample_faces(12, 500, 8, seed=43)
+    anchors_c, frees_c = _sample(12, 500, 8, seed=43)
     assert (anchors_c != anchors_a).any() or (frees_c != frees_a).any()
     # On an oracle with many broken edges, the batched check reports the
     # first failing face in sample order, as a face-by-face scan does.
     broken = _broken_12_cube()
     failing_dims = set()
     for seed in range(40, 46):
-        anchors, frees = sample_faces(12, 500, 8, seed)
-        faces = [Face(a, f) for a, f in zip(anchors.tolist(), frees.tolist())]
-        counts = [sum(1 for v in f.vertices() if not broken.evaluate(v) & f.free)
-                  for f in faces]
+        anchors, frees = _sample(12, 500, 8, seed)
+        faces = list(zip(anchors.tolist(), frees.tolist()))
+        counts = [sum(1 for v in face_vertices(a, f) if not broken.evaluate(v) & f)
+                  for a, f in faces]
         first = next(i for i, c in enumerate(counts) if c != 1)
-        failing_dims |= {f.dimension for f, c in zip(faces, counts) if c != 1}
+        failing_dims |= {f.bit_count() for (_, f), c in zip(faces, counts) if c != 1}
         witness = check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
         assert (parse_vertex(witness["anchor"]), parse_vertex(witness["free"]),
-                witness["sink_count"]) == (faces[first].anchor, faces[first].free,
-                                           counts[first])
+                witness["sink_count"]) == (*faces[first], counts[first])
     assert len(failing_dims) > 1  # the first failure is chosen across batches
 
 
@@ -346,6 +352,46 @@ def test_sampled_witness_does_not_depend_on_the_block(monkeypatch):
     monkeypatch.setattr(verifier, "VERTEX_BLOCK", 1 << 4)
     assert witnesses == [check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
                          for seed in range(40, 46)]
+
+
+@pytest.mark.parametrize("block", [5, 64])
+def test_sampled_witness_does_not_depend_on_the_sample_block(monkeypatch, block):
+    """The check stops at the first sample block that holds a failing face:
+    the witness is still the first failing face in sample order."""
+    broken = _broken_12_cube()
+    witnesses = [check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
+                 for seed in range(40, 46)]
+    monkeypatch.setattr(verifier, "FACE_BLOCK", block)
+    assert witnesses == [check_uso_sampled(broken, 500, 8, seed).failures()[0].witness
+                         for seed in range(40, 46)]
+
+
+def test_sample_faces_yields_fixed_blocks(monkeypatch):
+    """sample_faces yields FACE_BLOCK faces at a time, the rest last, and
+    the blocks joined are the sample drawn in one block."""
+    whole = _sample(12, 500, 8, seed=3)
+    monkeypatch.setattr(verifier, "FACE_BLOCK", 64)
+    blocks = list(sample_faces(12, 500, 8, seed=3))
+    assert [len(frees) for _, frees in blocks] == [64] * 7 + [52]
+    joined = _sample(12, 500, 8, seed=3)
+    assert all((a == b).all() for a, b in zip(whole, joined))
+
+
+def test_sampled_check_heap_does_not_grow_with_the_sample():
+    """check_uso_sampled holds one sample block at a time: its tracemalloc
+    peak at 80,000 faces is within 10 % of its peak at 20,000."""
+    oracle = UniformOracle(24, 5)
+
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            assert check_uso_sampled(oracle, samples, 1, seed=7).passed
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20000), peak(80000)
+    assert large <= 1.1 * small, (small, large)
 
 
 def test_sampled_batches_stay_within_the_block(built_levels):
@@ -475,8 +521,8 @@ def test_face_count_witness_matches_one_mask_at_a_time(monkeypatch):
                 if want is not None:
                     assert (witness["anchor"], witness["free"]) == want
                     free = parse_vertex(witness["free"])
-                    face = Face(parse_vertex(witness["anchor"]), free)
-                    sinks = [v for v in face.vertices() if not int(table[v]) & free]
+                    sinks = [v for v in face_vertices(parse_vertex(witness["anchor"]), free)
+                             if not int(table[v]) & free]
                     assert [parse_vertex(t) for t in witness["sinks"]] == sinks
                     assert len(sinks) != 1
     assert failing > 20
